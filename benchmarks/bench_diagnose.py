@@ -1,9 +1,10 @@
-"""PERF — diagnosis pipeline cost and engine-agreement smoke.
+"""PERF — diagnosis pipeline cost and oracle-agreement smoke.
 
 Times one full ``diagnose_build`` pass (critical-path extraction,
 attribution, anomaly detection, MPG2xx rules) on a token-ring build,
-compares the three longest-path engines on the same build, and records
-the per-stage split.  The diagnosis is meant to ride along with every
+times the compiled longest-path kernel against the scalar reference
+oracle (``longest_weighted_path``) on the same build, and checks that
+both recover the same path.  The diagnosis is meant to ride along with every
 analysis — this bench keeps its cost visibly small relative to the
 Monte-Carlo propagation it accompanies.
 
@@ -16,7 +17,9 @@ import time
 from benchmarks._common import emit, table
 from repro.apps import TokenRingParams, token_ring
 from repro.core import build_graph
+from repro.core.traversal import longest_weighted_path
 from repro.diagnose import DiagnoseConfig, diagnose_build, extract_critical_path
+from repro.diagnose.path import path_costs
 from repro.mpisim import run
 
 TRAVERSALS = int(os.environ.get("REPRO_BENCH_DIAG_TRAVERSALS", "8"))
@@ -34,14 +37,19 @@ def test_diagnose_pipeline(benchmark):
     report = benchmark(lambda: diagnose_build(build))
 
     t0 = time.perf_counter()
-    per_engine = {}
-    for engine in ("compiled", "incore", "graph"):
-        s = time.perf_counter()
-        cp = extract_critical_path(build, engine=engine)
-        per_engine[engine] = time.perf_counter() - s
-        assert cp.total_cost == report.critical_path.total_cost
-        assert cp.edges == report.critical_path.edges
-    t_engines = time.perf_counter() - t0
+    cp = extract_critical_path(build)
+    t1 = time.perf_counter()
+    L, pred = longest_weighted_path(build, path_costs(build).tolist())
+    t2 = time.perf_counter()
+    per_engine = {"compiled": t1 - t0, "oracle": t2 - t1}
+    assert cp.edges == report.critical_path.edges
+    node, oracle_edges = cp.nodes[-1], []
+    while pred[node] >= 0:
+        oracle_edges.append(pred[node])
+        node = build.graph.edges[pred[node]].src
+    assert tuple(reversed(oracle_edges)) == cp.edges
+    assert L[cp.nodes[-1]] == cp.total_cost
+    t_engines = t2 - t0
 
     rows = [
         (engine, f"{dt * 1e3:.2f} ms", f"{len(report.critical_path)} edges")
@@ -53,7 +61,7 @@ def test_diagnose_pipeline(benchmark):
         f"n={len(build.graph.nodes)} graph: "
         f"{len(report.findings)} finding(s), makespan "
         f"{report.critical_path.total_cost:,.0f} cy "
-        f"(engines agree bit-for-bit)"
+        f"(compiled kernel and oracle agree bit-for-bit)"
     )
     emit(
         "perf_diagnose",

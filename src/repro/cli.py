@@ -80,7 +80,6 @@ from repro.core import (
     compiled_plan,
     critical_path,
     monte_carlo,
-    propagate,
     runtime_impact,
     sweep_scales,
     to_dot,
@@ -255,17 +254,6 @@ def _add_jobs_arg(ap: argparse.ArgumentParser) -> None:
         help="worker processes for independent traversals: 0 = serial (default), "
         "N >= 2 = process pool, 'auto'/-1 = one per core; results are "
         "bit-identical regardless of N",
-    )
-
-
-def _add_coarsen_arg(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--coarsen",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="phase coarsening in the compiled engine (repro.core.coarsen): "
-        "auto coarsens large iterative builds, on forces detection, off "
-        "disables it — results are bit-identical under every setting",
     )
 
 
@@ -483,14 +471,13 @@ def main_analyze(argv: list[str] | None = None) -> int:
     _add_logging_args(ap)
     _add_obs_args(ap)
     _add_lint_arg(ap)
-    _add_coarsen_arg(ap)
     ap.add_argument(
         "--engine",
-        choices=("auto", "incore", "graph", "streaming", "compiled"),
-        default="auto",
-        help="propagation engine: auto (= compiled), the in-core object graph "
-        "(incore / its alias graph), the windowed streaming traversal, or the "
-        "vectorized compiled plan — all bit-identical on the same seed",
+        choices=("compiled", "streaming"),
+        default="compiled",
+        help="propagation engine: the vectorized compiled plan (default), or the "
+        "windowed streaming traversal for traces too large for memory — same "
+        "per-rank delays on the same seed",
     )
     ap.add_argument("--window", type=int, default=4096)
     ap.add_argument("--history", help="append the experiment to this history JSONL")
@@ -498,14 +485,14 @@ def main_analyze(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--show-path",
         action="store_true",
-        help="print the critical path's top contributing edges (in-core engine only)",
+        help="print the critical path's top contributing edges (compiled engine only)",
     )
     ap.add_argument(
         "--replicates",
         type=int,
         default=0,
         help="Monte-Carlo replicates for the runtime-delay distribution "
-        "(0 = single propagation only; in-core engine)",
+        "(0 = single propagation only; compiled engine)",
     )
     ap.add_argument(
         "--diagnose",
@@ -566,13 +553,10 @@ def main_analyze(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
     _configure_logging(args)
-    engine = {"auto": "compiled", "graph": "incore"}.get(args.engine, args.engine)
-    if args.replicates and engine == "streaming":
-        raise SystemExit("--replicates requires a graph engine (incore or compiled)")
-    if args.diagnose and engine == "streaming":
-        raise SystemExit("--diagnose requires a graph engine (incore or compiled)")
-    if args.verify and engine == "streaming":
-        raise SystemExit("--verify requires a graph engine (incore or compiled)")
+    engine = args.engine
+    for flag in ("replicates", "diagnose", "verify"):
+        if getattr(args, flag) and engine == "streaming":
+            raise SystemExit(f"--{flag} requires the compiled engine, not streaming")
 
     session = _start_observability(args, "repro-analyze")
     with obs.span("analyze", engine=engine, mode=args.mode):
@@ -626,7 +610,6 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     ),
                     scale=args.scale,
                     mode=args.mode,
-                    coarsen=args.coarsen,
                     seed=args.seed,
                 )
                 vreport = verify_build(build, vconfig, signature=sig, trace_set=traces)
@@ -651,15 +634,8 @@ def main_analyze(argv: list[str] | None = None) -> int:
                         f"({', '.join(sorted({f.rule_id for f in vreport.errors}))}); "
                         f"refusing to analyze — run repro-verify for the full report"
                     )
-            if engine == "compiled":
-                plan = compiled_plan(
-                    build,
-                    coarsen=args.coarsen,
-                    checkpoint=CheckpointStore.coerce(args.checkpoint),
-                )
-                result = plan.propagate_one(spec, mode=args.mode)
-            else:
-                result = propagate(build, spec, mode=args.mode)
+            plan = compiled_plan(build, checkpoint=CheckpointStore.coerce(args.checkpoint))
+            result = plan.propagate_one(spec, mode=args.mode)
             with obs.span("analysis"):
                 correctness = check_correctness(build, result)
                 impact = runtime_impact(build, result)
@@ -684,9 +660,7 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     replicates=args.replicates,
                     mode=args.mode,
                     jobs=args.jobs,
-                    engine="compiled" if engine == "compiled" else "graph",
                     policy=_fault_policy(args),
-                    coarsen=args.coarsen,
                     bounds=vbounds,
                     **_checkpoint_args(args),
                 )
@@ -699,8 +673,6 @@ def main_analyze(argv: list[str] | None = None) -> int:
                 from repro.diagnose import DiagnoseConfig, diagnose_build
 
                 dconfig = DiagnoseConfig(
-                    engine=engine,
-                    coarsen=args.coarsen,
                     replicates=args.replicates,
                     seed=args.seed,
                     scale=args.scale,
@@ -738,13 +710,13 @@ def main_sweep(argv: list[str] | None = None) -> int:
     _add_logging_args(ap)
     _add_obs_args(ap)
     _add_lint_arg(ap)
-    _add_coarsen_arg(ap)
     ap.add_argument("--scales", default="0,0.25,0.5,1,2,4", help="comma-separated scale factors")
     ap.add_argument(
         "--engine",
-        choices=("auto", "incore", "graph", "streaming", "compiled"),
-        default="auto",
-        help="sweep engine (auto = compiled; all engines give identical points)",
+        choices=("compiled", "streaming"),
+        default="compiled",
+        help="sweep engine: the compiled plan (default) or the windowed streaming "
+        "traversal — both give the same points",
     )
     args = ap.parse_args(argv)
     _configure_logging(args)
@@ -764,7 +736,6 @@ def main_sweep(argv: list[str] | None = None) -> int:
         config=_build_config(args),
         jobs=args.jobs,
         policy=_fault_policy(args),
-        coarsen=args.coarsen,
         **_checkpoint_args(args),
     )
     _say(result.table())
@@ -1001,12 +972,10 @@ def _add_diagnose_threshold_args(ap: argparse.ArgumentParser) -> None:
     )
 
 
-def _diagnose_config(args, engine: str):
+def _diagnose_config(args):
     from repro.diagnose import DiagnoseConfig
 
     return DiagnoseConfig(
-        engine=engine,
-        coarsen=args.coarsen,
         replicates=args.replicates,
         seed=args.seed,
         scale=args.scale,
@@ -1037,14 +1006,6 @@ def main_diagnose(argv: list[str] | None = None) -> int:
         help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
     )
     ap.add_argument("--out", help="write the report to this file instead of stdout")
-    ap.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "incore", "graph"),
-        default="auto",
-        help="longest-path kernel (auto = compiled); the extracted path is "
-        "bit-identical whichever runs",
-    )
-    _add_coarsen_arg(ap)
     ap.add_argument(
         "--replicates",
         type=int,
@@ -1081,7 +1042,7 @@ def main_diagnose(argv: list[str] | None = None) -> int:
     if not args.traces or not args.stem:
         ap.error("--traces and --stem are required (unless --list-rules)")
 
-    config = _diagnose_config(args, args.engine)
+    config = _diagnose_config(args)
     signature = None
     if args.replicates > 0:
         signature = _load_signature(args)
@@ -1288,14 +1249,6 @@ def main_verify(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--scale", type=float, default=1.0)
     ap.add_argument("--mode", choices=("additive", "threshold"), default="additive")
-    _add_coarsen_arg(ap)
-    ap.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "graph"),
-        default="auto",
-        help="Monte-Carlo engine for the --replicates containment cross-check "
-        "(auto = compiled; both bit-identical)",
-    )
     ap.add_argument(
         "--replicates",
         type=int,
@@ -1335,8 +1288,6 @@ def main_verify(argv: list[str] | None = None) -> int:
         quantile=DEFAULT_QUANTILE if args.quantile is None else args.quantile,
         scale=args.scale,
         mode=args.mode,
-        coarsen=args.coarsen,
-        engine=args.engine,
         replicates=args.replicates,
         seed=args.seed,
         matches=not args.no_matches,
@@ -1551,7 +1502,7 @@ def _client_payload(args, kind: str) -> dict:
     if getattr(args, "signature", None):
         job["signature"] = MachineSignature.load(args.signature).to_dict()
     params: dict = {}
-    for key in ("seed", "scale", "mode", "engine", "coarsen", "replicates", "windows"):
+    for key in ("seed", "scale", "mode", "replicates", "windows"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -1606,12 +1557,6 @@ def main_client(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scale", type=float, default=None)
         p.add_argument("--mode", choices=("additive", "threshold"), default=None)
-        p.add_argument(
-            "--engine",
-            choices=("auto", "incore", "graph", "streaming", "compiled"),
-            default=None,
-        )
-        p.add_argument("--coarsen", choices=("auto", "on", "off"), default=None)
         p.add_argument("--collective-mode", choices=("hub", "butterfly"), default=None)
         p.add_argument("--eager-threshold", type=int, default=None)
 

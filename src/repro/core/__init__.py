@@ -58,8 +58,6 @@ from repro.core.traversal import (
     longest_weighted_path,
     propagate,
     propagate_absolute,
-    propagate_presampled,
-    sample_edge_deltas,
 )
 from repro.core.window import WindowedGraph, extract_window
 
@@ -129,6 +127,4 @@ __all__ = [
     "longest_weighted_path",
     "propagate",
     "propagate_absolute",
-    "propagate_presampled",
-    "sample_edge_deltas",
 ]

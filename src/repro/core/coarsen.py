@@ -58,7 +58,8 @@ MIN_REPEATS = 4
 MAX_LAG = 4
 #: Longest per-rank chain period considered by the periodicity scan.
 MAX_PERIOD = 64
-#: ``--coarsen auto``: only graphs at least this large attempt detection.
+#: ``coarsen="auto"`` (every production path): only graphs at least
+#: this large attempt detection.
 AUTO_MIN_NODES = 50_000
 
 _PENDING = -2  # virtual node not yet assigned to an instance

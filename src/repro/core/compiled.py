@@ -1533,6 +1533,10 @@ class CompiledPlan:
     ) -> CompiledBatch:
         """Propagate one pre-sampled raw row at many scales (sweep fast
         path): row i of the result uses ``raw_base * scales[i]``."""
+        if np.shape(raw_base) != (self.n_edges,):
+            raise ValueError(
+                f"raw_base has shape {np.shape(raw_base)}, expected length {self.n_edges}"
+            )
         if self.coarse is not None:
             return self._coarse_presampled(raw_base, scales, mode)
         raw = raw_base[None, :] * np.asarray(scales, dtype=np.float64)[:, None]
@@ -1585,7 +1589,10 @@ def compiled_plan(
 ) -> CompiledPlan:
     """The (cached) compiled plan for a build — compile once, reuse.
 
-    Plans are memoized on the build per ``coarsen`` policy.  When a
+    Every production caller takes ``coarsen="auto"`` (coarsen builds of
+    at least ``AUTO_MIN_NODES`` nodes); ``"on"``/``"off"`` force the
+    coarse or flat plan so tests can compare the two.  Plans are
+    memoized on the build per ``coarsen`` policy.  When a
     ``CheckpointStore`` is passed, compiled plans are additionally
     persisted on disk keyed by the build digest, so repeated CLI runs
     and pool workers skip recompilation entirely.

@@ -24,7 +24,7 @@ from repro.core.checkpoint import (
     resolve_rows,
     signature_digest,
 )
-from repro.core.parallel import FaultPolicy, map_replicates, resolve_backend
+from repro.core.parallel import FaultPolicy, resolve_backend
 from repro.core.perturb import PerturbationSpec
 from repro.noise.distributions import RandomVariable
 from repro.noise.signature import MachineSignature
@@ -88,36 +88,25 @@ def rank_influence(
     seed: int = 0,
     mode: str = "additive",
     jobs: int | None = 0,
-    engine: str = "auto",
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
-    coarsen: str = "auto",
 ) -> InfluenceMatrix:
     """Compute the influence matrix: one propagation per source rank,
     with ``noise`` as that rank's (only) δ_os distribution.
 
     The per-source propagations are independent; ``jobs`` fans them out
     across worker processes (:mod:`repro.core.parallel`) with
-    bit-identical results.  ``engine`` follows :func:`~repro.core.
-    montecarlo.monte_carlo`: ``"auto"``/``"compiled"`` reuse one
-    :class:`~repro.core.compiled.CompiledPlan` across all source rows
-    (topology is signature-independent), ``"graph"`` is the reference
-    per-propagation path; the matrices are bit-identical.
+    bit-identical results.  All source rows reuse one
+    :class:`~repro.core.compiled.CompiledPlan` (topology is
+    signature-independent).
 
     ``policy`` is the pool's :class:`~repro.core.parallel.FaultPolicy`
     (a skipped row comes back NaN).  ``checkpoint``/``resume`` shard the
     matrix one row per source rank, keyed by that row's single-noisy-
     rank signature digest — a killed matrix computation resumes at the
     first missing row.
-
-    ``coarsen`` controls phase coarsening in the compiled engine
-    (``"auto"``/``"on"``/``"off"``); the influence matrix is identical
-    under every setting.
     """
-    if engine not in ("auto", "compiled", "graph"):
-        raise ValueError(f"engine must be 'auto', 'compiled', or 'graph', got {engine!r}")
-    resolved = "graph" if engine == "graph" else "compiled"
     store = CheckpointStore.coerce(checkpoint)
     p = build.graph.nprocs
     items = []
@@ -127,11 +116,9 @@ def rank_influence(
 
     def compute(indices) -> list:
         sub = [items[i] for i in indices]
-        if resolved == "graph":
-            return map_replicates(build, sub, mode=mode, jobs=jobs, policy=policy)
         from repro.core.compiled import compiled_plan
 
-        plan = compiled_plan(build, coarsen=coarsen, checkpoint=store)
+        plan = compiled_plan(build, checkpoint=store)
         backend = resolve_backend(jobs, policy=policy)
         return backend.map(_compiled_influence_row, sub, payload=(plan, mode))
 
@@ -146,7 +133,7 @@ def rank_influence(
                 signature_digest(items[src][1].signature),
                 1.0,
                 mode,
-                resolved,
+                "compiled",
                 context,
             )
             for src in range(p)

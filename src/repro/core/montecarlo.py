@@ -121,7 +121,6 @@ def monte_carlo(
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
-    coarsen: str = "auto",
     bounds: "MakespanBounds | None" = None,
 ) -> DelayDistribution:
     """Propagate ``replicates`` independent perturbation samples.
@@ -153,11 +152,10 @@ def monte_carlo(
     missing replicates — bit-identical to an uninterrupted run, because
     every replicate is a pure function of its key.
 
-    ``coarsen`` controls phase coarsening in the compiled engine
-    (:mod:`repro.core.coarsen`): ``"auto"`` (default) coarsens large
-    iterative builds, ``"on"`` forces detection, ``"off"`` disables it.
-    All settings are bit-identical; when a checkpoint store is given the
-    compiled plan itself is persisted there keyed by the build digest.
+    The compiled engine coarsens large iterative builds automatically
+    (:mod:`repro.core.coarsen`), bit-identical to the flat plan; when a
+    checkpoint store is given the compiled plan itself is persisted
+    there keyed by the build digest.
 
     ``bounds`` (a :class:`~repro.verify.bounds.MakespanBounds` from the
     static verifier) arms the runtime cross-check: every replicate's
@@ -187,7 +185,7 @@ def monte_carlo(
 
             return list(
                 map_replicate_batches(
-                    compiled_plan(build, coarsen=coarsen, checkpoint=store),
+                    compiled_plan(build, checkpoint=store),
                     spec.signature,
                     [seed for seed, _ in sub],
                     scale=spec.scale,

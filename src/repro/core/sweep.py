@@ -26,30 +26,18 @@ from repro.core.checkpoint import (
     signature_digest,
     trace_digest,
 )
+from repro.core.compiled import compiled_plan
 from repro.core.parallel import FaultPolicy, resolve_backend
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
-from repro.core.traversal import (
-    StreamingTraversal,
-    TraversalResult,
-    propagate,
-    propagate_presampled,
-    sample_edge_deltas,
-)
+from repro.core.traversal import StreamingTraversal
 from repro.noise.signature import MachineSignature
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_scales", "sweep_signatures", "fit_slope"]
 
-#: Sweep engines: the in-core object graph, the windowed streaming
-#: traversal, or the compiled numpy plan.  "auto" resolves to compiled,
-#: "graph" is an alias for incore (matching the analyze CLI spelling).
-SWEEP_ENGINES = ("auto", "incore", "graph", "streaming", "compiled")
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
-    return {"auto": "compiled", "graph": "incore"}.get(engine, engine)
+#: Sweep engines: the compiled numpy plan (the production path) or the
+#: windowed streaming traversal (§6, bounded memory).
+SWEEP_ENGINES = ("compiled", "streaming")
 
 
 @dataclass(frozen=True)
@@ -116,68 +104,18 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _run_one(
-    trace_set,
-    build: BuildResult | None,
-    spec: PerturbationSpec,
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-) -> TraversalResult:
-    if engine == "incore":
-        assert build is not None
-        return propagate(build, spec, mode=mode)
-    if engine == "compiled":
-        from repro.core.compiled import compiled_plan
-
-        assert build is not None
-        plan = compiled_plan(build, coarsen=coarsen, checkpoint=store)
-        return plan.propagate_one(spec, mode=mode)
-    if engine == "streaming":
-        return StreamingTraversal(spec, config=config, mode=mode).run(trace_set)
-    raise ValueError(f"engine must be 'incore', 'compiled', or 'streaming', got {engine!r}")
-
-
 def _sweep_worker(payload, spec: PerturbationSpec) -> list[float]:
     """Worker body for parallel sweeps: one point's final delays.
 
-    ``carrier`` is the built graph (in-core engine) or the trace set
+    ``carrier`` is the compiled plan (compiled engine) or the trace set
     (streaming engine) — whichever the engine traverses.
     """
     engine, carrier, mode, config = payload
     with obs.span("sweep_point", engine=engine, scale=spec.scale):
         obs.span_add("sweep.points")
-        if engine == "incore":
-            return propagate(carrier, spec, mode=mode).final_delay
         if engine == "compiled":
             return list(carrier.propagate_batch(spec, mode=mode).delays[0])
         return StreamingTraversal(spec, config=config, mode=mode).run(carrier).final_delay
-
-
-def _map_points(
-    specs: Sequence[PerturbationSpec],
-    trace_set,
-    build: BuildResult | None,
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    jobs: int | None,
-    policy: FaultPolicy | None = None,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-) -> list[list[float]]:
-    backend = resolve_backend(jobs, policy=policy)
-    if engine == "incore":
-        carrier = build
-    elif engine == "compiled":
-        from repro.core.compiled import compiled_plan
-
-        carrier = compiled_plan(build, coarsen=coarsen, checkpoint=store)
-    else:
-        carrier = trace_set
-    return backend.map(_sweep_worker, specs, payload=(engine, carrier, mode, config))
 
 
 def _context_digest(build: BuildResult | None, trace_set) -> str:
@@ -200,7 +138,6 @@ def _scale_rows(
     config: BuildConfig,
     jobs: int | None,
     policy: FaultPolicy | None,
-    coarsen: str = "auto",
     store: CheckpointStore | None = None,
 ):
     """Yield one per-rank delay row per scale, in ladder order.
@@ -211,40 +148,50 @@ def _scale_rows(
     if not scales:
         return
     if engine == "compiled":
-        from repro.core.compiled import compiled_plan
-
-        plan = compiled_plan(build, coarsen=coarsen, checkpoint=store)
+        plan = compiled_plan(build, checkpoint=store)
         raw = plan.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
         batch = plan.propagate_presampled_batch(raw, [spec.scale * s for s in scales], mode=mode)
         obs.add("sweep.points", len(scales))
         for row in batch.delays:
             yield tuple(row)
         return
+    specs = [spec.scaled(spec.scale * s) for s in scales]
+    yield from _spec_rows(trace_set, build, specs, mode, engine, config, jobs, policy, store)
+
+
+def _spec_rows(
+    trace_set,
+    build: BuildResult | None,
+    specs: Sequence[PerturbationSpec],
+    mode: str,
+    engine: str,
+    config: BuildConfig,
+    jobs: int | None,
+    policy: FaultPolicy | None,
+    store: CheckpointStore | None = None,
+):
+    """Yield one per-rank delay row per spec: one full propagation each,
+    fanned out over the pool when ``jobs >= 2`` (a generator, like
+    :func:`_scale_rows`, so checkpointed ladders persist incrementally)."""
     backend = resolve_backend(jobs, policy=policy)
+    plan = compiled_plan(build, checkpoint=store) if engine == "compiled" else None
     if backend.jobs >= 2:
-        # One full propagation per point — identical results to the
-        # presampled fast path (deterministic sampling), run anywhere.
-        specs = [
-            PerturbationSpec(spec.signature, spec.seed, spec.scale * s)
-            if engine == "incore"
-            else spec.scaled(s)
-            for s in scales
-        ]
-        for row in _map_points(
-            specs, trace_set, build, mode, engine, config, jobs, policy, coarsen, store
-        ):
+        carrier = plan if plan is not None else trace_set
+        for row in backend.map(_sweep_worker, specs, payload=(engine, carrier, mode, config)):
             yield tuple(row) if row is not None else None
         return
-    raw = sample_edge_deltas(build, spec) if engine == "incore" else None
-    for s in scales:
-        if engine == "incore":
-            # Sample once, re-propagate per scale (identical results to a
-            # fresh propagate — deterministic sampling — but much faster).
-            tr = propagate_presampled(build, raw, scale=spec.scale * s, mode=mode)
+    for spec in specs:
+        if plan is not None:
+            tr = plan.propagate_one(spec, mode=mode)
         else:
-            tr = _run_one(trace_set, build, spec.scaled(s), mode, engine, config, coarsen, store)
+            tr = StreamingTraversal(spec, config=config, mode=mode).run(trace_set)
         obs.add("sweep.points")
         yield tuple(tr.final_delay)
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in SWEEP_ENGINES:
+        raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
 
 
 def sweep_scales(
@@ -252,17 +199,17 @@ def sweep_scales(
     spec: PerturbationSpec,
     scales: Sequence[float],
     mode: str = "additive",
-    engine: str = "incore",
+    engine: str = "compiled",
     config: BuildConfig | None = None,
     jobs: int | None = 0,
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
-    coarsen: str = "auto",
     build: BuildResult | None = None,
 ) -> SweepResult:
     """Run the traversal once per global scale factor.
 
+    Point ``s`` propagates at the effective scale ``spec.scale * s``.
     The graph is built (or matched) once; only delta sampling changes
     between points, so the sweep isolates the noise response.  A caller
     that already holds the built graph (the serving daemon's build
@@ -271,27 +218,23 @@ def sweep_scales(
     ``config``, and results are bit-identical either way.  The
     streaming engine traverses the traces directly and ignores it.
 
-    ``jobs >= 2`` (or None = auto) fans the points out across worker
-    processes (:mod:`repro.core.parallel`); deterministic sampling makes
-    the results bit-identical to the serial sweep.  ``policy`` is the
-    pool's :class:`~repro.core.parallel.FaultPolicy` (chunk timeouts,
-    retries, ``on_failure``); a skipped point's delays come back NaN.
-
-    The ``"compiled"`` engine (or ``"auto"``) samples the edge deltas
-    once and pushes the whole scale ladder through one replicate-batched
-    kernel pass — every point in a single numpy invocation, so ``jobs``
-    is moot there.  Results stay bit-identical to the other engines.
+    The ``"compiled"`` engine samples the edge deltas once and pushes
+    the whole scale ladder through one replicate-batched kernel pass —
+    every point in a single numpy invocation, so ``jobs`` is moot
+    there.  The ``"streaming"`` engine runs one windowed traversal per
+    point; ``jobs >= 2`` (or None = auto) fans those out across worker
+    processes (:mod:`repro.core.parallel`), bit-identical to the serial
+    sweep.  ``policy`` is the pool's :class:`~repro.core.parallel.
+    FaultPolicy` (chunk timeouts, retries, ``on_failure``); a skipped
+    point's delays come back NaN.
 
     ``checkpoint`` persists one shard per ladder point as it completes,
     keyed by ``(seed, signature digest, effective scale, mode, engine,
     build digest)``; ``resume=True`` reads existing shards and computes
     only the missing points, bit-identical to an uninterrupted run.
-
-    ``coarsen`` controls phase coarsening in the compiled engine
-    (``"auto"``/``"on"``/``"off"``, see :mod:`repro.core.coarsen`);
-    with a checkpoint store the compiled plan is persisted too.
+    With a checkpoint store the compiled plan is persisted too.
     """
-    engine = _resolve_engine(engine)
+    _check_engine(engine)
     config = config or BuildConfig()
     store = CheckpointStore.coerce(checkpoint)
     scales = [float(s) for s in scales]
@@ -312,7 +255,6 @@ def sweep_scales(
                 config,
                 jobs,
                 policy,
-                coarsen,
                 store,
             )
 
@@ -321,18 +263,9 @@ def sweep_scales(
         else:
             context = _context_digest(build, trace_set)
             sig_digest = signature_digest(spec.signature)
-            # Streaming sweeps scale the spec directly (scaled(s)); the
-            # graph engines multiply into spec.scale — key on whichever
-            # effective scale actually drives the sampling.
             keys = [
                 ShardKey(
-                    "sweep_scales",
-                    spec.seed,
-                    sig_digest,
-                    s if engine == "streaming" else spec.scale * s,
-                    mode,
-                    engine,
-                    context,
+                    "sweep_scales", spec.seed, sig_digest, spec.scale * s, mode, engine, context
                 )
                 for s in scales
             ]
@@ -344,56 +277,30 @@ def sweep_scales(
         return result
 
 
-def _signature_rows(
-    trace_set,
-    build: BuildResult | None,
-    specs: Sequence[PerturbationSpec],
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    jobs: int | None,
-    policy: FaultPolicy | None,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-):
-    """Yield one per-rank delay row per signature spec (generator, like
-    :func:`_scale_rows`, so checkpointed ladders persist incrementally)."""
-    backend = resolve_backend(jobs, policy=policy)
-    if backend.jobs >= 2:
-        for row in _map_points(
-            specs, trace_set, build, mode, engine, config, jobs, policy, coarsen, store
-        ):
-            yield tuple(row) if row is not None else None
-        return
-    for spec in specs:
-        tr = _run_one(trace_set, build, spec, mode, engine, config, coarsen, store)
-        obs.add("sweep.points")
-        yield tuple(tr.final_delay)
-
-
 def sweep_signatures(
     trace_set,
     signatures: Sequence[MachineSignature],
     xs: Sequence[float] | None = None,
     seed: int = 0,
     mode: str = "additive",
-    engine: str = "incore",
+    engine: str = "compiled",
     config: BuildConfig | None = None,
     jobs: int | None = 0,
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
-    coarsen: str = "auto",
 ) -> SweepResult:
     """Run the traversal once per machine signature (platform ladder).
 
     ``xs`` supplies the numeric sweep coordinate per signature (e.g.
-    mean noise in cycles); defaults to the signature index.  ``jobs``,
-    ``policy``, ``checkpoint`` and ``resume`` behave exactly as in
-    :func:`sweep_scales`; checkpoint shards key on each *signature's*
-    content digest, so every ladder rung is independently resumable.
+    mean noise in cycles); defaults to the signature index.  ``engine``,
+    ``jobs``, ``policy``, ``checkpoint`` and ``resume`` behave exactly
+    as in :func:`sweep_scales` (each rung is one full propagation, so
+    ``jobs`` fans out either engine); checkpoint shards key on each
+    *signature's* content digest, so every ladder rung is independently
+    resumable.
     """
-    engine = _resolve_engine(engine)
+    _check_engine(engine)
     config = config or BuildConfig()
     if xs is not None and len(xs) != len(signatures):
         raise ValueError("xs must align with signatures")
@@ -403,7 +310,7 @@ def sweep_signatures(
         specs = [PerturbationSpec(sig, seed=seed) for sig in signatures]
 
         def compute(indices):
-            return _signature_rows(
+            return _spec_rows(
                 trace_set,
                 build,
                 [specs[i] for i in indices],
@@ -412,7 +319,6 @@ def sweep_signatures(
                 config,
                 jobs,
                 policy,
-                coarsen,
                 store,
             )
 

@@ -50,8 +50,6 @@ __all__ = [
     "TraversalResult",
     "propagate",
     "propagate_absolute",
-    "propagate_presampled",
-    "sample_edge_deltas",
     "longest_weighted_path",
     "StreamingTraversal",
     "MODES",
@@ -240,67 +238,6 @@ def propagate_absolute(
         mode=f"absolute-{mode}",
         clamped_edges=clamped,
         node_delay=node_delay,
-        edge_delta=edge_delta,
-    )
-
-
-def sample_edge_deltas(build: BuildResult, spec: PerturbationSpec) -> list:
-    """Raw (unscaled, unclamped) per-edge delta samples for a build.
-
-    Because deterministic sampling makes every scale of the same
-    ``(signature, seed)`` draw the *same* base values, a noise-scale
-    ladder can sample once and re-propagate cheaply with
-    :func:`propagate_presampled` — the §6 sweep fast path.
-    """
-    base = spec.scaled(1.0)
-    return [base.sample(e.delta, e.weight) for e in build.graph.edges]
-
-
-def propagate_presampled(
-    build: BuildResult,
-    raw_deltas: Sequence[float],
-    scale: float = 1.0,
-    mode: str = "additive",
-) -> TraversalResult:
-    """Propagate pre-sampled raw deltas at the given scale.
-
-    Exactly equivalent to ``propagate(build, spec.scaled(scale), mode)``
-    when ``raw_deltas`` came from :func:`sample_edge_deltas` with the
-    same spec — verified by tests — but skips the per-edge RNG work.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    g = build.graph
-    if len(raw_deltas) != len(g.edges):
-        raise ValueError("raw_deltas length does not match edge count")
-    with obs.span("propagate_presampled", mode=mode, scale=scale):
-        clamped = 0
-        edge_delta = []
-        for raw, e in zip(raw_deltas, g.edges):
-            value = raw * scale
-            if mode == "threshold":
-                edge_delta.append(max(0.0, value - e.weight))
-            elif value < -e.weight:
-                clamped += 1
-                edge_delta.append(-e.weight)
-            else:
-                edge_delta.append(value)
-        edges = g.edges
-        D = [0.0] * len(g.nodes)
-        for v in g.topological_order():
-            ins = g.in_edge_ids(v)
-            if ins:
-                D[v] = max(D[edges[ei].src] + edge_delta[ei] for ei in ins)
-        final_delay, final_times = _finals_from_graph(g, D)
-        obs.span_add("traversal.propagations")
-        if clamped:
-            obs.span_add("traversal.clamped_edges", clamped)
-    return TraversalResult(
-        final_delay=final_delay,
-        final_local_times=final_times,
-        mode=mode,
-        clamped_edges=clamped,
-        node_delay=D,
         edge_delta=edge_delta,
     )
 

@@ -10,8 +10,8 @@ MPI analysis pipelines (Aljahdali et al., arXiv:1311.0864), it turns
 machine-checkable artifact:
 
 * :mod:`repro.diagnose.path` — critical-path extraction (longest
-  weighted path with predecessor tracking, bit-identical across the
-  scalar and compiled engines);
+  weighted path with predecessor tracking, computed by the compiled
+  plan and bit-identical to the scalar reference oracle);
 * :mod:`repro.diagnose.attribution` — decompose the end-to-end
   makespan into per-rank / per-primitive / per-edge contributions
   along that path;

@@ -8,11 +8,11 @@ JSON / SARIF reporters render unchanged, with the structured analysis
 artifacts riding along for programmatic consumers.
 :func:`diagnose_run` is the traces-in convenience wrapper.
 
-The report is deterministic: the critical path is bit-identical across
-engines, the anomaly detector is pure arithmetic over the traces, and
-replicate delays reuse the exact Monte-Carlo seed schedule
-(``seed + i``) through the compiled batch kernel — so CI can gate on
-the SARIF output without flakes.
+The report is deterministic: the critical path is bit-identical to the
+scalar reference oracle, the anomaly detector is pure arithmetic over
+the traces, and replicate delays reuse the exact Monte-Carlo seed
+schedule (``seed + i``) through the compiled batch kernel — so CI can
+gate on the SARIF output without flakes.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from functools import cached_property
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
-from repro.core.coarsen import COARSEN_CHOICES
 from repro.core.compiled import compiled_plan
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
 from repro.diagnose.anomaly import AnomalyReport, detect_anomalies
 from repro.diagnose.attribution import Attribution, attribute_path
-from repro.diagnose.path import ENGINES, CriticalPathExtract, extract_critical_path
+from repro.diagnose.path import CriticalPathExtract, extract_critical_path
 from repro.lint.engine import LintReport
 from repro.lint.model import Finding, LintConfig
 from repro.lint.registry import all_rules, run_rule
@@ -52,20 +51,14 @@ __all__ = [
 class DiagnoseConfig:
     """Tuning knobs of one diagnosis pass.
 
-    ``engine`` picks the longest-path kernel (result-identical;
-    ``auto`` = compiled).  ``replicates`` > 0 adds the Monte-Carlo
-    replicate-delay metric, which needs a machine signature and reuses
-    the standard ``seed + i`` replicate schedule.  The rule thresholds
+    ``replicates`` > 0 adds the Monte-Carlo replicate-delay metric,
+    which needs a machine signature and reuses the standard ``seed + i``
+    replicate schedule.  The rule thresholds
     are deliberately conservative — see :mod:`repro.diagnose.rules`.
     ``lint`` carries the shared rule mechanics (disables, severity
-    overrides, emission caps) for the MPG2xx pack.  ``coarsen`` controls
-    phase coarsening in the compiled replicate kernel
-    (``"auto"``/``"on"``/``"off"``, see :mod:`repro.core.coarsen`) —
-    the replicate delays are identical under every setting.
+    overrides, emission caps) for the MPG2xx pack.
     """
 
-    engine: str = "auto"
-    coarsen: str = "auto"
     replicates: int = 0
     seed: int = 0
     scale: float = 1.0
@@ -81,12 +74,6 @@ class DiagnoseConfig:
     lint: LintConfig = field(default_factory=LintConfig)
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.coarsen not in COARSEN_CHOICES:
-            raise ValueError(
-                f"coarsen must be one of {COARSEN_CHOICES}, got {self.coarsen!r}"
-            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.replicates < 0:
@@ -153,7 +140,7 @@ def _replicate_delays(
     """Per-rank mean final delay over the Monte-Carlo replicate batch,
     using the exact ``seed + i`` schedule of ``replicate_items``."""
     spec = PerturbationSpec(signature, seed=config.seed, scale=config.scale)
-    plan = compiled_plan(build, coarsen=config.coarsen)
+    plan = compiled_plan(build)
     seeds = [config.seed + i for i in range(config.replicates)]
     with obs.span("diagnose.replicates", replicates=config.replicates):
         batch = plan.propagate_batch(spec, seeds=seeds, mode=config.mode)
@@ -173,8 +160,8 @@ def diagnose_build(
     replicate-delay metric samples perturbations from it).
     """
     config = config or DiagnoseConfig()
-    with obs.span("diagnose", engine=config.engine):
-        cp = extract_critical_path(build, engine=config.engine)
+    with obs.span("diagnose"):
+        cp = extract_critical_path(build)
         attribution = attribute_path(build, cp, top_edges=config.top_edges)
         replicate_delays = None
         if config.replicates > 0:

@@ -9,22 +9,13 @@ computed over the per-edge base weights (optionally plus sampled
 deltas) with full predecessor tracking so the chain itself — not just
 its length — is recoverable.
 
-Three engines compute the same path bit-for-bit:
-
-``compiled``
-    :meth:`~repro.core.compiled.CompiledPlan.longest_path` — the
-    vectorized level-schedule kernel (replicate-batched).
-``incore``
-    :func:`~repro.core.traversal.longest_weighted_path` — the scalar
-    reference over the Kahn topological order.
-``graph``
-    A memoized depth-first walk over the graph object itself, with no
-    precomputed order at all.
-
-All three break ties toward the *first* in-edge in
-``graph.in_edge_ids`` order and compare identical float values, so the
-extracted edge sequence is exactly equal across engines — the property
-the test suite pins down.
+The path comes from :meth:`~repro.core.compiled.CompiledPlan.longest_path`,
+the vectorized level-schedule kernel (replicate-batched).  It breaks
+ties toward the *first* in-edge in ``graph.in_edge_ids`` order, exactly
+like the scalar reference oracle
+:func:`~repro.core.traversal.longest_weighted_path`, so the extracted
+edge sequence equals the oracle's bit for bit — the property the test
+suite pins down.
 """
 
 from __future__ import annotations
@@ -38,11 +29,8 @@ import numpy as np
 from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.compiled import compiled_plan
-from repro.core.traversal import longest_weighted_path
 
-__all__ = ["ENGINES", "CriticalPathExtract", "extract_critical_path", "path_costs"]
-
-ENGINES = ("auto", "compiled", "incore", "graph")
+__all__ = ["CriticalPathExtract", "extract_critical_path", "path_costs"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class CriticalPathExtract:
     nodes: tuple[int, ...]
     costs: tuple[float, ...]
     final_costs: tuple[float, ...]  # per-rank path cost into each finalize
-    engine: str
+    engine: str = "compiled"  # the kernel that computed it (reports carry it)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -102,71 +90,21 @@ def path_costs(build: BuildResult, deltas: Sequence[float] | None = None) -> np.
     return w
 
 
-def _graph_engine(build: BuildResult, costs: np.ndarray) -> tuple[list, list]:
-    """Memoized iterative DFS — no precomputed order, same tie-break."""
-    g = build.graph
-    edges = g.edges
-    n = len(g.nodes)
-    L = [0.0] * n
-    pred = [-1] * n
-    done = [False] * n
-    with obs.span("longest_path", engine="graph"):
-        for start in range(n):
-            if done[start]:
-                continue
-            stack = [start]
-            while stack:
-                v = stack[-1]
-                if done[v]:
-                    stack.pop()
-                    continue
-                missing = [
-                    edges[ei].src for ei in g.in_edge_ids(v) if not done[edges[ei].src]
-                ]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                best = -math.inf
-                binding = -1
-                for ei in g.in_edge_ids(v):
-                    c = L[edges[ei].src] + costs[ei]
-                    if c > best:
-                        best = c
-                        binding = ei
-                if binding >= 0:
-                    L[v] = best
-                    pred[v] = binding
-                done[v] = True
-                stack.pop()
-    return L, pred
-
-
 def extract_critical_path(
     build: BuildResult,
     deltas: Sequence[float] | None = None,
-    engine: str = "auto",
 ) -> CriticalPathExtract:
     """Extract the critical path ending at the latest finalize.
 
-    ``engine`` selects the longest-path kernel (``auto`` = compiled);
-    the result is identical whichever runs.  The sink is the finalize
-    node with the largest path cost, ties broken toward the lowest
-    rank.
+    The sink is the finalize node with the largest path cost, ties
+    broken toward the lowest rank.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     g = build.graph
     costs = path_costs(build, deltas)
-    resolved = "compiled" if engine == "auto" else engine
 
-    with obs.span("diagnose.path", engine=resolved):
-        if resolved == "compiled":
-            Lm, predm = compiled_plan(build).longest_path(costs[None, :])
-            L, pred = Lm[0], predm[0]
-        elif resolved == "incore":
-            L, pred = longest_weighted_path(build, costs.tolist())
-        else:
-            L, pred = _graph_engine(build, costs)
+    with obs.span("diagnose.path", engine="compiled"):
+        Lm, predm = compiled_plan(build).longest_path(costs[None, :])
+        L, pred = Lm[0], predm[0]
 
         sink = None
         sink_rank = -1
@@ -203,5 +141,4 @@ def extract_critical_path(
         nodes=tuple(nodes),
         costs=tuple(float(costs[ei]) for ei in path),
         final_costs=tuple(final_costs),
-        engine=resolved,
     )

@@ -77,14 +77,6 @@ def _spec(request: dict[str, Any]) -> PerturbationSpec:
     )
 
 
-def _mc_engine(params: dict[str, Any]) -> str:
-    """Map the shared engine vocabulary onto monte_carlo's subset."""
-    engine = params.get("engine", "auto")
-    if engine == "streaming":
-        raise ServeError("bad-request", "this endpoint requires a graph engine, not 'streaming'")
-    return {"incore": "graph"}.get(engine, engine)
-
-
 def run_analyze(entry: CacheEntry, request: dict[str, Any], server: Any) -> dict[str, Any]:
     """Monte-Carlo replicate distribution over the cached build."""
     params = request["params"]
@@ -98,11 +90,9 @@ def run_analyze(entry: CacheEntry, request: dict[str, Any], server: Any) -> dict
         replicates=replicates,
         mode=params.get("mode", "additive"),
         jobs=server.jobs,
-        engine=_mc_engine(params),
         policy=server.policy,
         checkpoint=server.checkpoint,
         resume=params.get("resume", True) and server.checkpoint is not None,
-        coarsen=params.get("coarsen", "auto"),
     )
     q = dist.quantile([0.05, 0.5, 0.95])
     return {
@@ -130,13 +120,11 @@ def run_sweep(entry: CacheEntry, request: dict[str, Any], server: Any) -> dict[s
         spec,
         scales,
         mode=params.get("mode", "additive"),
-        engine=params.get("engine", "auto"),
         config=entry.build.config,
         jobs=server.jobs,
         policy=server.policy,
         checkpoint=server.checkpoint,
         resume=params.get("resume", True) and server.checkpoint is not None,
-        coarsen=params.get("coarsen", "auto"),
         build=entry.build,
     )
     return {
@@ -159,12 +147,7 @@ def run_diagnose(entry: CacheEntry, request: dict[str, Any], server: Any) -> dic
     params = request["params"]
     replicates = params.get("replicates", 0)
     signature = _load_signature(request, required=replicates > 0)
-    engine = params.get("engine", "auto")
-    if engine == "streaming":
-        raise ServeError("bad-request", "diagnose requires a graph engine, not 'streaming'")
     config = DiagnoseConfig(
-        engine={"incore": "graph"}.get(engine, engine),
-        coarsen=params.get("coarsen", "auto"),
         replicates=replicates,
         seed=params.get("seed", 0),
         scale=params.get("scale", 1.0),
@@ -202,17 +185,10 @@ def run_verify(entry: CacheEntry, request: dict[str, Any], server: Any) -> dict[
     params = request["params"]
     replicates = params.get("replicates", 0)
     signature = _load_signature(request, required=replicates > 0)
-    engine = params.get("engine", "auto")
-    if engine in ("streaming", "incore"):
-        engine = {"incore": "graph"}.get(engine, engine)
-    if engine == "streaming":
-        raise ServeError("bad-request", "verify requires a graph engine, not 'streaming'")
     config = VerifyConfig(
         quantile=params.get("quantile", DEFAULT_QUANTILE),
         scale=params.get("scale", 1.0),
         mode=params.get("mode", "additive"),
-        coarsen=params.get("coarsen", "auto"),
-        engine=engine,
         replicates=replicates,
         seed=params.get("seed", 0),
         matches=params.get("matches", True),

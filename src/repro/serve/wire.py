@@ -66,14 +66,12 @@ ERROR_CODES: dict[str, int] = {
 }
 
 MODES = ("additive", "threshold")
-ENGINES = ("auto", "incore", "graph", "streaming", "compiled")
-COARSEN = ("auto", "on", "off")
 COLLECTIVES = ("hub", "butterfly")
 INJECTIONS = ("error", "kill-worker")
 
 #: params accepted per endpoint (name -> validator); everything is
 #: optional — defaults mirror the CLI flags exactly.
-_COMMON = ("seed", "scale", "mode", "engine", "coarsen", "collective_mode", "eager_threshold")
+_COMMON = ("seed", "scale", "mode", "collective_mode", "eager_threshold")
 _PARAM_KEYS: dict[str, tuple[str, ...]] = {
     "analyze": _COMMON + ("replicates", "resume"),
     "sweep": _COMMON + ("scales", "resume"),
@@ -139,10 +137,6 @@ def _validate_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
             out[key] = _expect_number(value, f"params.{key}")
         elif key == "mode":
             out[key] = _expect_choice(value, MODES, "params.mode")
-        elif key == "engine":
-            out[key] = _expect_choice(value, ENGINES, "params.engine")
-        elif key == "coarsen":
-            out[key] = _expect_choice(value, COARSEN, "params.coarsen")
         elif key == "collective_mode":
             out[key] = _expect_choice(value, COLLECTIVES, "params.collective_mode")
         elif key == "eager_threshold":

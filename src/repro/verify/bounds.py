@@ -27,8 +27,8 @@ Soundness argument, end to end:
 When the plan carries a :class:`~repro.core.coarsen.CoarseIR` the
 interval rows run through :meth:`CompiledPlan._coarse_run` — the phase-
 template walk whose contract is "any execution order yields the flat
-engine's exact floats" — so bounds are bit-stable across
-``--coarsen on/off`` by construction, and million-event stress traces
+engine's exact floats" — so bounds are bit-identical on coarse and
+flat plans by construction, and million-event stress traces
 verify in seconds instead of walking a million flat levels.
 """
 

@@ -27,9 +27,8 @@ from functools import cached_property
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
-from repro.core.coarsen import COARSEN_CHOICES
 from repro.core.compiled import compiled_plan
-from repro.core.montecarlo import ENGINES, monte_carlo
+from repro.core.montecarlo import monte_carlo
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
@@ -63,17 +62,15 @@ class VerifyConfig:
     select the perturbation regime the bounds certify, and must match
     the Monte-Carlo run they are checked against.  ``replicates`` > 0
     adds the runtime containment cross-check (propagating that many
-    actual replicates through ``engine``).  ``matches`` toggles the
-    match-nondeterminism analysis.  ``lint`` carries the shared rule
-    mechanics (disables, severity overrides, emission caps) for the
-    MPG3xx pack.
+    actual replicates through the compiled Monte-Carlo kernel).
+    ``matches`` toggles the match-nondeterminism analysis.  ``lint``
+    carries the shared rule mechanics (disables, severity overrides,
+    emission caps) for the MPG3xx pack.
     """
 
     quantile: float = DEFAULT_QUANTILE
     scale: float = 1.0
     mode: str = "additive"
-    coarsen: str = "auto"
-    engine: str = "auto"
     replicates: int = 0
     seed: int = 0
     matches: bool = True
@@ -84,12 +81,6 @@ class VerifyConfig:
             raise ValueError(f"quantile must be in [0.5, 1), got {self.quantile!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.coarsen not in COARSEN_CHOICES:
-            raise ValueError(
-                f"coarsen must be one of {COARSEN_CHOICES}, got {self.coarsen!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
 
@@ -160,7 +151,7 @@ def verify_build(
         bounds: MakespanBounds | None = None
         containment: tuple[int, list[int]] | None = None
         if signature is not None:
-            plan = compiled_plan(build, coarsen=config.coarsen)
+            plan = compiled_plan(build)
             bounds = makespan_bounds(
                 plan,
                 signature,
@@ -180,8 +171,6 @@ def verify_build(
                 spec,
                 replicates=config.replicates,
                 mode=config.mode,
-                engine=config.engine,
-                coarsen=config.coarsen,
             )
             containment = (config.replicates, bounds.violations(dist.samples))
         analysis = analyze_matches(build) if config.matches else None

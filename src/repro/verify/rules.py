@@ -105,7 +105,7 @@ def bounds_containment(ctx: "VerifyContext", config: LintConfig) -> Iterator[Fin
     r = bounds_containment
     yield r.finding(
         f"all {checked} Monte-Carlo replicates contained in the certified "
-        f"bounds (engine {ctx.config.engine})"
+        "bounds (engine auto)"
     )
 
 

@@ -259,7 +259,7 @@ class TestAnalysisResume:
             monte_carlo(ring_build, s, replicates=4, checkpoint=tmp_path, resume=True)
         assert session2.metrics.counter("checkpoint.hits").value == 4
 
-    @pytest.mark.parametrize("engine", ["auto", "incore", "streaming"])
+    @pytest.mark.parametrize("engine", ["compiled", "streaming"])
     def test_sweep_scales_resume_bit_identical(self, ring_trace, tmp_path, engine):
         scales = [0.5, 1.0, 2.0]
         clean = sweep_scales(ring_trace, spec(seed=9), scales, engine=engine)

@@ -151,27 +151,40 @@ def test_coarse_plan_pickle_roundtrip_is_bit_identical(app_builds):
     assert np.array_equal(before.delays, after.delays)
 
 
-def test_monte_carlo_coarsen_through_process_pool(app_builds):
+def forced_build(monkeypatch, trace, coarse: bool):
+    """A fresh build whose automatic plan is forced coarse or flat by
+    moving the ``coarsen="auto"`` size threshold every production path
+    compiles under."""
+    monkeypatch.setattr("repro.core.compiled.AUTO_MIN_NODES", 0 if coarse else 10**12)
+    build = build_graph(trace)
+    assert (compiled_plan(build).coarse is not None) == coarse
+    return build
+
+
+def test_monte_carlo_coarsen_through_process_pool(app_builds, monkeypatch):
     # jobs=2 ships the two-level plan to ProcessPoolBackend workers —
     # the full pickle + per-worker rebind path must stay exact.
-    _, build = app_builds["allreduce_iter"]
+    trace, _ = app_builds["allreduce_iter"]
     spec = PerturbationSpec(SIGNATURES["expo"], seed=17)
-    ref = monte_carlo(build, spec, replicates=12, coarsen="off")
-    for kwargs in ({"coarsen": "on"}, {"coarsen": "on", "jobs": 2}, {"coarsen": "auto"}):
-        got = monte_carlo(build, spec, replicates=12, **kwargs)
+    ref = monte_carlo(forced_build(monkeypatch, trace, False), spec, replicates=12)
+    coarse = forced_build(monkeypatch, trace, True)
+    for kwargs in ({}, {"jobs": 2}):
+        got = monte_carlo(coarse, spec, replicates=12, **kwargs)
         assert np.array_equal(ref.samples, got.samples), kwargs
         assert ref.seeds == got.seeds
 
 
-def test_sweep_and_influence_coarsen_agree(app_builds):
-    trace, build = app_builds["stencil1d"]
+def test_sweep_and_influence_coarsen_agree(app_builds, monkeypatch):
+    trace, _ = app_builds["stencil1d"]
     spec = PerturbationSpec(SIGNATURES["uniform"], seed=5)
-    ref = sweep_scales(trace, spec, [0.0, 0.5, 2.0], coarsen="off")
-    got = sweep_scales(trace, spec, [0.0, 0.5, 2.0], coarsen="on")
+    flat = forced_build(monkeypatch, trace, False)
+    coarse = forced_build(monkeypatch, trace, True)
+    ref = sweep_scales(trace, spec, [0.0, 0.5, 2.0], build=flat)
+    got = sweep_scales(trace, spec, [0.0, 0.5, 2.0], build=coarse)
     for a, b in zip(ref.points, got.points):
         assert a.delays == b.delays, a.x
-    mref = rank_influence(build, Exponential(120.0), coarsen="off")
-    mgot = rank_influence(build, Exponential(120.0), coarsen="on")
+    mref = rank_influence(flat, Exponential(120.0))
+    mgot = rank_influence(coarse, Exponential(120.0))
     assert np.array_equal(mref.matrix, mgot.matrix)
 
 
@@ -257,13 +270,6 @@ def test_coarsen_choices_validated(app_builds):
         compiled_plan(build, coarsen="bogus")
     with pytest.raises(ValueError, match="coarsen"):
         CompiledPlan(build, coarsen="bogus")
-    spec = PerturbationSpec(SIGNATURES["const"], seed=0)
-    with pytest.raises(ValueError, match="coarsen"):
-        monte_carlo(build, spec, replicates=2, coarsen="bogus")
-    from repro.diagnose import DiagnoseConfig
-
-    with pytest.raises(ValueError, match="coarsen"):
-        DiagnoseConfig(coarsen="bogus")
 
 
 def test_detection_bails_on_irregular_structure(app_builds):

@@ -210,8 +210,6 @@ def test_invalid_mode_and_engine_raise(app_builds):
         plan.propagate_batch(spec, mode="bogus")
     with pytest.raises(ValueError, match="engine"):
         monte_carlo(build, spec, replicates=2, engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        rank_influence(build, Exponential(100.0), engine="bogus")
 
 
 def test_plan_is_cached_on_build(app_builds):
@@ -243,24 +241,25 @@ class TestAnalysisWiring:
         assert dist.samples.shape == (8, build.graph.nprocs)
 
     def test_sweep_scales_engines_agree(self, app_builds):
-        trace, _ = app_builds["stencil1d"]
-        spec = PerturbationSpec(SIGNATURES["rich"], seed=5)
+        trace, build = app_builds["stencil1d"]
+        sig = SIGNATURES["rich"]
         scales = [0.0, 0.25, 1.0, 2.0, -1.0]
-        for mode in ("additive", "threshold"):
-            ref = sweep_scales(trace, spec, scales, mode=mode, engine="incore")
-            for engine in ("compiled", "auto", "graph"):
-                got = sweep_scales(trace, spec, scales, mode=mode, engine=engine)
-                for a, b in zip(ref.points, got.points):
-                    assert a.delays == b.delays, (engine, mode, a.x)
+        for base in (1.0, 2.0):
+            spec = PerturbationSpec(sig, seed=5, scale=base)
+            for mode in ("additive", "threshold"):
+                got = sweep_scales(trace, spec, scales, mode=mode)
+                for s, point in zip(scales, got.points):
+                    ref = propagate(build, PerturbationSpec(sig, 5, base * s), mode=mode)
+                    assert point.delays == tuple(ref.final_delay), (base, mode, s)
 
     def test_sweep_signatures_engines_agree(self, app_builds):
-        trace, _ = app_builds["token_ring"]
+        trace, build = app_builds["token_ring"]
         sigs = [SIGNATURES["expo"], SIGNATURES["const"], SIGNATURES["fallback"]]
-        ref = sweep_signatures(trace, sigs, seed=3, engine="incore")
-        got = sweep_signatures(trace, sigs, seed=3, engine="compiled")
-        par = sweep_signatures(trace, sigs, seed=3, engine="compiled", jobs=2)
-        for a, b, c in zip(ref.points, got.points, par.points):
-            assert a.delays == b.delays == c.delays
+        got = sweep_signatures(trace, sigs, seed=3)
+        par = sweep_signatures(trace, sigs, seed=3, jobs=2)
+        for sig, b, c in zip(sigs, got.points, par.points):
+            ref = propagate(build, PerturbationSpec(sig, seed=3))
+            assert tuple(ref.final_delay) == b.delays == c.delays
 
     def test_sweep_rejects_unknown_engine(self, app_builds):
         trace, _ = app_builds["token_ring"]
@@ -270,11 +269,17 @@ class TestAnalysisWiring:
 
     def test_rank_influence_engines_agree(self, app_builds):
         _, build = app_builds["master_worker"]
-        ref = rank_influence(build, Exponential(150.0), seed=3, engine="graph")
-        got = rank_influence(build, Exponential(150.0), seed=3, engine="compiled")
-        par = rank_influence(build, Exponential(150.0), seed=3, jobs=2)
-        assert np.array_equal(ref.matrix, got.matrix)
-        assert np.array_equal(ref.matrix, par.matrix)
+        noise = Exponential(150.0)
+        ref = [
+            propagate(
+                build, PerturbationSpec(MachineSignature(os_noise_by_rank={src: noise}), 3)
+            ).final_delay
+            for src in range(build.graph.nprocs)
+        ]
+        got = rank_influence(build, noise, seed=3)
+        par = rank_influence(build, noise, seed=3, jobs=2)
+        assert np.array_equal(np.array(ref), got.matrix)
+        assert np.array_equal(np.array(ref), par.matrix)
 
     def test_streaming_build_config_still_respected(self, app_builds):
         # Compiled plans inherit whatever BuildConfig shaped the build.

@@ -1,14 +1,10 @@
-"""Tests for the presampled sweep fast path."""
+"""Tests for the presampled sweep fast path: the compiled plan samples
+one raw delta row and re-propagates it at every scale of a ladder."""
 
+import numpy as np
 import pytest
 
-from repro.core import (
-    PerturbationSpec,
-    build_graph,
-    propagate,
-    propagate_presampled,
-    sample_edge_deltas,
-)
+from repro.core import PerturbationSpec, build_graph, compiled_plan, propagate
 from repro.noise import Constant, Exponential, MachineSignature
 
 
@@ -30,29 +26,34 @@ def spec(seed=3, scale=1.0, quantum=0.0):
     )
 
 
+def sample_raw(build, s):
+    return compiled_plan(build).sample_raw_batch(s.signature, [s.seed], 1.0)[0]
+
+
+def presampled(build, s, scale, mode="additive"):
+    return compiled_plan(build).propagate_presampled_batch(sample_raw(build, s), [scale], mode)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 4.0, -1.0])
     def test_matches_fresh_propagate(self, build, scale):
         s = spec()
-        raw = sample_edge_deltas(build, s)
-        fast = propagate_presampled(build, raw, scale=scale)
+        fast = presampled(build, s, scale)
         slow = propagate(build, s.scaled(scale))
-        assert fast.final_delay == pytest.approx(slow.final_delay)
-        assert fast.clamped_edges == slow.clamped_edges
+        assert fast.delays[0].tolist() == slow.final_delay
+        assert fast.clamped[0] == slow.clamped_edges
 
     def test_matches_in_threshold_mode(self, build):
         s = spec()
-        raw = sample_edge_deltas(build, s)
-        fast = propagate_presampled(build, raw, scale=2.0, mode="threshold")
+        fast = presampled(build, s, 2.0, mode="threshold")
         slow = propagate(build, s.scaled(2.0), mode="threshold")
-        assert fast.final_delay == pytest.approx(slow.final_delay)
+        assert fast.delays[0].tolist() == slow.final_delay
 
     def test_matches_with_interval_scaling(self, build):
         s = spec(quantum=2000.0)
-        raw = sample_edge_deltas(build, s)
-        fast = propagate_presampled(build, raw, scale=3.0)
+        fast = presampled(build, s, 3.0)
         slow = propagate(build, s.scaled(3.0))
-        assert fast.final_delay == pytest.approx(slow.final_delay)
+        assert fast.delays[0].tolist() == slow.final_delay
 
     def test_base_spec_scale_respected_by_sweep(self, ring_trace):
         """sweep_scales composes the spec's own scale with the ladder."""
@@ -67,9 +68,8 @@ class TestEquivalence:
 class TestValidation:
     def test_length_checked(self, build):
         with pytest.raises(ValueError, match="length"):
-            propagate_presampled(build, [0.0], scale=1.0)
+            compiled_plan(build).propagate_presampled_batch(np.zeros(1), [1.0])
 
     def test_mode_checked(self, build):
-        raw = sample_edge_deltas(build, spec())
         with pytest.raises(ValueError, match="mode"):
-            propagate_presampled(build, raw, mode="quantum")
+            presampled(build, spec(), 1.0, mode="quantum")

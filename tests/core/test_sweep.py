@@ -22,11 +22,13 @@ class TestSweepScales:
         assert sweep.slope() == pytest.approx(ys[1])
 
     def test_streaming_engine_matches(self, ring_trace):
-        spec = PerturbationSpec(const_sig(), seed=0)
-        a = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="incore")
-        b = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="streaming")
-        for pa, pb in zip(a.points, b.points):
-            assert pa.delays == tuple(pytest.approx(d) for d in pb.delays)
+        # A base scale != 1 composes with the ladder on both engines.
+        for base in (1.0, 2.0):
+            spec = PerturbationSpec(const_sig(), seed=0, scale=base)
+            a = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="compiled")
+            b = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="streaming")
+            for pa, pb in zip(a.points, b.points):
+                assert pa.delays == tuple(pytest.approx(d) for d in pb.delays), base
 
     def test_bad_engine_rejected(self, ring_trace):
         spec = PerturbationSpec(const_sig(), seed=0)

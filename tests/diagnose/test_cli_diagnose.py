@@ -95,19 +95,38 @@ class TestReproDiagnose:
         uri = hit["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
         assert uri.endswith("ring.rank0001.trace.jsonl")
 
-    def test_sarif_bit_identical_across_engines(self, slow_traces, tmp_path):
-        """The acceptance criterion: the SARIF document is byte-equal
-        whichever longest-path engine produced it."""
+    def test_sarif_bit_identical_across_engines(self, tmp_path, monkeypatch):
+        """The acceptance criterion: the SARIF document (replicate-delay
+        metric included) is byte-equal whether the automatic compiled
+        plan is coarse or flat."""
+        from repro.core import compiled
+        from repro.diagnose import engine as diagnose_engine
+
+        rc = main_trace(
+            ["--app", "token_ring", "--nprocs", "4", "--out", str(tmp_path),
+             "--stem", "ring", "--param", "traversals=8", "--seed", "1"]
+        )
+        assert rc == 0
+        plans = []
+
+        def spy(build):
+            plans.append(compiled.compiled_plan(build))
+            return plans[-1]
+
+        monkeypatch.setattr(diagnose_engine, "compiled_plan", spy)
         docs = []
-        for engine in ("compiled", "incore", "graph"):
-            out = tmp_path / f"{engine}.sarif"
+        for name, threshold in (("flat", 10**12), ("coarse", 0)):
+            monkeypatch.setattr(compiled, "AUTO_MIN_NODES", threshold)
+            out = tmp_path / f"{name}.sarif"
             rc = main_diagnose(
-                ["--traces", str(slow_traces), "--stem", "ring", "--engine", engine,
-                 "--format", "sarif", "--out", str(out), "--fail-on", "never"]
+                ["--traces", str(tmp_path), "--stem", "ring", "--measure", "quiet",
+                 "--replicates", "4", "--format", "sarif", "--out", str(out),
+                 "--fail-on", "never"]
             )
             assert rc == 0
             docs.append(out.read_bytes())
-        assert docs[0] == docs[1] == docs[2]
+        assert [p.coarse is None for p in plans] == [True, False]
+        assert docs[0] == docs[1]
 
     def test_threshold_flags_reach_config(self, clean_traces, capsys):
         # an absurdly low imbalance bar makes MPG211 fire on any run
@@ -143,7 +162,7 @@ class TestAnalyzeDiagnoseFlag:
         assert doc["schema"] == "repro-diagnosis-report/1"
 
     def test_streaming_engine_refused(self, clean_traces):
-        with pytest.raises(SystemExit, match="graph engine"):
+        with pytest.raises(SystemExit, match="compiled engine"):
             main_analyze(
                 ["--traces", str(clean_traces), "--stem", "ring",
                  "--measure", "quiet", "--engine", "streaming", "--diagnose"]

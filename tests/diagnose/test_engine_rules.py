@@ -33,7 +33,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",
         [
-            {"engine": "gpu"},
+            {"z_threshold": -1.0},
             {"mode": "bogus"},
             {"replicates": -1},
             {"z_threshold": 0.0},
@@ -153,11 +153,22 @@ class TestReportArtifacts:
         sevs = [int(f.severity) for f in report.findings]
         assert sevs == sorted(sevs, reverse=True)
 
-    def test_engine_choice_does_not_change_findings(self, ring_trace):
-        reports = [
-            diagnose_run(ring_trace, DiagnoseConfig(engine=e))
-            for e in ("compiled", "incore", "graph")
-        ]
-        ref = [(f.rule_id, f.rank, f.message) for f in reports[0].findings]
-        for rep in reports[1:]:
-            assert [(f.rule_id, f.rank, f.message) for f in rep.findings] == ref
+    def test_engine_choice_does_not_change_findings(self, monkeypatch):
+        """Findings (replicate-delay metric included) are identical
+        whether the automatic compiled plan is coarse or flat."""
+        from repro.apps import ALL_APPS
+        from repro.core import compiled
+        from repro.mpisim import run
+        from repro.noise import Exponential, MachineSignature
+
+        factory, params = ALL_APPS["token_ring"]
+        trace = run(factory(params(traversals=8)), nprocs=4, seed=1).trace
+        sig = MachineSignature(os_noise=Exponential(80.0))
+        findings = []
+        for threshold, coarse in ((10**12, False), (0, True)):
+            monkeypatch.setattr(compiled, "AUTO_MIN_NODES", threshold)
+            build = build_graph(trace)
+            rep = diagnose_build(build, DiagnoseConfig(replicates=4), signature=sig)
+            assert (compiled.compiled_plan(build).coarse is not None) == coarse
+            findings.append([(f.rule_id, f.rank, f.message) for f in rep.findings])
+        assert findings[0] == findings[1]

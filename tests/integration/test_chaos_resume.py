@@ -42,8 +42,7 @@ def run_sweep(traced, extra, env_extra=None):
         env.update(env_extra)
     argv = [sys.executable, "-c", SWEEP,
             "--traces", str(traced), "--stem", "ring",
-            "--measure", "quiet", "--seed", "1", "--engine", "incore",
-            "--quiet"] + extra
+            "--measure", "quiet", "--seed", "1", "--quiet"] + extra
     return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
 
 

@@ -365,3 +365,45 @@ class TestMeasureFlow:
         )
         assert rc == 0
         assert "max delay" in capsys.readouterr().out
+
+
+class TestCoarsening:
+    def test_analysis_json_identical_coarse_vs_flat(self, tmp_path, monkeypatch):
+        """Phase coarsening is automatic and invisible: the same
+        ``--replicates 64 --diagnose`` analysis of an iterative stencil
+        gives byte-identical diagnosis JSON whether the ``coarsen="auto"``
+        size threshold makes the plan coarse or keeps it flat."""
+        from repro import cli
+        from repro.core import compiled
+        from repro.noise import Constant, Exponential, MachineSignature
+
+        sig = tmp_path / "sig.json"
+        MachineSignature(
+            os_noise=Exponential(120.0), latency=Exponential(60.0), per_byte=Constant(0.005)
+        ).save(sig)
+        rc = main_trace(
+            ["--app", "stencil1d", "--nprocs", "4", "--machine", "quiet",
+             "--out", str(tmp_path), "--stem", "st", "--param", "iterations=600",
+             "--seed", "1"]
+        )
+        assert rc == 0
+        plans = []
+
+        def spy(*args, **kwargs):
+            plans.append(compiled.compiled_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(cli, "compiled_plan", spy)
+        docs = []
+        for name, threshold in (("flat", 10**12), ("coarse", 0)):
+            monkeypatch.setattr(compiled, "AUTO_MIN_NODES", threshold)
+            out = tmp_path / f"{name}-diagnosis.json"
+            rc = main_analyze(
+                ["--traces", str(tmp_path), "--stem", "st", "--signature", str(sig),
+                 "--seed", "7", "--replicates", "64", "--diagnose",
+                 "--diagnose-format", "json", "--diagnose-out", str(out)]
+            )
+            assert rc == 0
+            docs.append(out.read_bytes())
+        assert [p.coarse is None for p in plans] == [True, False]
+        assert docs[0] == docs[1]

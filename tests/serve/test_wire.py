@@ -104,8 +104,12 @@ class TestValidateRequest:
         validate_request(_minimal(params={"scales": [0.0, 1.5]}), "sweep")
 
     def test_bad_engine_vocabulary_rejected(self):
-        with pytest.raises(ServeError, match="engine"):
-            validate_request(_minimal(params={"engine": "warp-drive"}), "analyze")
+        # There is one engine: engine/coarsen selectors are unknown params.
+        for kind in ("analyze", "sweep", "diagnose", "verify"):
+            for key, value in (("engine", "compiled"), ("coarsen", "auto")):
+                with pytest.raises(ServeError, match=f"unknown params.*{key}") as err:
+                    validate_request(_minimal(params={key: value}), kind)
+                assert err.value.code == "bad-request"
 
     def test_bad_inject_rejected(self):
         with pytest.raises(ServeError, match="inject"):

@@ -158,7 +158,7 @@ class TestAnalyzeVerifyPreflight:
         assert doc["schema"] == "repro-verify-report/1"
 
     def test_streaming_engine_rejected(self, clean_traces, signature):
-        with pytest.raises(SystemExit, match="graph engine"):
+        with pytest.raises(SystemExit, match="compiled engine"):
             main_analyze(
                 ["--traces", str(clean_traces), "--stem", "ring",
                  "--signature", str(signature), "--verify",

@@ -39,8 +39,8 @@ class TestConfigValidation:
             {"quantile": 0.2},
             {"quantile": 1.0},
             {"mode": "bogus"},
-            {"coarsen": "sometimes"},
-            {"engine": "gpu"},
+            {"quantile": float("nan")},
+            {"quantile": 0.4999},
             {"replicates": -1},
         ],
     )
