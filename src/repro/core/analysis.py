@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.builder import BuildResult
 from repro.core.graph import DeltaKind, EdgeKind, Phase
 from repro.core.traversal import TraversalResult
@@ -162,38 +164,39 @@ def critical_path(
         rank = max(range(g.nprocs), key=lambda r: result.final_delay[r])
     node = g.final_node_of(rank)
 
+    ptr, in_ids = (a.tolist() for a in g.in_csr())
+    edge_src = g.edge_src.tolist()
     path: list[int] = []
-    ranks_seen: list[int] = []
+    visited: list[int] = []
     while True:
-        ranks_seen.append(g.nodes[node].rank)
+        visited.append(node)
         binding = None
-        for ei in g.in_edge_ids(node):
-            e = g.edges[ei]
-            if abs(D[e.src] + deltas[ei] - D[node]) <= _EPS:
+        for ei in in_ids[ptr[node] : ptr[node + 1]]:
+            if abs(D[edge_src[ei]] + deltas[ei] - D[node]) <= _EPS:
                 binding = ei
                 break
         if binding is None or D[node] <= _EPS:
             break
         path.append(binding)
-        node = g.edges[binding].src
+        node = edge_src[binding]
 
     path.reverse()
     by_delta: dict[str, float] = {}
     by_kind: dict[str, float] = {"local": 0.0, "message": 0.0}
-    for ei in path:
-        e = g.edges[ei]
+    names = {int(k): k.name for k in DeltaKind}
+    local = int(EdgeKind.LOCAL)
+    for ei, dk, ek in zip(path, g.delta_kind[path].tolist(), g.edge_kind[path].tolist()):
         d = deltas[ei]
         if abs(d) > _EPS:
-            name = DeltaKind(e.delta.kind).name
-            by_delta[name] = by_delta.get(name, 0.0) + d
-            by_kind["local" if e.kind == EdgeKind.LOCAL else "message"] += d
+            by_delta[names[dk]] = by_delta.get(names[dk], 0.0) + d
+            by_kind["local" if ek == local else "message"] += d
     return CriticalPath(
         rank=rank,
         total_delay=result.final_delay[rank],
         edges=tuple(path),
         by_delta_kind=by_delta,
         by_edge_kind=by_kind,
-        ranks_visited=tuple(dict.fromkeys(reversed(ranks_seen))),
+        ranks_visited=tuple(dict.fromkeys(reversed(g.node_rank[visited].tolist()))),
         _deltas=tuple(deltas),
     )
 
@@ -277,32 +280,33 @@ def absorption_map(build: BuildResult, result: TraversalResult) -> AbsorptionMap
     if result.node_delay is None or result.edge_delta is None:
         raise ValueError("absorption map requires an in-core traversal result")
     g = build.graph
-    D = result.node_delay
-    deltas = result.edge_delta
-    events: dict[int, list] = {r: [] for r in range(g.nprocs)}
-    propagated: dict[int, int] = {r: 0 for r in range(g.nprocs)}
-    absorbed: dict[int, int] = {r: 0 for r in range(g.nprocs)}
-    slack: dict[int, float] = {r: 0.0 for r in range(g.nprocs)}
+    P = g.nprocs
+    D = np.asarray(result.node_delay, dtype=np.float64)
+    deltas = np.asarray(result.edge_delta, dtype=np.float64)
 
-    for node in g.nodes:
-        if node.is_virtual:
-            continue
-        ins = g.in_edge_ids(node.node_id)
-        msg_edges = [ei for ei in ins if g.edges[ei].kind == EdgeKind.MESSAGE]
-        if not msg_edges:
-            continue
-        d_node = D[node.node_id]
-        best_msg = max(D[g.edges[ei].src] + deltas[ei] for ei in msg_edges)
-        binding = abs(best_msg - d_node) <= _EPS and d_node > _EPS
-        events[node.rank].append((node.seq, binding))
-        if binding:
-            propagated[node.rank] += 1
-        else:
-            absorbed[node.rank] += 1
-            slack[node.rank] += max(0.0, d_node - best_msg)
+    # Message in-edges of real nodes, grouped by node (CSR order).
+    _, in_ids = g.in_csr()
+    ids = in_ids[g.edge_kind[in_ids] == EdgeKind.MESSAGE]
+    ids = ids[g.node_phase[g.edge_dst[ids]] != Phase.VIRTUAL]
+    nodes, first = np.unique(g.edge_dst[ids], return_index=True)
+    arrival = D[g.edge_src[ids]] + deltas[ids]
+    best_msg = np.maximum.reduceat(arrival, first) if len(ids) else arrival
+    d_node = D[nodes]
+    binding = (np.abs(best_msg - d_node) <= _EPS) & (d_node > _EPS)
+    ranks = g.node_rank[nodes]
+
+    events: dict[int, list] = {r: [] for r in range(P)}
+    for r, seq, b in zip(ranks.tolist(), g.node_seq[nodes].tolist(), binding.tolist()):
+        events[r].append((seq, b))
+    propagated = np.bincount(ranks[binding], minlength=P).tolist()
+    absorbed = np.bincount(ranks[~binding], minlength=P).tolist()
+    headroom = d_node[~binding] - best_msg[~binding]
+    slack = np.zeros(P, dtype=np.float64)
+    # Unbuffered: each rank's headroom is summed in node order.
+    np.add.at(slack, ranks[~binding], np.where(headroom > 0.0, headroom, 0.0))
     return AbsorptionMap(
         events=events,
-        propagated_counts=propagated,
-        absorbed_counts=absorbed,
-        slack=slack,
+        propagated_counts=dict(enumerate(propagated)),
+        absorbed_counts=dict(enumerate(absorbed)),
+        slack=dict(enumerate(slack.tolist())),
     )

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 SHARD_SCHEMA = "repro-checkpoint-shard/1"
-PLAN_SCHEMA = "repro-plan-cache/1"
+PLAN_SCHEMA = "repro-plan-cache/2"
 
 #: Environment hook consumed by the fault-injection harness
 #: (:mod:`repro.testing.faults`): kill the process after N shard writes.
@@ -89,13 +89,11 @@ def build_digest(build) -> str:
     cached = build.__dict__.get("_checkpoint_digest")
     if cached is not None:
         return cached
-    import numpy as np
-
     g = build.graph
     h = hashlib.sha256()
     h.update(f"{g.nprocs}:{len(g.nodes)}:{len(g.edges)}".encode())
-    h.update(np.array([e.weight for e in g.edges], dtype=np.float64).tobytes())
-    h.update(np.array([int(e.delta.kind) for e in g.edges], dtype=np.uint8).tobytes())
+    h.update(g.edge_weight.tobytes())
+    h.update(g.delta_kind.tobytes())
     digest = h.hexdigest()[:16]
     build.__dict__["_checkpoint_digest"] = digest
     return digest

@@ -216,18 +216,15 @@ def detect_phases(
     n_nodes, n_edges = plan.n_nodes, plan.n_edges
     if n_nodes == 0 or plan.nprocs == 0:
         return None
-    node_rank, node_seq = plan.node_rank, plan.node_seq
+    node_rank = plan.node_rank
     node_phase, node_kind = plan.node_phase, plan.node_kind
     edge_src, edge_dst = plan.edge_src, plan.edge_dst
 
     # -- 1. per-rank subevent chains + periodicity scan ---------------------
     real = node_phase != int(Phase.VIRTUAL)
-    ridx = np.nonzero(real)[0]
-    if not len(ridx):
+    starts, order = graph.rank_chains()
+    if not len(order):
         return None
-    order = ridx[np.lexsort((node_phase[ridx], node_seq[ridx], node_rank[ridx]))]
-    ranks_sorted = node_rank[order]
-    starts = np.searchsorted(ranks_sorted, np.arange(plan.nprocs + 1))
     indeg = np.bincount(edge_dst, minlength=n_nodes).astype(np.int64)
     code = (
         (node_kind.astype(np.int64) << 16)
@@ -366,12 +363,8 @@ def detect_phases(
     for col in (plan.edge_kind, plan.edge_is_local, plan.edge_nbytes):
         if not _all_rows_equal(col[run_edge_ids]):
             return None
-    deltas = plan.deltas
-    for field in ("rank", "src", "dst", "rounds"):
-        vals = np.fromiter(
-            (getattr(d, field) for d in deltas), dtype=np.int64, count=n_edges
-        )
-        if not _all_rows_equal(vals[run_edge_ids]):
+    for col in (plan.delta_rank, plan.delta_src, plan.delta_dst, plan.delta_rounds):
+        if not _all_rows_equal(col[run_edge_ids]):
             return None
     src_mat = edge_src[run_edge_ids]
     si_mat = pos_inst[src_mat]

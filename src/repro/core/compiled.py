@@ -55,6 +55,7 @@ Observability: the compiled path emits ``compiled.compile``,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -1006,18 +1007,20 @@ class _TemplateSampler:
 
 class _Level:
     """One rank of the level schedule: nodes whose in-edges all come from
-    earlier levels, so the whole rank is a single vectorized gather+max."""
+    earlier levels, so the whole rank is a single vectorized gather+max.
+
+    ``segs`` are the offsets of each node's first in-edge within the
+    level and ``sizes`` its in-edge count (for expanding segment maxima
+    back to the edge axis in the predecessor-tracking kernel)."""
 
     __slots__ = ("nodes", "src", "eid", "segs", "sizes", "single")
 
-    def __init__(self, nodes, src, eid, segs, single):
+    def __init__(self, nodes, src, eid, segs, sizes, single):
         self.nodes = nodes
         self.src = src
         self.eid = eid
         self.segs = segs
-        # In-edges per node in this level (for expanding segment maxima
-        # back to the edge axis in the predecessor-tracking kernel).
-        self.sizes = np.diff(np.append(segs, len(eid)))
+        self.sizes = sizes
         self.single = single
 
     def __getstate__(self):
@@ -1026,6 +1029,62 @@ class _Level:
     def __setstate__(self, state):
         for s, v in state.items():
             setattr(self, s, v)
+
+
+def _level_schedule(graph, level: np.ndarray) -> list[_Level]:
+    """The level schedule of ``graph`` given each node's level.
+
+    Levels 1.. in order; within a level, nodes by id and each node's
+    in-edges in insertion (CSR) order.  Every ``_Level`` array is a
+    slice of one flat array sorted that way.
+    """
+    ptr, in_ids = graph.in_csr()
+    nodes = np.nonzero(level > 0)[0]
+    nodes = nodes[np.argsort(level[nodes], kind="stable")]
+    sizes = ptr[nodes + 1] - ptr[nodes]
+    first = np.cumsum(sizes) - sizes  # each node's first slot in the flat edge axis
+    eid = in_ids[np.repeat(ptr[nodes] - first, sizes) + np.arange(int(sizes.sum()))]
+    src = graph.edge_src[eid]
+    # Levels are contiguous from 1: every node above level 1 has a
+    # predecessor one level down.
+    n_levels = int(level.max(initial=0))
+    node_at = np.searchsorted(level[nodes], np.arange(1, n_levels + 2)).tolist()
+    edge_at = np.append(first, len(eid))[node_at]
+    segs = first - np.repeat(edge_at[:-1], np.diff(node_at))
+    edge_at = edge_at.tolist()
+    return [
+        _Level(
+            nodes[a:b],
+            src[ea:eb],
+            eid[ea:eb],
+            segs[a:b],
+            sizes[a:b],
+            eb - ea == b - a,
+        )
+        for a, b, ea, eb in zip(node_at, node_at[1:], edge_at, edge_at[1:])
+    ]
+
+
+def _uid_columns(uids: list, sampled_ids: np.ndarray, delta_kind: np.ndarray, n_edges: int):
+    """``(uid_mat, uid_len, uid_kind)``: the sampled edges' uids as
+    uint64 columns, masked exactly like ``perturb._mix`` masks them."""
+    lens = np.fromiter(map(len, uids), dtype=np.int64, count=len(uids))
+    flat = list(itertools.chain.from_iterable(uids))
+    try:
+        vals = np.array(flat)
+    except OverflowError:
+        vals = None
+    if vals is None or vals.dtype != np.int64:  # huge, odd or no values
+        vals = np.array([v & _MASK64 for v in flat], dtype=_U64)
+    uid_mat = np.zeros((n_edges, int(lens.max(initial=0))), dtype=_U64)
+    rows = np.repeat(sampled_ids, lens)
+    cols = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    uid_mat[rows, cols] = vals.view(_U64)
+    uid_len = np.zeros(n_edges, dtype=np.int64)
+    uid_len[sampled_ids] = lens
+    uid_kind = np.zeros(n_edges, dtype=_U64)
+    uid_kind[sampled_ids] = delta_kind[sampled_ids]
+    return uid_mat, uid_len, uid_kind
 
 
 def _apply_mode_w(raw: np.ndarray, w: np.ndarray, mode: str):
@@ -1075,81 +1134,45 @@ class CompiledPlan:
             self.nprocs = g.nprocs
             self.n_nodes = len(g.nodes)
             self.n_edges = len(g.edges)
-            edges = g.edges
-            self.edge_weight = np.array([e.weight for e in edges], dtype=np.float64)
-            self.edge_kind = np.array([int(e.delta.kind) for e in edges], dtype=np.uint8)
-            self.deltas = [e.delta for e in edges]
+            # Node/edge attribute columns, shared with the graph's column
+            # store — the structure-of-arrays substrate that
+            # repro.metrics.frames hands out as zero-copy views.
+            self.edge_weight = g.edge_weight
+            self.edge_kind = g.delta_kind  # the delta kind: what gets sampled
+            self.deltas = list(g.edge_delta)
             self.sampled_ids = np.nonzero(self.edge_kind != int(DeltaKind.NONE))[0]
+            self.node_rank = g.node_rank
+            self.node_seq = g.node_seq
+            self.node_phase = g.node_phase
+            self.node_kind = g.node_kind
+            self.node_t_local = g.node_t_local
+            self.edge_src = g.edge_src
+            self.edge_dst = g.edge_dst
+            self.edge_is_local = g.edge_kind == EdgeKind.LOCAL
+            self.edge_nbytes = g.delta_nbytes
+            self.delta_rank = g.delta_rank
+            self.delta_src = g.delta_src
+            self.delta_dst = g.delta_dst
+            self.delta_rounds = g.delta_rounds
 
-            # Node/edge attribute columns — the structure-of-arrays substrate
-            # that repro.metrics.frames hands out as zero-copy views.
-            nodes = g.nodes
-            self.node_rank = np.array([n.rank for n in nodes], dtype=np.int64)
-            self.node_seq = np.array([n.seq for n in nodes], dtype=np.int64)
-            self.node_phase = np.array([int(n.phase) for n in nodes], dtype=np.uint8)
-            self.node_kind = np.array([int(n.kind) for n in nodes], dtype=np.uint8)
-            self.node_t_local = np.array([n.t_local for n in nodes], dtype=np.float64)
-            self.edge_src = np.array([e.src for e in edges], dtype=np.int64)
-            self.edge_dst = np.array([e.dst for e in edges], dtype=np.int64)
-            self.edge_is_local = np.array(
-                [e.kind == EdgeKind.LOCAL for e in edges], dtype=np.bool_
+            self.uid_mat, self.uid_len, self.uid_kind = _uid_columns(
+                [self.deltas[i].uid for i in self.sampled_ids.tolist()],
+                self.sampled_ids,
+                self.edge_kind,
+                self.n_edges,
             )
-            self.edge_nbytes = np.array([e.delta.nbytes for e in edges], dtype=np.int64)
-
-            # uid columns, premasked to uint64 exactly like perturb._mix.
-            max_len = max((len(self.deltas[i].uid) for i in self.sampled_ids), default=0)
-            self.uid_mat = np.zeros((self.n_edges, max_len), dtype=_U64)
-            self.uid_len = np.zeros(self.n_edges, dtype=np.int64)
-            self.uid_kind = np.zeros(self.n_edges, dtype=_U64)
-            for i in self.sampled_ids:
-                uid = self.deltas[i].uid
-                self.uid_len[i] = len(uid)
-                self.uid_kind[i] = int(self.deltas[i].kind) & _MASK64
-                for j, v in enumerate(uid):
-                    self.uid_mat[i, j] = v & _MASK64
-
-            # Level schedule: level(v) = 1 + max level of predecessors.
-            topo = g.topological_order()
-            level = [0] * self.n_nodes
-            for v in topo:
-                ins = g.in_edge_ids(v)
-                if ins:
-                    level[v] = 1 + max(level[edges[ei].src] for ei in ins)
-            by_level: dict[int, list[int]] = {}
-            for v, lv in enumerate(level):
-                if lv > 0:
-                    by_level.setdefault(lv, []).append(v)
-            self.levels: list[_Level] = []
-            for lv in sorted(by_level):
-                nodes = by_level[lv]
-                src: list[int] = []
-                eid: list[int] = []
-                segs: list[int] = []
-                for v in nodes:
-                    segs.append(len(eid))
-                    for ei in g.in_edge_ids(v):
-                        src.append(edges[ei].src)
-                        eid.append(ei)
-                single = len(eid) == len(nodes)
-                self.levels.append(
-                    _Level(
-                        np.array(nodes, dtype=np.int64),
-                        np.array(src, dtype=np.int64),
-                        np.array(eid, dtype=np.int64),
-                        np.array(segs, dtype=np.int64),
-                        single,
-                    )
-                )
+            topo, level = g.topological_levels()
+            self.levels = _level_schedule(g, np.array(level, dtype=np.int64))
 
             # Final (FINALIZE END) node per rank, rank-chain fallback as in
             # traversal._finals_from_graph; -1 = rank has no nodes at all.
-            self.final_node = np.full(self.nprocs, -1, dtype=np.int64)
+            self.final_node = np.array(
+                [-1 if nid is None else nid for nid in map(g.final_node_of, range(self.nprocs))],
+                dtype=np.int64,
+            )
+            have = self.final_node >= 0
             self.final_t_local = np.zeros(self.nprocs, dtype=np.float64)
-            for rank in range(self.nprocs):
-                nid = g.final_node_of(rank)
-                if nid is not None:
-                    self.final_node[rank] = nid
-                    self.final_t_local[rank] = g.nodes[nid].t_local
+            self.final_t_local[have] = self.node_t_local[self.final_node[have]]
             # Hierarchical IR: detect the repeated phase and lower it to
             # the two-level coarse plan.  ``auto`` only attempts detection
             # on graphs large enough for the coarse walk to pay off.

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.builder import BuildResult, _match_warnings
 from repro.core.diagnostics import AnalysisWarning
-from repro.core.graph import Phase
+from repro.core.graph import EdgeKind, Phase
 from repro.core.traversal import TraversalResult
 
 __all__ = ["CorrectnessReport", "check_correctness", "check_order_preserved", "async_warnings"]
@@ -69,30 +71,30 @@ def check_order_preserved(build: BuildResult, result: TraversalResult) -> list[s
     if result.node_delay is None:
         raise ValueError("order check requires an in-core traversal result")
     g = build.graph
-    D = result.node_delay
+    D = np.asarray(result.node_delay, dtype=np.float64)
     violations: list[str] = []
+    ptr, chains = g.rank_chains()
+    seq, phase = g.node_seq, g.node_phase
+    perturbed = g.node_t_local[chains] + D[chains]
     for rank in range(g.nprocs):
-        chain = g.rank_chain(rank)
-        prev_t = float("-inf")
-        prev_node = None
-        for nid in chain:
-            node = g.nodes[nid]
-            t = node.t_local + D[nid]
-            if t < prev_t - _TIME_EPS:
-                violations.append(
-                    f"rank {rank}: subevent #{node.seq}.{Phase(node.phase).name} at "
-                    f"perturbed time {t:.3f} precedes predecessor "
-                    f"({prev_node}) at {prev_t:.3f}"
-                )
-            prev_t = max(prev_t, t)
-            prev_node = f"#{node.seq}.{Phase(node.phase).name}"
+        a, b = int(ptr[rank]), int(ptr[rank + 1])
+        t = perturbed[a:b]
+        # Running max of the times so far (NaN times never raise it).
+        seen = np.maximum.accumulate(np.where(np.isnan(t), -np.inf, t))
+        prev_t = np.concatenate(([-np.inf], seen[:-1]))
+        for i in np.nonzero(t < prev_t - _TIME_EPS)[0].tolist():
+            node, prev = chains[a + i], chains[a + i - 1]
+            violations.append(
+                f"rank {rank}: subevent #{seq[node]}.{Phase(phase[node]).name} at "
+                f"perturbed time {float(t[i]):.3f} precedes predecessor "
+                f"(#{seq[prev]}.{Phase(phase[prev]).name}) at {float(prev_t[i]):.3f}"
+            )
     if result.edge_delta is not None:
-        for ei, edge in enumerate(g.edges):
-            if D[edge.dst] < D[edge.src] + result.edge_delta[ei] - _TIME_EPS:
-                violations.append(
-                    f"edge {edge.src}->{edge.dst} ({edge.label or edge.kind.name}): "
-                    f"delay not propagated"
-                )
+        src, dst = g.edge_src, g.edge_dst
+        delta = np.asarray(result.edge_delta, dtype=np.float64)
+        for ei in np.nonzero(D[dst] < D[src] + delta - _TIME_EPS)[0].tolist():
+            label = g.edge_label[ei] or EdgeKind(g.edge_kind[ei]).name
+            violations.append(f"edge {src[ei]}->{dst[ei]} ({label}): delay not propagated")
     return violations
 
 

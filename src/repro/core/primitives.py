@@ -41,6 +41,7 @@ Template catalogue:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro._util import ilog2_ceil
 from repro.core.diagnostics import DiagnosticError
@@ -102,9 +103,9 @@ def bfly(ordinal: int, rank: int, k: int) -> tuple:
     return ("bfly", ordinal, rank, k)
 
 
-@dataclass(frozen=True)
-class EdgeT:
-    """One edge specification produced by a template."""
+class EdgeT(NamedTuple):
+    """One edge specification produced by a template (a named tuple:
+    templates make one per edge, so construction must be cheap)."""
 
     src: tuple
     dst: tuple

@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.graph import DeltaKind, Edge, EdgeKind, MessagePassingGraph, Phase
 from repro.diagnose.path import CriticalPathExtract
+from repro.trace.events import EventKind
 
 __all__ = ["Attribution", "attribute_path", "classify_edge"]
 
@@ -52,16 +55,35 @@ def classify_edge(g: MessagePassingGraph, e: Edge) -> tuple[str, int]:
     (between consecutive events).  Message edges and edges touching
     virtual hub nodes bucket by their delta kind.
     """
-    src, dst = g.nodes[e.src], g.nodes[e.dst]
-    if dst.is_virtual:
-        rank = src.rank if not src.is_virtual else -1
-    else:
-        rank = dst.rank
-    if e.kind == EdgeKind.LOCAL and not src.is_virtual and not dst.is_virtual:
-        if src.seq == dst.seq and src.phase == Phase.START and dst.phase == Phase.END:
-            return dst.kind.name.lower(), rank
-        return "compute", rank
-    return _DELTA_PRIMITIVE[DeltaKind(e.delta.kind)], rank
+    (primitive,), (rank,) = _classify(g, [e.src], [e.dst], [e.kind], [e.delta.kind])
+    return primitive, rank
+
+
+def _classify(g: MessagePassingGraph, src, dst, edge_kind, delta_kind) -> tuple[list, list]:
+    """:func:`classify_edge` over edge columns: ``(primitives, ranks)``."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    phase, seq = g.node_phase, g.node_seq
+    s_virt = phase[src] == Phase.VIRTUAL
+    d_virt = phase[dst] == Phase.VIRTUAL
+    ranks = np.where(d_virt, np.where(s_virt, -1, g.node_rank[src]), g.node_rank[dst])
+    local = (np.asarray(edge_kind) == EdgeKind.LOCAL) & ~s_virt & ~d_virt
+    op = (
+        local
+        & (seq[src] == seq[dst])
+        & (phase[src] == Phase.START)
+        & (phase[dst] == Phase.END)
+    )
+    op_names = {int(k): k.name.lower() for k in EventKind}
+    primitives = [
+        op_names[k] if is_op else "compute" if is_local else _DELTA_PRIMITIVE[d]
+        for is_op, is_local, k, d in zip(
+            op.tolist(),
+            local.tolist(),
+            g.node_kind[dst].tolist(),
+            np.asarray(delta_kind, dtype=np.int64).tolist(),
+        )
+    ]
+    return primitives, ranks.tolist()
 
 
 @dataclass(frozen=True)
@@ -138,8 +160,11 @@ def attribute_path(
     by_primitive: dict[str, float] = {}
     rows = []
     with obs.span("diagnose.attribution", edges=len(cp.edges)):
-        for ei, cost in zip(cp.edges, cp.costs):
-            primitive, rank = classify_edge(g, g.edges[ei])
+        ids = np.asarray(cp.edges, dtype=np.int64)
+        primitives, ranks = _classify(
+            g, g.edge_src[ids], g.edge_dst[ids], g.edge_kind[ids], g.delta_kind[ids]
+        )
+        for ei, cost, primitive, rank in zip(cp.edges, cp.costs, primitives, ranks):
             by_rank[rank] = by_rank.get(rank, 0.0) + cost
             by_primitive[primitive] = by_primitive.get(primitive, 0.0) + cost
             rows.append((ei, cost, primitive, rank))

@@ -81,7 +81,7 @@ class CriticalPathExtract:
 
 def path_costs(build: BuildResult, deltas: Sequence[float] | None = None) -> np.ndarray:
     """Per-edge path costs: observed weights, plus sampled deltas if given."""
-    w = np.array([e.weight for e in build.graph.edges], dtype=np.float64)
+    w = build.graph.edge_weight
     if deltas is not None:
         d = np.asarray(deltas, dtype=np.float64)
         if d.shape != w.shape:
@@ -99,20 +99,19 @@ def extract_critical_path(
     The sink is the finalize node with the largest path cost, ties
     broken toward the lowest rank.
     """
-    g = build.graph
     costs = path_costs(build, deltas)
 
     with obs.span("diagnose.path", engine="compiled"):
-        Lm, predm = compiled_plan(build).longest_path(costs[None, :])
-        L, pred = Lm[0], predm[0]
+        plan = compiled_plan(build)
+        Lm, predm = plan.longest_path(costs[None, :])
+        L, pred = Lm[0], predm[0].tolist()
 
         sink = None
         sink_rank = -1
         best = -math.inf
-        final_costs = [0.0] * g.nprocs
-        for rank in range(g.nprocs):
-            nid = g.final_node_of(rank)
-            if nid is None:
+        final_costs = [0.0] * plan.nprocs
+        for rank, nid in enumerate(plan.final_node.tolist()):
+            if nid < 0:
                 continue
             final_costs[rank] = float(L[nid])
             if final_costs[rank] > best:
@@ -122,16 +121,14 @@ def extract_critical_path(
         if sink is None:
             raise ValueError("graph has no finalize nodes: nothing to diagnose")
 
+        edge_src = build.graph.edge_src.tolist()
         path: list[int] = []
         node = sink
-        while True:
-            ei = int(pred[node])
-            if ei < 0:
-                break
-            path.append(ei)
-            node = g.edges[ei].src
+        while pred[node] >= 0:
+            path.append(pred[node])
+            node = edge_src[pred[node]]
         path.reverse()
-        nodes = [node] + [g.edges[ei].dst for ei in path]
+        nodes = [node] + build.graph.edge_dst[path].tolist()
         obs.span_add("diagnose.path_edges", len(path))
 
     return CriticalPathExtract(

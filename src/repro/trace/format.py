@@ -99,11 +99,32 @@ def encode_event_text(ev: EventRecord) -> str:
     )
 
 
+_TIME_TYPES = (int, float)  # NaN is a float: lint rule MPG002 reports it
+
+
+def _row_types(n: int, t_start: type, t_end: type) -> tuple:
+    types = [int] * n  # not bool, not float: seqs feed node-id arithmetic
+    types[3], types[4] = t_start, t_end
+    types[9] = types[10] = list  # reqs, completed
+    return tuple(types)
+
+
+# The field types of every well-typed row (request ids checked apart).
+_ROW_TYPES = frozenset(
+    _row_types(n, a, b) for n in (16, 17) for a in _TIME_TYPES for b in _TIME_TYPES
+)
+
+
 def decode_event_text(line: str) -> EventRecord:
+    """Parse one JSONL event line; any malformed field raises ValueError."""
     v = json.loads(line)
     # 16-element lines are the pre-wildcard-flags format; still accepted.
     if not isinstance(v, list) or len(v) not in (16, 17):
         raise ValueError(f"malformed trace line: {line[:80]!r}")
+    if tuple(map(type, v)) not in _ROW_TYPES or (
+        (v[9] or v[10]) and not set(map(type, v[9] + v[10])) <= {int}
+    ):
+        raise ValueError(f"malformed trace line (mistyped field): {line[:80]!r}")
     flags = v[16] if len(v) == 17 else 0
     return EventRecord(
         kind=EventKind(v[0]),

@@ -180,13 +180,11 @@ def edge_intervals(
             lat_loq[s, d], lat_hiq[s, d] = iv.lo_q, iv.hi_q
     pb = support_interval(signature.per_byte, quantile).clamp_min(0.0)
 
-    # Delta metadata columns for the sampled edges (the plan keeps the
-    # DeltaSpec list; these small gathers are the only per-edge Python).
-    deltas = plan.deltas
-    d_rank = np.fromiter((deltas[i].rank for i in ids), dtype=np.int64, count=m)
-    d_src = np.fromiter((deltas[i].src for i in ids), dtype=np.int64, count=m)
-    d_dst = np.fromiter((deltas[i].dst for i in ids), dtype=np.int64, count=m)
-    d_rounds = np.fromiter((deltas[i].rounds for i in ids), dtype=np.int64, count=m)
+    # Delta metadata columns for the sampled edges.
+    d_rank = plan.delta_rank[ids]
+    d_src = plan.delta_src[ids]
+    d_dst = plan.delta_dst[ids]
+    d_rounds = plan.delta_rounds[ids]
     nbytes = plan.edge_nbytes[ids].astype(np.float64)
     kind = plan.edge_kind[ids]
 

@@ -17,6 +17,7 @@ from repro.core import (
     propagate,
     runtime_impact,
 )
+from repro.core.graph import EdgeKind
 from repro.mpisim import run
 from repro.noise import Constant, MachineSignature
 
@@ -153,3 +154,111 @@ class TestCriticalPathDescribe:
         cp = critical_path(build, res)
         text = cp.describe(build)
         assert "0 cy over 0 edges" in text
+
+
+# ---------------------------------------------------------------------------
+# Column-store analyses against the per-object loops they replaced
+# ---------------------------------------------------------------------------
+
+_EPS = 1e-9
+_TIME_EPS = 1e-6
+
+
+def _loop_absorption(g, D, deltas):
+    """Reference: absorption map as a loop over Node/Edge values."""
+    events = {r: [] for r in range(g.nprocs)}
+    propagated = {r: 0 for r in range(g.nprocs)}
+    absorbed = {r: 0 for r in range(g.nprocs)}
+    slack = {r: 0.0 for r in range(g.nprocs)}
+    edges = list(g.edges)
+    for node in g.nodes:
+        if node.is_virtual:
+            continue
+        msg = [ei for ei in g.in_edge_ids(node.node_id) if edges[ei].kind == EdgeKind.MESSAGE]
+        if not msg:
+            continue
+        d_node = D[node.node_id]
+        best = max(D[edges[ei].src] + deltas[ei] for ei in msg)
+        binding = abs(best - d_node) <= _EPS and d_node > _EPS
+        events[node.rank].append((node.seq, binding))
+        if binding:
+            propagated[node.rank] += 1
+        else:
+            absorbed[node.rank] += 1
+            slack[node.rank] += max(0.0, d_node - best)
+    return events, propagated, absorbed, slack
+
+
+def _loop_order_violations(g, D, deltas):
+    """Reference: the §4.3 order check as a loop over Node/Edge values."""
+    out = []
+    nodes = list(g.nodes)
+    for rank in range(g.nprocs):
+        prev_t, prev_node = float("-inf"), None
+        for nid in g.rank_chain(rank):
+            node = nodes[nid]
+            t = node.t_local + D[nid]
+            if t < prev_t - _TIME_EPS:
+                out.append(
+                    f"rank {rank}: subevent #{node.seq}.{node.phase.name} at "
+                    f"perturbed time {t:.3f} precedes predecessor ({prev_node}) at {prev_t:.3f}"
+                )
+            prev_t = max(prev_t, t)
+            prev_node = f"#{node.seq}.{node.phase.name}"
+    for ei, e in enumerate(g.edges):
+        if D[e.dst] < D[e.src] + deltas[ei] - _TIME_EPS:
+            out.append(f"edge {e.src}->{e.dst} ({e.label or e.kind.name}): delay not propagated")
+    return out
+
+
+def _loop_binding_path(g, D, deltas, rank):
+    """Reference: the critical path's binding in-edge chain."""
+    edges = list(g.edges)
+    node, path = g.final_node_of(rank), []
+    while True:
+        binding = next(
+            (ei for ei in g.in_edge_ids(node)
+             if abs(D[edges[ei].src] + deltas[ei] - D[node]) <= _EPS),
+            None,
+        )
+        if binding is None or D[node] <= _EPS:
+            break
+        path.append(binding)
+        node = edges[binding].src
+    return tuple(reversed(path))
+
+
+class TestColumnsMatchObjectLoops:
+    @pytest.mark.parametrize("mode", ["hub", "butterfly"])
+    def test_analyses_equal_loop_references(self, ring_trace, stencil_trace, mode):
+        import random
+
+        from repro.core import BuildConfig
+        from repro.core.correctness import check_order_preserved
+        from repro.core.traversal import TraversalResult
+        from repro.noise import Exponential
+
+        sig = MachineSignature(os_noise=Exponential(80.0), latency=Exponential(40.0))
+        for trace in (ring_trace, stencil_trace):
+            build = build_graph(trace, BuildConfig(collective_mode=mode))
+            g = build.graph
+            res = propagate(build, PerturbationSpec(sig, seed=3))
+            am = absorption_map(build, res)
+            assert (am.events, am.propagated_counts, am.absorbed_counts, am.slack) == (
+                _loop_absorption(g, res.node_delay, res.edge_delta)
+            )
+            cp = critical_path(build, res)
+            assert cp.edges == _loop_binding_path(g, res.node_delay, res.edge_delta, cp.rank)
+            # A corrupted result exercises every violation message.
+            rng = random.Random(5)
+            bad = TraversalResult(
+                final_delay=res.final_delay,
+                final_local_times=res.final_local_times,
+                mode="additive",
+                clamped_edges=0,
+                node_delay=[rng.uniform(-1e4, 1e4) for _ in res.node_delay],
+                edge_delta=[rng.uniform(-100.0, 100.0) for _ in res.edge_delta],
+            )
+            violations = check_order_preserved(build, bad)
+            assert violations
+            assert violations == _loop_order_violations(g, bad.node_delay, bad.edge_delta)

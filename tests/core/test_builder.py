@@ -5,10 +5,12 @@ import math
 import pytest
 
 from repro.core.builder import build_graph
+from repro.core.diagnostics import DiagnosticError
 from repro.core.graph import DeltaKind, Phase
 from repro.core.primitives import BuildConfig
 from repro.mpisim import Compute, Machine, Recv, Send, run
-from repro.trace.events import EventKind
+from repro.trace.events import EventKind, EventRecord
+from repro.trace.reader import MemoryTrace
 
 
 class TestStructure:
@@ -132,3 +134,50 @@ class TestAbsoluteWeights:
         build = build_graph(trace)
         for e in build.graph.message_edges():
             assert e.weight == 0.0
+
+
+def _ev(rank, seq, kind, t0, t1):
+    return EventRecord(rank=rank, seq=seq, kind=kind, t_start=t0, t_end=t1)
+
+
+def _corrupt_end(ev, t_end):
+    """An event whose END precedes its START (bypasses the record's own
+    check, as a corrupt decoder would)."""
+    object.__setattr__(ev, "t_end", t_end)
+    return ev
+
+
+_I, _F = EventKind.INIT, EventKind.FINALIZE
+
+
+class TestBuildErrors:
+    """Malformed per-rank event lists fail with their structured codes,
+    and never as an IndexError or a silently wrong edge."""
+
+    @pytest.mark.parametrize(
+        "rank1, code, seq",
+        [
+            # a repeated seq
+            (
+                [_ev(1, 0, _I, 0, 1), _ev(1, 1, _I, 2, 3), _ev(1, 1, _F, 4, 5)],
+                "duplicate-subevent",
+                1,
+            ),
+            ([_ev(1, 0, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "duplicate-subevent", 0),
+            # a seq gap, forwards and backwards
+            ([_ev(1, 0, _I, 0, 1), _ev(1, 2, _F, 2, 3)], "invalid-gap", 2),
+            ([_ev(1, 1, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "invalid-gap", 0),
+            # overlapping events
+            ([_ev(1, 0, _I, 0, 10), _ev(1, 1, _F, 5, 12)], "overlapping-events", 1),
+            # a negative local weight (END before START)
+            ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 1, _F, 5, 6), 3)], "invalid-edge-weight", 1),
+            # the negative weight is reported before the gap it also has
+            ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 3, _F, 5, 6), 3)], "invalid-edge-weight", 3),
+        ],
+    )
+    def test_error_codes(self, rank1, code, seq):
+        rank0 = [_ev(0, 0, _I, 0, 1), _ev(0, 1, _F, 2, 3)]
+        with pytest.raises(DiagnosticError) as info:
+            build_graph(MemoryTrace([rank0, rank1]))
+        assert info.value.code == code
+        assert (info.value.rank, info.value.seq) == (1, seq)

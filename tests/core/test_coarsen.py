@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.apps import ALL_APPS
 from repro.core import (
     CheckpointStore,
@@ -26,7 +27,7 @@ from repro.core import (
     rank_influence,
     sweep_scales,
 )
-from repro.core.checkpoint import load_plan, plan_cache_path, save_plan
+from repro.core.checkpoint import build_digest, load_plan, plan_cache_path, save_plan
 from repro.core.coarsen import COARSEN_CHOICES, MIN_REPEATS
 from repro.mpisim import run
 from repro.noise import Constant, Exponential, MachineSignature, Uniform
@@ -351,3 +352,28 @@ class TestPlanCache:
         other_trace, _ = app_builds["token_ring"]
         other = build_graph(other_trace)
         assert load_plan(store, other, "on") is None
+
+    def test_previous_schema_blob_is_a_miss(self, app_builds, tmp_path):
+        """A blob cached under the previous plan layout (no delta columns,
+        schema ``repro-plan-cache/1``) reads as corrupt and is recompiled
+        — never handed out to fail on first use."""
+        store = CheckpointStore(tmp_path)
+        build = self._fresh_build(app_builds)
+        old = CompiledPlan(build, coarsen="on")
+        for name in ("delta_rank", "delta_src", "delta_dst", "delta_rounds"):
+            delattr(old, name)
+        blob = {
+            "schema": "repro-plan-cache/1",
+            "digest": build_digest(build),
+            "numpy": np.__version__,
+            "coarsen": "on",
+            "plan": old,
+        }
+        plan_cache_path(store, build, "on").write_bytes(pickle.dumps(blob))
+        assert load_plan(store, self._fresh_build(app_builds), "on") is None
+        with obs.observed("unit") as session:
+            plan = compiled_plan(self._fresh_build(app_builds), coarsen="on", checkpoint=store)
+        assert session.metrics.counter("checkpoint.plan_corrupt").value == 1
+        assert session.metrics.counter("checkpoint.plan_writes").value == 1
+        assert np.array_equal(plan.delta_rank, build.graph.delta_rank)
+        assert load_plan(store, self._fresh_build(app_builds), "on") is not None

@@ -47,6 +47,29 @@ class TestTextCodec:
         with pytest.raises(ValueError):
             fmt.decode_event_text("[1,2,3]")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[3,0,0,1.0,2.0,1,0,8,-1,5,[],-1,-1,-1,-1,0,0]",  # reqs not a list
+            '[3,0,0,"a",2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]',  # string time
+            "[3,null,0,1.0,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]",  # null rank
+            '[3,0,0,1.0,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,"1"]',  # string flags
+            "[3,0,0.5,1.0,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]",  # fractional seq
+            "[3,0,true,1.0,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]",  # boolean seq
+            "[3.0,0,0,1.0,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]",  # float kind
+            "[3,0,0,1.0,2.0,1,0,8,-1,[1.5],[],-1,-1,-1,-1,0,0]",  # float request id
+            "[3,0,0,1.0,true,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]",  # boolean time
+        ],
+    )
+    def test_mistyped_field_rejected(self, line):
+        with pytest.raises(ValueError, match="malformed trace line"):
+            fmt.decode_event_text(line)
+
+    def test_nan_time_accepted(self):
+        """NaN times decode (lint rule MPG002 reports them)."""
+        ev = fmt.decode_event_text("[3,0,0,NaN,2.0,1,0,8,-1,[],[],-1,-1,-1,-1,0,0]")
+        assert ev.t_start != ev.t_start
+
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             fmt.read_header_text(io.StringIO(""))
