@@ -1,4 +1,4 @@
-"""Compiled graph plan: vectorized sampling + replicate-batched propagation.
+"""Compiled graph plan: lowered topology + replicate-batched propagation.
 
 The perturbation engine is the hot path of every experiment:
 ``monte_carlo``, sweeps, and ``rank_influence`` all call
@@ -12,39 +12,17 @@ form and then processes **all replicates simultaneously**:
 * a level-ordered node table with CSR in-edge arrays (predecessor
   index, weight, delta-kind code, uid columns for hashing, message
   sizes for δ_t(d));
-* a vectorized sampler — numpy-native splitmix64 over the uid columns,
-  a vectorized PCG64 (XSL-RR 128/64) advancing one independent stream
-  per edge, and ziggurat fast paths for the exponential / normal
-  families — that reproduces :meth:`PerturbationSpec.sample` draws
-  **bit-for-bit**;
+* the vectorized sampler of :mod:`repro.core.sampler`, which
+  reproduces :meth:`PerturbationSpec.sample` draws **bit-for-bit** for
+  every (replicate, edge) lane, falling back to the scalar spec lane
+  by lane wherever it has no verified fast path;
 * a propagation kernel carrying a ``(R, n_nodes)`` delay matrix
   through one topological pass (per-node max over in-edges vectorized
   across the replicate axis, both ``additive`` and ``threshold``
   modes).
 
-Exactness strategy
-------------------
-
-``PerturbationSpec`` keys one PCG64 stream per edge from
-``splitmix64``-mixed ``(seed, kind, *uid)`` and draws through numpy
-``Generator`` methods.  The mix chain and the PCG64 LCG are replayed
-here with uint64 array arithmetic (verified against
-``BitGenerator.random_raw`` at runtime).  The ziggurat layer tables
-numpy uses for ``standard_exponential`` / ``standard_normal`` are not
-exported, so they are *harvested* at runtime: the PCG64 LCG is
-invertible, so for any desired 64-bit output we can construct the
-predecessor state, feed it to a real ``Generator``, and observe the
-returned value and the number of raw draws consumed.  256 probes plus a
-binary search per layer recover ``(w[idx], k[idx])`` exactly.  Lanes
-whose every draw takes the single-draw ziggurat fast path (~98%) are
-vectorized; the rest — rejection/tail branches, and any distribution
-family outside the verified registry (Constant / Uniform / Exponential
-/ Normal plus Shifted/Scaled combinators) — fall back to the scalar
-``PerturbationSpec`` for that (edge, replicate) lane, so results are
-unconditionally identical to :func:`propagate` for *any* signature.
-If the runtime self-check fails (e.g. a future numpy changes its
-bit-stream layout), the vectorized sampler disables itself and every
-lane falls back — slower, never wrong.
+Results are unconditionally identical to :func:`propagate` for *any*
+signature.
 
 Observability: the compiled path emits ``compiled.compile``,
 ``compiled.sample`` and ``compiled.propagate`` spans plus
@@ -54,951 +32,24 @@ Observability: the compiled path emits ``compiled.compile``,
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro import obs
-from repro._util import atomic_write_text
 from repro.core.builder import BuildResult
 from repro.core.coarsen import AUTO_MIN_NODES, COARSEN_CHOICES, detect_phases
-from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind
+from repro.core.graph import DeltaKind, EdgeKind
 from repro.core.perturb import PerturbationSpec
+from repro.core.sampler import _adopt_tables, _BoundSampler, _get_tables, _TemplateSampler
 from repro.core.traversal import MODES, TraversalResult
-from repro.noise.distributions import Constant, Exponential, Normal, Scaled, Shifted, Uniform
 from repro.noise.signature import MachineSignature
 
 __all__ = ["CompiledBatch", "CompiledPlan", "compiled_plan"]
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_FNV_SEED = 0x811C9DC5
-_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2^-53
-
-# PCG64 (XSL-RR 128/64) multiplier, split into 64-bit halves for the
-# two-limb vectorized LCG step.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI = _U64(_PCG_MULT >> 64)
-_PCG_MULT_LO = _U64(_PCG_MULT & _MASK64)
-_MASK128 = (1 << 128) - 1
-_PCG_INV_MULT = pow(_PCG_MULT, -1, 1 << 128)  # LCG step inverse (harvesting)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized splitmix64 / _mix (must match repro.core.perturb exactly)
-# ---------------------------------------------------------------------------
-
-
-def _splitmix64_into(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """In-place splitmix64 finalizer: mutates uint64 ``x`` (returning it),
-    with ``t`` as same-shape scratch.  The hot key-derivation loops call
-    this to avoid reallocating multi-MB temporaries per round."""
-    x += _U64(0x9E3779B97F4A7C15)
-    np.right_shift(x, _U64(30), out=t)
-    x ^= t
-    x *= _U64(0xBF58476D1CE4E5B9)
-    np.right_shift(x, _U64(27), out=t)
-    x ^= t
-    x *= _U64(0x94D049BB133111EB)
-    np.right_shift(x, _U64(31), out=t)
-    x ^= t
-    return x
-
-
-def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.core.perturb._splitmix64` over uint64 arrays."""
-    x = x.astype(_U64, copy=True)
-    return _splitmix64_into(x, np.empty_like(x))
-
-
-def _mix_vec(columns: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized :func:`repro.core.perturb._mix` over the rows of a padded
-    uint64 matrix (``lengths[i]`` = how many leading columns row i uses)."""
-    n, width = columns.shape
-    h = np.full(n, _U64(_FNV_SEED), dtype=_U64)
-    for j in range(width):
-        if lengths is None:
-            h = _splitmix64_vec(h ^ columns[:, j])
-        else:
-            m = lengths > j
-            h[m] = _splitmix64_vec(h[m] ^ columns[m, j])
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Vectorized PCG64 (XSL-RR 128/64)
-# ---------------------------------------------------------------------------
-
-
-def _mulhi64(a: np.ndarray, b) -> np.ndarray:
-    """High 64 bits of the 128-bit product of uint64 arrays (32-bit limbs)."""
-    m32 = _U64(0xFFFFFFFF)
-    s32 = _U64(32)
-    ah, al = a >> s32, a & m32
-    bh, bl = b >> s32, b & m32
-    lo = al * bl
-    t = ah * bl + (lo >> s32)
-    w1 = (t & m32) + al * bh
-    return ah * bh + (t >> s32) + (w1 >> s32)
-
-
-_PCG_ML_HI = _U64(int(_PCG_MULT_LO) >> 32)
-_PCG_ML_LO = _U64(int(_PCG_MULT_LO) & 0xFFFFFFFF)
-
-
-def _pcg_next64(hi, lo, inc_hi, inc_lo):
-    """One LCG step + XSL-RR output.  Returns ``(hi', lo', out)``.
-
-    The 128-bit LCG step is accumulated with in-place uint64 ops —
-    unsigned addition is commutative and wrap-exact, so the reordering
-    relative to the textbook :func:`_mulhi64` formulation is
-    bit-identical while allocating far fewer (R, n_lane) temporaries.
-    """
-    m32 = _U64(0xFFFFFFFF)
-    s32 = _U64(32)
-    al = lo & m32
-    ah = lo >> s32
-    t = al * _PCG_ML_LO
-    t >>= s32
-    t += ah * _PCG_ML_LO
-    w1 = t & m32
-    w1 += al * _PCG_ML_HI
-    t >>= s32
-    w1 >>= s32
-    t += w1
-    t += ah * _PCG_ML_HI
-    t += hi * _PCG_MULT_LO
-    t += lo * _PCG_MULT_HI
-    nlo = lo * _PCG_MULT_LO
-    lo2 = nlo + inc_lo
-    t += inc_hi
-    np.add(t, lo2 < nlo, out=t, casting="unsafe")
-    hi2 = t
-    rot = hi2 >> _U64(58)
-    x = hi2 ^ lo2
-    out = x >> rot
-    np.subtract(_U64(64), rot, out=rot)
-    rot &= _U64(63)
-    x <<= rot
-    out |= x
-    return hi2, lo2, out
-
-
-# ---------------------------------------------------------------------------
-# Runtime ziggurat-table harvesting + backend self-check
-# ---------------------------------------------------------------------------
-
-_TABLES: dict | None = None
-
-
-def _spec_state(k: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
-    """(state, inc) exactly as ``PerturbationSpec._rng`` would install them."""
-    inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
-    return (k << 64) | s1, inc
-
-
-class _Prober:
-    """Drives a real ``Generator`` from constructed PCG64 states."""
-
-    def __init__(self) -> None:
-        self.bg = np.random.PCG64(0)
-        self.template = self.bg.state
-        self.gen = np.random.Generator(self.bg)
-
-    def set_state(self, state128: int, inc128: int) -> None:
-        st = dict(self.template)
-        st["state"] = {"state": state128, "inc": inc128}
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self.bg.state = st
-
-    def probe(self, u0: int, draw, maxn: int = 4) -> tuple[float, int]:
-        """Make the next raw output exactly ``u0`` (via the LCG inverse),
-        call ``draw()``, and count how many raw draws it consumed."""
-        s_pre = ((u0 - 1) * _PCG_INV_MULT) & _MASK128  # post-step (hi=0, lo=u0)
-        self.set_state(s_pre, 1)
-        value = draw()
-        after = self.bg.state["state"]["state"]
-        s = s_pre
-        for n in range(1, maxn + 1):
-            s = (s * _PCG_MULT + 1) & _MASK128
-            if s == after:
-                return value, n
-        return value, -1
-
-
-def _harvest_layers(probe_fn, payload_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recover ``(w, k)`` ziggurat tables for one family.
-
-    ``probe_fn(idx, payload) -> (value, steps)``.  A 1-step probe is a
-    primary accept; a 2-step probe is the boundary branch, which still
-    returns ``payload * w[idx]`` exactly, so either yields ``w``.  The
-    binary search uses ``steps == 1`` as the accept signal (``k[idx]``
-    is the smallest rejected payload; a layer may accept its whole
-    payload range, flagged with the ``2**payload_bits`` sentinel).
-    """
-    w = np.empty(256, dtype=np.float64)
-    k = np.empty(256, dtype=np.uint64)
-    top = 1 << payload_bits
-    for idx in range(256):
-        v, n = probe_fn(idx, 1)
-        if n not in (1, 2):
-            raise RuntimeError(f"layer {idx}: probe consumed {n} draws")
-        w[idx] = v
-        _, n = probe_fn(idx, top - 1)
-        if n == 1:
-            k[idx] = top
-            continue
-        lo, hi = 0, top
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            _, n = probe_fn(idx, mid)
-            lo, hi = (mid, hi) if n == 1 else (lo, mid)
-        k[idx] = hi
-    return w, k
-
-
-def _random_streams(n: int, seed: int):
-    """``n`` spec-style stream keys (k, s1, s2, s3) for self-checks."""
-    rng = np.random.default_rng(seed)
-    return tuple(rng.integers(0, 1 << 64, size=n, dtype=_U64) for _ in range(4))
-
-
-def _stream_state_arrays(k, s1, s2, s3):
-    inc_hi = (s2 << _U64(1)) | (s3 >> _U64(63))
-    inc_lo = (s3 << _U64(1)) | _U64(1)
-    return k.copy(), s1.copy(), inc_hi, inc_lo
-
-
-def _check_family(prober: _Prober, keys, u0, vec_values, accept, scalar_draw) -> bool:
-    """Verify vectorized accepted-lane values against scalar draws."""
-    k, s1, s2, s3 = keys
-    idx = np.nonzero(accept)[0] if accept is not None else np.arange(len(u0))
-    if accept is not None and len(idx) < len(u0) // 2:
-        return False  # implausible accept rate: layout assumption broken
-    for i in idx:
-        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
-        if scalar_draw(prober.gen) != vec_values[i]:
-            return False
-    return True
-
-
-def _build_tables(candidates: dict | None = None) -> dict:
-    """Harvest + verify the vectorized sampling backend (once per process).
-
-    Returns ``{"pcg": bool, "uniform": bool, "exp": (we, ke) | None,
-    "norm": (wi, ki) | None}``.  Any check that fails simply disables
-    its family — affected lanes take the exact scalar fallback.
-
-    ``candidates`` optionally supplies previously-harvested ziggurat
-    tables (e.g. from the on-disk cache).  Candidates run through the
-    *same* scalar-draw verification as a fresh harvest, so a stale or
-    corrupted cache can never change results — it just falls through to
-    the runtime harvest.
-    """
-    out: dict = {"pcg": False, "uniform": False, "exp": None, "norm": None}
-    prober = _Prober()
-    keys = _random_streams(512, 0xC0FFEE)
-    k, s1, s2, s3 = keys
-
-    # 1. Raw-stream check: vectorized LCG vs BitGenerator.random_raw.
-    hi, lo, ihi, ilo = _stream_state_arrays(k, s1, s2, s3)
-    hi, lo, u0 = _pcg_next64(hi, lo, ihi, ilo)
-    _, _, u1 = _pcg_next64(hi, lo, ihi, ilo)
-    for i in range(0, 512, 31):
-        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
-        raw = prober.bg.random_raw(2)
-        if int(raw[0]) != int(u0[i]) or int(raw[1]) != int(u1[i]):
-            return out
-    out["pcg"] = True
-
-    # 2. Uniform double: out = (u >> 11) * 2^-53.
-    d = (u0 >> _U64(11)).astype(np.float64) * _TO_DOUBLE
-    vals = -2.5 + 7.0 * d
-    out["uniform"] = _check_family(
-        prober, keys, u0, vals, None, lambda g: g.uniform(-2.5, 4.5)
-    )
-
-    # 3. Exponential ziggurat: idx = (u >> 3) & 0xFF, payload = u >> 11.
-    def check_exp(tables) -> bool:
-        we, ke = tables
-        ri = u0 >> _U64(3)
-        lidx = (ri & _U64(0xFF)).astype(np.intp)
-        pay = ri >> _U64(8)
-        x = pay.astype(np.float64) * we[lidx]
-        acc = pay < ke[lidx]
-        return _check_family(prober, keys, u0, x, acc, lambda g: g.standard_exponential())
-
-    cand = candidates.get("exp") if candidates else None
-    if cand is not None and check_exp(cand):
-        out["exp"] = cand
-        obs.add("compiled.tables_cache.hits")
-    else:
-        with contextlib.suppress(RuntimeError):  # layer harvest gives up on odd builds
-            exp_tables = _harvest_layers(
-                lambda idx, pay: prober.probe(((pay << 8) | idx) << 3, prober.gen.standard_exponential),
-                payload_bits=53,
-            )
-            if check_exp(exp_tables):
-                out["exp"] = exp_tables
-
-    # 4. Normal ziggurat: idx = u & 0xFF, sign = bit 8, rabs = 52 bits above.
-    def check_norm(tables) -> bool:
-        wi, ki = tables
-        nidx = (u0 & _U64(0xFF)).astype(np.intp)
-        r = u0 >> _U64(8)
-        sign = (r & _U64(1)) != 0
-        rabs = (r >> _U64(1)) & _U64(0x000FFFFFFFFFFFFF)
-        z = rabs.astype(np.float64) * wi[nidx]
-        z = np.where(sign, -z, z)
-        acc = rabs < ki[nidx]
-        return _check_family(prober, keys, u0, z, acc, lambda g: g.standard_normal())
-
-    cand = candidates.get("norm") if candidates else None
-    if cand is not None and check_norm(cand):
-        out["norm"] = cand
-        obs.add("compiled.tables_cache.hits")
-    else:
-        with contextlib.suppress(RuntimeError):
-            norm_tables = _harvest_layers(
-                lambda idx, rabs: prober.probe((rabs << 9) | idx, prober.gen.standard_normal),
-                payload_bits=52,
-            )
-            if check_norm(norm_tables):
-                out["norm"] = norm_tables
-    return out
-
-
-# -- per-user on-disk table cache (skips the harvest in pool workers and
-# repeated CLI runs; contents are re-verified on every load) -----------------
-
-TABLES_CACHE_ENV = "REPRO_TABLES_CACHE"
-_TABLES_CACHE_SCHEMA = "repro-ziggurat-tables/1"
-
-
-def _tables_cache_path() -> Path | None:
-    """Cache file for this numpy version, or None when disabled.
-
-    ``REPRO_TABLES_CACHE`` overrides the directory; ``0`` / ``off`` /
-    ``none`` disables the cache entirely.  The filename embeds the
-    numpy version because the tables mirror numpy's private ziggurat
-    layout — an upgraded numpy harvests (and caches) afresh.
-    """
-    val = os.environ.get(TABLES_CACHE_ENV, "").strip()
-    if val.lower() in ("0", "off", "none", "disabled"):
-        return None
-    if val:
-        root = Path(val)
-    else:
-        base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
-        root = Path(base) / "repro"
-    return root / f"ziggurat-np{np.__version__}.json"
-
-
-def _load_table_candidates(path: Path) -> dict | None:
-    """Parse cached tables; None on any structural problem (then the
-    normal harvest runs — verification guards against value problems)."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != _TABLES_CACHE_SCHEMA:
-        return None
-    out: dict = {}
-    for fam in ("exp", "norm"):
-        ent = doc.get(fam)
-        if ent is None:
-            out[fam] = None
-            continue
-        try:
-            w = np.asarray(ent["w"], dtype=np.float64)
-            kk = np.asarray(ent["k"], dtype=np.uint64)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            return None
-        if w.shape != (256,) or kk.shape != (256,):
-            return None
-        out[fam] = (w, kk)
-    return out
-
-
-def _store_tables(path: Path, tables: dict) -> None:
-    doc: dict = {"schema": _TABLES_CACHE_SCHEMA, "numpy": np.__version__}
-    for fam in ("exp", "norm"):
-        ent = tables[fam]
-        doc[fam] = (
-            None
-            if ent is None
-            else {"w": ent[0].tolist(), "k": [int(x) for x in ent[1].tolist()]}
-        )
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
-        obs.add("compiled.tables_cache.writes")
-    except OSError:  # unwritable cache dir: never fatal
-        pass
-
-
-def _tables_match_candidates(tables: dict, candidates: dict | None) -> bool:
-    if candidates is None:
-        return False
-    for fam in ("exp", "norm"):
-        t, c = tables[fam], candidates.get(fam)
-        if (t is None) != (c is None):
-            return False
-        if t is not None and not (
-            np.array_equal(t[0], c[0]) and np.array_equal(t[1], c[1])
-        ):
-            return False
-    return True
-
-
-def _get_tables() -> dict:
-    global _TABLES
-    if _TABLES is None:
-        path = _tables_cache_path()
-        candidates = None
-        if path is not None and path.exists():
-            candidates = _load_table_candidates(path)
-        with obs.span("compiled.harvest_tables", cached=candidates is not None):
-            _TABLES = _build_tables(candidates)
-        if (
-            path is not None
-            and (_TABLES["exp"] is not None or _TABLES["norm"] is not None)
-            and not _tables_match_candidates(_TABLES, candidates)
-        ):
-            _store_tables(path, _TABLES)
-    return _TABLES
-
-
-# ---------------------------------------------------------------------------
-# Distribution registry (vectorizable families)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ConstDist:
-    """0-draw distribution: always ``value`` (after combinator folding)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class _VecDist:
-    """1-draw distribution with a verified vectorized fast path.
-
-    ``family`` ∈ {"uniform", "exp", "norm"}; ``ops`` is the ordered
-    Shifted/Scaled combinator chain applied after the family transform.
-    """
-
-    family: str
-    p1: float
-    p2: float = 0.0
-    ops: tuple = ()
-
-
-_CLASSIFY_CACHE: dict = {}
-_CLASSIFY_CACHE_MAX = 4096
-
-
-def _dist_key(dist):
-    """Hashable identity of a distribution over the verified registry,
-    or None for families we cannot key (classified fresh each time)."""
-    if isinstance(dist, Constant):
-        return ("const", dist.value)
-    if isinstance(dist, Uniform):
-        return ("uniform", dist.low, dist.high)
-    if isinstance(dist, Exponential):
-        return ("exp", dist.mean_value)
-    if isinstance(dist, Normal):
-        return ("norm", dist.mu, dist.sigma)
-    if isinstance(dist, Shifted):
-        inner = _dist_key(dist.base)
-        return None if inner is None else ("shift", dist.offset, inner)
-    if isinstance(dist, Scaled):
-        inner = _dist_key(dist.base)
-        return None if inner is None else ("scale", dist.factor, inner)
-    return None
-
-
-def _classify_cached(dist, tables: dict):
-    """Module-level memoized :func:`_classify`, keyed by distribution
-    *value* plus which table families are enabled — so sweeps binding
-    many signatures classify each distinct distribution once per
-    process instead of once per bind."""
-    if not tables["pcg"]:
-        return None
-    key = _dist_key(dist)
-    if key is None:
-        return _classify(dist, tables)
-    full_key = (key, tables["uniform"], tables["exp"] is None, tables["norm"] is None)
-    try:
-        return _CLASSIFY_CACHE[full_key]
-    except KeyError:
-        if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_MAX:
-            _CLASSIFY_CACHE.clear()
-        val = _classify(dist, tables)
-        _CLASSIFY_CACHE[full_key] = val
-        return val
-
-
-def _classify(dist, tables: dict):
-    """Map a RandomVariable to its vectorized form, or None (unsupported)."""
-    if isinstance(dist, Constant):
-        return _ConstDist(dist.value)
-    if isinstance(dist, Uniform):
-        if not tables["uniform"]:
-            return None
-        return _VecDist("uniform", dist.low, dist.high - dist.low)
-    if isinstance(dist, Exponential):
-        if tables["exp"] is None:
-            return None
-        return _VecDist("exp", dist.mean_value)
-    if isinstance(dist, Normal):
-        if tables["norm"] is None:
-            return None
-        return _VecDist("norm", dist.mu, dist.sigma)
-    if isinstance(dist, (Shifted, Scaled)):
-        inner = _classify(dist.base, tables)
-        if inner is None:
-            return None
-        op = ("+", dist.offset) if isinstance(dist, Shifted) else ("*", dist.factor)
-        if isinstance(inner, _ConstDist):
-            v = inner.value + op[1] if op[0] == "+" else inner.value * op[1]
-            return _ConstDist(v)
-        return _VecDist(inner.family, inner.p1, inner.p2, inner.ops + (op,))
-    return None
-
-
-def _eval_dist(d: _VecDist, u: np.ndarray, tables: dict):
-    """Evaluate a vectorized distribution on raw uint64 draws.
-
-    Returns ``(values, accept)`` — ``accept`` is None when every lane
-    is exact (no rejection step possible, e.g. uniform).
-    """
-    if d.family == "uniform":
-        v = (u >> _U64(11)).astype(np.float64) * _TO_DOUBLE
-        v = d.p1 + d.p2 * v
-        acc = None
-    elif d.family == "exp":
-        we, ke = tables["exp"]
-        ri = u >> _U64(3)
-        idx = (ri & _U64(0xFF)).astype(np.intp)
-        pay = ri >> _U64(8)
-        v = pay.astype(np.float64) * we[idx]
-        acc = pay < ke[idx]
-        v = d.p1 * v
-    else:  # "norm"
-        wi, ki = tables["norm"]
-        idx = (u & _U64(0xFF)).astype(np.intp)
-        r = u >> _U64(8)
-        sign = (r & _U64(1)) != 0
-        rabs = (r >> _U64(1)) & _U64(0x000FFFFFFFFFFFFF)
-        v = rabs.astype(np.float64) * wi[idx]
-        v = np.where(sign, -v, v)
-        acc = rabs < ki[idx]
-        v = d.p1 + d.p2 * v
-    for op, c in d.ops:
-        v = v + c if op == "+" else v * c
-    return v, acc
-
-
-# ---------------------------------------------------------------------------
-# Draw programs (per-edge sampling recipes)
-# ---------------------------------------------------------------------------
-
-
-def _edge_program(sig: MachineSignature, delta: DeltaSpec, weight: float, classify):
-    """The ordered primitive-draw recipe replaying ``spec.sample`` for one
-    edge: a list of ``(dist, factor)`` steps (factor = nbytes for δ_t
-    terms), or None when any step's family is unsupported."""
-    kind = delta.kind
-    os_d = classify(sig.os_noise_for(delta.rank))
-    lat = classify(sig.latency_for(delta.src, delta.dst))
-    pb = classify(sig.per_byte)
-    steps: list | None
-    if kind == DeltaKind.OS:
-        if sig.os_draws(weight) != 1:
-            return None  # interval-scaled multi-draw: scalar fallback
-        steps = [(os_d, 1.0)]
-    elif kind == DeltaKind.LATENCY:
-        steps = [(lat, 1.0)]
-    elif kind == DeltaKind.TRANSFER:
-        steps = [(lat, 1.0)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes)))
-    elif kind == DeltaKind.TRANSFER_OS:
-        steps = [(lat, 1.0)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes)))
-        steps.append((os_d, 1.0))
-    elif kind == DeltaKind.ROUNDTRIP:
-        lat_back = classify(sig.latency_for(delta.dst, delta.src))
-        steps = [(lat, 1.0)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes)))
-        steps.extend([(os_d, 1.0), (lat_back, 1.0)])
-    elif kind == DeltaKind.COLL_FANIN:
-        steps = []
-        for _ in range(delta.rounds):
-            steps.extend([(os_d, 1.0), (lat, 1.0)])
-            if delta.nbytes > 0:
-                steps.append((pb, float(delta.nbytes)))
-    else:  # pragma: no cover - exhaustive over sampled kinds
-        return None
-    if any(d is None for d, _ in steps):
-        return None
-    return steps
-
-
-class _Group:
-    """Edges sharing one program shape, sampled lane-parallel.
-
-    ``lanes`` indexes the supported-lane axis (for stream keys);
-    ``edge_ids`` the global edge axis (for uid/weight/fallback lookups);
-    ``out_cols`` the sampler's output column axis.  Steps are
-    ``("const", contrib_row)`` — no stream consumption — or
-    ``("draw", _VecDist, factor_row | None)``.
-    """
-
-    __slots__ = ("lanes", "edge_ids", "out_cols", "steps")
-
-    def __init__(self, lanes, edge_ids, out_cols, steps):
-        self.lanes = lanes
-        self.edge_ids = edge_ids
-        self.out_cols = out_cols
-        self.steps = steps
-
-
-def _stream_key_arrays(seeds_u64, kind_u64, uid_mat, uid_len):
-    """Per-(replicate, lane) PCG64 state arrays, shape (R, n_lanes).
-
-    Replays ``PerturbationSpec``'s ``(seed, kind, *uid)`` splitmix
-    chain for every lane of a uid-column block at once.
-    """
-    h0 = _splitmix64_vec(_U64(_FNV_SEED) ^ seeds_u64)
-    h = np.bitwise_xor(h0[:, None], kind_u64[None, :])
-    t = np.empty_like(h)
-    _splitmix64_into(h, t)
-    for j in range(uid_mat.shape[1]):
-        cols = uid_len > j
-        if not np.any(cols):
-            break
-        if cols.all():
-            h ^= uid_mat[None, :, j]
-            _splitmix64_into(h, t)
-        else:
-            h[:, cols] = _splitmix64_vec(h[:, cols] ^ uid_mat[cols, j][None, :])
-    k = h
-    s1 = _splitmix64_into(k.copy(), t)
-    s2 = _splitmix64_into(s1.copy(), t)
-    s3 = _splitmix64_into(s2.copy(), t)
-    inc_hi = (s2 << _U64(1)) | (s3 >> _U64(63))
-    inc_lo = (s3 << _U64(1)) | _U64(1)
-    return k, s1, inc_hi, inc_lo
-
-
-class _BoundSampler:
-    """A CompiledPlan's sampler bound to one machine signature.
-
-    With ``edge_ids=None`` it covers the full edge axis (output width
-    ``n_edges``); with an explicit edge-id subset its output columns
-    follow that subset's order (the coarse engine samples the static
-    region this way).
-    """
-
-    def __init__(
-        self,
-        plan: "CompiledPlan",
-        signature: MachineSignature,
-        edge_ids: np.ndarray | None = None,
-    ):
-        self.plan = plan
-        self.signature = signature
-        self.tables = _get_tables()
-        cache: dict = {}
-
-        def classify(dist):
-            key = id(dist)
-            if key not in cache:
-                cache[key] = _classify_cached(dist, self.tables)
-            return cache[key]
-
-        if edge_ids is None:
-            self.out_width = plan.n_edges
-            cand = plan.sampled_ids
-            cand_cols = plan.sampled_ids
-        else:
-            edge_ids = np.asarray(edge_ids, dtype=np.int64)
-            self.out_width = len(edge_ids)
-            mask = plan.edge_kind[edge_ids] != int(DeltaKind.NONE)
-            cand = edge_ids[mask]
-            cand_cols = np.nonzero(mask)[0]
-
-        sup_lanes: list[int] = []  # edge ids with a vectorizable program
-        sup_cols: list[int] = []
-        programs: list = []
-        unsup: list[int] = []
-        unsup_cols: list[int] = []
-        for eid, col in zip(cand.tolist(), cand_cols.tolist()):
-            delta = plan.deltas[eid]
-            if not delta.uid:
-                # scalar engine raises for uid-less sampled edges; defer
-                # to it so the error (and message) is identical.
-                unsup.append(eid)
-                unsup_cols.append(col)
-                continue
-            prog = _edge_program(signature, delta, plan.edge_weight[eid], classify)
-            if prog is None:
-                unsup.append(eid)
-                unsup_cols.append(col)
-            else:
-                sup_lanes.append(eid)
-                sup_cols.append(col)
-                programs.append(prog)
-        self.unsup_ids = np.array(unsup, dtype=np.int64)
-        self.unsup_cols = np.array(unsup_cols, dtype=np.int64)
-        self.lane_edge_ids = np.array(sup_lanes, dtype=np.int64)
-        lane_cols = np.array(sup_cols, dtype=np.int64)
-        n_sup = len(sup_lanes)
-        self.kind_u64 = plan.uid_kind[self.lane_edge_ids] if n_sup else np.empty(0, _U64)
-        self.uid_mat = plan.uid_mat[self.lane_edge_ids] if n_sup else np.empty((0, 0), _U64)
-        self.uid_len = plan.uid_len[self.lane_edge_ids] if n_sup else np.empty(0, np.int64)
-
-        # Group lanes by program shape (the dist sequence; factors vary).
-        by_shape: dict[tuple, list[int]] = {}
-        for lane, prog in enumerate(programs):
-            by_shape.setdefault(tuple(d for d, _ in prog), []).append(lane)
-        self.groups: list[_Group] = []
-        for shape, lanes in by_shape.items():
-            lanes_arr = np.array(lanes, dtype=np.int64)
-            steps = []
-            for j, dist in enumerate(shape):
-                factors = np.array([programs[i][j][1] for i in lanes], dtype=np.float64)
-                if isinstance(dist, _ConstDist):
-                    steps.append(("const", max(dist.value, 0.0) * factors))
-                else:
-                    fac = None if np.all(factors == 1.0) else factors
-                    steps.append(("draw", dist, fac))
-            self.groups.append(
-                _Group(
-                    lanes_arr,
-                    self.lane_edge_ids[lanes_arr],
-                    lane_cols[lanes_arr],
-                    steps,
-                )
-            )
-
-    # -- sampling ---------------------------------------------------------------
-    def _stream_keys(self, seeds_u64: np.ndarray):
-        """Per-(replicate, lane) PCG64 state arrays, shape (R, n_sup)."""
-        return _stream_key_arrays(seeds_u64, self.kind_u64, self.uid_mat, self.uid_len)
-
-    def sample_raw(self, seeds: list[int], scale: float) -> np.ndarray:
-        """(R, out_width) matrix of per-edge deltas, row r drawn exactly
-        as ``PerturbationSpec(signature, seed=seeds[r], scale=scale)``
-        would for each covered edge."""
-        plan = self.plan
-        R = len(seeds)
-        raw = np.zeros((R, self.out_width), dtype=np.float64)
-        fallback = 0
-        if len(self.lane_edge_ids):
-            seeds_u64 = np.array([s & _MASK64 for s in seeds], dtype=_U64)
-            k, s1, inc_hi, inc_lo = self._stream_keys(seeds_u64)
-            bad_cols: list[np.ndarray] = []  # per-group (R, n_g) reject masks
-            for g in self.groups:
-                hi = k[:, g.lanes]
-                lo = s1[:, g.lanes]
-                ihi = inc_hi[:, g.lanes]
-                ilo = inc_lo[:, g.lanes]
-                V = np.zeros((R, len(g.lanes)), dtype=np.float64)
-                ok = np.ones((R, len(g.lanes)), dtype=bool)
-                for step in g.steps:
-                    if step[0] == "const":
-                        V += step[1]
-                        continue
-                    _, dist, fac = step
-                    hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)
-                    v, acc = _eval_dist(dist, u, self.tables)
-                    np.maximum(v, 0.0, out=v)
-                    if fac is not None:
-                        v *= fac
-                    V += v
-                    if acc is not None:
-                        ok &= acc
-                raw[:, g.out_cols] = V * scale
-                bad_cols.append(~ok)
-            # Exact per-lane fallback: any replicate/edge whose draw chain
-            # left the verified fast path is resampled by the scalar spec.
-            for g, bad in zip(self.groups, bad_cols):
-                if not bad.any():
-                    continue
-                rows, cols = np.nonzero(bad)
-                fallback += len(rows)
-                spec = None
-                last_row = -1
-                for r, c in zip(rows, cols):
-                    if r != last_row:
-                        spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
-                        last_row = r
-                    eid = int(g.edge_ids[c])
-                    raw[r, int(g.out_cols[c])] = spec.sample(
-                        plan.deltas[eid], plan.edge_weight[eid]
-                    )
-        if len(self.unsup_ids):
-            fallback += R * len(self.unsup_ids)
-            for r in range(R):
-                spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
-                for eid, col in zip(self.unsup_ids.tolist(), self.unsup_cols.tolist()):
-                    raw[r, col] = spec.sample(plan.deltas[eid], plan.edge_weight[eid])
-        obs.span_add("compiled.lanes", R * self.out_width)
-        if fallback:
-            obs.span_add("compiled.fallback_lanes", fallback)
-        return raw
-
-
-class _TemplateSampler:
-    """Shared per-template draw programs, sampled per instance chunk.
-
-    Phase congruence guarantees every templated instance's edge at
-    template position ``q`` has the same delta kind / endpoints /
-    nbytes / rounds — hence the same draw program — while uids (and so
-    PCG streams) differ per repetition.  Programs therefore classify
-    **once** from the reference instance; sampling gathers each
-    instance chunk's per-edge uid rows and runs the shared program over
-    one ``(R, n_inst * n_lanes)`` lane block, reproducing the scalar
-    draws bit-for-bit via exactly the machinery of
-    :class:`_BoundSampler`.
-
-    Only valid when programs are weight-independent, i.e.
-    ``signature.os_quantum <= 0`` (the caller gates on this).
-    """
-
-    def __init__(self, plan: "CompiledPlan", signature: MachineSignature, ir):
-        self.plan = plan
-        self.signature = signature
-        self.ir = ir
-        self.tables = _get_tables()
-        cache: dict = {}
-
-        def classify(dist):
-            key = id(dist)
-            if key not in cache:
-                cache[key] = _classify_cached(dist, self.tables)
-            return cache[key]
-
-        ref = ir.run_edge_ids[-1]
-        kinds = plan.edge_kind[ref]
-        none_code = int(DeltaKind.NONE)
-        # Any uid-less sampled edge anywhere in the run: bail to the
-        # flat sampler wholesale so its error surface is identical.
-        sampled_cols = kinds != none_code
-        self.ok = not (
-            sampled_cols.any()
-            and np.any(plan.uid_len[ir.run_edge_ids[:, sampled_cols]] == 0)
-        )
-        sup: list[tuple[int, list]] = []
-        unsup_pos: list[int] = []
-        if self.ok:
-            for q in range(ir.n_te):
-                if kinds[q] == none_code:
-                    continue  # unsampled: raw stays 0 for every instance
-                eid = int(ref[q])
-                prog = _edge_program(
-                    signature, plan.deltas[eid], plan.edge_weight[eid], classify
-                )
-                if prog is None:
-                    unsup_pos.append(q)
-                else:
-                    sup.append((q, prog))
-        by_shape: dict[tuple, list[tuple[int, list]]] = {}
-        for q, prog in sup:
-            by_shape.setdefault(tuple(d for d, _ in prog), []).append((q, prog))
-        self.groups: list[tuple[np.ndarray, list]] = []
-        for shape, members in by_shape.items():
-            tpos = np.array([q for q, _ in members], dtype=np.int64)
-            steps: list = []
-            for j, dist in enumerate(shape):
-                factors = np.array([m[1][j][1] for m in members], dtype=np.float64)
-                if isinstance(dist, _ConstDist):
-                    steps.append(("const", max(dist.value, 0.0) * factors))
-                else:
-                    fac = None if np.all(factors == 1.0) else factors
-                    steps.append(("draw", dist, fac))
-            self.groups.append((tpos, steps))
-        self.unsup_pos = np.array(unsup_pos, dtype=np.int64)
-
-    def sample(self, seeds: list[int], scale: float, j0: int, j1: int) -> np.ndarray:
-        """(R, (j1-j0) * n_te) sampled deltas for templated instances
-        ``[j0, j1)``, instance-major, bit-identical per edge to the
-        scalar ``PerturbationSpec.sample``."""
-        plan, ir = self.plan, self.ir
-        rows = ir.run_edge_ids[j0:j1]
-        ni = j1 - j0
-        n_te = ir.n_te
-        R = len(seeds)
-        raw = np.zeros((R, ni * n_te), dtype=np.float64)
-        seeds_u64 = np.array([s & _MASK64 for s in seeds], dtype=_U64)
-        fallback = 0
-        for tpos, steps in self.groups:
-            gids = rows[:, tpos].reshape(-1)  # instance-major lane order
-            k, s1, inc_hi, inc_lo = _stream_key_arrays(
-                seeds_u64, plan.uid_kind[gids], plan.uid_mat[gids], plan.uid_len[gids]
-            )
-            hi, lo, ihi, ilo = k, s1, inc_hi, inc_lo
-            n_lane = ni * len(tpos)
-            V = np.zeros((R, n_lane), dtype=np.float64)
-            ok = np.ones((R, n_lane), dtype=bool)
-            for step in steps:
-                if step[0] == "const":
-                    V += np.tile(step[1], ni)
-                    continue
-                _, dist, fac = step
-                hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)
-                v, acc = _eval_dist(dist, u, self.tables)
-                np.maximum(v, 0.0, out=v)
-                if fac is not None:
-                    v *= np.tile(fac, ni)
-                V += v
-                if acc is not None:
-                    ok &= acc
-            cols = (
-                np.arange(ni, dtype=np.int64)[:, None] * n_te + tpos[None, :]
-            ).reshape(-1)
-            raw[:, cols] = V * scale
-            if not ok.all():
-                bad_r, bad_l = np.nonzero(~ok)
-                fallback += len(bad_r)
-                spec = None
-                last_row = -1
-                for r, c in zip(bad_r.tolist(), bad_l.tolist()):
-                    if r != last_row:
-                        spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
-                        last_row = r
-                    eid = int(gids[c])
-                    raw[r, int(cols[c])] = spec.sample(
-                        plan.deltas[eid], plan.edge_weight[eid]
-                    )
-        if len(self.unsup_pos):
-            fallback += R * ni * len(self.unsup_pos)
-            unsup = self.unsup_pos.tolist()
-            for r in range(R):
-                spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
-                for j in range(ni):
-                    for q in unsup:
-                        eid = int(rows[j, q])
-                        raw[r, j * n_te + q] = spec.sample(
-                            plan.deltas[eid], plan.edge_weight[eid]
-                        )
-        obs.span_add("compiled.lanes", R * ni * n_te)
-        if fallback:
-            obs.span_add("compiled.fallback_lanes", fallback)
-        return raw
-
 
 # ---------------------------------------------------------------------------
 # The compiled plan
@@ -1204,9 +255,7 @@ class CompiledPlan:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        global _TABLES
-        if _TABLES is None and state.get("_tables") is not None:
-            _TABLES = state["_tables"]  # workers skip re-harvesting
+        _adopt_tables(state.get("_tables"))  # workers skip re-harvesting
 
     # -- sampling ---------------------------------------------------------------
     def bind(self, signature: MachineSignature) -> _BoundSampler:

@@ -1,0 +1,1053 @@
+"""Vectorized edge-delta sampler: bit-exact lane-parallel ``PerturbationSpec``.
+
+A :class:`~repro.core.compiled.CompiledPlan` samples every sampled edge
+of every replicate at once.  Each (replicate, edge) pair is a *lane*;
+this module replays, for all lanes together, exactly the draws
+:meth:`PerturbationSpec.sample` makes for that edge:
+
+* numpy-native splitmix64 over the plan's uid columns rebuilds each
+  edge's ``(seed, kind, *uid)`` stream key;
+* a vectorized PCG64 (XSL-RR 128/64) on uint64 limbs advances one
+  independent stream per lane (verified against
+  ``BitGenerator.random_raw`` at runtime);
+* each edge's *draw program* — the ordered distribution draws its
+  delta kind makes (latency, per-byte transfer, OS noise, collective
+  fan-in rounds) — is evaluated by one group evaluator,
+  :func:`_eval_group`, shared by the flat and the template sampler.
+
+Exactness strategy
+------------------
+
+The ziggurat layer tables numpy uses for ``standard_exponential`` /
+``standard_normal`` are not exported, so they are *harvested* at
+runtime: the PCG64 LCG is invertible, so for any desired 64-bit output
+we can construct the predecessor state, feed it to a real
+``Generator``, and observe the returned value and the number of raw
+draws consumed.  256 probes plus a binary search per layer recover
+``(w[idx], k[idx])`` exactly (cached on disk, re-verified on load).
+
+The verified family registry (:func:`_classify`):
+
+* Constant (no draw), Uniform (``(u >> 11) * 2**-53``), Exponential
+  and Normal (ziggurat fast path), and any Shifted/Scaled chain of
+  them;
+* Empirical, the measured signatures of §5.  Bootstrap draws are
+  numpy's Lemire bounded integer on the PCG64 *uint32* stream:
+  ``index = (x * n) >> 32``, rejected when the low 32 bits of
+  ``x * n`` fall below ``(2**32 - n) % n``.  PCG64 buffers the high
+  half of a 64-bit output for the next uint32 request, and 64-bit
+  families never touch that buffer; every edge's stream starts with it
+  empty, so whether a bootstrap draw takes the low half of a fresh
+  output or the buffered high half depends only on its position in the
+  program.  Interpolated draws are ``np.quantile`` of the sorted
+  samples at a uniform double; a single-sample Empirical draws nothing.
+
+Interval-scaled OS edges (``os_quantum > 0``) take ``k`` draws and sum
+the zero-clamped values with ``np.sum``, which adds left to right below
+8 terms and pairwise from 8; programs replay ``k <= 7`` draws exactly.
+
+Lanes whose draw leaves the fast path (ziggurat rejection/tail, a
+rejected Lemire draw), edges whose program needs an unsupported family
+or ``k >= 8`` draws, and uid-less edges fall back to the scalar
+``PerturbationSpec`` for just that (edge, replicate) lane, so results
+are unconditionally identical to :func:`propagate` for *any*
+signature.  Every fast path is self-checked at runtime against scalar
+draws through the same evaluator; a check that fails disables only its
+own family or feature — slower, never wrong.  The ``compiled.lanes`` /
+``compiled.fallback_lanes`` counters report how many lanes took which
+path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import json
+import os
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from repro import obs
+from repro._util import atomic_write_text
+from repro.core.graph import DeltaKind, DeltaSpec
+from repro.core.perturb import PerturbationSpec
+from repro.noise.distributions import Constant, Exponential, Normal, Scaled, Shifted, Uniform
+from repro.noise.empirical import Empirical
+from repro.noise.signature import MachineSignature
+
+_U64 = np.uint64
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_M32 = _U64(0xFFFFFFFF)
+_FNV_SEED = 0x811C9DC5
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # 2^-53
+# np.sum adds fewer than 8 float64 terms left to right (pairwise from 8).
+_MAX_OS_DRAWS = 7
+
+# PCG64 (XSL-RR 128/64) multiplier, split into 64-bit halves for the
+# two-limb vectorized LCG step.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = _U64(_PCG_MULT >> 64)
+_PCG_MULT_LO = _U64(_PCG_MULT & _MASK64)
+_PCG_ML_HI = _U64(int(_PCG_MULT_LO) >> 32)
+_PCG_ML_LO = _U64(int(_PCG_MULT_LO) & 0xFFFFFFFF)
+_MASK128 = (1 << 128) - 1
+_PCG_INV_MULT = pow(_PCG_MULT, -1, 1 << 128)  # LCG step inverse (harvesting)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized splitmix64 / _mix (must match repro.core.perturb exactly)
+# ---------------------------------------------------------------------------
+
+
+def _splitmix64_into(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """In-place splitmix64 finalizer: mutates uint64 ``x`` (returning it),
+    with ``t`` as same-shape scratch.  The hot key-derivation loops call
+    this to avoid reallocating multi-MB temporaries per round."""
+    x += _U64(0x9E3779B97F4A7C15)
+    np.right_shift(x, _U64(30), out=t)
+    x ^= t
+    x *= _U64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, _U64(27), out=t)
+    x ^= t
+    x *= _U64(0x94D049BB133111EB)
+    np.right_shift(x, _U64(31), out=t)
+    x ^= t
+    return x
+
+
+def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`repro.core.perturb._splitmix64` over uint64 arrays."""
+    x = x.astype(_U64, copy=True)
+    return _splitmix64_into(x, np.empty_like(x))
+
+
+def _mix_vec(columns: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`repro.core.perturb._mix` over the rows of a padded
+    uint64 matrix (``lengths[i]`` = how many leading columns row i uses)."""
+    n, width = columns.shape
+    h = np.full(n, _U64(_FNV_SEED), dtype=_U64)
+    for j in range(width):
+        if lengths is None:
+            h = _splitmix64_vec(h ^ columns[:, j])
+        else:
+            m = lengths > j
+            h[m] = _splitmix64_vec(h[m] ^ columns[m, j])
+    return h
+
+
+def _stream_key_arrays(seeds_u64, kind_u64, uid_mat, uid_len):
+    """Per-(replicate, lane) PCG64 state arrays ``(hi, lo, inc_hi,
+    inc_lo)``, shape (R, n_lanes).
+
+    Replays ``PerturbationSpec``'s ``(seed, kind, *uid)`` splitmix
+    chain for every lane of a uid-column block at once.
+    """
+    h0 = _splitmix64_vec(_U64(_FNV_SEED) ^ seeds_u64)
+    h = np.bitwise_xor(h0[:, None], kind_u64[None, :])
+    t = np.empty_like(h)
+    _splitmix64_into(h, t)
+    for j in range(uid_mat.shape[1]):
+        cols = uid_len > j
+        if not np.any(cols):
+            break
+        if cols.all():
+            h ^= uid_mat[None, :, j]
+            _splitmix64_into(h, t)
+        else:
+            h[:, cols] = _splitmix64_vec(h[:, cols] ^ uid_mat[cols, j][None, :])
+    k = h
+    s1 = _splitmix64_into(k.copy(), t)
+    s2 = _splitmix64_into(s1.copy(), t)
+    s3 = _splitmix64_into(s2.copy(), t)
+    inc_hi = (s2 << _U64(1)) | (s3 >> _U64(63))
+    inc_lo = (s3 << _U64(1)) | _U64(1)
+    return k, s1, inc_hi, inc_lo
+
+
+# ---------------------------------------------------------------------------
+# Vectorized PCG64 (XSL-RR 128/64)
+# ---------------------------------------------------------------------------
+
+
+def _pcg_next64(hi, lo, inc_hi, inc_lo):
+    """One LCG step + XSL-RR output.  Returns ``(hi', lo', out)``.
+
+    The 128-bit product is accumulated from 32-bit limbs with in-place
+    uint64 ops — unsigned addition is commutative and wrap-exact, so
+    the result is the exact 128-bit LCG step while allocating few
+    (R, n_lane) temporaries.
+    """
+    s32 = _U64(32)
+    al = lo & _M32
+    ah = lo >> s32
+    t = al * _PCG_ML_LO
+    t >>= s32
+    t += ah * _PCG_ML_LO
+    w1 = t & _M32
+    w1 += al * _PCG_ML_HI
+    t >>= s32
+    w1 >>= s32
+    t += w1
+    t += ah * _PCG_ML_HI
+    t += hi * _PCG_MULT_LO
+    t += lo * _PCG_MULT_HI
+    nlo = lo * _PCG_MULT_LO
+    lo2 = nlo + inc_lo
+    t += inc_hi
+    np.add(t, lo2 < nlo, out=t, casting="unsafe")
+    hi2 = t
+    rot = hi2 >> _U64(58)
+    x = hi2 ^ lo2
+    out = x >> rot
+    np.subtract(_U64(64), rot, out=rot)
+    rot &= _U64(63)
+    x <<= rot
+    out |= x
+    return hi2, lo2, out
+
+
+# ---------------------------------------------------------------------------
+# Distribution registry (vectorizable families)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ConstDist:
+    """0-draw distribution: always ``value`` (after combinator folding)."""
+
+    value: float
+
+
+@dataclass(frozen=True)
+class _VecDist:
+    """1-draw distribution with a verified vectorized fast path.
+
+    ``family`` ∈ {"uniform", "exp", "norm", "emp", "emp_interp"};
+    ``ops`` is the ordered Shifted/Scaled combinator chain applied
+    after the family transform.  The Empirical families carry their
+    sorted sample ``table`` and key it by ``tid`` (its ``id``, kept
+    unique by the reference held here), so grouping lanes hashes an int
+    rather than the samples.  For "emp", ``p1`` is the sample count and
+    ``p2`` the Lemire rejection threshold.
+    """
+
+    family: str
+    p1: float
+    p2: float = 0.0
+    ops: tuple = ()
+    table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    tid: int = 0
+
+    @property
+    def u32(self) -> bool:
+        """Draws from PCG64's uint32 stream (else one 64-bit output)."""
+        return self.family == "emp"
+
+
+_CLASSIFY_CACHE: dict = {}
+_CLASSIFY_CACHE_MAX = 4096
+
+
+def _dist_key(dist):
+    """Hashable identity of a distribution over the verified registry,
+    or None for families we cannot key (classified fresh each time)."""
+    if isinstance(dist, Constant):
+        return ("const", dist.value)
+    if isinstance(dist, Uniform):
+        return ("uniform", dist.low, dist.high)
+    if isinstance(dist, Exponential):
+        return ("exp", dist.mean_value)
+    if isinstance(dist, Normal):
+        return ("norm", dist.mu, dist.sigma)
+    if isinstance(dist, Empirical):
+        return ("emp", dist.interpolate, dist.samples)
+    if isinstance(dist, Shifted):
+        inner = _dist_key(dist.base)
+        return None if inner is None else ("shift", dist.offset, inner)
+    if isinstance(dist, Scaled):
+        inner = _dist_key(dist.base)
+        return None if inner is None else ("scale", dist.factor, inner)
+    return None
+
+
+def _enabled(tables: dict) -> tuple:
+    """Which verified families ``tables`` enables (classification key)."""
+    return (
+        tables["uniform"],
+        tables["exp"] is not None,
+        tables["norm"] is not None,
+        tables["emp"],
+        tables["emp_interp"],
+    )
+
+
+def _classify_cached(dist, tables: dict):
+    """Module-level memoized :func:`_classify`, keyed by distribution
+    *value* plus which families are enabled — so sweeps binding many
+    signatures classify each distinct distribution once per process
+    instead of once per bind, and equal Empirical samples share one
+    table id."""
+    if not tables["pcg"]:
+        return None
+    key = _dist_key(dist)
+    if key is None:
+        return _classify(dist, tables)
+    full_key = (key, _enabled(tables))
+    try:
+        return _CLASSIFY_CACHE[full_key]
+    except KeyError:
+        if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_MAX:
+            _CLASSIFY_CACHE.clear()
+        val = _classify(dist, tables)
+        _CLASSIFY_CACHE[full_key] = val
+        return val
+
+
+def _classify(dist, tables: dict):
+    """Map a RandomVariable to its vectorized form, or None (unsupported)."""
+    if isinstance(dist, Constant):
+        return _ConstDist(dist.value)
+    if isinstance(dist, Uniform):
+        if not tables["uniform"]:
+            return None
+        return _VecDist("uniform", dist.low, dist.high - dist.low)
+    if isinstance(dist, Exponential):
+        if tables["exp"] is None:
+            return None
+        return _VecDist("exp", dist.mean_value)
+    if isinstance(dist, Normal):
+        if tables["norm"] is None:
+            return None
+        return _VecDist("norm", dist.mu, dist.sigma)
+    if isinstance(dist, Empirical):
+        arr = dist.array
+        n = arr.size
+        if n == 1:  # numpy draws nothing for a one-value range
+            return _ConstDist(float(arr[0]))
+        if dist.interpolate:
+            if not tables["emp_interp"]:
+                return None
+            return _VecDist("emp_interp", n, table=arr, tid=id(arr))
+        if not tables["emp"] or n >= 1 << 32:
+            return None
+        return _VecDist("emp", n, ((1 << 32) - n) % n, table=arr, tid=id(arr))
+    if isinstance(dist, (Shifted, Scaled)):
+        inner = _classify(dist.base, tables)
+        if inner is None:
+            return None
+        op = ("+", dist.offset) if isinstance(dist, Shifted) else ("*", dist.factor)
+        if isinstance(inner, _ConstDist):
+            v = inner.value + op[1] if op[0] == "+" else inner.value * op[1]
+            return _ConstDist(v)
+        return dataclasses.replace(inner, ops=inner.ops + (op,))
+    return None
+
+
+def _eval_dist(d: _VecDist, u: np.ndarray, tables: dict):
+    """Evaluate a vectorized distribution on raw draws.
+
+    ``u`` holds uint64 outputs, or uint32 values (as uint64) for the
+    uint32-stream family.  Returns ``(values, accept)`` — ``accept`` is
+    None when every lane is exact (no rejection step possible).
+    """
+    acc = None
+    if d.family == "uniform":
+        v = (u >> _U64(11)).astype(np.float64) * _TO_DOUBLE
+        v = d.p1 + d.p2 * v
+    elif d.family == "exp":
+        we, ke = tables["exp"]
+        ri = u >> _U64(3)
+        idx = (ri & _U64(0xFF)).astype(np.intp)
+        pay = ri >> _U64(8)
+        v = pay.astype(np.float64) * we[idx]
+        acc = pay < ke[idx]
+        v = d.p1 * v
+    elif d.family == "norm":
+        wi, ki = tables["norm"]
+        idx = (u & _U64(0xFF)).astype(np.intp)
+        r = u >> _U64(8)
+        sign = (r & _U64(1)) != 0
+        rabs = (r >> _U64(1)) & _U64(0x000FFFFFFFFFFFFF)
+        v = rabs.astype(np.float64) * wi[idx]
+        v = np.where(sign, -v, v)
+        acc = rabs < ki[idx]
+        v = d.p1 + d.p2 * v
+    elif d.family == "emp":  # Lemire bounded draw on a uint32
+        m = u * _U64(d.p1)
+        v = d.table[(m >> _U64(32)).astype(np.intp)]
+        if d.p2:
+            acc = (m & _M32) >= _U64(d.p2)
+    else:  # "emp_interp": uniform(0, 1) double, then the sample quantile
+        v = np.quantile(d.table, (u >> _U64(11)).astype(np.float64) * _TO_DOUBLE)
+    for op, c in d.ops:
+        v = v + c if op == "+" else v * c
+    return v, acc
+
+
+def _eval_group(steps, keys, tables: dict, tile: int = 1):
+    """Replay one group's draw program lane-parallel.
+
+    ``keys`` are the lanes' initial stream states ``(hi, lo, inc_hi,
+    inc_lo)``, shape (R, n_lane).  ``steps`` are ``("const", row)`` —
+    no stream consumption — or ``("draw", _VecDist, factor_row | None,
+    k)``: ``k`` zero-clamped draws summed left to right (interval-scaled
+    OS edges), else one clamped draw times its factor (nbytes for δ_t
+    terms).  Per-lane rows repeat ``tile`` times along the lane axis
+    (template instances).  Returns ``(V, ok)``: the unscaled deltas,
+    accumulated in ``PerturbationSpec.sample``'s order, and the lanes
+    whose every draw took its fast path (None = all of them).
+    """
+    hi, lo, ihi, ilo = keys
+    V = np.zeros(hi.shape, dtype=np.float64)
+    ok = None
+    buf = None  # the buffered high half while PCG64's uint32 buffer is full
+    for step in steps:
+        if step[0] == "const":
+            V += np.tile(step[1], tile)
+            continue
+        _, dist, fac, k = step
+        total = V if k == 1 else np.zeros_like(V)
+        for _ in range(k):
+            if dist.u32 and buf is not None:
+                u, buf = buf, None
+            else:
+                hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)
+                if dist.u32:
+                    buf = u >> _U64(32)
+                    u &= _M32
+            v, acc = _eval_dist(dist, u, tables)
+            np.maximum(v, 0.0, out=v)
+            if fac is not None:
+                v *= np.tile(fac, tile)
+            total += v
+            if acc is not None:
+                ok = acc if ok is None else ok & acc
+        if k != 1:
+            V += total
+    return V, ok
+
+
+# ---------------------------------------------------------------------------
+# Runtime ziggurat-table harvesting + backend self-check
+# ---------------------------------------------------------------------------
+
+_TABLES: dict | None = None
+_TABLE_KEYS = ("pcg", "uniform", "exp", "norm", "emp", "emp_interp", "multi")
+
+
+def _spec_state(k: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """(state, inc) exactly as ``PerturbationSpec._rng`` would install them."""
+    inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
+    return (k << 64) | s1, inc
+
+
+class _Prober:
+    """Drives a real ``Generator`` from constructed PCG64 states."""
+
+    def __init__(self) -> None:
+        self.bg = np.random.PCG64(0)
+        self.template = self.bg.state
+        self.gen = np.random.Generator(self.bg)
+
+    def set_state(self, state128: int, inc128: int) -> None:
+        st = dict(self.template)
+        st["state"] = {"state": state128, "inc": inc128}
+        st["has_uint32"] = 0
+        st["uinteger"] = 0
+        self.bg.state = st
+
+    def probe(self, u0: int, draw, maxn: int = 4) -> tuple[float, int]:
+        """Make the next raw output exactly ``u0`` (via the LCG inverse),
+        call ``draw()``, and count how many raw draws it consumed."""
+        s_pre = ((u0 - 1) * _PCG_INV_MULT) & _MASK128  # post-step (hi=0, lo=u0)
+        self.set_state(s_pre, 1)
+        value = draw()
+        after = self.bg.state["state"]["state"]
+        s = s_pre
+        for n in range(1, maxn + 1):
+            s = (s * _PCG_MULT + 1) & _MASK128
+            if s == after:
+                return value, n
+        return value, -1
+
+
+def _harvest_layers(probe_fn, payload_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recover ``(w, k)`` ziggurat tables for one family.
+
+    ``probe_fn(idx, payload) -> (value, steps)``.  A 1-step probe is a
+    primary accept; a 2-step probe is the boundary branch, which still
+    returns ``payload * w[idx]`` exactly, so either yields ``w``.  The
+    binary search uses ``steps == 1`` as the accept signal (``k[idx]``
+    is the smallest rejected payload; a layer may accept its whole
+    payload range, flagged with the ``2**payload_bits`` sentinel).
+    """
+    w = np.empty(256, dtype=np.float64)
+    k = np.empty(256, dtype=np.uint64)
+    top = 1 << payload_bits
+    for idx in range(256):
+        v, n = probe_fn(idx, 1)
+        if n not in (1, 2):
+            raise RuntimeError(f"layer {idx}: probe consumed {n} draws")
+        w[idx] = v
+        _, n = probe_fn(idx, top - 1)
+        if n == 1:
+            k[idx] = top
+            continue
+        lo, hi = 0, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            _, n = probe_fn(idx, mid)
+            lo, hi = (mid, hi) if n == 1 else (lo, mid)
+        k[idx] = hi
+    return w, k
+
+
+def _random_streams(n: int, seed: int):
+    """``n`` spec-style stream keys (k, s1, s2, s3) for self-checks."""
+    rng = np.random.default_rng(seed)
+    return tuple(rng.integers(0, 1 << 64, size=n, dtype=_U64) for _ in range(4))
+
+
+def _stream_state_arrays(k, s1, s2, s3):
+    inc_hi = (s2 << _U64(1)) | (s3 >> _U64(63))
+    inc_lo = (s3 << _U64(1)) | _U64(1)
+    return k.copy(), s1.copy(), inc_hi, inc_lo
+
+
+def _check_family(prober: _Prober, keys, u0, vec_values, accept, scalar_draw) -> bool:
+    """Verify vectorized accepted-lane values against scalar draws."""
+    k, s1, s2, s3 = keys
+    idx = np.nonzero(accept)[0] if accept is not None else np.arange(len(u0))
+    if accept is not None and len(idx) < len(u0) // 2:
+        return False  # implausible accept rate: layout assumption broken
+    for i in idx:
+        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        if scalar_draw(prober.gen) != vec_values[i]:
+            return False
+    return True
+
+
+def _check_program(prober: _Prober, keys, tables: dict, program, lanes: int) -> bool:
+    """Verify the group evaluator on one draw program against scalar draws.
+
+    ``program`` is a list of ``(RandomVariable, k)`` steps; the first
+    ``lanes`` self-check streams are replayed through
+    :func:`_eval_group` under ``tables`` and every accepted lane must
+    equal the scalar value, summed the way ``PerturbationSpec.sample``
+    sums its terms.  An implausible accept rate fails the check too.
+    """
+    steps = []
+    for dist, k in program:
+        vd = _classify(dist, tables)
+        if not isinstance(vd, _VecDist):
+            return False
+        steps.append(("draw", vd, None, k))
+    k0, s1, s2, s3 = (a[:lanes] for a in keys)
+    state = tuple(a[None, :] for a in _stream_state_arrays(k0, s1, s2, s3))
+    V, ok = _eval_group(steps, state, tables)
+    idx = np.arange(lanes) if ok is None else np.nonzero(ok[0])[0]
+    if len(idx) < lanes // 2:
+        return False  # implausible accept rate: layout assumption broken
+    sigs = [MachineSignature(os_noise=dist, os_quantum=1.0) for dist, _ in program]
+    for i in idx.tolist():
+        prober.set_state(*_spec_state(int(k0[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        value = 0.0
+        for sig, (_, k) in zip(sigs, program):
+            value += sig.sample_os_interval(prober.gen, 0, float(k))
+        if value != V[0, i]:
+            return False
+    return True
+
+
+def _check_samples(seed: int, n: int, interpolate: bool = False) -> Empirical:
+    """A self-check Empirical: ``n`` distinct heavy-tailed samples."""
+    return Empirical(np.random.default_rng(seed).pareto(2.0, n) * 100.0, interpolate)
+
+
+def _check_bootstrap(prober: _Prober, keys, tables: dict) -> bool:
+    """Bootstrap Empirical draws, at sizes that are not powers of two:
+    a fresh output's low half, the buffered high half, and the buffer
+    surviving a 64-bit draw in between."""
+    trial = dict(tables, emp=True)
+    a, b = _check_samples(1, 1000), _check_samples(2, 3)
+    programs = [[(a, 1)], [(a, 1), (b, 1), (a, 1)]]
+    if tables["exp"] is not None:
+        programs.append([(a, 1), (Exponential(50.0), 1), (b, 1)])
+    return all(_check_program(prober, keys, trial, p, 64) for p in programs)
+
+
+def _check_interpolated(prober: _Prober, keys, tables: dict) -> bool:
+    """Interpolated Empirical draws: the quantile at a uniform double."""
+    trial = dict(tables, emp_interp=True)
+    return _check_program(prober, keys, trial, [(_check_samples(3, 1000, True), 1)], 32)
+
+
+def _check_multi_draw(prober: _Prober, keys, tables: dict) -> bool:
+    """Interval-scaled OS draws: ``k = 2..7`` clamped draws summed."""
+    dist = Exponential(50.0) if tables["exp"] is not None else Uniform(0.0, 50.0)
+    return all(
+        _check_program(prober, keys, tables, [(dist, k)], 32)
+        for k in range(2, _MAX_OS_DRAWS + 1)
+    )
+
+
+def _build_tables(candidates: dict | None = None) -> dict:
+    """Harvest + verify the vectorized sampling backend (once per process).
+
+    Returns ``{"pcg": bool, "uniform": bool, "exp": (we, ke) | None,
+    "norm": (wi, ki) | None, "emp": bool, "emp_interp": bool, "multi":
+    bool}``.  Any check that fails simply disables its family or
+    feature — affected lanes take the exact scalar fallback.
+
+    ``candidates`` optionally supplies previously-harvested ziggurat
+    tables (e.g. from the on-disk cache).  Candidates run through the
+    *same* scalar-draw verification as a fresh harvest, so a stale or
+    corrupted cache can never change results — it just falls through to
+    the runtime harvest.
+    """
+    out: dict = dict.fromkeys(_TABLE_KEYS, False)
+    out["exp"] = out["norm"] = None
+    prober = _Prober()
+    keys = _random_streams(512, 0xC0FFEE)
+    k, s1, s2, s3 = keys
+
+    # 1. Raw-stream check: vectorized LCG vs BitGenerator.random_raw.
+    hi, lo, ihi, ilo = _stream_state_arrays(k, s1, s2, s3)
+    hi, lo, u0 = _pcg_next64(hi, lo, ihi, ilo)
+    _, _, u1 = _pcg_next64(hi, lo, ihi, ilo)
+    for i in range(0, 512, 31):
+        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        raw = prober.bg.random_raw(2)
+        if int(raw[0]) != int(u0[i]) or int(raw[1]) != int(u1[i]):
+            return out
+    out["pcg"] = True
+
+    # 2. Uniform double: out = (u >> 11) * 2^-53.
+    d = (u0 >> _U64(11)).astype(np.float64) * _TO_DOUBLE
+    vals = -2.5 + 7.0 * d
+    out["uniform"] = _check_family(
+        prober, keys, u0, vals, None, lambda g: g.uniform(-2.5, 4.5)
+    )
+
+    # 3. Exponential ziggurat: idx = (u >> 3) & 0xFF, payload = u >> 11.
+    def check_exp(tables) -> bool:
+        v, acc = _eval_dist(_VecDist("exp", 1.0), u0, {"exp": tables})
+        return _check_family(prober, keys, u0, v, acc, lambda g: g.standard_exponential())
+
+    # 4. Normal ziggurat: idx = u & 0xFF, sign = bit 8, rabs = 52 bits above.
+    def check_norm(tables) -> bool:
+        v, acc = _eval_dist(_VecDist("norm", 0.0, 1.0), u0, {"norm": tables})
+        return _check_family(prober, keys, u0, v, acc, lambda g: g.standard_normal())
+
+    harvests = {
+        "exp": (check_exp, lambda idx, pay: prober.probe(
+            ((pay << 8) | idx) << 3, prober.gen.standard_exponential), 53),
+        "norm": (check_norm, lambda idx, rabs: prober.probe(
+            (rabs << 9) | idx, prober.gen.standard_normal), 52),
+    }
+    for fam, (check, probe_fn, payload_bits) in harvests.items():
+        cand = candidates.get(fam) if candidates else None
+        if cand is not None and check(cand):
+            out[fam] = cand
+            obs.add("compiled.tables_cache.hits")
+            continue
+        with contextlib.suppress(RuntimeError):  # layer harvest gives up on odd builds
+            tables = _harvest_layers(probe_fn, payload_bits=payload_bits)
+            if check(tables):
+                out[fam] = tables
+
+    # 5. Measured (§5 empirical) signatures and interval-scaled OS draws.
+    out["emp"] = _check_bootstrap(prober, keys, out)
+    out["emp_interp"] = _check_interpolated(prober, keys, out)
+    out["multi"] = _check_multi_draw(prober, keys, out)
+    return out
+
+
+# -- per-user on-disk table cache (skips the harvest in pool workers and
+# repeated CLI runs; contents are re-verified on every load) -----------------
+
+TABLES_CACHE_ENV = "REPRO_TABLES_CACHE"
+_TABLES_CACHE_SCHEMA = "repro-ziggurat-tables/1"
+
+
+def _tables_cache_path() -> Path | None:
+    """Cache file for this numpy version, or None when disabled.
+
+    ``REPRO_TABLES_CACHE`` overrides the directory; ``0`` / ``off`` /
+    ``none`` disables the cache entirely.  The filename embeds the
+    numpy version because the tables mirror numpy's private ziggurat
+    layout — an upgraded numpy harvests (and caches) afresh.
+    """
+    val = os.environ.get(TABLES_CACHE_ENV, "").strip()
+    if val.lower() in ("0", "off", "none", "disabled"):
+        return None
+    if val:
+        root = Path(val)
+    else:
+        base = os.environ.get("XDG_CACHE_HOME") or str(Path.home() / ".cache")
+        root = Path(base) / "repro"
+    return root / f"ziggurat-np{np.__version__}.json"
+
+
+def _load_table_candidates(path: Path) -> dict | None:
+    """Parse cached tables; None on any structural problem (then the
+    normal harvest runs — verification guards against value problems)."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, dict) or doc.get("schema") != _TABLES_CACHE_SCHEMA:
+        return None
+    out: dict = {}
+    for fam in ("exp", "norm"):
+        ent = doc.get(fam)
+        if ent is None:
+            out[fam] = None
+            continue
+        try:
+            w = np.asarray(ent["w"], dtype=np.float64)
+            kk = np.asarray(ent["k"], dtype=np.uint64)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return None
+        if w.shape != (256,) or kk.shape != (256,):
+            return None
+        out[fam] = (w, kk)
+    return out
+
+
+def _store_tables(path: Path, tables: dict) -> None:
+    doc: dict = {"schema": _TABLES_CACHE_SCHEMA, "numpy": np.__version__}
+    for fam in ("exp", "norm"):
+        ent = tables[fam]
+        doc[fam] = (
+            None
+            if ent is None
+            else {"w": ent[0].tolist(), "k": [int(x) for x in ent[1].tolist()]}
+        )
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+        obs.add("compiled.tables_cache.writes")
+    except OSError:  # unwritable cache dir: never fatal
+        pass
+
+
+def _tables_match_candidates(tables: dict, candidates: dict | None) -> bool:
+    if candidates is None:
+        return False
+    for fam in ("exp", "norm"):
+        t, c = tables[fam], candidates.get(fam)
+        if (t is None) != (c is None):
+            return False
+        if t is not None and not (
+            np.array_equal(t[0], c[0]) and np.array_equal(t[1], c[1])
+        ):
+            return False
+    return True
+
+
+def _get_tables() -> dict:
+    global _TABLES
+    if _TABLES is None:
+        path = _tables_cache_path()
+        candidates = None
+        if path is not None and path.exists():
+            candidates = _load_table_candidates(path)
+        with obs.span("compiled.harvest_tables", cached=candidates is not None):
+            _TABLES = _build_tables(candidates)
+        if (
+            path is not None
+            and (_TABLES["exp"] is not None or _TABLES["norm"] is not None)
+            and not _tables_match_candidates(_TABLES, candidates)
+        ):
+            _store_tables(path, _TABLES)
+    return _TABLES
+
+
+def _adopt_tables(tables) -> None:
+    """Install tables verified by another process (a plan's pickle), so
+    pool workers skip the harvest; tables of another layout are ignored."""
+    global _TABLES
+    if _TABLES is None and isinstance(tables, dict) and set(tables) == set(_TABLE_KEYS):
+        _TABLES = tables
+
+
+# ---------------------------------------------------------------------------
+# Draw programs (per-edge sampling recipes)
+# ---------------------------------------------------------------------------
+
+
+def _edge_program(
+    sig: MachineSignature, delta: DeltaSpec, weight: float, classify, max_draws: int
+):
+    """The ordered draw recipe replaying ``spec.sample`` for one edge: a
+    list of ``(dist, factor, k)`` steps (factor = nbytes for δ_t terms,
+    ``k`` = interval-scaled OS draws), or None when a step's family is
+    unsupported or it needs more than ``max_draws`` draws."""
+    kind = delta.kind
+    os_d = classify(sig.os_noise_for(delta.rank))
+    lat = classify(sig.latency_for(delta.src, delta.dst))
+    pb = classify(sig.per_byte)
+    steps: list | None
+    if kind == DeltaKind.OS:
+        k = sig.os_draws(weight)
+        if k > max_draws and not isinstance(os_d, _ConstDist):
+            return None
+        steps = [(os_d, 1.0, k)]
+    elif kind == DeltaKind.LATENCY:
+        steps = [(lat, 1.0, 1)]
+    elif kind == DeltaKind.TRANSFER:
+        steps = [(lat, 1.0, 1)]
+        if delta.nbytes > 0:
+            steps.append((pb, float(delta.nbytes), 1))
+    elif kind == DeltaKind.TRANSFER_OS:
+        steps = [(lat, 1.0, 1)]
+        if delta.nbytes > 0:
+            steps.append((pb, float(delta.nbytes), 1))
+        steps.append((os_d, 1.0, 1))
+    elif kind == DeltaKind.ROUNDTRIP:
+        lat_back = classify(sig.latency_for(delta.dst, delta.src))
+        steps = [(lat, 1.0, 1)]
+        if delta.nbytes > 0:
+            steps.append((pb, float(delta.nbytes), 1))
+        steps.extend([(os_d, 1.0, 1), (lat_back, 1.0, 1)])
+    elif kind == DeltaKind.COLL_FANIN:
+        steps = []
+        for _ in range(delta.rounds):
+            steps.extend([(os_d, 1.0, 1), (lat, 1.0, 1)])
+            if delta.nbytes > 0:
+                steps.append((pb, float(delta.nbytes), 1))
+    else:  # pragma: no cover - exhaustive over sampled kinds
+        return None
+    if any(d is None for d, _, _ in steps):
+        return None
+    return steps
+
+
+def _const_term(value: float, k: int) -> float:
+    """A constant step's clamped contribution, summed over ``k`` draws
+    exactly as ``MachineSignature.sample_os_interval`` sums them."""
+    if k == 1:
+        return max(value, 0.0)
+    return float(np.sum(np.maximum(np.full(k, value), 0.0)))
+
+
+def _program_groups(programs: list) -> list[tuple[np.ndarray, list]]:
+    """Group programs by shape (the ``(dist, k)`` sequence; factors
+    vary per member): ``[(member positions, steps)]`` in first-seen
+    order, with the steps :func:`_eval_group` runs."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, prog in enumerate(programs):
+        by_shape.setdefault(tuple((d, k) for d, _, k in prog), []).append(i)
+    groups = []
+    for shape, members in by_shape.items():
+        steps: list = []
+        for j, (dist, k) in enumerate(shape):
+            factors = np.array([programs[i][j][1] for i in members], dtype=np.float64)
+            if isinstance(dist, _ConstDist):
+                steps.append(("const", _const_term(dist.value, k) * factors))
+            else:
+                fac = None if np.all(factors == 1.0) else factors
+                steps.append(("draw", dist, fac, k))
+        groups.append((np.array(members, dtype=np.int64), steps))
+    return groups
+
+
+class _Sampler:
+    """What the flat and template samplers share: the signature's
+    classified distributions, the group evaluator run, and the scalar
+    fallback loop."""
+
+    def __init__(self, plan, signature: MachineSignature):
+        self.plan = plan
+        self.signature = signature
+        self.tables = _get_tables()
+        self.max_draws = _MAX_OS_DRAWS if self.tables["multi"] else 1
+        self._classified: dict = {}
+
+    def classify(self, dist):
+        key = id(dist)
+        if key not in self._classified:
+            self._classified[key] = _classify_cached(dist, self.tables)
+        return self._classified[key]
+
+    def program(self, eid: int):
+        plan = self.plan
+        return _edge_program(
+            self.signature, plan.deltas[eid], plan.edge_weight[eid], self.classify, self.max_draws
+        )
+
+    def _resample(self, raw, seeds, scale, rows, eids, cols) -> int:
+        """Exact per-lane fallback: ``raw[r, c]`` := the scalar spec's
+        draw for edge ``e``, for each ``(r, e, c)`` (rows ascending)."""
+        plan = self.plan
+        spec = None
+        last = -1
+        for r, e, c in zip(rows.tolist(), eids.tolist(), cols.tolist()):
+            if r != last:
+                spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
+                last = r
+            raw[r, c] = spec.sample(plan.deltas[e], plan.edge_weight[e])
+        return len(rows)
+
+    def _resample_all(self, raw, seeds, scale, eids, cols) -> int:
+        """Scalar-sample edges ``eids`` into columns ``cols`` for every row."""
+        R, n = len(seeds), len(eids)
+        rows = np.repeat(np.arange(R), n)
+        return self._resample(raw, seeds, scale, rows, np.tile(eids, R), np.tile(cols, R))
+
+    def _sample_group(self, raw, seeds, scale, steps, keys, eids, cols, tile=1) -> int:
+        """Evaluate one group into ``raw[:, cols]``; lanes that left the
+        fast path are resampled by the scalar spec.  Returns their count."""
+        V, ok = _eval_group(steps, keys, self.tables, tile)
+        raw[:, cols] = V * scale
+        if ok is None or ok.all():
+            return 0
+        rows, lanes = np.nonzero(~ok)
+        return self._resample(raw, seeds, scale, rows, eids[lanes], cols[lanes])
+
+
+def _seeds_u64(seeds: list[int]) -> np.ndarray:
+    return np.array([s & _MASK64 for s in seeds], dtype=_U64)
+
+
+class _BoundSampler(_Sampler):
+    """A CompiledPlan's sampler bound to one machine signature.
+
+    With ``edge_ids=None`` it covers the full edge axis (output width
+    ``n_edges``); with an explicit edge-id subset its output columns
+    follow that subset's order (the coarse engine samples the static
+    region this way).
+    """
+
+    def __init__(self, plan, signature: MachineSignature, edge_ids: np.ndarray | None = None):
+        super().__init__(plan, signature)
+        if edge_ids is None:
+            self.out_width = plan.n_edges
+            cand = plan.sampled_ids
+            cand_cols = plan.sampled_ids
+        else:
+            edge_ids = np.asarray(edge_ids, dtype=np.int64)
+            self.out_width = len(edge_ids)
+            mask = plan.edge_kind[edge_ids] != int(DeltaKind.NONE)
+            cand = edge_ids[mask]
+            cand_cols = np.nonzero(mask)[0]
+
+        sup: list[tuple[int, int]] = []  # (edge id, column) with a vector program
+        programs: list = []
+        unsup: list[tuple[int, int]] = []
+        for eid, col in zip(cand.tolist(), cand_cols.tolist()):
+            # The scalar engine raises for uid-less sampled edges; defer
+            # to it so the error (and message) is identical.
+            prog = self.program(eid) if plan.deltas[eid].uid else None
+            if prog is None:
+                unsup.append((eid, col))
+            else:
+                sup.append((eid, col))
+                programs.append(prog)
+        self.unsup_ids, self.unsup_cols = np.array(unsup, dtype=np.int64).reshape(-1, 2).T
+        self.lane_edge_ids, lane_cols = np.array(sup, dtype=np.int64).reshape(-1, 2).T
+        ids = self.lane_edge_ids
+        self.kind_u64 = plan.uid_kind[ids]
+        self.uid_mat = plan.uid_mat[ids]
+        self.uid_len = plan.uid_len[ids]
+        # (lane positions, edge ids, output columns, steps) per group
+        self.groups = [
+            (lanes, ids[lanes], lane_cols[lanes], steps)
+            for lanes, steps in _program_groups(programs)
+        ]
+
+    def sample_raw(self, seeds: list[int], scale: float) -> np.ndarray:
+        """(R, out_width) matrix of per-edge deltas, row r drawn exactly
+        as ``PerturbationSpec(signature, seed=seeds[r], scale=scale)``
+        would for each covered edge."""
+        R = len(seeds)
+        raw = np.zeros((R, self.out_width), dtype=np.float64)
+        fallback = 0
+        if len(self.lane_edge_ids):
+            keys = _stream_key_arrays(_seeds_u64(seeds), self.kind_u64, self.uid_mat, self.uid_len)
+            for lanes, eids, cols, steps in self.groups:
+                group_keys = tuple(a[:, lanes] for a in keys)
+                fallback += self._sample_group(raw, seeds, scale, steps, group_keys, eids, cols)
+        if len(self.unsup_ids):
+            fallback += self._resample_all(raw, seeds, scale, self.unsup_ids, self.unsup_cols)
+        obs.span_add("compiled.lanes", R * self.out_width)
+        if fallback:
+            obs.span_add("compiled.fallback_lanes", fallback)
+        return raw
+
+
+class _TemplateSampler(_Sampler):
+    """Shared per-template draw programs, sampled per instance chunk.
+
+    Phase congruence guarantees every templated instance's edge at
+    template position ``q`` has the same delta kind / endpoints /
+    nbytes / rounds — hence the same draw program — while uids (and so
+    PCG streams) differ per repetition.  Programs therefore classify
+    **once** from the reference instance; sampling gathers each
+    instance chunk's per-edge uid rows and runs the shared program over
+    one ``(R, n_inst * n_lanes)`` lane block through the same group
+    evaluator and fallback as :class:`_BoundSampler`.
+
+    Only valid when programs are weight-independent, i.e.
+    ``signature.os_quantum <= 0`` (the caller gates on this).
+    """
+
+    def __init__(self, plan, signature: MachineSignature, ir):
+        super().__init__(plan, signature)
+        self.ir = ir
+        ref = ir.run_edge_ids[-1]
+        kinds = plan.edge_kind[ref]
+        none_code = int(DeltaKind.NONE)
+        # Any uid-less sampled edge anywhere in the run: bail to the
+        # flat sampler wholesale so its error surface is identical.
+        sampled_cols = kinds != none_code
+        self.ok = not (
+            sampled_cols.any()
+            and np.any(plan.uid_len[ir.run_edge_ids[:, sampled_cols]] == 0)
+        )
+        sup: list[int] = []
+        programs: list = []
+        unsup: list[int] = []
+        if self.ok:
+            for q in np.nonzero(sampled_cols)[0].tolist():
+                prog = self.program(int(ref[q]))
+                if prog is None:
+                    unsup.append(q)
+                else:
+                    sup.append(q)
+                    programs.append(prog)
+        tpos = np.array(sup, dtype=np.int64)
+        self.groups = [(tpos[members], steps) for members, steps in _program_groups(programs)]
+        self.unsup_pos = np.array(unsup, dtype=np.int64)
+
+    def sample(self, seeds: list[int], scale: float, j0: int, j1: int) -> np.ndarray:
+        """(R, (j1-j0) * n_te) sampled deltas for templated instances
+        ``[j0, j1)``, instance-major, bit-identical per edge to the
+        scalar ``PerturbationSpec.sample``."""
+        plan, ir = self.plan, self.ir
+        rows = ir.run_edge_ids[j0:j1]
+        ni = j1 - j0
+        n_te = ir.n_te
+        R = len(seeds)
+        raw = np.zeros((R, ni * n_te), dtype=np.float64)
+        seeds_u64 = _seeds_u64(seeds)
+        base = np.arange(ni, dtype=np.int64)[:, None] * n_te
+        fallback = 0
+        for tpos, steps in self.groups:
+            gids = rows[:, tpos].reshape(-1)  # instance-major lane order
+            keys = _stream_key_arrays(
+                seeds_u64, plan.uid_kind[gids], plan.uid_mat[gids], plan.uid_len[gids]
+            )
+            cols = (base + tpos[None, :]).reshape(-1)
+            fallback += self._sample_group(raw, seeds, scale, steps, keys, gids, cols, tile=ni)
+        if len(self.unsup_pos):
+            eids = rows[:, self.unsup_pos].reshape(-1)
+            cols = (base + self.unsup_pos[None, :]).reshape(-1)
+            fallback += self._resample_all(raw, seeds, scale, eids, cols)
+        obs.span_add("compiled.lanes", R * ni * n_te)
+        if fallback:
+            obs.span_add("compiled.fallback_lanes", fallback)
+        return raw

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.noise.distributions import _Base
+
 __all__ = ["Empirical", "ecdf"]
 
 
@@ -40,12 +42,16 @@ def ecdf(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Empirical:
+class Empirical(_Base):
     """Empirical distribution over a fixed set of measured samples.
 
     Implements the :class:`repro.noise.distributions.RandomVariable`
     protocol so an empirical distribution can be attached anywhere a
-    parametric one can (the whole point of §5's second method).
+    parametric one can (the whole point of §5's second method), and
+    has the same ``shifted``/``scaled`` combinators.  ``samples`` (the
+    sorted tuple) is the value: it drives equality, hashing and
+    serialization.  Sampling and the statistics read :attr:`array`, the
+    same values as a read-only float64 array built once.
     """
 
     samples: tuple
@@ -57,15 +63,23 @@ class Empirical:
             raise ValueError("Empirical requires a non-empty 1-D sample array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("Empirical samples must be finite")
-        object.__setattr__(self, "samples", tuple(np.sort(arr).tolist()))
+        arr = np.sort(arr)
+        arr.flags.writeable = False
+        object.__setattr__(self, "samples", tuple(arr.tolist()))
         object.__setattr__(self, "interpolate", bool(interpolate))
+        object.__setattr__(self, "_array", arr)
+
+    def __reduce__(self):
+        return (Empirical, (self.samples, self.interpolate))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The sorted samples as a read-only float64 array."""
+        return self._array
 
     # -- RandomVariable protocol ------------------------------------------------
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_n(rng, 1)[0])
-
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        arr = np.asarray(self.samples)
+        arr = self._array
         if not self.interpolate or arr.size == 1:
             idx = rng.integers(0, arr.size, size=n)
             return arr[idx]
@@ -73,19 +87,19 @@ class Empirical:
         return self.quantile(u)
 
     def mean(self) -> float:
-        return float(np.mean(self.samples))
+        return float(np.mean(self._array))
 
     def var(self) -> float:
-        return float(np.var(self.samples))
+        return float(np.var(self._array))
 
     # -- Descriptive statistics ---------------------------------------------------
     def quantile(self, q) -> np.ndarray:
         """Linear-interpolated quantile(s) of the sample."""
-        return np.quantile(np.asarray(self.samples), q)
+        return np.quantile(self._array, q)
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous ECDF evaluated at ``x`` (scalar or array)."""
-        arr = np.asarray(self.samples)
+        arr = self._array
         return np.searchsorted(arr, np.asarray(x, dtype=float), side="right") / arr.size
 
     def min(self) -> float:
@@ -103,12 +117,12 @@ class Empirical:
         Used by the fitting tests to check that sampling from an
         empirical distribution converges back to its source.
         """
-        grid = np.union1d(np.asarray(self.samples), np.asarray(other.samples))
+        grid = np.union1d(self._array, other.array)
         return float(np.max(np.abs(self.cdf(grid) - other.cdf(grid))))
 
     def truncated(self, lower: float | None = None, upper: float | None = None) -> "Empirical":
         """New empirical distribution keeping samples in ``[lower, upper]``."""
-        arr = np.asarray(self.samples)
+        arr = self._array
         mask = np.ones(arr.size, dtype=bool)
         if lower is not None:
             mask &= arr >= lower

@@ -55,6 +55,7 @@ class CacheEntry:
     digest: str
     tempdir: tempfile.TemporaryDirectory | None = None
     hits: int = field(default=0)
+    built_seq: int = field(default=0)  # BuildCache arrivals seen when the build finished
 
     def cleanup(self) -> None:
         if self.tempdir is not None:
@@ -166,6 +167,7 @@ class BuildCache:
         self.builds = 0
         self.coalesced = 0
         self.hits = 0
+        self._arrivals = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -177,7 +179,12 @@ class BuildCache:
 
         ``cached`` is True when the request found a live entry or an
         in-flight build (i.e. this request paid no build of its own).
+        A request counts as *coalesced* when the build it shares finished
+        after the request arrived — also when that happened while the
+        request was still hashing its key — and as a *hit* otherwise.
         """
+        self._arrivals += 1
+        arrival = self._arrivals
         stem: str = request["stem"]
         upload: dict[str, str] | None = request["upload"]
         traces_dir: Path | None = None
@@ -190,8 +197,11 @@ class BuildCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            entry.hits += 1
-            self.hits += 1
+            if entry.built_seq >= arrival:
+                self.coalesced += 1
+            else:
+                entry.hits += 1
+                self.hits += 1
             return entry, True
 
         task = self._inflight.get(key)
@@ -220,7 +230,9 @@ class BuildCache:
         if task.cancelled() or task.exception() is not None:
             return  # awaiting requesters surface the failure themselves
         self.builds += 1
-        self._insert(key, task.result())
+        entry = task.result()
+        entry.built_seq = self._arrivals
+        self._insert(key, entry)
 
     def _insert(self, key: str, entry: CacheEntry) -> None:
         if key in self._entries:  # a coalesced racer inserted first

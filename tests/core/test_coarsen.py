@@ -30,7 +30,7 @@ from repro.core import (
 from repro.core.checkpoint import build_digest, load_plan, plan_cache_path, save_plan
 from repro.core.coarsen import COARSEN_CHOICES, MIN_REPEATS
 from repro.mpisim import run
-from repro.noise import Constant, Exponential, MachineSignature, Uniform
+from repro.noise import Constant, Empirical, Exponential, MachineSignature, Uniform
 from repro.noise.distributions import LogNormal
 from tests.conftest import plan_program
 
@@ -55,6 +55,13 @@ SIGNATURES = {
     # No vectorized fast path: every lane resamples through the scalar spec.
     "fallback": MachineSignature(
         os_noise=LogNormal(3.0, 0.5), latency=Exponential(40.0), per_byte=Constant(0.005)
+    ),
+    # Measured tables on the template sampler: bootstrap (not a power of
+    # two) and interpolated Empirical draws around an Exponential one.
+    "measured": MachineSignature(
+        os_noise=Empirical(np.random.default_rng(1).pareto(3.0, 1000) * 80.0),
+        latency=Empirical(np.random.default_rng(2).pareto(3.0, 300) * 40.0, interpolate=True),
+        per_byte=Exponential(0.004),
     ),
     # os_quantum > 0 makes draw programs weight-dependent: the coarse
     # template bind must refuse and the batch fall back to the flat path.

@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.apps import ALL_APPS
 from repro.core import (
     BuildConfig,
@@ -23,10 +24,11 @@ from repro.core import (
     sweep_scales,
     sweep_signatures,
 )
-from repro.core.compiled import _build_tables, _mix_vec, _pcg_next64, _splitmix64_vec
+from repro.core.graph import DeltaKind
 from repro.core.perturb import _mix, _splitmix64
+from repro.core.sampler import _build_tables, _mix_vec, _pcg_next64, _splitmix64_vec
 from repro.mpisim import run
-from repro.noise import Constant, Exponential, MachineSignature
+from repro.noise import Constant, Empirical, Exponential, MachineSignature
 from repro.noise.distributions import LogNormal, Normal, Scaled, Shifted, Uniform
 from tests.conftest import DELAY_TOL
 
@@ -117,6 +119,11 @@ class TestPCG64Vectorization:
 # Cross-engine bit-identity matrix: all apps x modes x seeds x scales
 # ---------------------------------------------------------------------------
 
+def _emp(seed: int, n: int, scale: float, interpolate: bool = False) -> Empirical:
+    """An ``n``-sample measured distribution (heavy-tailed, like FTQ losses)."""
+    return Empirical(np.random.default_rng(seed).pareto(3.0, n) * scale, interpolate)
+
+
 SIGNATURES = {
     "const": MachineSignature(
         os_noise=Constant(100.0), latency=Constant(50.0), per_byte=Constant(0.01)
@@ -136,9 +143,52 @@ SIGNATURES = {
     "fallback": MachineSignature(
         os_noise=LogNormal(3.0, 0.5), latency=Exponential(40.0), per_byte=Constant(0.005)
     ),
-    # Interval-scaled OS draws (os_quantum > 0) are scalar-fallback too.
+    # Interval-scaled OS draws (os_quantum > 0): OS edges of 500+ cycles
+    # take k >= 2 draws, nearly all of them k >= 8 (scalar fallback).
     "quantum": MachineSignature(
         os_noise=Exponential(80.0), latency=Exponential(40.0), os_quantum=500.0
+    ),
+    # Measured (§5 empirical) signatures.  Bootstrap tables whose sizes
+    # are not powers of two (so the Lemire step can reject), per-rank
+    # overrides, interpolated tables, one-sample tables (no draw at all).
+    "emp_bootstrap": MachineSignature(
+        os_noise=_emp(1, 1000, 80.0),
+        latency=_emp(2, 300, 40.0),
+        per_byte=_emp(3, 37, 0.004),
+        os_noise_by_rank={1: _emp(4, 999, 200.0)},
+    ),
+    "emp_interp": MachineSignature(
+        os_noise=_emp(5, 1000, 80.0, True),
+        latency=_emp(6, 255, 40.0, True),
+        per_byte=_emp(7, 3, 0.004, True),
+    ),
+    "emp_single": MachineSignature(
+        os_noise=Empirical([90.0]),
+        latency=Empirical([35.0], interpolate=True),
+        per_byte=_emp(8, 5, 0.004),
+    ),
+    "emp_ops": MachineSignature(
+        os_noise=Shifted(Scaled(_emp(1, 1000, 80.0), 1.5), -20.0),
+        latency=Scaled(_emp(6, 255, 40.0, True), 0.5),
+        per_byte=Shifted(_emp(3, 37, 0.004), 0.001),
+    ),
+    # Empirical draws on both sides of an Exponential one: PCG64's uint32
+    # buffer must survive the 64-bit draw in between.
+    "emp_mixed": MachineSignature(
+        os_noise=_emp(1, 1000, 80.0),
+        latency=_emp(2, 300, 40.0),
+        per_byte=Exponential(0.004),
+    ),
+    # A 5000-cycle quantum spreads the apps' OS edges over k = 1..7 draws
+    # (vectorized) and k >= 8 (scalar fallback).
+    "emp_quantum": MachineSignature(
+        os_noise=_emp(1, 1000, 80.0),
+        latency=_emp(2, 300, 40.0),
+        per_byte=_emp(3, 37, 0.004),
+        os_quantum=5000.0,
+    ),
+    "exp_quantum": MachineSignature(
+        os_noise=Exponential(80.0), latency=Exponential(40.0), os_quantum=5000.0
     ),
 }
 
@@ -299,7 +349,7 @@ class TestAnalysisWiring:
 
 class TestTablesDiskCache:
     def test_store_and_reload_roundtrip(self, tmp_path, monkeypatch):
-        from repro.core import compiled as C
+        from repro.core import sampler as C
 
         monkeypatch.setenv(C.TABLES_CACHE_ENV, str(tmp_path))
         path = C._tables_cache_path()
@@ -317,7 +367,7 @@ class TestTablesDiskCache:
             assert np.array_equal(again[fam][1], tables[fam][1])
 
     def test_corrupt_or_stale_cache_never_changes_results(self, tmp_path):
-        from repro.core import compiled as C
+        from repro.core import sampler as C
 
         path = tmp_path / "tables.json"
         path.write_text("{broken json")
@@ -334,7 +384,7 @@ class TestTablesDiskCache:
         assert np.array_equal(harvested["exp"][1], good["exp"][1])
 
     def test_cache_env_disables(self, monkeypatch):
-        from repro.core import compiled as C
+        from repro.core import sampler as C
 
         for off in ("0", "off", "none"):
             monkeypatch.setenv(C.TABLES_CACHE_ENV, off)
@@ -343,7 +393,7 @@ class TestTablesDiskCache:
 
 class TestClassifyCache:
     def test_equal_valued_distributions_share_entries(self):
-        from repro.core import compiled as C
+        from repro.core import sampler as C
 
         tables = C._get_tables()
         C._CLASSIFY_CACHE.clear()
@@ -355,10 +405,188 @@ class TestClassifyCache:
         assert isinstance(a, C._VecDist) and a.family == "exp"
 
     def test_cache_bounded(self):
-        from repro.core import compiled as C
+        from repro.core import sampler as C
 
         tables = C._get_tables()
         C._CLASSIFY_CACHE.clear()
         for i in range(C._CLASSIFY_CACHE_MAX + 10):
             C._classify_cached(Constant(float(i)), tables)
         assert len(C._CLASSIFY_CACHE) <= C._CLASSIFY_CACHE_MAX
+
+
+# ---------------------------------------------------------------------------
+# Measured signatures take the vector path (lane counters, forced rejects)
+# ---------------------------------------------------------------------------
+
+
+def _lane_counts(plan, sig, seeds):
+    """``(raw, lanes, fallback_lanes)`` of one flat sampling call."""
+    with obs.observed() as session:
+        raw = plan.sample_raw_batch(sig, seeds)
+    counter = session.metrics.counter
+    return raw, counter("compiled.lanes").value, counter("compiled.fallback_lanes").value
+
+
+def _scalar_raw(plan, sig, seeds):
+    """The (R, n_edges) deltas the scalar ``PerturbationSpec`` draws."""
+    raw = np.zeros((len(seeds), plan.n_edges))
+    for r, seed in enumerate(seeds):
+        spec = PerturbationSpec(sig, seed=seed)
+        for e in plan.sampled_ids.tolist():
+            raw[r, e] = spec.sample(plan.deltas[e], plan.edge_weight[e])
+    return raw
+
+
+def _os_edges(plan, sig, min_draws=1, max_draws=None):
+    """Sampled OS edges whose interval-scaled draw count is in range."""
+    out = []
+    for e in plan.sampled_ids.tolist():
+        if plan.deltas[e].kind == DeltaKind.OS:
+            k = sig.os_draws(plan.edge_weight[e])
+            if k >= min_draws and (max_draws is None or k <= max_draws):
+                out.append(e)
+    return out
+
+
+class TestMeasuredVectorPath:
+    SEEDS = [0, 5, 9]
+
+    @pytest.mark.parametrize("interpolate", [False, True])
+    def test_only_k_ge_8_os_lanes_fall_back(self, app_builds, interpolate):
+        # Power-of-two bootstrap tables never reject (Lemire threshold 0)
+        # and interpolated draws cannot, so the only fallback lanes are
+        # the interval-scaled OS edges with k >= 8 draws.
+        _, build = app_builds["stencil1d"]
+        plan = compiled_plan(build)
+        mid_draws = 0
+        for quantum in (10_000.0, 5_000.0):
+            sig = MachineSignature(
+                os_noise=_emp(1, 1024, 80.0, interpolate),
+                latency=_emp(2, 256, 40.0, interpolate),
+                per_byte=_emp(3, 64, 0.004, interpolate),
+                os_noise_by_rank={2: _emp(4, 512, 120.0, interpolate)},
+                os_quantum=quantum,
+            )
+            mid_draws += len(_os_edges(plan, sig, 2, 7))
+            raw, lanes, fallback = _lane_counts(plan, sig, self.SEEDS)
+            assert lanes == len(self.SEEDS) * plan.n_edges
+            assert fallback == len(self.SEEDS) * len(_os_edges(plan, sig, 8))
+            assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+        assert mid_draws > 0, "k in 2..7 must be exercised"
+        assert fallback > 0, "the 5000-cycle quantum must reach k >= 8"
+
+    def test_measured_signature_is_fully_vectorized(self, app_builds):
+        _, build = app_builds["allreduce_iter"]
+        plan = compiled_plan(build)
+        sig = MachineSignature(
+            os_noise=_emp(1, 1024, 80.0),
+            latency=_emp(2, 256, 40.0),
+            per_byte=Scaled(_emp(3, 64, 0.004), 2.0),
+            os_quantum=10_000.0,
+        )
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        assert fallback == 0
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+
+    def test_lemire_rejection_falls_back_exactly(self, app_builds, monkeypatch):
+        """Give one edge a stream whose first uint32 is 0, which the
+        Lemire step rejects for any size that is not a power of two: the
+        lane must take the scalar fallback and still match it."""
+        from repro.core import sampler as S
+
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build)
+        sig = MachineSignature(latency=_emp(2, 1000, 40.0))  # threshold 296
+        target = next(
+            e for e in plan.sampled_ids.tolist() if plan.deltas[e].kind != DeltaKind.OS
+        )
+        tdelta = plan.deltas[target]
+        # Predecessor of the state whose XSL-RR output is u0 (inc = 1).
+        u0 = 0x12345678_00000000
+        state = ((u0 - 1) * S._PCG_INV_MULT) & S._MASK128
+        width = int(plan.uid_len[target])
+        tuid = plan.uid_mat[target, :width]
+
+        real_keys = S._stream_key_arrays
+
+        def forced_keys(seeds_u64, kind_u64, uid_mat, uid_len):
+            hi, lo, inc_hi, inc_lo = real_keys(seeds_u64, kind_u64, uid_mat, uid_len)
+            lane = (
+                (kind_u64 == plan.uid_kind[target])
+                & (uid_len == width)
+                & (uid_mat[:, :width] == tuid).all(axis=1)
+            )
+            hi[:, lane] = state >> 64
+            lo[:, lane] = state & S._MASK64
+            inc_hi[:, lane] = 0
+            inc_lo[:, lane] = 1
+            return hi, lo, inc_hi, inc_lo
+
+        real_rng = PerturbationSpec._rng
+
+        def forced_rng(self, delta):
+            gen = real_rng(self, delta)
+            if delta == tdelta:
+                st = dict(self._template)
+                st["state"] = {"state": state, "inc": 1}
+                self._bg.state = st
+            return gen
+
+        monkeypatch.setattr(S, "_stream_key_arrays", forced_keys)
+        monkeypatch.setattr(PerturbationSpec, "_rng", forced_rng)
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        assert fallback == len(self.SEEDS)  # the forced lane, once per replicate
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+        spec = PerturbationSpec(sig, seed=self.SEEDS[0])
+        assert plan.propagate_one(spec).edge_delta == propagate(build, spec).edge_delta
+
+    def test_failed_self_check_disables_only_its_family(self, app_builds, monkeypatch):
+        from repro.core import sampler as S
+
+        monkeypatch.setattr(S, "_check_interpolated", lambda *args: False)
+        tables = S._build_tables()
+        assert tables["emp"] and tables["multi"] and not tables["emp_interp"]
+        monkeypatch.setattr(S, "_TABLES", tables)
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build)
+        # Bootstrap OS noise stays vectorized; the interpolated latency,
+        # drawn by every other sampled edge, falls back.
+        sig = MachineSignature(os_noise=_emp(1, 1024, 80.0), latency=_emp(6, 256, 40.0, True))
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        n_lat = len(plan.sampled_ids) - len(_os_edges(plan, sig))
+        assert 0 < n_lat < len(plan.sampled_ids)
+        assert fallback == len(self.SEEDS) * n_lat
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+
+
+class TestScaledMeasuredSignature:
+    @pytest.fixture(scope="class")
+    def measured(self, tmp_path_factory):
+        from repro.cli import main_microbench
+
+        path = tmp_path_factory.mktemp("sig") / "sig.json"
+        assert main_microbench(
+            ["--machine", "noisy", "--out", str(path), "--seed", "0", "--quiet"]
+        ) == 0
+        return path
+
+    def test_scaled_round_trips(self, measured, tmp_path):
+        scaled = MachineSignature.load(measured).scaled(2.0)
+        assert isinstance(scaled.os_noise, Scaled)
+        assert isinstance(scaled.os_noise.base, Empirical)
+        out = tmp_path / "scaled.json"
+        scaled.save(out)
+        assert MachineSignature.load(out) == scaled
+
+    def test_scaled_lanes_vectorized_and_identical(self, measured, app_builds):
+        sig = MachineSignature.load(measured).scaled(2.0)
+        _, build = app_builds["allreduce_iter"]
+        plan = compiled_plan(build)
+        # Every non-OS lane draws through the Scaled(Empirical) ops chain.
+        raw, _, fallback = _lane_counts(plan, sig, [1, 2])
+        assert fallback <= 2 * len(_os_edges(plan, sig, 8))
+        assert np.array_equal(raw, _scalar_raw(plan, sig, [1, 2]))
+        spec = PerturbationSpec(sig, seed=4)
+        ref = monte_carlo(build, spec, replicates=6, engine="graph")
+        got = monte_carlo(build, spec, replicates=6)
+        assert np.array_equal(ref.samples, got.samples)

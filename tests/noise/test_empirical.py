@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noise.distributions import Exponential
+from repro.noise.distributions import Exponential, Scaled, Shifted
 from repro.noise.empirical import Empirical, ecdf
 
 
@@ -86,6 +86,23 @@ class TestEmpirical:
             Empirical([1.0, float("nan")])
         with pytest.raises(ValueError):
             Empirical([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_combinators(self):
+        e = Empirical([3.0, 1.0, 2.0])
+        assert e.scaled(2.0) == Scaled(e, 2.0)
+        assert e.shifted(-1.0) == Shifted(e, -1.0)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert e.scaled(2.0).sample(a) == 2.0 * e.sample(b)
+
+    def test_cached_array_is_the_samples(self):
+        import pickle
+
+        e = Empirical([5.0, -1.0, 2.5], interpolate=True)
+        assert e.array.tolist() == list(e.samples)
+        assert e.array.dtype == np.float64 and not e.array.flags.writeable
+        clone = pickle.loads(pickle.dumps(e))
+        assert clone == e and hash(clone) == hash(e)
+        assert np.array_equal(clone.array, e.array)
 
 
 class TestConvergence:

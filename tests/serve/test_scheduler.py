@@ -6,7 +6,9 @@ the suite carries no async test plugin).
 """
 
 import asyncio
+import itertools
 import shutil
+import time
 
 import pytest
 
@@ -102,6 +104,36 @@ class TestCoalescing:
             # one requester paid, the rest coalesced onto its task
             assert sum(1 for _, cached in results if not cached) == 1
             assert cache.stats()["coalesced"] == 5
+            cache.clear()
+        asyncio.run(main())
+
+    def test_key_hashed_after_the_build_still_counts_as_coalesced(
+        self, traces_dir, monkeypatch
+    ):
+        """A request that arrived while the build ran is coalesced even
+        when its own key hashing finishes only after the build did."""
+        from repro.serve import scheduler
+
+        cache = BuildCache(4)
+        calls = itertools.count()
+
+        def late_key(*args):
+            if next(calls) == 1:  # the second hasher outlasts the build
+                deadline = time.monotonic() + 60
+                while cache.builds == 0 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            return _dir_key(*args)
+
+        monkeypatch.setattr(scheduler, "_dir_key", late_key)
+
+        async def main():
+            results = await asyncio.gather(
+                *(cache.entry_for(_request(str(traces_dir)), BuildConfig()) for _ in range(2))
+            )
+            assert sorted(cached for _, cached in results) == [False, True]
+            assert cache.stats()["builds"] == 1
+            assert cache.stats()["coalesced"] == 1
+            assert cache.stats()["hits"] == 0
             cache.clear()
         asyncio.run(main())
 
