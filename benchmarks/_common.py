@@ -5,7 +5,7 @@ experiment, or a DESIGN.md ablation) and records its rows/series under
 ``benchmarks/results/<name>.txt`` (human-readable, quoted by
 EXPERIMENTS.md) plus ``benchmarks/results/<name>.json`` (machine-
 readable: name, params, timings, metrics — consumed by CI artifact
-uploads and regression tooling); the pytest-benchmark fixture times the
+uploads); the pytest-benchmark fixture times the
 analyzer operation under study.
 """
 

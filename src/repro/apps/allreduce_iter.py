@@ -13,7 +13,7 @@ from typing import Iterator
 
 from repro.mpisim.api import Allreduce, Compute, Op, RankInfo
 
-__all__ = ["AllreduceIterParams", "allreduce_iter", "stress_params"]
+__all__ = ["AllreduceIterParams", "allreduce_iter"]
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,6 @@ class AllreduceIterParams:
             raise ValueError("iterations must be >= 1")
         if self.compute_cycles < 0 or self.imbalance < 0:
             raise ValueError("compute_cycles and imbalance must be >= 0")
-
-
-def stress_params(iterations: int = 5000) -> AllreduceIterParams:
-    """Iteration-scaled stress configuration for the coarsening engine.
-
-    Every step is one compute + one allreduce, so the traced event count
-    scales as ``nprocs * iterations`` and the built graph (hub
-    collectives expand to fan-in/fan-out trees) grows a few times
-    faster.  Used alongside :func:`repro.apps.stencil1d.stress_params`
-    by ``benchmarks/bench_perf_coarsen.py``.
-    """
-    return AllreduceIterParams(iterations=iterations, imbalance=0.1)
 
 
 def allreduce_iter(params: AllreduceIterParams = AllreduceIterParams()):

@@ -56,11 +56,11 @@ def stress_params(iterations: int = 52_000) -> StencilParams:
     A periodic ring rank traces five events per step, so 4 ranks at the
     default 52 000 iterations yield a 1 040 008-event trace that builds
     into a ~2.1M-node, ~2.9M-edge graph with 520 003 flat levels — the
-    >= 1M-event iterative workload the coarsening benchmark
-    (``benchmarks/bench_perf_coarsen.py``) and the coarsen-scale CI job
-    exercise.  Deep and narrow on purpose: the flat engine's cost is
-    dominated by per-level dispatch overhead, which is exactly what
-    phase coarsening amortizes into one shared template.
+    >= 1M-event iterative workload the ``coarsen-scale`` CI job builds,
+    coarsens and propagates under its wall-clock and peak-RSS budget.
+    Deep and narrow on purpose: the flat engine's cost is dominated by
+    per-level dispatch overhead, which is exactly what phase coarsening
+    amortizes into one shared template.
     """
     return StencilParams(iterations=iterations)
 

@@ -45,7 +45,6 @@ from repro.core.parallel import (
     SerialBackend,
     available_cpus,
     map_replicate_batches,
-    map_replicates,
     replicate_items,
     resolve_backend,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "available_cpus",
     "resolve_backend",
     "map_replicate_batches",
-    "map_replicates",
     "replicate_items",
     "CheckpointStore",
     "ShardKey",

@@ -19,6 +19,7 @@ traversal results:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "runtime_impact",
     "CriticalPath",
     "critical_path",
+    "binding_chain",
     "AbsorptionMap",
     "absorption_map",
     "DelayPoint",
@@ -146,41 +148,58 @@ class CriticalPath:
         return "\n".join(lines)
 
 
+def binding_chain(
+    graph, L: Sequence[float], cost: Sequence[float], sink: int, floor: float
+) -> tuple[list[int], list[int]]:
+    """Walk the binding max() chain backwards from ``sink``.
+
+    ``L[v]`` is the longest-path value into node ``v`` under per-edge
+    costs ``cost`` (a perturbed traversal's node delays, or longest
+    weighted path costs).  At each node the binding in-edge is the
+    first one in in-CSR order whose ``L[src] + cost[e] == L[node]``
+    holds exactly — the tie-break of the
+    :func:`~repro.core.traversal.longest_weighted_path` oracle.  The
+    walk stops at a node with no binding in-edge (a source) or with
+    ``L[node] <= floor``.
+
+    Returns ``(edges, nodes)`` in source-to-sink order, with
+    ``len(nodes) == len(edges) + 1``.
+    """
+    ptr, in_ids = (a.tolist() for a in graph.in_csr())
+    edge_src = graph.edge_src.tolist()
+    edges: list[int] = []
+    nodes = [sink]
+    node = sink
+    while L[node] > floor:
+        for ei in in_ids[ptr[node] : ptr[node + 1]]:
+            if L[edge_src[ei]] + cost[ei] == L[node]:
+                break
+        else:
+            break
+        edges.append(ei)
+        node = edge_src[ei]
+        nodes.append(node)
+    edges.reverse()
+    nodes.reverse()
+    return edges, nodes
+
+
 def critical_path(
     build: BuildResult, result: TraversalResult, rank: int | None = None
 ) -> CriticalPath:
     """Backtrack the binding predecessor chain from a finalize node.
 
-    ``rank`` defaults to the most-delayed rank.  Ties in the max() are
-    broken toward the first binding in-edge, which is deterministic for
-    a given build.
+    ``rank`` defaults to the most-delayed rank.  The chain is
+    :func:`binding_chain` over the node delays, stopping where the
+    delay vanishes.
     """
     if result.node_delay is None or result.edge_delta is None:
         raise ValueError("critical path requires an in-core traversal result")
     g = build.graph
-    D = result.node_delay
     deltas = result.edge_delta
     if rank is None:
         rank = max(range(g.nprocs), key=lambda r: result.final_delay[r])
-    node = g.final_node_of(rank)
-
-    ptr, in_ids = (a.tolist() for a in g.in_csr())
-    edge_src = g.edge_src.tolist()
-    path: list[int] = []
-    visited: list[int] = []
-    while True:
-        visited.append(node)
-        binding = None
-        for ei in in_ids[ptr[node] : ptr[node + 1]]:
-            if abs(D[edge_src[ei]] + deltas[ei] - D[node]) <= _EPS:
-                binding = ei
-                break
-        if binding is None or D[node] <= _EPS:
-            break
-        path.append(binding)
-        node = edge_src[binding]
-
-    path.reverse()
+    path, visited = binding_chain(g, result.node_delay, deltas, g.final_node_of(rank), _EPS)
     by_delta: dict[str, float] = {}
     by_kind: dict[str, float] = {"local": 0.0, "message": 0.0}
     names = {int(k): k.name for k in DeltaKind}
@@ -196,7 +215,7 @@ def critical_path(
         edges=tuple(path),
         by_delta_kind=by_delta,
         by_edge_kind=by_kind,
-        ranks_visited=tuple(dict.fromkeys(reversed(g.node_rank[visited].tolist()))),
+        ranks_visited=tuple(dict.fromkeys(g.node_rank[visited].tolist())),
         _deltas=tuple(deltas),
     )
 

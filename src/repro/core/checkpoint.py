@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 SHARD_SCHEMA = "repro-checkpoint-shard/1"
-PLAN_SCHEMA = "repro-plan-cache/2"
+PLAN_SCHEMA = "repro-plan-cache/3"
 
 #: Environment hook consumed by the fault-injection harness
 #: (:mod:`repro.testing.faults`): kill the process after N shard writes.

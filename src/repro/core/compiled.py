@@ -61,17 +61,15 @@ class _Level:
     earlier levels, so the whole rank is a single vectorized gather+max.
 
     ``segs`` are the offsets of each node's first in-edge within the
-    level and ``sizes`` its in-edge count (for expanding segment maxima
-    back to the edge axis in the predecessor-tracking kernel)."""
+    level."""
 
-    __slots__ = ("nodes", "src", "eid", "segs", "sizes", "single")
+    __slots__ = ("nodes", "src", "eid", "segs", "single")
 
-    def __init__(self, nodes, src, eid, segs, sizes, single):
+    def __init__(self, nodes, src, eid, segs, single):
         self.nodes = nodes
         self.src = src
         self.eid = eid
         self.segs = segs
-        self.sizes = sizes
         self.single = single
 
     def __getstate__(self):
@@ -109,7 +107,6 @@ def _level_schedule(graph, level: np.ndarray) -> list[_Level]:
             src[ea:eb],
             eid[ea:eb],
             segs[a:b],
-            sizes[a:b],
             eb - ea == b - a,
         )
         for a, b, ea, eb in zip(node_at, node_at[1:], edge_at, edge_at[1:])
@@ -346,43 +343,6 @@ class CompiledPlan:
             else:
                 D[:, lv.nodes] = np.maximum.reduceat(contrib, lv.segs, axis=1)
         return D
-
-    def longest_path(self, eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Longest weighted path with predecessor tracking, all replicates.
-
-        ``eff`` is an (R, n_edges) per-edge cost matrix; returns
-        ``(L, pred)`` of shapes (R, n_nodes): ``L[r, v]`` is the longest
-        path cost into ``v`` under row r's costs and ``pred[r, v]`` the
-        binding in-edge id (-1 for sources).  Ties break toward the
-        *first* in-edge in ``graph.in_edge_ids`` order — the CSR arrays
-        are built in exactly that order, so first-position-of-max here
-        matches the scalar :func:`~repro.core.traversal.longest_weighted_path`
-        bit-for-bit (both compare the same computed float values).
-        """
-        R = eff.shape[0]
-        L = np.zeros((R, self.n_nodes), dtype=np.float64)
-        pred = np.full((R, self.n_nodes), -1, dtype=np.int64)
-        with obs.span("longest_path", engine="compiled", replicates=R):
-            for lv in self.levels:
-                contrib = L[:, lv.src] + eff[:, lv.eid]
-                if lv.single:
-                    L[:, lv.nodes] = contrib
-                    pred[:, lv.nodes] = lv.eid[None, :]
-                else:
-                    M = np.maximum.reduceat(contrib, lv.segs, axis=1)
-                    L[:, lv.nodes] = M
-                    # First max per segment: mask non-max positions to a
-                    # sentinel past the end, then min-reduce positions.
-                    ncols = contrib.shape[1]
-                    expanded = np.repeat(M, lv.sizes, axis=1)
-                    pos = np.where(
-                        contrib == expanded,
-                        np.arange(ncols, dtype=np.int64)[None, :],
-                        ncols,
-                    )
-                    first = np.minimum.reduceat(pos, lv.segs, axis=1)
-                    pred[:, lv.nodes] = lv.eid[first]
-        return L, pred
 
     def finals(self, D: np.ndarray) -> np.ndarray:
         """(R, nprocs) per-rank final delays from a node-delay matrix."""

@@ -28,14 +28,10 @@ from repro.core.checkpoint import (
     resolve_rows,
     signature_digest,
 )
-from repro.core.parallel import (
-    FaultPolicy,
-    map_replicate_batches,
-    map_replicates,
-    replicate_items,
-)
+from repro.core.parallel import FaultPolicy, map_replicate_batches, replicate_items
 from repro.core.diagnostics import DiagnosticError
 from repro.core.perturb import PerturbationSpec
+from repro.core.traversal import propagate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.bounds import MakespanBounds
@@ -138,8 +134,8 @@ def monte_carlo(
     :class:`~repro.core.compiled.CompiledPlan` and runs all replicates
     through the replicate-batched numpy kernel, returning the
     ``(replicates, nprocs)`` sample matrix directly; ``"graph"`` is the
-    per-replicate object-graph reference engine.  Both produce
-    bit-identical samples.
+    per-replicate object-graph reference engine, which runs in process
+    only (``jobs`` must be 0 or 1).  Both produce bit-identical samples.
 
     ``policy`` governs chunk-level timeouts/retries/failure handling in
     the pool backend (:class:`~repro.core.parallel.FaultPolicy`).  Under
@@ -170,24 +166,31 @@ def monte_carlo(
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     resolved = "graph" if engine == "graph" else "compiled"
+    if resolved == "graph" and jobs not in (0, 1):
+        raise ValueError(
+            f"engine='graph' is the in-process reference engine: jobs must be 0 or 1, got {jobs}"
+        )
     store = CheckpointStore.coerce(checkpoint)
     with obs.span("monte_carlo", replicates=replicates, mode=mode, jobs=jobs, engine=engine):
-        items = replicate_items(spec, replicates)
-        seeds = tuple(seed for seed, _ in items)
+        seeds = tuple(seed for seed, _ in replicate_items(spec, replicates))
 
         def compute(indices) -> list:
-            sub = [items[i] for i in indices]
+            sub = [seeds[i] for i in indices]
             if resolved == "graph":
-                return map_replicates(
-                    build, sub, mode=mode, jobs=jobs, chunk_size=chunk_size, policy=policy
-                )
+                obs.span_add("mc.replicates", len(sub))
+                return [
+                    propagate(
+                        build, PerturbationSpec(spec.signature, seed=seed, scale=spec.scale), mode
+                    ).final_delay
+                    for seed in sub
+                ]
             from repro.core.compiled import compiled_plan
 
             return list(
                 map_replicate_batches(
                     compiled_plan(build, checkpoint=store),
                     spec.signature,
-                    [seed for seed, _ in sub],
+                    sub,
                     scale=spec.scale,
                     mode=mode,
                     jobs=jobs,

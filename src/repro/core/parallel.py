@@ -16,7 +16,7 @@ giving up reproducibility:
 * :class:`SerialBackend` — the in-process reference executor.
 * :class:`ProcessPoolBackend` — fans work items out over a
   ``concurrent.futures.ProcessPoolExecutor``.  The shared payload (the
-  built graph) is shipped to each worker **once** via the pool
+  compiled plan) is shipped to each worker **once** via the pool
   initializer, and items are submitted in chunks so per-task pickling
   overhead is amortized.
 
@@ -51,9 +51,8 @@ Retries, timeouts, restarts and fallbacks are counted through
 **Determinism guarantee:** a backend only changes *where* each item
 runs, never *what* it computes.  Each work item carries its own explicit
 seed, so parallel results are bit-for-bit identical to serial results
-for the same ``base_seed`` — verified by tests and by
-``benchmarks/bench_perf_parallel_mc.py``.  Speculative twins compute
-the same bits, so "first result wins" cannot change an answer.
+for the same ``base_seed`` — verified by tests.  Speculative twins
+compute the same bits, so "first result wins" cannot change an answer.
 
 The ``jobs`` convention (mirrored by the ``--jobs`` CLI flag):
 
@@ -84,9 +83,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.builder import BuildResult
 from repro.core.perturb import PerturbationSpec
-from repro.core.traversal import propagate
 from repro.noise.signature import MachineSignature
 
 __all__ = [
@@ -99,7 +96,6 @@ __all__ = [
     "chunked",
     "default_chunk_size",
     "map_replicate_batches",
-    "map_replicates",
     "replicate_items",
     "resolve_backend",
 ]
@@ -169,7 +165,7 @@ class FaultPolicy:
 # ---------------------------------------------------------------------------
 
 # Per-worker shared payload, installed once by the pool initializer so the
-# (potentially large) BuildResult is pickled once per worker instead of
+# (potentially large) compiled plan is pickled once per worker instead of
 # once per chunk.
 _WORKER_PAYLOAD: dict = {}
 
@@ -253,7 +249,7 @@ class ExecutionBackend:
 
     ``fn`` must be a module-level callable (picklable by reference) of
     the form ``fn(payload, item) -> result``; ``payload`` is shared
-    state (typically the :class:`BuildResult`) shipped to workers once.
+    state (typically the compiled plan) shipped to workers once.
     Results are returned in item order regardless of execution order.
     """
 
@@ -505,7 +501,7 @@ def resolve_backend(
 
 
 # ---------------------------------------------------------------------------
-# Replicate mapping (the Monte-Carlo / influence work-item shape)
+# Replicate mapping (batched seeds, compact worker payload)
 # ---------------------------------------------------------------------------
 
 
@@ -514,44 +510,6 @@ def replicate_items(spec: PerturbationSpec, replicates: int) -> list[tuple[int, 
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     return [(spec.seed + i, spec) for i in range(replicates)]
-
-
-def _propagate_item(payload, item: tuple[int, PerturbationSpec]) -> list[float]:
-    """Worker body: one replicate's propagation, identified by its seed."""
-    build, mode = payload
-    seed, spec = item
-    with obs.span("replicate", seed=seed):
-        obs.span_add("mc.replicates")
-        res = propagate(
-            build, PerturbationSpec(spec.signature, seed=seed, scale=spec.scale), mode
-        )
-    return res.final_delay
-
-
-def map_replicates(
-    build: BuildResult,
-    items: Sequence[tuple[int, PerturbationSpec]],
-    mode: str = "additive",
-    jobs: int | None = 0,
-    chunk_size: int | None = None,
-    policy: FaultPolicy | None = None,
-) -> list[list[float]]:
-    """Propagate every ``(seed, spec)`` item over ``build``, returning
-    per-item ``final_delay`` rows in item order.
-
-    The workhorse behind ``monte_carlo(..., jobs=)`` and
-    ``rank_influence(..., jobs=)``; results are independent of the
-    backend choice (see module docstring).  Under
-    ``FaultPolicy(on_failure="skip")`` a failed chunk's rows come back
-    as ``None``.
-    """
-    backend = resolve_backend(jobs, chunk_size, policy)
-    return backend.map(_propagate_item, items, payload=(build, mode))
-
-
-# ---------------------------------------------------------------------------
-# Compiled-plan replicate mapping (batched seeds, compact worker payload)
-# ---------------------------------------------------------------------------
 
 
 def _compiled_batch_item(payload, seed_batch: list[int]) -> np.ndarray:
@@ -576,19 +534,21 @@ def map_replicate_batches(
     """Replicate ``seeds`` through a :class:`~repro.core.compiled.
     CompiledPlan`, returning the ``(len(seeds), nprocs)`` delay matrix.
 
-    The compiled counterpart of :func:`map_replicates`: workers receive
-    the plan's compact structure-of-arrays payload (never the Python
-    object graph) plus a *batch* of seeds per task, so each task is one
-    vectorized kernel invocation and the result rows come back as
-    ndarray blocks that assemble with a single ``vstack`` — no per-row
-    Python lists.  Row order follows ``seeds``; results are bit-identical
-    across backends (each row is keyed by its own seed).
+    Workers receive the plan's compact structure-of-arrays payload
+    (never the Python object graph) plus a *batch* of seeds per task,
+    so each task is one vectorized kernel invocation and the result
+    rows come back as ndarray blocks that assemble with a single
+    ``vstack`` — no per-row Python lists.  Row order follows ``seeds``;
+    results are bit-identical across backends (each row is keyed by its
+    own seed).
 
     The :class:`FaultPolicy` applies per *batch* (a batch is the chunk
     unit here); under ``on_failure="skip"`` a failed batch's rows are
     returned as NaN so the matrix keeps its shape.
     """
     seeds = list(seeds)
+    if not seeds:
+        return np.empty((0, plan.nprocs), dtype=np.float64)
     payload = (plan, signature, scale, mode)
     backend = resolve_backend(jobs, chunk_size, policy)
     if backend.jobs < 2:

@@ -269,9 +269,9 @@ def longest_weighted_path(
     recoverable by backtracking, not just its length.
 
     Ties break toward the *first* in-edge in ``g.in_edge_ids`` order,
-    which is exactly the tie-break of the compiled level-schedule kernel
-    (:meth:`repro.core.compiled.CompiledPlan.longest_path`); the two
-    engines therefore recover bit-identical paths.
+    which is exactly the tie-break of
+    :func:`repro.core.analysis.binding_chain` over the compiled
+    kernel's path costs; the two therefore recover bit-identical paths.
     """
     g = build.graph
     if len(costs) != len(g.edges):

@@ -6,13 +6,14 @@ delay), this module answers the unperturbed question: which chain of
 observed intervals determined the run's end-to-end makespan?  The path
 is the longest weighted path from any source to the latest finalize,
 computed over the per-edge base weights (optionally plus sampled
-deltas) with full predecessor tracking so the chain itself — not just
-its length — is recoverable.
+deltas).
 
-The path comes from :meth:`~repro.core.compiled.CompiledPlan.longest_path`,
-the vectorized level-schedule kernel (replicate-batched).  It breaks
-ties toward the *first* in-edge in ``graph.in_edge_ids`` order, exactly
-like the scalar reference oracle
+The path costs come from the compiled plan's level-schedule
+:meth:`~repro.core.compiled.CompiledPlan.kernel`; the chain itself is
+recovered by :func:`~repro.core.analysis.binding_chain`, the same
+backward walk :func:`~repro.core.analysis.critical_path` uses.  It
+breaks ties toward the *first* in-edge in ``graph.in_edge_ids`` order,
+exactly like the scalar reference oracle
 :func:`~repro.core.traversal.longest_weighted_path`, so the extracted
 edge sequence equals the oracle's bit for bit — the property the test
 suite pins down.
@@ -27,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.analysis import binding_chain
 from repro.core.builder import BuildResult
 from repro.core.compiled import compiled_plan
 
@@ -103,8 +105,7 @@ def extract_critical_path(
 
     with obs.span("diagnose.path", engine="compiled"):
         plan = compiled_plan(build)
-        Lm, predm = plan.longest_path(costs[None, :])
-        L, pred = Lm[0], predm[0].tolist()
+        L = plan.kernel(costs[None, :])[0].tolist()
 
         sink = None
         sink_rank = -1
@@ -113,7 +114,7 @@ def extract_critical_path(
         for rank, nid in enumerate(plan.final_node.tolist()):
             if nid < 0:
                 continue
-            final_costs[rank] = float(L[nid])
+            final_costs[rank] = L[nid]
             if final_costs[rank] > best:
                 best = final_costs[rank]
                 sink = nid
@@ -121,14 +122,8 @@ def extract_critical_path(
         if sink is None:
             raise ValueError("graph has no finalize nodes: nothing to diagnose")
 
-        edge_src = build.graph.edge_src.tolist()
-        path: list[int] = []
-        node = sink
-        while pred[node] >= 0:
-            path.append(pred[node])
-            node = edge_src[pred[node]]
-        path.reverse()
-        nodes = [node] + build.graph.edge_dst[path].tolist()
+        costs = costs.tolist()
+        path, nodes = binding_chain(build.graph, L, costs, sink, -math.inf)
         obs.span_add("diagnose.path_edges", len(path))
 
     return CriticalPathExtract(
@@ -136,6 +131,6 @@ def extract_critical_path(
         total_cost=best,
         edges=tuple(path),
         nodes=tuple(nodes),
-        costs=tuple(float(costs[ei]) for ei in path),
+        costs=tuple(costs[ei] for ei in path),
         final_costs=tuple(final_costs),
     )

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.apps import (
+    ALL_APPS,
     MasterWorkerParams,
+    StencilParams,
     TokenRingParams,
     master_worker,
+    stencil1d,
     token_ring,
 )
 from repro.core import (
@@ -17,9 +20,13 @@ from repro.core import (
     propagate,
     runtime_impact,
 )
+from repro.core.analysis import _EPS
+from repro.core.coarsen import AUTO_MIN_NODES
+from repro.core.compiled import compiled_plan
 from repro.core.graph import EdgeKind
+from repro.core.traversal import longest_weighted_path
 from repro.mpisim import run
-from repro.noise import Constant, MachineSignature
+from repro.noise import Constant, Exponential, MachineSignature
 
 
 def spec(os=0.0, lat=0.0, per_byte=0.0, seed=0, by_rank=None):
@@ -96,6 +103,58 @@ class TestCriticalPath:
         build = build_graph(ring_trace)
         with pytest.raises(ValueError):
             critical_path(build, streaming)
+
+
+def _oracle_binding_path(build, result):
+    """The oracle's predecessor chain into the critical path's sink,
+    trimmed at the first node whose delay is at most ``_EPS``."""
+    g = build.graph
+    L, pred = longest_weighted_path(build, result.edge_delta)
+    assert L == result.node_delay
+    rank = max(range(g.nprocs), key=lambda r: result.final_delay[r])
+    node, path = g.final_node_of(rank), []
+    while pred[node] >= 0 and L[node] > _EPS:
+        path.append(pred[node])
+        node = g.edges[pred[node]].src
+    return tuple(reversed(path))
+
+
+_ORACLE_SIGNATURES = (
+    MachineSignature(os_noise=Exponential(80.0), latency=Exponential(40.0)),
+    # Constant noise makes exact max() ties common.
+    MachineSignature(os_noise=Constant(100.0), latency=Constant(50.0)),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_builds():
+    builds = {}
+    for name, (factory, params_cls) in sorted(ALL_APPS.items()):
+        p = 8 if name == "butterfly_allreduce" else 4
+        builds[name] = build_graph(run(factory(params_cls()), nprocs=p, seed=1).trace)
+    # 52 016 nodes: the automatic policy coarsens this one.
+    trace = run(stencil1d(StencilParams(iterations=1300)), nprocs=4, seed=1).trace
+    builds["stencil1d-coarse"] = build_graph(trace)
+    return builds
+
+
+class TestCriticalPathOracle:
+    """``critical_path`` walks exact ties, so its chain is the
+    ``longest_weighted_path`` oracle's predecessor chain over the
+    sampled deltas — on the flat plan and on the coarse one."""
+
+    @pytest.mark.parametrize("mode", ["additive", "threshold"])
+    @pytest.mark.parametrize("app", [*sorted(ALL_APPS), "stencil1d-coarse"])
+    def test_chain_equals_oracle(self, oracle_builds, app, mode):
+        build = oracle_builds[app]
+        plan = compiled_plan(build)
+        coarse = app.endswith("-coarse")
+        assert (plan.coarse is not None) == coarse
+        assert (len(build.graph.nodes) >= AUTO_MIN_NODES) == coarse
+        for sig in _ORACLE_SIGNATURES:
+            res = plan.propagate_one(PerturbationSpec(sig, seed=3), mode=mode)
+            cp = critical_path(build, res)
+            assert cp.edges == _oracle_binding_path(build, res), sig
 
 
 class TestAbsorption:

@@ -275,13 +275,15 @@ def test_plan_is_cached_on_build(app_builds):
 class TestAnalysisWiring:
     def test_monte_carlo_engines_and_jobs_agree(self, app_builds):
         _, build = app_builds["token_ring"]
-        spec = PerturbationSpec(SIGNATURES["expo"], seed=17)
-        for mode in ("additive", "threshold"):
-            ref = monte_carlo(build, spec, replicates=24, mode=mode, engine="graph")
-            for kwargs in ({"engine": "compiled"}, {"engine": "auto"}, {"jobs": 2}):
-                got = monte_carlo(build, spec, replicates=24, mode=mode, **kwargs)
-                assert np.array_equal(ref.samples, got.samples), kwargs
-                assert ref.seeds == got.seeds
+        # "fallback" sends every LogNormal lane through the scalar sampler.
+        for sig_name in ("expo", "fallback"):
+            spec = PerturbationSpec(SIGNATURES[sig_name], seed=17)
+            for mode in ("additive", "threshold"):
+                ref = monte_carlo(build, spec, replicates=24, mode=mode, engine="graph")
+                for kwargs in ({"engine": "compiled"}, {"engine": "auto"}, {"jobs": 2}):
+                    got = monte_carlo(build, spec, replicates=24, mode=mode, **kwargs)
+                    assert np.array_equal(ref.samples, got.samples), (sig_name, mode, kwargs)
+                    assert ref.seeds == got.seeds
 
     def test_monte_carlo_compiled_returns_array_directly(self, app_builds):
         _, build = app_builds["token_ring"]

@@ -15,7 +15,8 @@ from repro.core import (
     ProcessPoolBackend,
     SerialBackend,
     build_graph,
-    map_replicates,
+    compiled_plan,
+    map_replicate_batches,
     monte_carlo,
     rank_influence,
     replicate_items,
@@ -162,8 +163,16 @@ class TestSerialParallelEquality:
         parallel = rank_influence(ring_build, Exponential(100.0), seed=1, jobs=2)
         assert np.array_equal(serial.matrix, parallel.matrix)
 
-    def test_map_replicates_empty_pool_items(self, ring_build):
-        assert map_replicates(ring_build, [], jobs=2) == []
+    def test_map_replicate_batches_empty_pool_seeds(self, ring_build):
+        plan = compiled_plan(ring_build)
+        got = map_replicate_batches(plan, spec().signature, [], jobs=2)
+        assert got.shape == (0, ring_build.graph.nprocs)
+
+    def test_graph_engine_rejects_pool(self, ring_build):
+        """The reference engine runs in process only: a pool request is
+        an error, not a silent serial run."""
+        with pytest.raises(ValueError, match="in-process reference engine"):
+            monte_carlo(ring_build, spec(), replicates=4, engine="graph", jobs=2)
 
 
 class TestFallback:
