@@ -1,14 +1,17 @@
 """Trace-set → message-passing graph construction (§4, §4.2).
 
 The builder loads per-rank events, matches them by execution order
-(:mod:`repro.core.matching`), and materializes the subgraph templates of
-:mod:`repro.core.primitives` into an in-core
+(:mod:`repro.core.matching`, which also rejects a matched send and
+receive that disagree on their size), and materializes the subgraph
+templates of :mod:`repro.core.primitives` into an in-core
 :class:`~repro.core.graph.MessagePassingGraph`, appending straight into
 its node and edge columns.
 
 For traces that do not fit in memory, use the windowed streaming
 traversal (:class:`repro.core.traversal.StreamingTraversal`) instead —
-it consumes the same templates without ever materializing the graph.
+it evaluates the same template functions (``transfer_deltas`` for
+point-to-point transfers, ``collective_edges`` for collectives) without
+ever materializing the graph.
 """
 
 from __future__ import annotations

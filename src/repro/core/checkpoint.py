@@ -35,12 +35,14 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro import obs
 from repro._util import atomic_write_bytes, atomic_write_text
+from repro.core.primitives import BuildConfig
+from repro.trace.format import encode_event_text
 
 __all__ = [
     "CheckpointStore",
@@ -99,15 +101,24 @@ def build_digest(build) -> str:
     return digest
 
 
-def trace_digest(trace_set) -> str:
-    """Cheap context digest for engines that never build a graph
-    (streaming sweeps): rank count + per-rank program names."""
-    return digest_of(
-        {
-            "nprocs": trace_set.nprocs,
-            "programs": [trace_set.meta(r).program for r in range(trace_set.nprocs)],
-        }
-    )
+def trace_digest(trace_set, config: BuildConfig | None = None) -> str:
+    """Context digest for engines that never build a graph (streaming
+    sweeps): every rank's event stream plus the ``BuildConfig``.
+
+    Two traces of one program can differ in every event, and a config
+    changes the templates the traversal applies, so both are hashed.
+    The events stream through the digest one at a time (constant
+    memory), in the canonical text encoding; ``config`` defaults to
+    ``BuildConfig()``.
+    """
+    config = config or BuildConfig()
+    h = hashlib.sha256(_canonical([trace_set.nprocs, asdict(config)]).encode())
+    for rank in range(trace_set.nprocs):
+        h.update(f"\nrank {rank}".encode())
+        for ev in trace_set.events_of(rank):
+            h.update(b"\n")
+            h.update(encode_event_text(ev).encode())
+    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

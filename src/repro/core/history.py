@@ -90,7 +90,6 @@ class ExperimentHistory:
                 "collective_mode": config.collective_mode,
                 "eager_threshold": config.eager_threshold,
                 "absolute_weights": config.absolute_weights,
-                "reduce_transfer_deltas": config.reduce_transfer_deltas,
             }
         if extra:
             params["extra"] = extra

@@ -27,7 +27,7 @@ from repro.trace.events import (
     ROOTED_COLLECTIVES,
 )
 
-__all__ = ["MatchResult", "MatchError", "CollectiveGroup", "match_events"]
+__all__ = ["MatchResult", "MatchError", "CollectiveGroup", "match_events", "size_mismatch"]
 
 Key = tuple  # (rank, seq)
 
@@ -92,17 +92,37 @@ class MatchResult:
         return len(self.transfer_of)
 
 
-def _channels_of(ev: EventRecord) -> list[tuple[str, tuple]]:
-    """(role, channel) contributions of one event to pairwise matching."""
+def _channels_of(ev: EventRecord) -> list[tuple[str, tuple, int]]:
+    """(role, channel, nbytes) contributions of one event to pairwise
+    matching."""
     out = []
     if ev.kind in (EventKind.SEND, EventKind.ISEND):
-        out.append(("send", (ev.rank, ev.peer, ev.tag)))
+        out.append(("send", (ev.rank, ev.peer, ev.tag), ev.nbytes))
     elif ev.kind in (EventKind.RECV, EventKind.IRECV):
-        out.append(("recv", (ev.peer, ev.rank, ev.tag)))
+        out.append(("recv", (ev.peer, ev.rank, ev.tag), ev.nbytes))
     elif ev.kind == EventKind.SENDRECV:
-        out.append(("send", (ev.rank, ev.peer, ev.tag)))
-        out.append(("recv", (ev.recv_peer, ev.rank, ev.recv_tag)))
+        out.append(("send", (ev.rank, ev.peer, ev.tag), ev.nbytes))
+        out.append(("recv", (ev.recv_peer, ev.rank, ev.recv_tag), ev.recv_nbytes))
     return out
+
+
+def size_mismatch(
+    rank: int, seq: int, src: int, tag: int, recv_nbytes: int, send_nbytes: int
+) -> MatchError:
+    """The error for a matched pair that disagrees on its size.
+
+    A transfer has one size: the data edge's δ_t(d) and the eager/sync
+    choice of its acknowledgement both read it, so a receive that names
+    another size than its matched send would model a different message
+    on each side.  The error names the receive event.
+    """
+    return MatchError(
+        f"rank {rank} event #{seq} receives {recv_nbytes} B from rank {src} "
+        f"(tag {tag}) but its matched send carries {send_nbytes} B",
+        code="unmatched-endpoint",
+        rank=rank,
+        seq=seq,
+    )
 
 
 def match_events(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult:
@@ -135,25 +155,31 @@ def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult
         coll_counter = 0
         for ev in events:
             key = (ev.rank, ev.seq)
-            for role, channel in _channels_of(ev):
+            for role, channel, nbytes in _channels_of(ev):
                 if role == "send":
                     result.transfer_index[key] = send_counts[channel]
                     send_counts[channel] += 1
                     q = pending_recvs[channel]
                     if q:
-                        rkey = q.popleft()
+                        rkey, recv_nbytes = q.popleft()
+                        if recv_nbytes != nbytes:
+                            src, _, tag = channel
+                            raise size_mismatch(*rkey, src, tag, recv_nbytes, nbytes)
                         result.transfer_of[key] = rkey
                         result.reverse_transfer_of[rkey] = key
                     else:
-                        pending_sends[channel].append(key)
+                        pending_sends[channel].append((key, nbytes))
                 else:
                     q = pending_sends[channel]
                     if q:
-                        skey = q.popleft()
+                        skey, send_nbytes = q.popleft()
+                        if send_nbytes != nbytes:
+                            src, _, tag = channel
+                            raise size_mismatch(*key, src, tag, nbytes, send_nbytes)
                         result.transfer_of[skey] = key
                         result.reverse_transfer_of[key] = skey
                     else:
-                        pending_recvs[channel].append(key)
+                        pending_recvs[channel].append((key, nbytes))
 
             if ev.kind in (EventKind.ISEND, EventKind.IRECV):
                 open_reqs[ev.req] = key
@@ -207,9 +233,9 @@ def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult
     # message had a counterpart (§4.1).
     leftovers = []
     for channel, q in pending_sends.items():
-        leftovers += [f"send {k} on channel {channel}" for k in q]
+        leftovers += [f"send {k} on channel {channel}" for k, _ in q]
     for channel, q in pending_recvs.items():
-        leftovers += [f"recv {k} on channel {channel}" for k in q]
+        leftovers += [f"recv {k} on channel {channel}" for k, _ in q]
     if leftovers:
         shown = "; ".join(leftovers[:8])
         raise MatchError(

@@ -4,8 +4,10 @@ The paper embeds the blocking semantics of every message-passing
 primitive in the graph itself.  Each template below returns *edge
 specifications* between *endpoint descriptors*; the in-core builder
 materializes them as graph nodes/edges, and the streaming traversal
-consumes them directly — both therefore encode identical semantics and,
-through the deterministic ``uid`` scheme, sample identical deltas.
+evaluates the same functions on the fly (``transfer_deltas`` for each
+half of a transfer, ``collective_edges`` per collective) — both
+therefore encode identical semantics and, through the deterministic
+``uid`` scheme, sample identical deltas.
 
 Endpoint descriptors (plain tuples, hashable):
 
@@ -23,13 +25,17 @@ Template catalogue:
 ``gap_edge``
     E(prev)→S(next) compute-phase edge; carries one δ_os sample — the
     paper's primary noise-attachment point (§4.2, §5.1).
-``transfer_edges``
+``transfer_deltas`` / ``transfer_edges``
     Fig. 2 (blocking) and Fig. 3 (nonblocking + waits): a data-path edge
     carrying δ_λ1 + δ_t(d) + δ_os2 into the receive-completion subevent,
-    and an acknowledgement edge carrying δ_λ2 back into the
-    send-completion subevent (modeling the synchronous blocking send of
-    Eq. 1; suppressed for messages at or below an eager threshold when
-    one is configured).
+    and an acknowledgement edge carrying δ_λ2 (or a rendezvous round
+    trip, after a posted receive) back into the send-completion
+    subevent (modeling the synchronous blocking send of Eq. 1;
+    suppressed for messages at or below an eager threshold when one is
+    configured).  ``transfer_deltas`` is the one definition of a
+    transfer's perturbations; ``transfer_edges`` places its endpoints.
+    A matched send and receive carry one size (matching rejects a pair
+    that disagrees), so either side's ``nbytes`` names it.
 ``collective_edges``
     Fig. 4 hub approximation (fan-in edges labelled l_δ with
     ceil(log2 p) samples, unlabelled fan-out carrying the max), the
@@ -57,6 +63,7 @@ __all__ = [
     "bfly",
     "intra_event_edge",
     "gap_edge",
+    "transfer_deltas",
     "transfer_edges",
     "collective_edges",
     "UNROOTED_HUB_KINDS",
@@ -89,6 +96,9 @@ _UID_FANIN = 5
 _UID_BCASTOUT = 6
 _UID_BFLY_LOCAL = 7
 _UID_BFLY_MSG = 8
+
+
+_START, _END = int(Phase.START), int(Phase.END)
 
 
 def sub(rank: int, seq: int, phase: Phase) -> tuple:
@@ -132,16 +142,11 @@ class BuildConfig:
         instead of the paper's zero weight.  ONLY valid for traces with
         a trusted global clock (our simulator's validation runs); the
         default keeps the paper's clock-free model.
-    reduce_transfer_deltas:
-        When True, REDUCE/GATHER fan-in edges carry δ_t(d) in addition
-        to the single δ_λ sample the paper specifies (extension for
-        data-heavy gathers; default False = paper-faithful).
     """
 
     collective_mode: str = "hub"
     eager_threshold: int | None = None
     absolute_weights: bool = False
-    reduce_transfer_deltas: bool = False
 
     def __post_init__(self) -> None:
         if self.collective_mode not in ("hub", "butterfly"):
@@ -203,6 +208,53 @@ def gap_edge(prev: EventRecord, ev: EventRecord) -> EdgeT:
     )
 
 
+def transfer_deltas(
+    src: int,
+    dst: int,
+    tag: int,
+    nbytes: int,
+    chan_index: int,
+    recv_kind: EventKind,
+    config: BuildConfig,
+) -> tuple[DeltaSpec, DeltaSpec | None, Phase]:
+    """The perturbations of one matched transfer (Figs. 2 and 3).
+
+    Returns ``(data, ack, ack_phase)``: the data-path delta carrying
+    δ_λ1 + δ_t(d) + δ_os2 (Eq. 1 second line), the acknowledgement delta
+    (None when ``config`` models the send as eager), and the phase of
+    the receive event the acknowledgement leaves from.  A blocking RECV
+    acks from its END with δ_λ2, which together with the data path
+    reproduces Eq. 1's third term with *shared* δ_λ1/δ_t/δ_os2 samples.
+    A *posted* receive (IRECV, or the receive half of a SENDRECV) acks
+    by rendezvous: the chain restarts at the posting subevent (IRECV
+    END, SENDRECV START) and samples the full λ→ + δ_t + δ_os + λ←
+    round trip fresh — sourcing it at the receiver's completion can
+    manufacture END↔END cycles the real run (and MPI semantics) do not
+    have, e.g. two ranks sendrecv-ing each other.
+
+    ``(src, dst, tag, chan_index)`` is the transfer's canonical identity,
+    which both engines compute independently; the edge uids derive from
+    it, so they sample the same deltas.
+    """
+    data = DeltaSpec(
+        DeltaKind.TRANSFER_OS,
+        rank=dst,
+        src=src,
+        dst=dst,
+        nbytes=nbytes,
+        uid=(_UID_DATA, src, dst, tag, chan_index),
+    )
+    if not config.models_ack(nbytes):
+        return data, None, Phase.END
+    ack_uid = (_UID_ACK, src, dst, tag, chan_index)
+    if recv_kind == EventKind.RECV:
+        return data, DeltaSpec(DeltaKind.LATENCY, src=dst, dst=src, uid=ack_uid), Phase.END
+    rdv = DeltaSpec(
+        DeltaKind.ROUNDTRIP, rank=dst, src=src, dst=dst, nbytes=nbytes, uid=ack_uid
+    )
+    return data, rdv, Phase.END if recv_kind == EventKind.IRECV else Phase.START
+
+
 def transfer_edges(
     send_ev: EventRecord,
     recv_ev: EventRecord,
@@ -213,114 +265,51 @@ def transfer_edges(
 ) -> list[EdgeT]:
     """Message-edge pair for one matched transfer (Figs. 2 and 3).
 
-    ``send_completion``/``recv_completion`` are the (rank, seq) keys of
-    the WAIT-family events that retired the respective nonblocking
-    halves (None when not applicable or missing — the §4.3 async case).
-    ``chan_index`` is the transfer's ordinal on its ``(src, dst, tag)``
-    channel — the canonical identity used in edge uids so the streaming
-    traversal (which never sees the remote event's seq) samples the same
-    deltas.
+    Places the endpoints around :func:`transfer_deltas`: the data edge
+    runs from the send's START to the receive's completion END, the
+    acknowledgement edge from the receive's ``ack_phase`` subevent to
+    the send's completion END.  ``send_completion``/``recv_completion``
+    are the (rank, seq) keys of the WAIT-family events that retired the
+    respective nonblocking halves (None when not applicable or missing
+    — the §4.3 async case).  ``chan_index`` is the transfer's ordinal on
+    its ``(src, dst, tag)`` channel.
     """
     s_rank, s_seq = send_ev.rank, send_ev.seq
     r_rank, r_seq = recv_ev.rank, recv_ev.seq
-    tag = send_ev.tag
+    recv_kind = recv_ev.kind
     nbytes = send_ev.nbytes
-    data_uid = (_UID_DATA, s_rank, r_rank, tag, chan_index)
-    ack_uid = (_UID_ACK, s_rank, r_rank, tag, chan_index)
+    data, ack, ack_phase = transfer_deltas(
+        s_rank, r_rank, send_ev.tag, nbytes, chan_index, recv_kind, config
+    )
     edges: list[EdgeT] = []
 
-    # --- where delays *land* on the receiver -------------------------------
-    recv_is_nonblocking = recv_ev.kind == EventKind.IRECV
-    if recv_is_nonblocking and recv_completion is None:
-        # The receiver never observed this transfer completing (§4.3's
-        # fully-asynchronous case): there is no subevent whose time the
-        # data could delay, so no data edge is emitted.  The correctness
-        # checker reports the warning.
+    # The data delays the receive's completion.  An IRECV whose completion
+    # was never observed (§4.3's fully-asynchronous case) has no subevent
+    # the data could delay, so no data edge is emitted; the correctness
+    # checker reports the warning.  (Endpoints are spelled as ``sub``
+    # tuples inline: this runs once per message.)
+    if recv_kind != EventKind.IRECV:
+        data_dst = ("sub", r_rank, r_seq, _END)
+    elif recv_completion is not None:
+        data_dst = ("sub", recv_completion[0], recv_completion[1], _END)
+    else:
         data_dst = None
-    elif recv_is_nonblocking:
-        data_dst = sub(recv_completion[0], recv_completion[1], Phase.END)
-    else:
-        data_dst = sub(r_rank, r_seq, Phase.END)
-
-    # Fig. 2 data path: send START → receive completion END, carrying
-    # δ_λ1 + δ_t(d) + δ_os2 (Eq. 1 second line).
     if data_dst is not None:
-        edges.append(
-            EdgeT(
-                sub(s_rank, s_seq, Phase.START),
-                data_dst,
-                EdgeKind.MESSAGE,
-                0.0,
-                DeltaSpec(
-                    DeltaKind.TRANSFER_OS,
-                    rank=r_rank,
-                    src=s_rank,
-                    dst=r_rank,
-                    nbytes=nbytes,
-                    uid=data_uid,
-                ),
-                label=f"d={nbytes}",
-            )
-        )
+        data_src = ("sub", s_rank, s_seq, _START)
+        edges.append(EdgeT(data_src, data_dst, EdgeKind.MESSAGE, 0.0, data, f"d={nbytes}"))
 
-    # --- acknowledgement path back to the sender's completion ---------------
-    if not config.models_ack(nbytes):
+    # The acknowledgement delays the send's completion; a truly
+    # asynchronous sender (§4.3) has nothing to delay.
+    if ack is None:
         return edges
-    send_is_nonblocking = send_ev.kind == EventKind.ISEND
-    if send_is_nonblocking:
-        if send_completion is None:
-            # Truly asynchronous sender (§4.3) — nothing to delay; the
-            # correctness checker reports the warning.
-            return edges
-        ack_dst = sub(send_completion[0], send_completion[1], Phase.END)
+    if send_ev.kind != EventKind.ISEND:
+        ack_dst = ("sub", s_rank, s_seq, _END)
+    elif send_completion is not None:
+        ack_dst = ("sub", send_completion[0], send_completion[1], _END)
     else:
-        ack_dst = sub(s_rank, s_seq, Phase.END)
-
-    if recv_is_nonblocking or recv_ev.kind == EventKind.SENDRECV:
-        # Rendezvous against a *posted* receive: the ack chain restarts at
-        # the receive's posting subevent (IRECV END, or SENDRECV START for
-        # the combined call), not at the receiver's completion — sourcing
-        # it there can manufacture END↔END cycles that the real run (and
-        # MPI semantics) do not have, e.g. two ranks sendrecv-ing each
-        # other.  The full λ→ + δ_t + δ_os + λ← round trip is sampled
-        # fresh on this edge.
-        ack_src_phase = Phase.END if recv_is_nonblocking else Phase.START
-        edges.append(
-            EdgeT(
-                sub(r_rank, r_seq, ack_src_phase),
-                ack_dst,
-                EdgeKind.MESSAGE,
-                0.0,
-                DeltaSpec(
-                    DeltaKind.ROUNDTRIP,
-                    rank=r_rank,
-                    src=s_rank,
-                    dst=r_rank,
-                    nbytes=nbytes,
-                    uid=ack_uid,
-                ),
-                label="rdv",
-            )
-        )
-    else:
-        # Fig. 2 ack: receive END → send END carrying δ_λ2.  Combined with
-        # the data path this reproduces Eq. 1's third term with *shared*
-        # δ_λ1/δ_t/δ_os2 samples, exactly as the paper's subgraph does.
-        edges.append(
-            EdgeT(
-                sub(r_rank, r_seq, Phase.END),
-                ack_dst,
-                EdgeKind.MESSAGE,
-                0.0,
-                DeltaSpec(
-                    DeltaKind.LATENCY,
-                    src=r_rank,
-                    dst=s_rank,
-                    uid=ack_uid,
-                ),
-                label="ack",
-            )
-        )
+        return edges
+    label = "ack" if recv_kind == EventKind.RECV else "rdv"
+    edges.append(EdgeT(sub(r_rank, r_seq, ack_phase), ack_dst, EdgeKind.MESSAGE, 0.0, ack, label))
     return edges
 
 
@@ -429,9 +418,6 @@ def collective_edges(
         # Paper's simplified Reduce: fan-in samples latency once; each rank
         # has a local δ_os edge (added by intra_event_edge); fan-out is
         # unlabelled, carrying the root's contribution back out.
-        fanin_kind = (
-            DeltaKind.TRANSFER if (config.reduce_transfer_deltas and nbytes) else DeltaKind.LATENCY
-        )
         for r in range(p):
             if r == root:
                 continue
@@ -442,7 +428,7 @@ def collective_edges(
                     EdgeKind.MESSAGE,
                     0.0,
                     DeltaSpec(
-                        fanin_kind,
+                        DeltaKind.LATENCY,
                         rank=r,
                         src=r,
                         dst=root,

@@ -118,8 +118,8 @@ def _sweep_worker(payload, spec: PerturbationSpec) -> list[float]:
         return StreamingTraversal(spec, config=config, mode=mode).run(carrier).final_delay
 
 
-def _context_digest(build: BuildResult | None, trace_set) -> str:
-    return build_digest(build) if build is not None else trace_digest(trace_set)
+def _context_digest(build: BuildResult | None, trace_set, config: BuildConfig) -> str:
+    return build_digest(build) if build is not None else trace_digest(trace_set, config)
 
 
 def _point(label: str, x: float, row, mode: str, nprocs: int) -> SweepPoint:
@@ -261,7 +261,7 @@ def sweep_scales(
         if store is None:
             rows = list(compute(range(len(scales))))
         else:
-            context = _context_digest(build, trace_set)
+            context = _context_digest(build, trace_set, config)
             sig_digest = signature_digest(spec.signature)
             keys = [
                 ShardKey(
@@ -325,7 +325,7 @@ def sweep_signatures(
         if store is None:
             rows = list(compute(range(len(specs))))
         else:
-            context = _context_digest(build, trace_set)
+            context = _context_digest(build, trace_set, config)
             keys = [
                 ShardKey(
                     "sweep_signatures", seed, signature_digest(sig), 1.0, mode, engine, context

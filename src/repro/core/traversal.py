@@ -12,9 +12,14 @@ sampling, see :mod:`repro.core.perturb`):
 :class:`StreamingTraversal`
     Windowed: streams the per-rank traces through the same subgraph
     templates without ever materializing the graph — the paper's answer
-    to "arbitrarily large trace files" (§1 difference (3), §6).  Memory
-    is bounded by the lookahead window and by in-flight (unconsumed)
-    message contributions, not by trace length.
+    to "arbitrarily large trace files" (§1 difference (3), §6).  Each
+    transfer's send and receive halves evaluate the builder's own
+    :func:`~repro.core.primitives.transfer_deltas`, each collective its
+    :func:`~repro.core.primitives.collective_edges`; a receive whose
+    size differs from its send's raises the matcher's
+    ``unmatched-endpoint`` error.  Memory is bounded by the lookahead
+    window and by in-flight (unconsumed) message contributions, not by
+    trace length.
 
 Delay semantics: every node carries ``D(v) = t'(v) − t(v)`` on its own
 rank's local clock; ``D(v) = max over in-edges (D(u) + δ_eff)`` where
@@ -37,13 +42,19 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro import obs
-from repro.core import primitives as _prim
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
-from repro.core.matching import CollectiveGroup, MatchError
+from repro.core.matching import CollectiveGroup, MatchError, size_mismatch
 from repro.core.perturb import PerturbationSpec
-from repro.core.primitives import BuildConfig, collective_edges, gap_edge, intra_event_edge, sub
+from repro.core.primitives import (
+    BuildConfig,
+    collective_edges,
+    gap_edge,
+    intra_event_edge,
+    sub,
+    transfer_deltas,
+)
 from repro.trace.events import COLLECTIVE_KINDS, EventKind, EventRecord
 
 __all__ = [
@@ -302,9 +313,10 @@ def longest_weighted_path(
 class _Mailboxes:
     """Cross-rank delay contributions in flight.
 
-    ``data[(src, dst, tag)]`` — FIFO-indexed (value, sender_seq) pairs
-    published by send starts; ``ack[...]`` — finished contributions
-    published by receive completions.  Entries are deleted on
+    ``data[("d", src, dst, tag, k)]`` — the (send START delay, send
+    nbytes) pair of the k-th transfer on a channel, published by the
+    send; ``ack[("a", src, dst, tag, k)]`` — the finished ack
+    contribution, published by the receive.  Entries are deleted on
     consumption so memory tracks only unmatched traffic.
     """
 
@@ -320,7 +332,7 @@ class _CollState:
     """One collective instance being assembled across ranks."""
 
     def __init__(self, nprocs: int):
-        self.entries: dict[int, tuple] = {}  # rank -> (D_start, key, ev)
+        self.entries: dict[int, tuple] = {}  # rank -> (D_start, D_end local, ev)
         self.exits: list | None = None
         self.consumed = 0
         self.nprocs = nprocs
@@ -330,22 +342,30 @@ class _CollState:
 
 
 def _eval_collective(
-    group: CollectiveGroup,
-    d_start: Sequence[float],
-    events: Sequence[EventRecord],
+    ordinal: int,
+    entries: dict,
     nprocs: int,
     config: BuildConfig,
     applier: _DeltaApplier,
 ) -> list[float]:
     """Per-rank END-subevent delay of one collective instance.
 
-    Evaluates the *same* edge templates the in-core builder materializes
-    (identical DeltaSpecs, identical uids) over a scratch endpoint→delay
-    map, so streaming and in-core agree bit-for-bit.  END values are
-    seeded with each rank's intra-event path (S→E local edge) before the
-    template edges run, because reduce-style fan-out edges re-read the
-    root's END and must see its *full* delay, intra path included.
+    ``entries[r]`` is rank r's (START delay, END delay along its
+    intra-event S→E edge, event).  Evaluates the *same* edge templates
+    the in-core builder materializes (identical DeltaSpecs, identical
+    uids) over a scratch endpoint→delay map, so streaming and in-core
+    agree bit-for-bit.
     """
+    evs = [entries[r][2] for r in range(nprocs)]
+    if len({e.kind for e in evs}) != 1 or len({e.root for e in evs}) != 1:
+        raise MatchError(f"collective #{ordinal}: inconsistent kind/root across ranks")
+    group = CollectiveGroup(
+        ordinal=ordinal,
+        kind=evs[0].kind,
+        root=evs[0].root,
+        nbytes=max(0, *(e.nbytes for e in evs)),
+        members=tuple((r, e.seq) for r, e in enumerate(evs)),
+    )
     edges = collective_edges(group, nprocs, config)
     starts = [sub(r, group.members[r][1], Phase.START) for r in range(nprocs)]
     ends = [sub(r, group.members[r][1], Phase.END) for r in range(nprocs)]
@@ -364,9 +384,7 @@ def _eval_collective(
         indegree.setdefault(et.src, indegree.get(et.src, 0))
         out_by_src.setdefault(et.src, []).append(et)
     for r in range(nprocs):
-        values[starts[r]] = d_start[r]
-        intra = intra_event_edge(events[r])
-        values[ends[r]] = d_start[r] + applier.effective(intra.delta, intra.weight)
+        values[starts[r]], values[ends[r]], _ = entries[r]
         indegree.setdefault(starts[r], 0)
         indegree.setdefault(ends[r], 0)
 
@@ -521,13 +539,12 @@ class StreamingTraversal:
                 return mail.ack.pop(key)
             return _UNMET
         if kind == "coll":
-            ordinal, group_builder = need[1], need[2]
+            ordinal = need[1]
             st = colls.get(ordinal)
             if st is None or not st.full():
                 return _UNMET
             if st.exits is None:
-                group, d_start, events = group_builder(st)
-                st.exits = _eval_collective(group, d_start, events, nprocs, self.config, applier)
+                st.exits = _eval_collective(ordinal, st.entries, nprocs, self.config, applier)
             value = st.exits[rank]
             st.consumed += 1
             if st.consumed == nprocs:
@@ -549,7 +566,7 @@ class StreamingTraversal:
         """Generator: walks one rank's events computing START/END delays.
 
         Yields *needs* — ("data", key, n), ("ack", key, n), ("coll",
-        ordinal, group_builder, n) — and receives the satisfied value.
+        ordinal, n) — and receives the satisfied value.
         Returns (final_delay, final_local_time, events_consumed).
         """
         cfg = self.config
@@ -561,6 +578,58 @@ class StreamingTraversal:
         d_prev_end = 0.0
         n = 0
         last_t_end = 0.0
+
+        def send_half(ch: tuple, nbytes: int, d_start: float) -> tuple | None:
+            """Publish the data contribution of the send on channel
+            ``ch``; return the mailbox key of its ack, or None when the
+            send is eager (:meth:`BuildConfig.models_ack`)."""
+            k = send_idx[ch]
+            send_idx[ch] += 1
+            mail.data[("d",) + ch + (k,)] = (d_start, nbytes)
+            return ("a",) + ch + (k,) if cfg.models_ack(nbytes) else None
+
+        def landed(sent: tuple, claim: tuple) -> float:
+            """Delay a consumed data contribution carries into its receive;
+            the sender's size must be the receive's (one size per pair)."""
+            d_src, sent_nbytes = sent
+            data, seq, (src, _, tag), nbytes = claim
+            if sent_nbytes != nbytes:
+                raise size_mismatch(rank, seq, src, tag, nbytes, sent_nbytes)
+            return d_src + applier.effective(data, 0.0)
+
+        def recv_half(ev: EventRecord, d_start: float, local_end: float):
+            """Receive half of ``ev`` (a generator, driven with ``yield
+            from``): evaluates :func:`transfer_deltas` and returns the
+            receive's END delay.
+
+            The ack is published as soon as the subevent it leaves from
+            is final — a posted receive's rendezvous ack before any
+            blocking, so mutual exchanges never deadlock.  An IRECV only
+            claims its data: the contribution lands at the completing
+            wait (Fig. 3), and consuming the mailbox there keeps
+            irecv-before-isend patterns from blocking at the post.
+            """
+            if ev.kind == EventKind.SENDRECV:
+                ch, nbytes = (ev.recv_peer, rank, ev.recv_tag), ev.recv_nbytes
+            else:
+                ch, nbytes = (ev.peer, rank, ev.tag), ev.nbytes
+            k = recv_idx[ch]
+            recv_idx[ch] += 1
+            data, ack, ack_phase = transfer_deltas(*ch, nbytes, k, ev.kind, cfg)
+            ack_key = ("a",) + ch + (k,)
+            if ack is not None and ack_phase == Phase.START:
+                mail.ack[ack_key] = d_start + applier.effective(ack, 0.0)
+            data_key = ("d",) + ch + (k,)
+            claim = (data, ev.seq, ch, nbytes)
+            if ev.kind == EventKind.IRECV:
+                req_state[ev.req] = ("claim", data_key, claim)
+                d_end = local_end
+            else:
+                sent = yield ("data", data_key, n)
+                d_end = max(local_end, landed(sent, claim))
+            if ack is not None and ack_phase == Phase.END:
+                mail.ack[ack_key] = d_end + applier.effective(ack, 0.0)
+            return d_end
 
         for ev in events:
             n += 1
@@ -575,80 +644,18 @@ class StreamingTraversal:
             kind = ev.kind
             d_end = local_end
 
-            if kind == EventKind.SEND:
-                ch = (rank, ev.peer, ev.tag)
-                k = send_idx[ch]
-                send_idx[ch] += 1
-                mail.data[("d",) + ch + (k,)] = d_start
-                if cfg.models_ack(ev.nbytes):
-                    ack = yield ("ack", ("a",) + ch + (k,), n)
-                    d_end = max(local_end, ack)
-
-            elif kind == EventKind.RECV:
-                ch = (ev.peer, rank, ev.tag)
-                k = recv_idx[ch]
-                recv_idx[ch] += 1
-                d_src = yield ("data", ("d",) + ch + (k,), n)
-                data_delta = DeltaSpec(
-                    DeltaKind.TRANSFER_OS,
-                    rank=rank,
-                    src=ev.peer,
-                    dst=rank,
-                    nbytes=ev.nbytes,
-                    uid=(_prim._UID_DATA, ev.peer, rank, ev.tag, k),
-                )
-                d_end = max(local_end, d_src + applier.effective(data_delta, 0.0))
-                if cfg.models_ack(ev.nbytes):
-                    ack_delta = DeltaSpec(
-                        DeltaKind.LATENCY,
-                        src=rank,
-                        dst=ev.peer,
-                        uid=(_prim._UID_ACK, ev.peer, rank, ev.tag, k),
-                    )
-                    mail.ack[("a",) + ch + (k,)] = d_end + applier.effective(ack_delta, 0.0)
-
-            elif kind == EventKind.ISEND:
-                ch = (rank, ev.peer, ev.tag)
-                k = send_idx[ch]
-                send_idx[ch] += 1
-                mail.data[("d",) + ch + (k,)] = d_start
-                if cfg.models_ack(ev.nbytes):
-                    req_state[ev.req] = ("ack", ("a",) + ch + (k,))
+            if kind in (EventKind.SEND, EventKind.ISEND, EventKind.SENDRECV):
+                ack_key = send_half((rank, ev.peer, ev.tag), ev.nbytes, d_start)
+                if kind == EventKind.ISEND:
+                    req_state[ev.req] = ("ack", ack_key)
                 else:
-                    req_state[ev.req] = ("done",)
+                    if kind == EventKind.SENDRECV:
+                        d_end = yield from recv_half(ev, d_start, local_end)
+                    if ack_key is not None:
+                        d_end = max(d_end, (yield ("ack", ack_key, n)))
 
-            elif kind == EventKind.IRECV:
-                # The data contribution lands at the *completing wait*
-                # (Fig. 3), so only a claim is recorded here; consuming the
-                # mailbox at the wait keeps receivers from blocking at the
-                # posting call (which would deadlock irecv-before-isend
-                # exchange patterns).  Channel-FIFO pairing is preserved
-                # because the claim captures the channel ordinal now.
-                ch = (ev.peer, rank, ev.tag)
-                k = recv_idx[ch]
-                recv_idx[ch] += 1
-                data_delta = DeltaSpec(
-                    DeltaKind.TRANSFER_OS,
-                    rank=rank,
-                    src=ev.peer,
-                    dst=rank,
-                    nbytes=ev.nbytes,
-                    uid=(_prim._UID_DATA, ev.peer, rank, ev.tag, k),
-                )
-                req_state[ev.req] = ("claim", ("d",) + ch + (k,), data_delta)
-                if cfg.models_ack(ev.nbytes):
-                    # Rendezvous ack restarts at the posting subevent
-                    # (IRECV END) — publish eagerly so the sender's wait
-                    # never depends on this rank's own completion order.
-                    rdv_delta = DeltaSpec(
-                        DeltaKind.ROUNDTRIP,
-                        rank=rank,
-                        src=ev.peer,
-                        dst=rank,
-                        nbytes=ev.nbytes,
-                        uid=(_prim._UID_ACK, ev.peer, rank, ev.tag, k),
-                    )
-                    mail.ack[("a",) + ch + (k,)] = local_end + applier.effective(rdv_delta, 0.0)
+            elif kind in (EventKind.RECV, EventKind.IRECV):
+                d_end = yield from recv_half(ev, d_start, local_end)
 
             elif kind.is_completion:
                 for rid in ev.completed:
@@ -658,84 +665,18 @@ class StreamingTraversal:
                             f"rank {rank} event #{ev.seq} completes unknown request {rid}"
                         )
                     if state[0] == "claim":
-                        d_src = yield ("data", state[1], n)
-                        d_end = max(d_end, d_src + applier.effective(state[2], 0.0))
-                    elif state[0] == "ack":
-                        ack = yield ("ack", state[1], n)
-                        d_end = max(d_end, ack)
-                    # ("done",): eager isend — nothing lands here.
-
-            elif kind == EventKind.SENDRECV:
-                ch_s = (rank, ev.peer, ev.tag)
-                ks = send_idx[ch_s]
-                send_idx[ch_s] += 1
-                mail.data[("d",) + ch_s + (ks,)] = d_start
-                ch_r = (ev.recv_peer, rank, ev.recv_tag)
-                kr = recv_idx[ch_r]
-                recv_idx[ch_r] += 1
-                if cfg.models_ack(ev.recv_nbytes):
-                    # Publish the recv-half rendezvous ack BEFORE blocking on
-                    # the data need: its source is this event's START (see
-                    # transfer_edges), so it only requires d_start — and
-                    # publishing first keeps mutual sendrecv deadlock-free.
-                    rdv_delta = DeltaSpec(
-                        DeltaKind.ROUNDTRIP,
-                        rank=rank,
-                        src=ev.recv_peer,
-                        dst=rank,
-                        nbytes=ev.recv_nbytes,
-                        uid=(_prim._UID_ACK, ev.recv_peer, rank, ev.recv_tag, kr),
-                    )
-                    mail.ack[("a",) + ch_r + (kr,)] = d_start + applier.effective(rdv_delta, 0.0)
-                d_src = yield ("data", ("d",) + ch_r + (kr,), n)
-                data_delta = DeltaSpec(
-                    DeltaKind.TRANSFER_OS,
-                    rank=rank,
-                    src=ev.recv_peer,
-                    dst=rank,
-                    nbytes=ev.recv_nbytes,
-                    uid=(_prim._UID_DATA, ev.recv_peer, rank, ev.recv_tag, kr),
-                )
-                d_end = max(local_end, d_src + applier.effective(data_delta, 0.0))
-                if cfg.models_ack(ev.nbytes):
-                    ack = yield ("ack", ("a",) + ch_s + (ks,), n)
-                    d_end = max(d_end, ack)
+                        sent = yield ("data", state[1], n)
+                        d_end = max(d_end, landed(sent, state[2]))
+                    elif state[1] is not None:
+                        d_end = max(d_end, (yield ("ack", state[1], n)))
+                    # ("ack", None): eager isend — nothing lands here.
 
             elif kind in COLLECTIVE_KINDS:
                 ordinal = ev.coll_seq if ev.coll_seq >= 0 else coll_counter
                 coll_counter += 1
                 st = colls.setdefault(ordinal, _CollState(nprocs))
-                st.entries[rank] = (d_start, (rank, ev.seq), ev)
-
-                def build_group(state: _CollState, _ordinal=ordinal):
-                    members = []
-                    d_start_all = []
-                    evs = []
-                    kinds = set()
-                    roots = set()
-                    nbytes = 0
-                    for r in range(nprocs):
-                        d, key, e = state.entries[r]
-                        members.append(key)
-                        d_start_all.append(d)
-                        evs.append(e)
-                        kinds.add(e.kind)
-                        roots.add(e.root)
-                        nbytes = max(nbytes, e.nbytes)
-                    if len(kinds) != 1 or len(roots) != 1:
-                        raise MatchError(
-                            f"collective #{_ordinal}: inconsistent kind/root across ranks"
-                        )
-                    group = CollectiveGroup(
-                        ordinal=_ordinal,
-                        kind=next(iter(kinds)),
-                        root=next(iter(roots)),
-                        nbytes=nbytes,
-                        members=tuple(members),
-                    )
-                    return group, d_start_all, evs
-
-                cross = yield ("coll", ordinal, build_group, n)
+                st.entries[rank] = (d_start, local_end, ev)
+                cross = yield ("coll", ordinal, n)
                 d_end = max(local_end, cross)
 
             # INIT / FINALIZE and non-completing TEST: purely local.
@@ -743,7 +684,7 @@ class StreamingTraversal:
             prev = ev
             d_prev_end = d_end
 
-        leftovers = [rid for rid, st in req_state.items() if st[0] != "done"]
+        leftovers = [rid for rid, st in req_state.items() if st[1] is not None]
         if leftovers:
             warnings.append(
                 warn(

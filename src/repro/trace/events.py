@@ -16,7 +16,10 @@ single-node bookkeeping calls (INIT/FINALIZE).  Matching metadata:
 
 * pairwise ops carry ``peer``/``tag``/``nbytes`` — the *resolved* values
   (a wildcard receive records the source that actually matched, which is
-  legitimate because the trace describes a completed run);
+  legitimate because the trace describes a completed run).  A matched
+  send and receive must agree on ``nbytes`` (``recv_nbytes`` for a
+  SENDRECV's receive half): a transfer has one size, and matching
+  rejects a pair that disagrees;
 * nonblocking ops carry a rank-unique request id ``req``; completion ops
   (WAIT/WAITALL/WAITSOME/TEST) list the ids they completed — the
   "status flags that uniquely identify the send/receive transaction"

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.apps.stencil1d import StencilParams, stencil1d
 from repro.core import (
+    BuildConfig,
     PerturbationSpec,
     build_graph,
     monte_carlo,
@@ -28,8 +30,10 @@ from repro.core.checkpoint import (
     signature_digest,
     trace_digest,
 )
+from repro.mpisim import run
 from repro.noise import Exponential, MachineSignature
 from repro.testing import corrupt_checkpoints
+from repro.trace.reader import MemoryTrace
 
 pytestmark = pytest.mark.usefixtures("no_obs_session")
 
@@ -79,6 +83,15 @@ class TestDigests:
 
     def test_trace_digest(self, ring_trace):
         assert trace_digest(ring_trace) == trace_digest(ring_trace)
+
+    def test_trace_digest_covers_events_and_config(self, ring_trace):
+        assert trace_digest(ring_trace) == trace_digest(ring_trace, BuildConfig())
+        assert trace_digest(ring_trace) != trace_digest(ring_trace, BuildConfig(eager_threshold=0))
+        events = ring_trace.load_all()
+        ev = events[1][2]
+        events[1][2] = ev.with_times(ev.t_start, ev.t_end + 1.0)
+        retimed = MemoryTrace(events, program=ring_trace.meta(0).program)
+        assert trace_digest(retimed) != trace_digest(ring_trace)
 
 
 class TestShardKey:
@@ -270,6 +283,26 @@ class TestAnalysisResume:
         )
         for a, b in zip(clean.points, resumed.points):
             assert a.delays == b.delays
+
+    def test_streaming_resume_over_another_trace_is_fresh(self, tmp_path):
+        """Streaming shards key on every event and on the BuildConfig: a
+        resume over a different trace of the same program (or the same
+        trace under another config) recomputes instead of returning the
+        old rows."""
+        short, long = (
+            run(stencil1d(StencilParams(iterations=it)), nprocs=4, seed=1).trace
+            for it in (3, 12)
+        )
+        eager = BuildConfig(eager_threshold=64)
+        scales = [0.5, 1.0]
+        sweep_scales(short, spec(seed=4), scales, engine="streaming", checkpoint=tmp_path)
+        for trace, config in ((long, None), (short, eager)):
+            clean = sweep_scales(trace, spec(seed=4), scales, engine="streaming", config=config)
+            resumed = sweep_scales(
+                trace, spec(seed=4), scales, engine="streaming", config=config,
+                checkpoint=tmp_path, resume=True,
+            )
+            assert [p.delays for p in resumed.points] == [p.delays for p in clean.points]
 
     def test_sweep_signatures_resume_bit_identical(self, ring_trace, tmp_path):
         sigs = [

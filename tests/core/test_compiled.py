@@ -30,7 +30,6 @@ from repro.core.sampler import _build_tables, _mix_vec, _pcg_next64, _splitmix64
 from repro.mpisim import run
 from repro.noise import Constant, Empirical, Exponential, MachineSignature
 from repro.noise.distributions import LogNormal, Normal, Scaled, Shifted, Uniform
-from tests.conftest import DELAY_TOL
 
 U64 = np.uint64
 
@@ -193,6 +192,13 @@ SIGNATURES = {
 }
 
 
+STREAMING_CONFIGS = [
+    BuildConfig(collective_mode=mode, eager_threshold=eager)
+    for mode in ("hub", "butterfly")
+    for eager in (None, 64)
+]
+
+
 @pytest.fixture(scope="module")
 def app_builds():
     builds = {}
@@ -219,11 +225,17 @@ def test_cross_engine_matrix(app_builds, app, mode):
             assert got.node_delay == ref.node_delay, ctx
             assert got.edge_delta == ref.edge_delta, ctx
             assert got.clamped_edges == ref.clamped_edges, ctx
-    # Streaming stays within tolerance (one point: it is the slow engine).
-    spec = PerturbationSpec(SIGNATURES["expo"], seed=7)
-    ref = propagate(build, spec, mode=mode)
-    streaming = StreamingTraversal(spec, mode=mode).run(trace)
-    assert ref.final_delay == pytest.approx(streaming.final_delay, abs=DELAY_TOL)
+    # Streaming evaluates the same §3 templates on the fly, so it agrees
+    # exactly too, under every graph-semantics config (one point per
+    # signature: it is the slow engine).
+    for config in STREAMING_CONFIGS:
+        cfg_build = build if config == BuildConfig() else build_graph(trace, config)
+        for sig_name, sig in SIGNATURES.items():
+            spec = PerturbationSpec(sig, seed=7, scale=2.5)
+            ref = propagate(cfg_build, spec, mode=mode)
+            got = StreamingTraversal(spec, config=config, mode=mode).run(trace)
+            assert got.final_delay == ref.final_delay, f"{app}/{config}/{sig_name}"
+            assert got.clamped_edges == ref.clamped_edges, f"{app}/{config}/{sig_name}"
 
 
 def test_batch_rows_match_per_seed_propagations(app_builds):

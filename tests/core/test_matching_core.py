@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal, build_graph
 from repro.core.matching import MatchError, match_events
+from repro.noise import Constant, MachineSignature
 from repro.trace.events import EventKind, EventRecord
+from repro.trace.reader import MemoryTrace
 
 
 def ev(rank, seq, kind, t0=None, t1=None, **kw):
@@ -85,6 +88,63 @@ class TestPairwise:
         # 0's send half -> 1's recv half, and vice versa.
         assert m.transfer_of[(0, 0)] == (1, 0)
         assert m.transfer_of[(1, 0)] == (0, 0)
+
+
+def framed(rank, inner):
+    """INIT, the ``(kind, fields)`` events in order, FINALIZE."""
+    kinds = [(EventKind.INIT, {})] + inner + [(EventKind.FINALIZE, {})]
+    return [ev(rank, seq, kind, **kw) for seq, (kind, kw) in enumerate(kinds)]
+
+
+def pair_trace(nonblocking, send_nbytes, recv_nbytes):
+    """Rank 0 sends ``send_nbytes`` to rank 1, which receives ``recv_nbytes``
+    (blocking pair, or ISEND/IRECV each retired by a WAIT)."""
+    if nonblocking:
+        sender = [
+            (EventKind.ISEND, dict(peer=1, tag=3, nbytes=send_nbytes, req=1)),
+            (EventKind.WAIT, dict(reqs=(1,), completed=(1,))),
+        ]
+        receiver = [
+            (EventKind.IRECV, dict(peer=0, tag=3, nbytes=recv_nbytes, req=2)),
+            (EventKind.WAIT, dict(reqs=(2,), completed=(2,))),
+        ]
+    else:
+        sender = [(EventKind.SEND, dict(peer=1, tag=3, nbytes=send_nbytes))]
+        receiver = [(EventKind.RECV, dict(peer=0, tag=3, nbytes=recv_nbytes))]
+    return MemoryTrace([framed(0, sender), framed(1, receiver)])
+
+
+class TestOneSizePerPair:
+    """A matched send and receive carry one size: both engines reject a
+    pair that disagrees, naming the receive (rank 1, event #1)."""
+
+    @pytest.mark.parametrize("eager", [None, 1000])
+    @pytest.mark.parametrize("send_nbytes,recv_nbytes", [(4000, 100), (100, 4000)])
+    @pytest.mark.parametrize("nonblocking", [False, True])
+    def test_both_engines_reject(self, nonblocking, send_nbytes, recv_nbytes, eager):
+        trace = pair_trace(nonblocking, send_nbytes, recv_nbytes)
+        config = BuildConfig(eager_threshold=eager)
+        spec = PerturbationSpec(MachineSignature(per_byte=Constant(1.0)), seed=0)
+        for engine in (
+            lambda: build_graph(trace, config),
+            lambda: StreamingTraversal(spec, config=config).run(trace),
+        ):
+            with pytest.raises(MatchError) as exc:
+                engine()
+            assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 1, 1)
+            assert f"receives {recv_nbytes} B" in str(exc.value)
+
+    def test_sendrecv_receive_half_compares_recv_nbytes(self):
+        def sendrecv(rank, nbytes, recv_nbytes):
+            return ev(
+                rank, 0, EventKind.SENDRECV, peer=1 - rank, tag=0, nbytes=nbytes,
+                recv_peer=1 - rank, recv_tag=0, recv_nbytes=recv_nbytes,
+            )
+
+        match_events([[sendrecv(0, 4, 8)], [sendrecv(1, 8, 4)]])
+        with pytest.raises(MatchError) as exc:
+            match_events([[sendrecv(0, 4, 8)], [sendrecv(1, 8, 5)]])
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 1, 0)
 
 
 class TestCompletions:

@@ -200,12 +200,6 @@ class TestCollectiveTemplates:
         for e in fanout:
             assert e.src == sub(2, 3, Phase.END)
 
-    def test_reduce_transfer_extension(self):
-        cfg = BuildConfig(reduce_transfer_deltas=True)
-        edges = collective_edges(group(EventKind.REDUCE, 3, root=0, nbytes=100), 3, cfg)
-        fanin = [e for e in edges if e.dst == sub(0, 3, Phase.END)]
-        assert all(e.delta.kind == DeltaKind.TRANSFER for e in fanin)
-
     def test_bcast_fanout(self):
         edges = collective_edges(group(EventKind.BCAST, 5, root=1, nbytes=16), 5, CFG)
         assert len(edges) == 4

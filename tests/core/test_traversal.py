@@ -269,6 +269,15 @@ class TestGlobalInvariants:
         report = check_correctness(build, res)
         assert report.ok  # order still preserved
 
+    def test_streaming_counts_each_clamp_once(self):
+        """A clamped intra edge of a rooted collective counts once: the
+        streaming engine feeds the collective template the intra path it
+        already evaluated instead of sampling that edge a second time."""
+        plan = [("compute", 1000), ("reduce", 0, 8), ("bcast", 1, 16), ("scan", 8)]
+        trace = run(plan_program(plan), nprocs=4, seed=1).trace
+        res = assert_engines_agree(trace, const_spec(scale=-5.0))
+        assert res.clamped_edges > 0
+
     def test_bad_mode_rejected(self, ring_trace, const_spec):
         build = build_graph(ring_trace)
         with pytest.raises(ValueError, match="mode"):

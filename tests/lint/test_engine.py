@@ -111,6 +111,15 @@ class TestGuardedBuild:
         assert [f.rule_id for f in report.findings] == ["MPG102"]
         assert not report.graph_checked
 
+    def test_size_mismatch_surfaces_as_mpg102(self):
+        # Counts agree, so only the guarded build sees the mismatch.
+        t0 = wrap(0, [(EventKind.SEND, 2.0, 3.0, dict(peer=1, tag=0, nbytes=64))])
+        t1 = wrap(1, [(EventKind.RECV, 2.0, 3.0, dict(peer=0, tag=0, nbytes=32))])
+        report = lint_run(memory_trace(t0, t1))
+        (f,) = report.findings
+        assert (f.rule_id, f.code, f.rank, f.seq) == ("MPG102", "unmatched-endpoint", 1, 1)
+        assert "graph build failed" in f.message and "receives 32 B" in f.message
+
     def test_build_error_becomes_owner_rule_finding(self, monkeypatch):
         def boom(source, config=None):
             raise DiagnosticError("synthetic cycle", code="graph-cycle", rank=1, seq=4)
