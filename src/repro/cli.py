@@ -22,8 +22,12 @@ Entry points mirroring the paper's workflow:
 ``repro-lint``
     Rule-based static analysis of traces and built graphs
     (:mod:`repro.lint`): text, JSON, or SARIF 2.1.0 reports, no
-    perturbation engine involved.  ``repro-analyze``/``repro-sweep``
-    run the same pass as a pre-flight via ``--lint {off,warn,strict}``.
+    perturbation engine involved.  ``repro-analyze``, ``repro-sweep``,
+    ``repro-diagnose``, ``repro-verify`` and ``repro-dot`` run its
+    trace-level rules before building a graph and refuse a trace set
+    with ERROR findings; a build failure ends them with one line naming
+    its rule, never a traceback.  ``--lint {off,warn,strict}`` (analyze
+    and sweep) logs findings and can add the graph-level rules.
 ``repro-diagnose``
     Automated bottleneck & faulty-rank diagnosis (:mod:`repro.diagnose`):
     critical-path extraction, makespan attribution, and anomalous-rank
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import sys
@@ -84,6 +89,7 @@ from repro.core import (
     sweep_scales,
     to_dot,
 )
+from repro.lint.report import FORMATS, render_json, write_report
 from repro.machines import PRESETS
 from repro.metrics import (
     build_report,
@@ -99,7 +105,7 @@ from repro.metrics import (
 from repro.microbench import measure_machine
 from repro.mpisim import run_to_files
 from repro.noise import MachineSignature
-from repro.trace import TraceSet, validate_traces
+from repro.trace import TraceSet
 from repro.trace.stats import trace_stats
 
 __all__ = [
@@ -346,41 +352,61 @@ def _add_lint_arg(ap: argparse.ArgumentParser) -> None:
         "--lint",
         choices=("off", "warn", "strict"),
         default="warn",
-        help="pre-flight static analysis (repro.lint): 'warn' (default) runs the "
-        "trace-level rules and logs findings, 'strict' runs the full rule pack "
-        "and refuses to analyze on ERROR findings, 'off' skips the pass",
+        help="pre-flight static analysis (repro.lint): the trace-level rules always "
+        "run and an ERROR finding always refuses the run; 'warn' (default) also "
+        "logs every finding, 'strict' also runs the graph-level rules, 'off' logs "
+        "nothing",
     )
 
 
-def _preflight_lint(args, traces, build_config: BuildConfig) -> None:
-    """Run the ``--lint`` pre-flight pass before any graph is built.
+@contextlib.contextmanager
+def _gated(args, traces, build_config: BuildConfig):
+    """The check every analysis CLI runs before its graph build.
 
-    ``warn`` stays cheap (trace-level rules only) and routes findings
-    through the structured :func:`repro.core.diagnostics.warn` channel,
-    so they are logged AND counted as ``warnings.lint.<rule>`` metrics;
-    ``strict`` runs the whole pack (including a guarded graph build)
-    and aborts on ERROR findings.
+    The trace-level rules (MPG0xx) run once, reading one rank at a
+    time, and any ERROR finding refuses the run, whatever ``--lint``
+    says: the builder assumes a run that completed correctly (§4.3).
+    ``--lint`` only changes the
+    rest: ``off`` logs nothing, ``warn`` logs every finding through the
+    structured :func:`repro.core.diagnostics.warn` channel (so each is
+    also counted as a ``warnings.lint.<rule>`` metric), ``strict`` also
+    runs the graph-level rules over a guarded build.  Tools without
+    ``--lint`` gate as ``off``.  A :class:`DiagnosticError` raised in
+    the block — e.g. a defect only the build or the streaming traversal
+    can see — ends the run with one line naming its rule and code
+    instead of a traceback.
     """
     from repro import lint
+    from repro.core.diagnostics import DiagnosticError
     from repro.core.diagnostics import warn as _warn
+    from repro.lint.engine import build_error_finding
 
     mode = getattr(args, "lint", "off")
-    if mode == "off":
-        return
     with obs.span("preflight_lint", mode=mode):
         if mode == "strict":
             report = lint.lint_run(traces, build_config=build_config)
         else:
             report = lint.lint_traces(traces)
-    for f in report.findings:
-        _LOG.warning(str(_warn(f"lint {f.rule_id}: {f.message}", f"lint.{f.rule_id}", f.rank, f.seq)))
-    if mode == "strict" and not report.ok:
+    if mode != "off":
+        for f in report.findings:
+            _LOG.warning(
+                str(_warn(f"lint {f.rule_id}: {f.message}", f"lint.{f.rule_id}", f.rank, f.seq))
+            )
+        _LOG.info(f"lint ({mode}): {report.summary()}")
+    if not report.ok:
+        first = report.errors[0]
         raise SystemExit(
             f"repro-lint found {len(report.errors)} ERROR finding(s) "
             f"({', '.join(sorted({f.rule_id for f in report.errors}))}); refusing to "
-            f"analyze — run repro-lint for the full report or pass --lint warn/off"
+            f"build the graph — first: {first.rule_id} {first.location}: {first.message} "
+            f"(run repro-lint for the full report)"
         )
-    _LOG.info(f"lint ({mode}): {report.summary()}")
+    try:
+        yield
+    except DiagnosticError as exc:
+        f = build_error_finding(exc)
+        one_line = " ".join(str(exc).split())
+        raise SystemExit(f"{f.rule_id} [{exc.code}] {f.location}: {one_line}") from None
 
 
 def _add_analysis_args(ap: argparse.ArgumentParser) -> None:
@@ -559,16 +585,9 @@ def main_analyze(argv: list[str] | None = None) -> int:
             raise SystemExit(f"--{flag} requires the compiled engine, not streaming")
 
     session = _start_observability(args, "repro-analyze")
-    with obs.span("analyze", engine=engine, mode=args.mode):
-        traces = TraceSet.open(args.traces, args.stem)
-        config = _build_config(args)
-        _preflight_lint(args, traces, config)
-        with obs.span("validate_traces"):
-            report = validate_traces(traces)
-        if not report.ok:
-            report.raise_if_invalid()
-        for issue in report.warnings:
-            _LOG.warning(str(issue))
+    traces = TraceSet.open(args.traces, args.stem)
+    config = _build_config(args)
+    with obs.span("analyze", engine=engine, mode=args.mode), _gated(args, traces, config):
         sig = _load_signature(args)
         spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
 
@@ -600,7 +619,13 @@ def main_analyze(argv: list[str] | None = None) -> int:
             build = build_graph(traces, config)
             vbounds = None
             if args.verify:
-                from repro.verify import DEFAULT_QUANTILE, VerifyConfig, verify_build
+                from repro.verify import (
+                    DEFAULT_QUANTILE,
+                    VerifyConfig,
+                    render_verify_text,
+                    verify_build,
+                    verify_to_dict,
+                )
 
                 vconfig = VerifyConfig(
                     quantile=(
@@ -614,20 +639,15 @@ def main_analyze(argv: list[str] | None = None) -> int:
                 )
                 vreport = verify_build(build, vconfig, signature=sig, trace_set=traces)
                 vbounds = vreport.bounds
-                if args.verify_out:
-                    with open(args.verify_out, "w") as fh:
-                        _write_verify(vreport, args.verify_format, fh, args.verbose >= 1)
-                    _LOG.info(
-                        f"verification report ({args.verify_format}) "
-                        f"written to {args.verify_out}"
-                    )
-                    _say(f"verify: {vreport.summary()}")
-                else:
-                    import io
-
-                    buf = io.StringIO()
-                    _write_verify(vreport, args.verify_format, buf, args.verbose >= 1)
-                    _say(buf.getvalue().rstrip("\n"))
+                _write_report(
+                    vreport,
+                    args.verify_format,
+                    args.verify_out,
+                    "verification report",
+                    summary_prefix="verify: ",
+                    text=lambda r: render_verify_text(r, verbose=args.verbose >= 1),
+                    json=functools.partial(render_json, to_dict=verify_to_dict),
+                )
                 if vreport.errors:
                     raise SystemExit(
                         f"repro-verify found {len(vreport.errors)} ERROR finding(s) "
@@ -670,7 +690,12 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     f"{dist.exceedance_probability(2 * dist.mean()):.2%}"
                 )
             if args.diagnose:
-                from repro.diagnose import DiagnoseConfig, diagnose_build
+                from repro.diagnose import (
+                    DiagnoseConfig,
+                    diagnose_build,
+                    diagnosis_to_dict,
+                    render_diagnosis_text,
+                )
 
                 dconfig = DiagnoseConfig(
                     replicates=args.replicates,
@@ -679,20 +704,15 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     mode=args.mode,
                 )
                 diag = diagnose_build(build, dconfig, signature=sig, trace_set=traces)
-                if args.diagnose_out:
-                    with open(args.diagnose_out, "w") as fh:
-                        _write_diagnosis(diag, args.diagnose_format, fh, args.verbose >= 1)
-                    _LOG.info(
-                        f"diagnosis report ({args.diagnose_format}) "
-                        f"written to {args.diagnose_out}"
-                    )
-                    _say(f"diagnosis: {diag.summary()}")
-                else:
-                    import io
-
-                    buf = io.StringIO()
-                    _write_diagnosis(diag, args.diagnose_format, buf, args.verbose >= 1)
-                    _say(buf.getvalue().rstrip("\n"))
+                _write_report(
+                    diag,
+                    args.diagnose_format,
+                    args.diagnose_out,
+                    "diagnosis report",
+                    summary_prefix="diagnosis: ",
+                    text=lambda r: render_diagnosis_text(r, verbose=args.verbose >= 1),
+                    json=functools.partial(render_json, to_dict=diagnosis_to_dict),
+                )
         if args.history:
             rec = ExperimentHistory(args.history).record(args.name, spec, result, config)
             _say(f"recorded experiment {rec.name!r} in {args.history}")
@@ -723,21 +743,22 @@ def main_sweep(argv: list[str] | None = None) -> int:
 
     session = _start_observability(args, "repro-sweep")
     traces = TraceSet.open(args.traces, args.stem)
-    _preflight_lint(args, traces, _build_config(args))
-    sig = _load_signature(args)
-    spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
-    result = sweep_scales(
-        traces,
-        spec,
-        scales,
-        mode=args.mode,
-        engine=args.engine,
-        config=_build_config(args),
-        jobs=args.jobs,
-        policy=_fault_policy(args),
-        **_checkpoint_args(args),
-    )
+    config = _build_config(args)
+    with _gated(args, traces, config):
+        sig = _load_signature(args)
+        spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
+        scales = [float(s) for s in args.scales.split(",") if s.strip()]
+        result = sweep_scales(
+            traces,
+            spec,
+            scales,
+            mode=args.mode,
+            engine=args.engine,
+            config=config,
+            jobs=args.jobs,
+            policy=_fault_policy(args),
+            **_checkpoint_args(args),
+        )
     _say(result.table())
     with contextlib.suppress(ValueError):  # slope undefined for a single scale
         _say(f"slope (max delay per unit scale): {result.slope():.1f} cy")
@@ -764,13 +785,15 @@ def main_dot(argv: list[str] | None = None) -> int:
     _configure_logging(args)
 
     traces = TraceSet.open(args.traces, args.stem)
-    build = build_graph(traces, _build_config(args))
-    graph = build.graph
-    if args.seq_range:
-        from repro.core import extract_window
+    config = _build_config(args)
+    with _gated(args, traces, config):
+        build = build_graph(traces, config)
+        graph = build.graph
+        if args.seq_range:
+            from repro.core import extract_window
 
-        lo, hi = (int(x) for x in args.seq_range.split(":", 1))
-        graph = extract_window(build, lo, hi).graph
+            lo, hi = (int(x) for x in args.seq_range.split(":", 1))
+            graph = extract_window(build, lo, hi).graph
     dot = to_dot(graph, name=args.stem, max_nodes=args.max_nodes)
     if args.out:
         Path(args.out).write_text(dot)
@@ -876,18 +899,7 @@ def main_lint(argv: list[str] | None = None) -> int:
             report = lint.lint_run(traces, config, build_config=_build_config(args))
     _finish_observability(args, session)
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            lint.write_report(report, args.format, fh)
-        _LOG.info(f"lint report ({args.format}) written to {args.out}")
-        _say(report.summary())
-    else:
-        import io
-
-        buf = io.StringIO()
-        lint.write_report(report, args.format, buf)
-        _say(buf.getvalue().rstrip("\n"))
-
+    _write_report(report, args.format, args.out, "lint report")
     return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
 
 
@@ -914,22 +926,24 @@ def _lint_flag_config(args) -> "object":
     )
 
 
-def _write_diagnosis(report, fmt: str, stream, verbose: bool) -> None:
-    """Render a DiagnosisReport: text adds the attribution tables, json the
-    diagnosis block; sarif is the unmodified lint reporter."""
-    import json as _json
+def _write_report(
+    report, fmt: str, out: str | None, name: str, summary_prefix: str = "", **renderers
+) -> None:
+    """Write a lint-shaped report through :func:`repro.lint.write_report`.
 
-    from repro import lint
-    from repro.diagnose import diagnosis_to_dict, render_diagnosis_text
-
-    if fmt == "text":
-        stream.write(render_diagnosis_text(report, verbose=verbose))
-        stream.write("\n")
-    elif fmt == "json":
-        stream.write(_json.dumps(diagnosis_to_dict(report), indent=2, sort_keys=True))
-        stream.write("\n")
-    else:
-        lint.write_report(report, fmt, stream)
+    ``renderers`` replace lint's ``text``/``json`` renderings (diagnosis
+    and verify reports bring their own); SARIF is one shape for every
+    report.  With ``out`` the report goes to that file and stdout gets
+    its one-line summary; otherwise the report itself goes to stdout.
+    """
+    renderers = {**FORMATS, **renderers}
+    if not out:
+        write_report(report, fmt, sys.stdout, renderers)
+        return
+    with open(out, "w") as fh:
+        write_report(report, fmt, fh, renderers)
+    _LOG.info(f"{name} ({fmt}) written to {out}")
+    _say(summary_prefix + report.summary())
 
 
 def _add_diagnose_threshold_args(ap: argparse.ArgumentParser) -> None:
@@ -1033,7 +1047,7 @@ def main_diagnose(argv: list[str] | None = None) -> int:
     _configure_logging(args)
 
     from repro import lint
-    from repro.diagnose import diagnose_run
+    from repro.diagnose import diagnose_run, diagnosis_to_dict, render_diagnosis_text
 
     if args.list_rules:
         for r in lint.all_rules("diagnosis"):
@@ -1050,24 +1064,19 @@ def main_diagnose(argv: list[str] | None = None) -> int:
     session = _start_observability(args, "repro-diagnose")
     with obs.span("repro_diagnose"):
         traces = TraceSet.open(args.traces, args.stem)
-        report = diagnose_run(
-            traces, config, build_config=_build_config(args), signature=signature
-        )
+        build_config = _build_config(args)
+        with _gated(args, traces, build_config):
+            report = diagnose_run(traces, config, build_config=build_config, signature=signature)
     _finish_observability(args, session)
 
-    verbose = getattr(args, "verbose", 0) >= 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_diagnosis(report, args.format, fh, verbose)
-        _LOG.info(f"diagnosis report ({args.format}) written to {args.out}")
-        _say(report.summary())
-    else:
-        import io
-
-        buf = io.StringIO()
-        _write_diagnosis(report, args.format, buf, verbose)
-        _say(buf.getvalue().rstrip("\n"))
-
+    _write_report(
+        report,
+        args.format,
+        args.out,
+        "diagnosis report",
+        text=lambda r: render_diagnosis_text(r, verbose=args.verbose >= 1),
+        json=functools.partial(render_json, to_dict=diagnosis_to_dict),
+    )
     return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
 
 
@@ -1197,24 +1206,6 @@ def main_metrics(argv: list[str] | None = None) -> int:
     return _gate_exit("error", len(violations))
 
 
-def _write_verify(report, fmt: str, stream, verbose: bool) -> None:
-    """Render a VerifyReport: text adds the certificate summary, json the
-    verification block; sarif is the unmodified lint reporter."""
-    import json as _json
-
-    from repro import lint
-    from repro.verify import render_verify_text, verify_to_dict
-
-    if fmt == "text":
-        stream.write(render_verify_text(report, verbose=verbose))
-        stream.write("\n")
-    elif fmt == "json":
-        stream.write(_json.dumps(verify_to_dict(report), indent=2, sort_keys=True))
-        stream.write("\n")
-    else:
-        lint.write_report(report, fmt, stream)
-
-
 def main_verify(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro-verify",
@@ -1275,7 +1266,13 @@ def main_verify(argv: list[str] | None = None) -> int:
     _configure_logging(args)
 
     from repro import lint
-    from repro.verify import DEFAULT_QUANTILE, VerifyConfig, verify_run
+    from repro.verify import (
+        DEFAULT_QUANTILE,
+        VerifyConfig,
+        render_verify_text,
+        verify_run,
+        verify_to_dict,
+    )
 
     if args.list_rules:
         for r in lint.all_rules("verify"):
@@ -1302,24 +1299,19 @@ def main_verify(argv: list[str] | None = None) -> int:
     session = _start_observability(args, "repro-verify")
     with obs.span("repro_verify"):
         traces = TraceSet.open(args.traces, args.stem)
-        report = verify_run(
-            traces, config, build_config=_build_config(args), signature=signature
-        )
+        build_config = _build_config(args)
+        with _gated(args, traces, build_config):
+            report = verify_run(traces, config, build_config=build_config, signature=signature)
     _finish_observability(args, session)
 
-    verbose = getattr(args, "verbose", 0) >= 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_verify(report, args.format, fh, verbose)
-        _LOG.info(f"verification report ({args.format}) written to {args.out}")
-        _say(report.summary())
-    else:
-        import io
-
-        buf = io.StringIO()
-        _write_verify(report, args.format, buf, verbose)
-        _say(buf.getvalue().rstrip("\n"))
-
+    _write_report(
+        report,
+        args.format,
+        args.out,
+        "verification report",
+        text=lambda r: render_verify_text(r, verbose=args.verbose >= 1),
+        json=functools.partial(render_json, to_dict=verify_to_dict),
+    )
     return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
 
 

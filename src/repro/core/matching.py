@@ -27,7 +27,7 @@ from repro.trace.events import (
     ROOTED_COLLECTIVES,
 )
 
-__all__ = ["MatchResult", "MatchError", "CollectiveGroup", "match_events", "size_mismatch"]
+__all__ = ["MatchResult", "MatchError", "CollectiveGroup", "match_events", "size_mismatch", "unpaired"]
 
 Key = tuple  # (rank, seq)
 
@@ -104,6 +104,22 @@ def _channels_of(ev: EventRecord) -> list[tuple[str, tuple, int]]:
         out.append(("send", (ev.rank, ev.peer, ev.tag), ev.nbytes))
         out.append(("recv", (ev.recv_peer, ev.rank, ev.recv_tag), ev.recv_nbytes))
     return out
+
+
+def unpaired(leftovers: Sequence[tuple[str, Key, tuple]]) -> MatchError:
+    """The error for pairwise events left without a counterpart.
+
+    ``leftovers`` holds ``(side, (rank, seq), channel)`` triples, side
+    ``"send"`` or ``"recv"``; the error is located at the first one.
+    """
+    shown = "; ".join(f"{side} {k} on channel {ch}" for side, k, ch in leftovers[:8])
+    rank, seq = leftovers[0][1]
+    return MatchError(
+        f"{len(leftovers)} unpaired pairwise event(s): {shown}",
+        code="unmatched-endpoint",
+        rank=rank,
+        seq=seq,
+    )
 
 
 def size_mismatch(
@@ -231,17 +247,10 @@ def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult
 
     # Unpaired pairwise events are a hard error: the run completed, so every
     # message had a counterpart (§4.1).
-    leftovers = []
-    for channel, q in pending_sends.items():
-        leftovers += [f"send {k} on channel {channel}" for k, _ in q]
-    for channel, q in pending_recvs.items():
-        leftovers += [f"recv {k} on channel {channel}" for k, _ in q]
+    leftovers = [("send", k, channel) for channel, q in pending_sends.items() for k, _ in q]
+    leftovers += [("recv", k, channel) for channel, q in pending_recvs.items() for k, _ in q]
     if leftovers:
-        shown = "; ".join(leftovers[:8])
-        raise MatchError(
-            f"{len(leftovers)} unpaired pairwise event(s): {shown}",
-            code="unmatched-endpoint",
-        )
+        raise unpaired(leftovers)
 
     nprocs = len(per_rank)
     for ordinal in sorted(collectives):

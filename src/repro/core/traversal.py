@@ -45,7 +45,7 @@ from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
-from repro.core.matching import CollectiveGroup, MatchError, size_mismatch
+from repro.core.matching import CollectiveGroup, MatchError, size_mismatch, unpaired
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import (
     BuildConfig,
@@ -314,18 +314,38 @@ class _Mailboxes:
     """Cross-rank delay contributions in flight.
 
     ``data[("d", src, dst, tag, k)]`` — the (send START delay, send
-    nbytes) pair of the k-th transfer on a channel, published by the
-    send; ``ack[("a", src, dst, tag, k)]`` — the finished ack
+    nbytes, send seq) of the k-th transfer on a channel, published by
+    the send; ``ack[("a", src, dst, tag, k)]`` — the finished ack
     contribution, published by the receive.  Entries are deleted on
-    consumption so memory tracks only unmatched traffic.
+    consumption so memory tracks only unmatched traffic.  ``claims``
+    maps the data key of each never-completed IRECV to its (rank, seq),
+    filled in as its rank finishes.
     """
 
     def __init__(self) -> None:
         self.data: dict[tuple, tuple] = {}
         self.ack: dict[tuple, float] = {}
+        self.claims: dict[tuple, tuple] = {}
 
     def size(self) -> int:
         return len(self.data) + len(self.ack)
+
+    def check_paired(self) -> None:
+        """Raise once every rank is done if a transfer lost a half: a
+        send whose data no receive took, or a never-completed IRECV no
+        send reached.  (A never-completed IRECV leaves its matched send's
+        data behind; that pair is whole.)  An eager send never waits, so
+        without this check a dropped receive would go unnoticed."""
+        leftovers = [
+            ("send", (key[1], sent[2]), key[1:4])
+            for key, sent in self.data.items()
+            if key not in self.claims
+        ]
+        leftovers += [
+            ("recv", at, key[1:4]) for key, at in self.claims.items() if key not in self.data
+        ]
+        if leftovers:
+            raise unpaired(leftovers)
 
 
 class _CollState:
@@ -358,7 +378,10 @@ def _eval_collective(
     """
     evs = [entries[r][2] for r in range(nprocs)]
     if len({e.kind for e in evs}) != 1 or len({e.root for e in evs}) != 1:
-        raise MatchError(f"collective #{ordinal}: inconsistent kind/root across ranks")
+        raise MatchError(
+            f"collective #{ordinal}: inconsistent kind/root across ranks",
+            code="collective-mismatch",
+        )
     group = CollectiveGroup(
         ordinal=ordinal,
         kind=evs[0].kind,
@@ -504,6 +527,7 @@ class StreamingTraversal:
                 ]
                 raise MatchError("streaming traversal stalled:\n" + "\n".join(blocked))
 
+        mail.check_paired()
         return TraversalResult(
             final_delay=final_delay,
             final_local_times=final_time,
@@ -579,19 +603,19 @@ class StreamingTraversal:
         n = 0
         last_t_end = 0.0
 
-        def send_half(ch: tuple, nbytes: int, d_start: float) -> tuple | None:
-            """Publish the data contribution of the send on channel
-            ``ch``; return the mailbox key of its ack, or None when the
-            send is eager (:meth:`BuildConfig.models_ack`)."""
+        def send_half(ch: tuple, nbytes: int, d_start: float, seq: int) -> tuple | None:
+            """Publish the data contribution of send event ``seq`` on
+            channel ``ch``; return the mailbox key of its ack, or None
+            when the send is eager (:meth:`BuildConfig.models_ack`)."""
             k = send_idx[ch]
             send_idx[ch] += 1
-            mail.data[("d",) + ch + (k,)] = (d_start, nbytes)
+            mail.data[("d",) + ch + (k,)] = (d_start, nbytes, seq)
             return ("a",) + ch + (k,) if cfg.models_ack(nbytes) else None
 
         def landed(sent: tuple, claim: tuple) -> float:
             """Delay a consumed data contribution carries into its receive;
             the sender's size must be the receive's (one size per pair)."""
-            d_src, sent_nbytes = sent
+            d_src, sent_nbytes, _ = sent
             data, seq, (src, _, tag), nbytes = claim
             if sent_nbytes != nbytes:
                 raise size_mismatch(rank, seq, src, tag, nbytes, sent_nbytes)
@@ -645,7 +669,7 @@ class StreamingTraversal:
             d_end = local_end
 
             if kind in (EventKind.SEND, EventKind.ISEND, EventKind.SENDRECV):
-                ack_key = send_half((rank, ev.peer, ev.tag), ev.nbytes, d_start)
+                ack_key = send_half((rank, ev.peer, ev.tag), ev.nbytes, d_start, ev.seq)
                 if kind == EventKind.ISEND:
                     req_state[ev.req] = ("ack", ack_key)
                 else:
@@ -685,6 +709,9 @@ class StreamingTraversal:
             d_prev_end = d_end
 
         leftovers = [rid for rid, st in req_state.items() if st[1] is not None]
+        for st in req_state.values():
+            if st[0] == "claim":
+                mail.claims[st[1]] = (rank, st[2][1])
         if leftovers:
             warnings.append(
                 warn(

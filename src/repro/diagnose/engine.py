@@ -18,7 +18,6 @@ gate on the SARIF output without flakes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
@@ -29,9 +28,8 @@ from repro.core.traversal import MODES
 from repro.diagnose.anomaly import AnomalyReport, detect_anomalies
 from repro.diagnose.attribution import Attribution, attribute_path
 from repro.diagnose.path import CriticalPathExtract, extract_critical_path
-from repro.lint.engine import LintReport
-from repro.lint.model import Finding, LintConfig
-from repro.lint.registry import all_rules, run_rule
+from repro.lint.engine import LintContext, LintReport, run_rules
+from repro.lint.model import LintConfig
 from repro.lint.report import render_text, report_to_dict
 from repro.noise.signature import MachineSignature
 from repro.trace.reader import TraceSource
@@ -90,7 +88,7 @@ class DiagnoseConfig:
             raise ValueError("imbalance_ratio must be >= 1.0")
 
 
-class DiagnoseContext:
+class DiagnoseContext(LintContext):
     """What an MPG2xx rule may inspect: the build plus the three
     analysis artifacts, and the active :class:`DiagnoseConfig`."""
 
@@ -103,25 +101,11 @@ class DiagnoseContext:
         config: DiagnoseConfig,
         trace_set: TraceSource | None = None,
     ) -> None:
-        self.build = build
+        super().__init__(trace_set=trace_set, build=build)
         self.cp = cp
         self.attribution = attribution
         self.anomalies = anomalies
         self.config = config
-        self.trace_set = trace_set
-
-    @cached_property
-    def paths(self) -> list:
-        """Per-rank trace file paths (None for in-memory traces)."""
-        readers = getattr(self.trace_set, "readers", None)
-        if readers:
-            return [str(r.path) for r in readers]
-        return [None] * self.build.graph.nprocs
-
-    def path_of(self, rank: int | None) -> str | None:
-        if rank is None or not 0 <= rank < len(self.paths):
-            return None
-        return self.paths[rank]
 
 
 @dataclass
@@ -179,33 +163,12 @@ def diagnose_build(
             replicate_delays=replicate_delays,
         )
         ctx = DiagnoseContext(build, cp, attribution, anomalies, config, trace_set)
-
-        findings: list[Finding] = []
-        rules_run: list[str] = []
-        for r in all_rules("diagnosis"):
-            if not config.lint.enabled(r):
-                continue
-            rules_run.append(r.id)
-            findings.extend(run_rule(r, ctx, config.lint))
-
-        ordered = sorted(
-            (f.with_path(ctx.path_of(f.rank)) for f in findings),
-            key=lambda f: (
-                -int(f.severity),
-                f.rule_id,
-                f.rank if f.rank is not None else -1,
-                f.seq if f.seq is not None else -1,
-                f.node if f.node is not None else -1,
-            ),
-        )
-        for f in ordered:
-            obs.add(f"diagnose.findings.{f.severity.name.lower()}")
-        return DiagnosisReport(
-            findings=ordered,
-            nprocs=build.graph.nprocs,
-            event_count=sum(len(evs) for evs in build.events),
-            rules_run=tuple(rules_run),
-            graph_checked=True,
+        return run_rules(
+            ctx,
+            config.lint,
+            ("diagnosis",),
+            surface="diagnose",
+            report=DiagnosisReport,
             critical_path=cp,
             attribution=attribution,
             anomalies=anomalies,

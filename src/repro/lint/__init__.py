@@ -17,9 +17,11 @@ Typical use::
         print(lint.render_text(report))
 
 The ``repro-lint`` CLI renders reports as text, JSON, or SARIF 2.1.0
-(for GitHub code scanning); ``repro-analyze --lint {off,warn,strict}``
-runs the same pass before graph building, logging findings (warn) or
-refusing to analyze a defective trace set (strict).
+(for GitHub code scanning).  ``repro-analyze``, ``repro-sweep``,
+``repro-diagnose``, ``repro-verify`` and ``repro-dot`` run the
+trace-level rules before every graph build and refuse a trace set with
+ERROR findings; ``--lint {off,warn,strict}`` chooses whether findings
+are logged and whether the graph-level rules gate too.
 """
 
 from repro.lint.engine import LintContext, LintReport, lint_build, lint_run, lint_traces

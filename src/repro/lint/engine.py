@@ -16,13 +16,17 @@ Entry points:
     Graph-level rules over an existing
     :class:`~repro.core.builder.BuildResult` (or a hand-built
     :class:`~repro.core.graph.MessagePassingGraph`).
+
+All three, and the diagnosis (MPG2xx) and verification (MPG3xx)
+engines, run their rules through the one :func:`run_rules`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from itertools import islice
+from typing import Iterator
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
@@ -34,7 +38,38 @@ from repro.lint.registry import all_rules, rule_for_code, run_rule
 from repro.trace.events import EventRecord, TraceMeta
 from repro.trace.reader import TraceSource
 
-__all__ = ["LintContext", "LintReport", "lint_run", "lint_traces", "lint_build"]
+__all__ = [
+    "LintContext",
+    "LintReport",
+    "build_error_finding",
+    "lint_build",
+    "lint_run",
+    "lint_traces",
+    "run_rules",
+]
+
+
+def _span(events: list[EventRecord]) -> float:
+    """A rank's trace span: first event START to last event END."""
+    return events[-1].t_end - events[0].t_start
+
+
+class _TraceView:
+    """Some ranks of a trace set as the trace rules see them: their
+    events (:meth:`ranks`), headers (:meth:`meta`) and :attr:`spans`."""
+
+    def __init__(
+        self,
+        ctx: LintContext,
+        ranks: list[tuple[int, list[EventRecord]]],
+        spans: list[tuple[int, float]],
+    ):
+        self._ranks = ranks
+        self.meta = ctx.meta
+        self.spans = spans
+
+    def ranks(self) -> Iterator[tuple[int, list[EventRecord]]]:
+        return iter(self._ranks)
 
 
 class LintContext:
@@ -43,7 +78,9 @@ class LintContext:
     ``per_rank`` materializes the event lists on first use (rules share
     the one copy); ``graph`` is the built message-passing graph or
     ``None`` when no build was possible — graph rules that need it must
-    tolerate its absence.
+    tolerate its absence.  Trace rules read only :meth:`ranks`,
+    :meth:`meta` and :attr:`spans`, so :meth:`views` can hand them a
+    trace set still on disk one rank at a time.
     """
 
     def __init__(
@@ -78,11 +115,60 @@ class LintContext:
             return self.trace_set.load_all()
         return []
 
-    @cached_property
-    def metas(self) -> list[TraceMeta | None]:
+    @property
+    def _on_disk(self) -> TraceSource | None:
+        """The trace source the trace rules read rank by rank; None when
+        the events are (or come from) lists already in memory."""
+        if self._per_rank is not None or self.build is not None:
+            return None
+        return self.trace_set
+
+    def ranks(self) -> Iterator[tuple[int, list[EventRecord]]]:
+        """``(rank, events)`` of every rank, in rank order."""
+        return enumerate(self.per_rank)
+
+    def meta(self, rank: int) -> TraceMeta | None:
+        """Rank ``rank``'s trace header (None without a trace set)."""
         if self.trace_set is not None and hasattr(self.trace_set, "meta"):
-            return [self.trace_set.meta(r) for r in range(len(self.per_rank))]
-        return [None] * len(self.per_rank)
+            return self.trace_set.meta(rank)
+        return None
+
+    @cached_property
+    def spans(self) -> list[tuple[int, float]]:
+        """``(rank, span)`` of every rank holding events."""
+        return [(r, _span(evs)) for r, evs in self.ranks() if evs]
+
+    @cached_property
+    def nprocs(self) -> int:
+        source = self._on_disk
+        return len(self.per_rank) if source is None else source.nprocs
+
+    @cached_property
+    def event_count(self) -> int:
+        return sum(len(evs) for evs in self.per_rank)
+
+    def views(self) -> Iterator[LintContext | _TraceView]:
+        """What the trace rules run over, in order.
+
+        An in-memory context is its own one view.  A trace set on disk
+        is read once, one rank at a time: a view per rank, then one
+        holding only the per-rank spans for the cross-rank rule (MPG007),
+        so the trace pack never holds more than one rank's events.
+        """
+        source = self._on_disk
+        if source is None:
+            yield self
+            return
+        spans: list[tuple[int, float]] = []
+        count = 0
+        for rank in range(source.nprocs):
+            events = list(source.events_of(rank))
+            count += len(events)
+            if events:
+                spans.append((rank, _span(events)))
+            yield _TraceView(self, [(rank, events)], [])
+        self.spans, self.event_count = spans, count
+        yield _TraceView(self, [], spans)
 
     @cached_property
     def paths(self) -> list[str | None]:
@@ -90,7 +176,7 @@ class LintContext:
         readers = getattr(self.trace_set, "readers", None)
         if readers:
             return [str(r.path) for r in readers]
-        return [None] * len(self.per_rank)
+        return [None] * self.nprocs
 
     @property
     def graph(self) -> MessagePassingGraph | None:
@@ -170,9 +256,64 @@ class LintReport:
         )
 
 
-def _finalize(
-    ctx: LintContext, findings: Iterable[Finding], rules_run: Iterable[str]
+def build_error_finding(err: DiagnosticError, config: LintConfig | None = None) -> Finding:
+    """The finding a structured build failure stands for: a finding of
+    the rule owning ``err.code`` (at its configured severity), or of
+    ``MPG000`` when no enabled rule owns it."""
+    config = config or LintConfig()
+    owner = rule_for_code(err.code)
+    message = f"graph build failed: {err}"
+    if owner is not None and config.enabled(owner):
+        severity = config.severity_for(owner.id, owner.severity)
+        return owner.finding(message, rank=err.rank, seq=err.seq).with_severity(severity)
+    return Finding(
+        rule_id="MPG000",
+        code=err.code,
+        severity=Severity.ERROR,
+        message=message,
+        rank=err.rank,
+        seq=err.seq,
+    )
+
+
+def run_rules(
+    ctx: LintContext,
+    config: LintConfig,
+    categories: tuple[str, ...],
+    surface: str = "lint",
+    report: type[LintReport] = LintReport,
+    **artifacts,
 ) -> LintReport:
+    """The one rule runner: every enabled rule of ``categories`` over
+    ``ctx``, findings sorted and counted as ``<surface>.findings.<severity>``.
+
+    Trace rules run over :meth:`LintContext.views` (views outer, rules
+    inner, so a trace set on disk is read once, one rank at a time);
+    each rule keeps its findings in whole-trace order, one past the cap
+    :func:`run_rule` applies.  Graph rules get a guarded build first (a
+    no-op when ``ctx`` already holds one); a build failure whose code no
+    finding covers becomes a finding itself, so the report never hides
+    why the graph could not be checked.  ``report``/``artifacts`` let
+    diagnose and verify return their :class:`LintReport` subclasses.
+    """
+    findings: list[Finding] = []
+    rules_run: list[str] = []
+    keep = config.max_findings_per_rule + 1
+    for category in categories:
+        if category == "graph":
+            ctx.try_build()
+        rules = [r for r in all_rules(category) if config.enabled(r)]
+        found: dict[str, list[Finding]] = {r.id: [] for r in rules}
+        for view in ctx.views() if category == "trace" else (ctx,):
+            for r in rules:
+                found[r.id] += islice(r.check(view, config), keep - len(found[r.id]))
+        for r in rules:
+            rules_run.append(r.id)
+            findings.extend(run_rule(r, found[r.id], config))
+    err = ctx.build_error
+    if err is not None and err.code not in {f.code for f in findings}:
+        findings.append(build_error_finding(err, config))
+
     ordered = sorted(
         (f.with_path(ctx.path_of(f.rank)) for f in findings),
         key=lambda f: (
@@ -184,32 +325,21 @@ def _finalize(
         ),
     )
     for f in ordered:
-        obs.add(f"lint.findings.{f.severity.name.lower()}")
-    return LintReport(
+        obs.add(f"{surface}.findings.{f.severity.name.lower()}")
+    return report(
         findings=ordered,
-        nprocs=len(ctx.per_rank),
-        event_count=sum(len(evs) for evs in ctx.per_rank),
+        nprocs=ctx.nprocs,
+        event_count=ctx.event_count,
         rules_run=tuple(rules_run),
         graph_checked=ctx.graph is not None,
+        **artifacts,
     )
-
-
-def _run_rules(ctx: LintContext, config: LintConfig, category: str | None) -> LintReport:
-    findings: list[Finding] = []
-    rules_run: list[str] = []
-    for r in all_rules(category):
-        if not config.enabled(r):
-            continue
-        rules_run.append(r.id)
-        findings.extend(run_rule(r, ctx, config))
-    return _finalize(ctx, findings, rules_run)
 
 
 def lint_traces(trace_set: TraceSource, config: LintConfig | None = None) -> LintReport:
     """Run the trace-level rules only (MPG0xx); no graph is built."""
-    config = config or LintConfig()
     with obs.span("lint", layer="trace"):
-        return _run_rules(LintContext(trace_set=trace_set), config, "trace")
+        return run_rules(LintContext(trace_set=trace_set), config or LintConfig(), ("trace",))
 
 
 def lint_build(
@@ -221,13 +351,12 @@ def lint_build(
     :class:`MessagePassingGraph` (hand-built graphs in tests have no
     trace events; event-based graph rules then report nothing).
     """
-    config = config or LintConfig()
     if isinstance(build, MessagePassingGraph):
         ctx = LintContext(graph=build, per_rank=[])
     else:
         ctx = LintContext.from_build(build)
     with obs.span("lint", layer="graph"):
-        return _run_rules(ctx, config, "graph")
+        return run_rules(ctx, config or LintConfig(), ("graph",))
 
 
 def lint_run(
@@ -236,48 +365,6 @@ def lint_run(
     build_config: BuildConfig | None = None,
 ) -> LintReport:
     """The full pre-flight pass: trace rules, guarded build, graph rules."""
-    config = config or LintConfig()
     with obs.span("lint", layer="all"):
         ctx = LintContext(trace_set=trace_set, build_config=build_config)
-        findings: list[Finding] = []
-        rules_run: list[str] = []
-        for r in all_rules("trace"):
-            if not config.enabled(r):
-                continue
-            rules_run.append(r.id)
-            findings.extend(run_rule(r, ctx, config))
-
-        ctx.try_build()
-        for r in all_rules("graph"):
-            if not config.enabled(r):
-                continue
-            rules_run.append(r.id)
-            findings.extend(run_rule(r, ctx, config))
-
-        # A build failure whose code no rule finding already covers
-        # becomes a finding itself — the report never hides the reason
-        # the graph could not be checked.
-        if ctx.build_error is not None:
-            err = ctx.build_error
-            owner = rule_for_code(err.code)
-            covered = {f.code for f in findings}
-            if owner is not None and config.enabled(owner):
-                if err.code not in covered:
-                    severity = config.severity_for(owner.id, owner.severity)
-                    findings.append(
-                        owner.finding(
-                            f"graph build failed: {err}", rank=err.rank, seq=err.seq
-                        ).with_severity(severity)
-                    )
-            elif err.code not in covered:
-                findings.append(
-                    Finding(
-                        rule_id="MPG000",
-                        code=err.code,
-                        severity=Severity.ERROR,
-                        message=f"graph build failed: {err}",
-                        rank=err.rank,
-                        seq=err.seq,
-                    )
-                )
-        return _finalize(ctx, findings, rules_run)
+        return run_rules(ctx, config or LintConfig(), ("trace", "graph"))

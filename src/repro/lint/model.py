@@ -61,12 +61,11 @@ class Rule:
     id: str  # "MPG001"
     code: str  # diagnostics code, e.g. "overlapping-events"
     severity: Severity
-    category: str  # "trace" | "graph" | "diagnosis"
+    category: str  # "trace" | "graph" | "diagnosis" | "verify"
     summary: str  # one-line description (SARIF shortDescription)
     rationale: str  # why this defect matters (SARIF fullDescription)
-    # Diagnosis rules receive a DiagnoseContext instead of a LintContext,
-    # so the callable is typed loosely; both context types share the
-    # finding-coordinate surface the reporters need.
+    # Diagnosis and verify rules receive LintContext subclasses carrying
+    # their analysis artifacts, so the callable is typed loosely.
     check: Callable[..., Iterator["Finding"]]
 
     def finding(

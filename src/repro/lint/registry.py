@@ -8,13 +8,10 @@ that can see the registry sees the full rule set.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.diagnostics import CODES
 from repro.lint.model import Finding, LintConfig, Rule, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.engine import LintContext
 
 __all__ = ["rule", "all_rules", "get_rule", "rule_for_code"]
 
@@ -89,16 +86,12 @@ def _ensure_loaded() -> None:
     from repro.verify import rules as verify_rules  # noqa: F401
 
 
-def run_rule(r: Rule, ctx: object, config: LintConfig) -> Iterator[Finding]:
-    """Run one rule, applying severity overrides and the emission cap.
-
-    ``ctx`` is a :class:`~repro.lint.engine.LintContext` for trace/graph
-    rules or a :class:`~repro.diagnose.engine.DiagnoseContext` for
-    diagnosis rules; the cap and override mechanics are identical.
-    """
+def run_rule(r: Rule, found: Iterable[Finding], config: LintConfig) -> Iterator[Finding]:
+    """Apply severity overrides and the emission cap to the findings
+    ``found`` by rule ``r`` (the same mechanics for every category)."""
     severity = config.severity_for(r.id, r.severity)
     emitted = 0
-    for f in r.check(ctx, config):
+    for f in found:
         if emitted >= config.max_findings_per_rule:
             yield Finding(
                 rule_id=r.id,

@@ -13,7 +13,7 @@ traces are line-addressable (header line 1, event ``seq`` on line
 from __future__ import annotations
 
 import json
-from typing import IO
+from typing import IO, Callable, Mapping
 
 from repro.lint.engine import LintReport
 from repro.lint.model import Finding, Severity
@@ -83,8 +83,10 @@ def report_to_dict(report: LintReport) -> dict:
     }
 
 
-def render_json(report: LintReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+def render_json(report: LintReport, to_dict: Callable[..., dict] = report_to_dict) -> str:
+    """``to_dict(report)`` as indented, key-sorted JSON (diagnosis and
+    verify reports pass their own ``to_dict``)."""
+    return json.dumps(to_dict(report), indent=2, sort_keys=True)
 
 
 # -- SARIF 2.1.0 ------------------------------------------------------------
@@ -168,10 +170,16 @@ def render_sarif(report: LintReport) -> str:
 FORMATS = {"text": render_text, "json": render_json, "sarif": render_sarif}
 
 
-def write_report(report: LintReport, fmt: str, stream: IO[str]) -> None:
-    """Render ``report`` in ``fmt`` ('text' | 'json' | 'sarif')."""
+def write_report(
+    report: LintReport,
+    fmt: str,
+    stream: IO[str],
+    renderers: Mapping[str, Callable[..., str]] = FORMATS,
+) -> None:
+    """Render ``report`` in ``fmt`` ('text' | 'json' | 'sarif') onto
+    ``stream``; ``renderers`` maps each format to its renderer."""
     try:
-        renderer = FORMATS[fmt]
+        renderer = renderers[fmt]
     except KeyError:
         raise ValueError(f"unknown lint report format {fmt!r}") from None
     stream.write(renderer(report))

@@ -37,7 +37,7 @@ __all__: list[str] = []  # rules register themselves; nothing to re-export
     ),
 )
 def overlapping_events(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
+    for rank, events in ctx.ranks():
         prev_end = -math.inf
         prev_seq = None
         for ev in events:
@@ -67,8 +67,8 @@ def overlapping_events(ctx: LintContext, config: LintConfig) -> Iterator[Finding
     ),
 )
 def negative_timestamp(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
-        meta = ctx.metas[rank]
+    for rank, events in ctx.ranks():
+        meta = ctx.meta(rank)
         offset_explains_negative = meta is not None and meta.clock_offset < 0
         for ev in events:
             if not math.isfinite(ev.t_start) or not math.isfinite(ev.t_end):
@@ -104,11 +104,17 @@ def negative_timestamp(ctx: LintContext, config: LintConfig) -> Iterator[Finding
     ),
 )
 def truncated_trace(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
+    for rank, events in ctx.ranks():
         if not events:
             yield truncated_trace.finding(f"rank {rank} trace holds no events", rank=rank)
             continue
         for i, ev in enumerate(events):
+            if ev.rank != rank:
+                yield truncated_trace.finding(
+                    f"record {i} claims rank {ev.rank} but was read from rank {rank}'s trace",
+                    rank=rank,
+                    seq=ev.seq,
+                )
             if ev.seq != i:
                 yield truncated_trace.finding(
                     f"record {i} carries seq {ev.seq} (expected {i}); trace is "
@@ -131,7 +137,7 @@ def truncated_trace(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     ),
 )
 def missing_framing(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
+    for rank, events in ctx.ranks():
         if not events:
             continue
         if events[0].kind != EventKind.INIT:
@@ -159,7 +165,7 @@ def missing_framing(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     ),
 )
 def wait_without_request(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
+    for rank, events in ctx.ranks():
         open_reqs: set[int] = set()
         seen_reqs: set[int] = set()
         for ev in events:
@@ -219,7 +225,7 @@ def wait_without_request(ctx: LintContext, config: LintConfig) -> Iterator[Findi
     ),
 )
 def uncompleted_request(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in enumerate(ctx.per_rank):
+    for rank, events in ctx.ranks():
         open_reqs: dict[int, int] = {}  # req id -> seq that opened it
         for ev in events:
             if ev.kind in (EventKind.ISEND, EventKind.IRECV):
@@ -250,10 +256,7 @@ def uncompleted_request(ctx: LintContext, config: LintConfig) -> Iterator[Findin
     ),
 )
 def clock_skew_outlier(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    spans: list[tuple[int, float]] = []
-    for rank, events in enumerate(ctx.per_rank):
-        if events:
-            spans.append((rank, events[-1].t_end - events[0].t_start))
+    spans = ctx.spans
     if len(spans) < 3:  # an outlier needs a quorum to be an outlier of
         return
     ordered = sorted(s for _, s in spans)

@@ -45,6 +45,11 @@ class BaseCollector:
         self._unpatched: list[set[int]] = [set() for _ in range(nprocs)]
         self._next_flush: list[int] = [0] * nprocs
 
+    @property
+    def clock_params(self) -> dict[int, tuple[float, float]]:
+        """Per-rank ``(offset, drift)`` of the local clocks, as trace headers declare them."""
+        return {r: (c.offset, c.drift) for r, c in enumerate(self.clocks)}
+
     def hook(
         self,
         rank: int,
@@ -143,7 +148,9 @@ class MemoryCollector(BaseCollector):
 
     def trace(self) -> MemoryTrace:
         self.finish()
-        return MemoryTrace(self.records, program=self.program or "mpisim")
+        return MemoryTrace(
+            self.records, program=self.program or "mpisim", clock_params=self.clock_params
+        )
 
 
 class FileCollector(BaseCollector):
@@ -160,7 +167,6 @@ class FileCollector(BaseCollector):
         binary: bool = False,
     ):
         super().__init__(nprocs, clocks)
-        clock_params = {r: (c.offset, c.drift) for r, c in enumerate(self.clocks)}
         self.writer = TraceSetWriter(
             directory,
             stem,
@@ -168,7 +174,7 @@ class FileCollector(BaseCollector):
             program=program or "mpisim",
             buffer_events=buffer_events,
             binary=binary,
-            clock_params=clock_params,
+            clock_params=self.clock_params,
         )
         self.directory = Path(directory)
         self.stem = stem

@@ -1,7 +1,10 @@
 """Trace substrate: event model, codecs, buffered writers, streaming readers.
 
 Implements the paper's §4 tracing layer (minus the C/PMPI part, which is
-replaced by :mod:`repro.mpisim.tracing` — see DESIGN.md §2).
+replaced by :mod:`repro.mpisim.tracing` — see DESIGN.md §2).  Checking
+that a trace set describes a correctly completed run is the job of the
+trace-level lint rules (:func:`repro.lint.lint_traces`, MPG0xx), which
+every analysis CLI runs before it builds a graph.
 """
 
 from repro.trace.events import (
@@ -16,7 +19,6 @@ from repro.trace.events import (
     TraceMeta,
 )
 from repro.trace.reader import MemoryTrace, RankStream, TraceReader, TraceSet, find_trace_files
-from repro.trace.validate import ValidationIssue, ValidationReport, validate_traces
 from repro.trace.writer import TraceSetWriter, TraceWriter, rank_filename
 
 __all__ = [
@@ -34,9 +36,6 @@ __all__ = [
     "TraceReader",
     "TraceSet",
     "find_trace_files",
-    "ValidationIssue",
-    "ValidationReport",
-    "validate_traces",
     "TraceSetWriter",
     "TraceWriter",
     "rank_filename",

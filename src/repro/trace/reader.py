@@ -218,9 +218,16 @@ class MemoryTrace:
     """In-memory stand-in for :class:`TraceSet` (tests, generators).
 
     Takes per-rank event lists; performs the same coherence checks.
+    ``clock_params`` maps rank -> ``(offset, drift)`` of its local clock,
+    declared in the metas the way a file trace's header declares it.
     """
 
-    def __init__(self, per_rank: Sequence[Sequence[EventRecord]], program: str = "synthetic"):
+    def __init__(
+        self,
+        per_rank: Sequence[Sequence[EventRecord]],
+        program: str = "synthetic",
+        clock_params: dict[int, tuple[float, float]] | None = None,
+    ):
         if not per_rank:
             raise ValueError("MemoryTrace requires at least one rank")
         self.nprocs = len(per_rank)
@@ -229,9 +236,19 @@ class MemoryTrace:
             for ev in evs:
                 if ev.rank != rank:
                     raise ValueError(f"event rank {ev.rank} filed under rank {rank}")
-        self._metas = [
-            TraceMeta(rank=r, nprocs=self.nprocs, program=program) for r in range(self.nprocs)
-        ]
+        clock_params = clock_params or {}
+        self._metas = []
+        for r in range(self.nprocs):
+            offset, drift = clock_params.get(r, (0.0, 0.0))
+            self._metas.append(
+                TraceMeta(
+                    rank=r,
+                    nprocs=self.nprocs,
+                    program=program,
+                    clock_offset=offset,
+                    clock_drift=drift,
+                )
+            )
 
     def meta(self, rank: int) -> TraceMeta:
         return self._metas[rank]

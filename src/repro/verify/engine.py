@@ -23,7 +23,6 @@ so CI can gate on the SARIF output without flakes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
@@ -32,9 +31,8 @@ from repro.core.montecarlo import monte_carlo
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
-from repro.lint.engine import LintReport
-from repro.lint.model import Finding, LintConfig
-from repro.lint.registry import all_rules, run_rule
+from repro.lint.engine import LintContext, LintReport, run_rules
+from repro.lint.model import LintConfig
 from repro.lint.report import render_text, report_to_dict
 from repro.noise.signature import MachineSignature
 from repro.trace.reader import TraceSource
@@ -85,7 +83,7 @@ class VerifyConfig:
             raise ValueError("replicates must be >= 0")
 
 
-class VerifyContext:
+class VerifyContext(LintContext):
     """What an MPG3xx rule may inspect: the build plus the analysis
     artifacts, and the active :class:`VerifyConfig`.
 
@@ -102,25 +100,11 @@ class VerifyContext:
         config: VerifyConfig,
         trace_set: TraceSource | None = None,
     ) -> None:
-        self.build = build
+        super().__init__(trace_set=trace_set, build=build)
         self.bounds = bounds
         self.matches = matches
         self.containment = containment
         self.config = config
-        self.trace_set = trace_set
-
-    @cached_property
-    def paths(self) -> list:
-        """Per-rank trace file paths (None for in-memory traces)."""
-        readers = getattr(self.trace_set, "readers", None)
-        if readers:
-            return [str(r.path) for r in readers]
-        return [None] * self.build.graph.nprocs
-
-    def path_of(self, rank: int | None) -> str | None:
-        if rank is None or not 0 <= rank < len(self.paths):
-            return None
-        return self.paths[rank]
 
 
 @dataclass
@@ -175,33 +159,12 @@ def verify_build(
             containment = (config.replicates, bounds.violations(dist.samples))
         analysis = analyze_matches(build) if config.matches else None
         ctx = VerifyContext(build, bounds, analysis, containment, config, trace_set)
-
-        findings: list[Finding] = []
-        rules_run: list[str] = []
-        for r in all_rules("verify"):
-            if not config.lint.enabled(r):
-                continue
-            rules_run.append(r.id)
-            findings.extend(run_rule(r, ctx, config.lint))
-
-        ordered = sorted(
-            (f.with_path(ctx.path_of(f.rank)) for f in findings),
-            key=lambda f: (
-                -int(f.severity),
-                f.rule_id,
-                f.rank if f.rank is not None else -1,
-                f.seq if f.seq is not None else -1,
-                f.node if f.node is not None else -1,
-            ),
-        )
-        for f in ordered:
-            obs.add(f"verify.findings.{f.severity.name.lower()}")
-        return VerifyReport(
-            findings=ordered,
-            nprocs=build.graph.nprocs,
-            event_count=sum(len(evs) for evs in build.events),
-            rules_run=tuple(rules_run),
-            graph_checked=True,
+        return run_rules(
+            ctx,
+            config.lint,
+            ("verify",),
+            surface="verify",
+            report=VerifyReport,
             bounds=bounds,
             matches=analysis,
             replicates=config.replicates,

@@ -22,9 +22,9 @@ from repro.apps import (
     stencil1d,
     token_ring,
 )
+from repro.lint import lint_run
 from repro.mpisim import run
 from repro.trace.events import EventKind
-from repro.trace.validate import validate_traces
 
 
 def count(trace, rank, kind):
@@ -47,8 +47,8 @@ def count(trace, rank, kind):
 def test_app_runs_and_traces_validate(name, factory, params, p):
     res = run(factory(params), nprocs=p, seed=1)
     assert res.makespan > 0
-    report = validate_traces(res.trace)
-    assert report.ok, f"{name}: {[str(e) for e in report.errors[:3]]}"
+    report = lint_run(res.trace)
+    assert report.ok, f"{name}: {[f.message for f in report.errors[:3]]}"
 
 
 @pytest.mark.parametrize("name", sorted(ALL_APPS))
@@ -56,7 +56,7 @@ def test_registry_default_params_run(name):
     factory, params_cls = ALL_APPS[name]
     p = 8 if name == "butterfly_allreduce" else 4
     res = run(factory(params_cls()), nprocs=p, seed=0)
-    assert validate_traces(res.trace).ok
+    assert lint_run(res.trace).ok
 
 
 class TestTokenRing:
@@ -121,7 +121,7 @@ class TestMasterWorker:
 
     def test_fewer_tasks_than_workers(self):
         res = run(master_worker(MasterWorkerParams(tasks=2)), nprocs=6, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
 
     def test_wildcard_sources_resolved(self):
         res = run(master_worker(MasterWorkerParams(tasks=8)), nprocs=4, seed=0)
@@ -204,7 +204,7 @@ class TestStencil2D:
         from repro.apps import Stencil2DParams, stencil2d
 
         res = run(stencil2d(Stencil2DParams(iterations=3)), nprocs=6, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
 
     def test_interior_vs_corner_neighbor_counts(self):
         from repro.apps import Stencil2DParams, stencil2d
@@ -263,7 +263,7 @@ class TestFFTTranspose:
         from repro.apps import FFTTransposeParams, fft_transpose
 
         res = run(fft_transpose(FFTTransposeParams(stages=3)), nprocs=6, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
         assert count(res.trace, 0, EventKind.ALLTOALL) == 3
 
     def test_bandwidth_bound_scaling(self):

@@ -10,10 +10,10 @@ from repro.core import (
     propagate,
 )
 from repro.core.graph import DeltaKind, Phase
+from repro.lint import lint_run
 from repro.mpisim import Compute, Machine, NetworkModel, ReduceScatter, Scan, run
 from repro.noise import Constant, Exponential, MachineSignature
 from repro.trace.events import EventKind
-from repro.trace.validate import validate_traces
 
 from tests.conftest import assert_engines_agree
 
@@ -34,7 +34,7 @@ def trace():
 
 class TestSimulator:
     def test_traces_validate(self, trace):
-        assert validate_traces(trace).ok
+        assert lint_run(trace).ok
 
     def test_scan_is_a_prefix_pipeline(self, trace):
         ends = {}

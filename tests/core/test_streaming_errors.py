@@ -7,7 +7,7 @@ complete run (§4.3's precondition).
 
 import pytest
 
-from repro.core import PerturbationSpec, StreamingTraversal
+from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal
 from repro.core.matching import MatchError
 from repro.noise import Constant, MachineSignature
 from repro.trace.events import EventKind, EventRecord
@@ -80,8 +80,9 @@ class TestHardErrors:
                 wrap(1, [(EventKind.ALLREDUCE, dict(coll_seq=0, nbytes=8))]),
             ]
         )
-        with pytest.raises(MatchError, match="inconsistent"):
+        with pytest.raises(MatchError, match="inconsistent") as exc:
             StreamingTraversal(SPEC).run(traces)
+        assert exc.value.code == "collective-mismatch"
 
     def test_collective_root_mismatch(self):
         traces = MemoryTrace(
@@ -92,6 +93,42 @@ class TestHardErrors:
         )
         with pytest.raises(MatchError, match="inconsistent"):
             StreamingTraversal(SPEC).run(traces)
+
+
+class TestUnpairedTransfers:
+    """A transfer that loses a half without stalling any rank: the
+    traversal finishes and then refuses, naming the first leftover, the
+    way the in-core matcher does."""
+
+    def test_eager_send_without_receive(self):
+        traces = MemoryTrace(
+            [
+                wrap(0, [(EventKind.SEND, dict(peer=1, tag=0, nbytes=8))]),
+                wrap(1, []),
+            ]
+        )
+        engine = StreamingTraversal(SPEC, config=BuildConfig(eager_threshold=1024))
+        with pytest.raises(MatchError, match="1 unpaired pairwise event") as exc:
+            engine.run(traces)
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 0, 1)
+
+    def test_uncompleted_irecv_without_send(self):
+        traces = MemoryTrace(
+            [wrap(0, [(EventKind.IRECV, dict(peer=1, tag=0, nbytes=8, req=0))]), wrap(1, [])]
+        )
+        with pytest.raises(MatchError, match="recv") as exc:
+            StreamingTraversal(SPEC).run(traces)
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 0, 1)
+
+    def test_uncompleted_irecv_with_send_is_paired(self):
+        traces = MemoryTrace(
+            [
+                wrap(0, [(EventKind.IRECV, dict(peer=1, tag=0, nbytes=8, req=0))]),
+                wrap(1, [(EventKind.SEND, dict(peer=0, tag=0, nbytes=8))]),
+            ]
+        )
+        res = StreamingTraversal(SPEC, config=BuildConfig(eager_threshold=1024)).run(traces)
+        assert any("never completed" in w for w in res.warnings)
 
 
 class TestWarnings:

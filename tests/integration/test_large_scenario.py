@@ -21,6 +21,7 @@ from repro.core import (
     propagate,
     runtime_impact,
 )
+from repro.lint import lint_run
 from repro.machines import noisy_cluster, quiet_cluster
 from repro.microbench import measure_machine
 from repro.mpisim import (
@@ -35,7 +36,7 @@ from repro.mpisim import (
     Waitall,
     run_to_files,
 )
-from repro.trace import TraceSet, validate_traces
+from repro.trace import TraceSet
 from repro.trace.stats import trace_stats
 
 P = 64
@@ -80,7 +81,7 @@ def test_large_scenario_end_to_end(scenario):
     assert traces.nprocs == P
 
     # -- structural soundness -------------------------------------------------
-    report = validate_traces(traces)
+    report = lint_run(traces)
     assert report.ok
     stats = trace_stats(traces)
     assert stats.total_events == report.event_count

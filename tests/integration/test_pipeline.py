@@ -23,11 +23,12 @@ from repro.core import (
     runtime_impact,
     sweep_scales,
 )
+from repro.lint import lint_run
 from repro.machines import noisy_cluster, quiet_cluster
 from repro.microbench import measure_machine
 from repro.mpisim import run, run_to_files
 from repro.noise import Constant, MachineSignature
-from repro.trace import TraceSet, validate_traces
+from repro.trace import TraceSet
 
 from tests.conftest import assert_engines_agree
 
@@ -46,7 +47,7 @@ def test_full_file_based_pipeline(tmp_path, binary):
         program_name="token_ring",
     )
     traces = TraceSet.open(tmp_path, "ring")
-    assert validate_traces(traces).ok
+    assert lint_run(traces).ok
 
     sig = MachineSignature(os_noise=Constant(200.0), latency=Constant(100.0))
     spec = PerturbationSpec(sig, seed=0)

@@ -4,12 +4,12 @@ pipeline invariants that must hold for ANY simulator-producible trace."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.lint import lint_run
 from repro.mpisim import run
 from repro.mpisim.engine import Engine
 from repro.mpisim.tracing import FileCollector
 from repro.trace.reader import TraceSet
 from repro.trace.stats import trace_stats
-from repro.trace.validate import validate_traces
 
 from tests.conftest import plan_program
 
@@ -52,8 +52,8 @@ def test_every_run_validates_and_balances(plan, p):
     """Any simulator-produced trace passes structural validation, and its
     traffic accounting balances (bytes sent == bytes received)."""
     trace = run(plan_program(plan), nprocs=p, seed=2).trace
-    report = validate_traces(trace)
-    assert report.ok, [str(e) for e in report.errors[:3]]
+    report = lint_run(trace)
+    assert report.ok, [f.message for f in report.errors[:3]]
     stats = trace_stats(trace)
     assert sum(r.bytes_sent for r in stats.ranks) == sum(
         r.bytes_received for r in stats.ranks

@@ -1,5 +1,6 @@
-"""CLI tests: the ``repro-lint`` entry point and the ``--lint``
-pre-flight gate in ``repro-analyze`` / ``repro-sweep``.
+"""CLI tests: the ``repro-lint`` entry point and the pre-build gate of
+``repro-analyze`` / ``repro-sweep`` / ``repro-diagnose`` /
+``repro-verify`` / ``repro-dot`` (``--lint`` on the first two).
 
 The acceptance-critical pair: a seeded-defect trace set is refused by
 ``--lint strict``, while every bundled example app lints clean.
@@ -12,7 +13,16 @@ import json
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.cli import main_analyze, main_lint, main_sweep, main_trace
+from repro.cli import (
+    main_analyze,
+    main_diagnose,
+    main_dot,
+    main_lint,
+    main_microbench,
+    main_sweep,
+    main_trace,
+    main_verify,
+)
 from repro.lint import lint_run
 from repro.mpisim import run
 from repro.trace.events import EventKind
@@ -169,6 +179,101 @@ class TestAnalyzeGating:
                 ["--traces", str(unframed_traces), "--stem", "open", "--lint", "warn"]
             )
         assert any("lint MPG004" in r.message for r in caplog.records)
+        # Logged once: the trace pack is the only pre-build check.
+        assert sum("not FINALIZE" in r.message for r in caplog.records) == 1
+
+
+def _copy_traces(src, dst, edit=None):
+    """Copy a text trace set, passing rank files' event lines through ``edit``."""
+    dst.mkdir()
+    for path in sorted(src.glob("*.jsonl")):
+        header, *events = path.read_text().splitlines()
+        if edit is not None:
+            events = edit(path.name, events)
+        (dst / path.name).write_text("\n".join([header, *events]) + "\n")
+    return dst
+
+
+def _drop_first_recv(name, events):
+    """Rank 1 loses its first RECV; later records are renumbered so the
+    trace pack sees a dense, well-formed stream and only matching fails."""
+    if ".rank0001." not in name:
+        return events
+    records = [json.loads(line) for line in events]
+    i = next(i for i, r in enumerate(records) if r[0] == EventKind.RECV)
+    del records[i]
+    for seq, r in enumerate(records):
+        r[2] = seq
+    return [json.dumps(r) for r in records]
+
+
+@pytest.fixture(scope="module")
+def malformed_traces(clean_traces, tmp_path_factory):
+    """The clean ring traces broken three ways, with the rule each must name."""
+    root = tmp_path_factory.mktemp("malformed")
+    return {
+        "header-only": (_copy_traces(clean_traces, root / "hdr", lambda n, e: []), "MPG003"),
+        "truncated": (
+            _copy_traces(
+                clean_traces, root / "trunc", lambda n, e: e[:2] + e[3:] if ".rank0001." in n else e
+            ),
+            "MPG003",
+        ),
+        "unpaired": (_copy_traces(clean_traces, root / "unpaired", _drop_first_recv), "MPG102"),
+    }
+
+
+@pytest.fixture(scope="module")
+def signature_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sig") / "sig.json"
+    assert main_microbench(["--machine", "noisy", "--seed", "0", "--out", str(path)]) == 0
+    return path
+
+
+TOOLS = {
+    "analyze": (main_analyze, True),
+    "sweep": (main_sweep, True),
+    "diagnose": (main_diagnose, False),
+    "verify": (main_verify, False),
+    "dot": (main_dot, False),
+}
+
+
+class TestMalformedTraceRefusal:
+    """Every analysis CLI refuses a malformed trace set by rule id: exit
+    status 1 and one stderr line, the way the interpreter reports the
+    ``SystemExit`` message — never a traceback or a silent result."""
+
+    @pytest.mark.parametrize("defect", ["header-only", "truncated", "unpaired"])
+    @pytest.mark.parametrize("tool", sorted(TOOLS))
+    def test_refused_by_rule_id(self, tool, defect, malformed_traces, signature_file):
+        main, needs_signature = TOOLS[tool]
+        traces, rule_id = malformed_traces[defect]
+        argv = ["--traces", str(traces), "--stem", "ring", "--quiet"]
+        if needs_signature:
+            argv += ["--signature", str(signature_file)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str)  # exit status 1, message on stderr
+        assert message.count("\n") == 0
+        assert rule_id in message
+
+    @pytest.mark.parametrize("tool", ["analyze", "sweep"])
+    def test_streaming_refuses_unpaired(self, tool, malformed_traces, signature_file):
+        """An eager send whose receive was dropped never blocks the
+        streaming traversal; it still ends the run, naming the send."""
+        main, _ = TOOLS[tool]
+        traces, _ = malformed_traces["unpaired"]
+        argv = ["--traces", str(traces), "--stem", "ring", "--quiet"]
+        argv += ["--signature", str(signature_file)]
+        argv += ["--engine", "streaming", "--eager-threshold", "1000000"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str)
+        assert message.startswith("MPG102 [unmatched-endpoint] rank 0, event #")
+        assert "unpaired pairwise event" in message
 
 
 APP_PARAMS = {

@@ -18,17 +18,27 @@ from repro.lint import (
     lint_traces,
     rule_for_code,
 )
+from repro.lint.engine import LintContext, run_rules
 from repro.trace.events import EventKind
-from tests.lint.helpers import ev, memory_trace, wrap
+from tests.lint.helpers import compute_only, ev, memory_trace, wrap
+
+
+def overlapping(rank=0, n_overlaps=5):
+    """Events that all start inside the long INIT event."""
+    events = [ev(rank, 0, EventKind.INIT, 0.0, 100.0)]
+    for i in range(1, n_overlaps):
+        events.append(
+            ev(rank, i, EventKind.SEND, float(i), float(i + 1), peer=rank, tag=0, nbytes=8)
+        )
+    events.append(
+        ev(rank, n_overlaps, EventKind.FINALIZE, float(n_overlaps), float(n_overlaps + 1))
+    )
+    return events
 
 
 def overlap_trace(n_overlaps=5):
     """One rank whose events all start inside the long INIT event."""
-    events = [ev(0, 0, EventKind.INIT, 0.0, 100.0)]
-    for i in range(1, n_overlaps):
-        events.append(ev(0, i, EventKind.SEND, float(i), float(i + 1), peer=0, tag=0, nbytes=8))
-    events.append(ev(0, n_overlaps, EventKind.FINALIZE, float(n_overlaps), float(n_overlaps + 1)))
-    return memory_trace(events)
+    return memory_trace(overlapping(0, n_overlaps))
 
 
 def matched_trace():
@@ -147,6 +157,53 @@ class TestGuardedBuild:
         assert report.findings == []
         assert report.graph_checked
         assert report.nprocs == 2
+
+
+class OneRankAtATime:
+    """A trace source that hands out single ranks and refuses ``load_all``."""
+
+    def __init__(self, trace):
+        self._trace = trace
+        self.nprocs = trace.nprocs
+        self.reads = []
+
+    def meta(self, rank):
+        return self._trace.meta(rank)
+
+    def events_of(self, rank):
+        self.reads.append(rank)
+        return self._trace.events_of(rank)
+
+    def streams(self):
+        raise AssertionError("the trace pack streamed every rank at once")
+
+    def load_all(self):
+        raise AssertionError("the trace pack loaded every rank at once")
+
+
+class TestRankAtATime:
+    """The trace pack reads a trace source once, one rank at a time, and
+    reports exactly what a run over the whole in-memory trace reports."""
+
+    PER_RANK = [
+        overlapping(0, 5),
+        overlapping(1, 5),
+        compute_only(2),
+        compute_only(3),
+        compute_only(4, span=1000.0),  # MPG007 outlier among five spans
+        [],  # MPG003: no events
+    ]
+
+    @pytest.mark.parametrize("cap", [2, 6, 100])  # cap inside rank 0, across ranks, none
+    def test_same_report_as_whole_trace(self, cap):
+        config = LintConfig(max_findings_per_rule=cap)
+        source = OneRankAtATime(memory_trace(*self.PER_RANK))
+        report = lint_traces(source, config)
+        whole = run_rules(LintContext(per_rank=self.PER_RANK), config, ("trace",))
+        assert source.reads == list(range(len(self.PER_RANK)))
+        assert report.findings == whole.findings
+        assert report.summary() == whole.summary()
+        assert {"MPG001", "MPG003", "MPG007"} <= set(report.counts())
 
 
 class TestReportShape:

@@ -68,6 +68,16 @@ class TestMPG102UnmatchedEndpoint:
         assert rule_ids(report) == {"MPG102"}
         assert "0 send(s) but 1 receive(s)" in report.findings[0].message
 
+    def test_sendrecv_counts_on_both_channels(self):
+        def sendrecv(peer):
+            return dict(peer=peer, tag=0, nbytes=8, recv_peer=peer, recv_tag=0, recv_nbytes=8)
+
+        t0 = wrap(0, [(EventKind.SENDRECV, 2.0, 3.0, sendrecv(1))])
+        t1 = wrap(1, [(EventKind.SENDRECV, 2.0, 3.0, sendrecv(0))])
+        report = lint_run(memory_trace(t0, t1))
+        assert report.findings == []
+        assert report.graph_checked
+
 
 class TestMPG103CollectiveMismatch:
     def test_count_mismatch(self):
@@ -77,6 +87,15 @@ class TestMPG103CollectiveMismatch:
         assert rule_ids(report) == {"MPG103"}
         (f,) = report.findings
         assert f.rank == 1
+
+    def test_kind_mismatch(self):
+        t0 = wrap(0, [(EventKind.BARRIER, 2.0, 3.0, dict(coll_seq=0))])
+        t1 = wrap(1, [(EventKind.ALLREDUCE, 2.0, 3.0, dict(coll_seq=0, nbytes=8))])
+        report = lint_run(memory_trace(t0, t1))
+        assert rule_ids(report) == {"MPG103"}
+        (f,) = report.findings
+        assert (f.rank, f.seq) == (1, 1)
+        assert "rank 0 called BARRIER, rank 1 called ALLREDUCE" in f.message
 
     def test_root_mismatch(self):
         t0 = wrap(0, [(EventKind.BCAST, 2.0, 3.0, dict(coll_seq=0, root=0, nbytes=8))])

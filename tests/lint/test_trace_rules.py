@@ -82,6 +82,26 @@ class TestMPG003TruncatedTrace:
         (f,) = report.findings
         assert f.rank == 1
 
+    def test_event_filed_under_another_rank(self, tmp_path):
+        from repro.trace.reader import TraceSet
+        from repro.trace.writer import TraceSetWriter
+
+        with TraceSetWriter(tmp_path, "stray", nprocs=2) as w:
+            for record in compute_only(0) + compute_only(1):
+                w.record(record)
+        # Rewrite rank 0's INIT record to claim rank 1 (the rank field
+        # follows the kind in a text trace's event array).
+        path = next(tmp_path.glob("stray.rank0000.*"))
+        header, init, *rest = path.read_text().splitlines()
+        fields = init.split(",")
+        fields[1] = "1"
+        path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        report = lint_traces(TraceSet.open(tmp_path, "stray"))
+        assert rule_ids(report) == {"MPG003"}
+        (f,) = report.findings
+        assert (f.rank, f.seq) == (0, 0)
+        assert "claims rank 1" in f.message
+
 
 class TestMPG004MissingFraming:
     def test_missing_finalize(self):
@@ -123,6 +143,41 @@ class TestMPG005WaitWithoutRequest:
         report = lint_traces(memory_trace(t0, t1))
         assert rule_ids(report) == {"MPG005"}
         assert "already-retired" in report.findings[0].message
+
+    def test_reused_request_id(self):
+        t0 = wrap(
+            0,
+            [
+                (EventKind.ISEND, 2.0, 3.0, dict(peer=1, tag=0, nbytes=8, req=1)),
+                (EventKind.ISEND, 3.0, 4.0, dict(peer=1, tag=0, nbytes=8, req=1)),
+                (EventKind.WAIT, 4.0, 5.0, dict(reqs=(1,), completed=(1,))),
+            ],
+        )
+        t1 = wrap(
+            1,
+            [
+                (EventKind.RECV, 2.0, 3.0, dict(peer=0, tag=0, nbytes=8)),
+                (EventKind.RECV, 3.0, 4.0, dict(peer=0, tag=0, nbytes=8)),
+            ],
+        )
+        report = lint_traces(memory_trace(t0, t1))
+        assert rule_ids(report) == {"MPG005"}
+        (f,) = report.findings
+        assert f.seq == 2 and "reuses request id 1" in f.message
+
+    def test_completed_ids_not_among_requests(self):
+        t0 = wrap(
+            0,
+            [
+                (EventKind.ISEND, 2.0, 3.0, dict(peer=1, tag=0, nbytes=8, req=1)),
+                (EventKind.WAIT, 3.0, 4.0, dict(reqs=(2,), completed=(1,))),
+            ],
+        )
+        t1 = wrap(1, [(EventKind.RECV, 2.0, 3.0, dict(peer=0, tag=0, nbytes=8))])
+        report = lint_traces(memory_trace(t0, t1))
+        assert rule_ids(report) == {"MPG005"}
+        (f,) = report.findings
+        assert "completed ids [1] not among its requests [2]" in f.message
 
     def test_missing_request_id(self):
         t0 = wrap(

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.apps import TokenRingParams, token_ring
+from repro.lint import lint_run
 from repro.machines import PRESETS, asciq_like, noisy_cluster, quiet_cluster, wan_grid
 from repro.mpisim import run
-from repro.trace.validate import validate_traces
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -14,7 +14,7 @@ def test_presets_build_and_run(name):
     assert machine.nprocs == 4
     res = run(token_ring(TokenRingParams(traversals=2)), machine=machine, seed=1)
     assert res.makespan > 0
-    assert validate_traces(res.trace).ok
+    assert lint_run(res.trace).ok
 
 
 def test_presets_deterministic():

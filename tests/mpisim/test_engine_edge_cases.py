@@ -1,6 +1,7 @@
 """Edge-case behaviour of the simulation engine."""
 
 
+from repro.lint import lint_run
 from repro.mpisim import (
     Allreduce,
     Barrier,
@@ -14,7 +15,6 @@ from repro.mpisim import (
     run,
 )
 from repro.trace.events import EventKind
-from repro.trace.validate import validate_traces
 
 
 class TestDegenerate:
@@ -45,7 +45,7 @@ class TestDegenerate:
             yield ReduceScatter(nbytes=8)
 
         res = run(prog, nprocs=1, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
         colls = [e for e in res.trace.events_of(0) if e.kind.is_collective]
         assert len(colls) == 5
 
@@ -59,7 +59,7 @@ class TestDegenerate:
                 yield Send(dest=0, nbytes=0)
 
         res = run(prog, nprocs=2, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
 
     def test_empty_waitall(self):
         def prog(me):
@@ -87,7 +87,7 @@ class TestManyMessagesOneChannel:
                     assert st.nbytes == i % 97  # order preserved
 
         res = run(prog, nprocs=2, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
 
 
 class TestManyRanks:
@@ -117,4 +117,4 @@ class TestManyRanks:
 
         # Even p so the alternating pattern closes the ring.
         res = run(prog, nprocs=64, seed=0)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.lint import lint_run
 from repro.mpisim import Compute, LocalClock, Machine, Recv, Send, run, run_to_files
 from repro.noise import Constant, DistributionNoise
 from repro.trace.reader import MemoryTrace, TraceSet
-from repro.trace.validate import validate_traces
 
 
 def simple(me):
@@ -75,7 +75,7 @@ class TestRunToFiles:
             simple, tmp_path, "s", nprocs=2, seed=0, binary=binary, program_name="simple"
         )
         assert isinstance(res.trace, TraceSet)
-        report = validate_traces(res.trace)
+        report = lint_run(res.trace)
         assert report.ok
         assert res.trace.meta(0).program == "simple"
 
@@ -88,4 +88,4 @@ class TestRunToFiles:
 
     def test_buffering_parameter(self, tmp_path):
         res = run_to_files(simple, tmp_path, "b", nprocs=2, seed=0, buffer_events=1)
-        assert validate_traces(res.trace).ok
+        assert lint_run(res.trace).ok
