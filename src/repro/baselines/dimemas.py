@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.matching import MatchError
+from repro.core.matching import MatchError, stalled
 from repro.mpisim.collectives import collective_exits
 from repro.mpisim.network import NetworkModel
 from repro.trace.events import COLLECTIVE_KINDS, EventKind, EventRecord
@@ -171,13 +171,13 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 else:
                     # Rendezvous: publish readiness; block for the ack.
                     data_mail[("d",) + ch + (k,)] = ready
-                    clock = yield ("ack", ("a",) + ch + (k,), n)
+                    clock = yield ("ack", ("a",) + ch + (k,), ev.seq, n)
 
             elif kind == EventKind.RECV:
                 ch = (ev.peer, rank, ev.tag)
                 k = recv_idx[ch]
                 recv_idx[ch] += 1
-                incoming = yield ("data", ("d",) + ch + (k,), n)
+                incoming = yield ("data", ("d",) + ch + (k,), ev.seq, n)
                 if params.is_eager(ev.nbytes):
                     clock = max(clock, incoming) + params.recv_overhead
                 else:
@@ -219,10 +219,10 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                     if state[0] == "done_at":
                         done = max(done, state[1])
                     elif state[0] == "ack":
-                        done = max(done, (yield ("ack", state[1], n)))
+                        done = max(done, (yield ("ack", state[1], ev.seq, n)))
                     elif state[0] == "recv":
                         _, key, nbytes, posted = state
-                        incoming = yield ("data", key, n)
+                        incoming = yield ("data", key, ev.seq, n)
                         if params.is_eager(nbytes):
                             arrival = max(incoming, posted) + params.recv_overhead
                         else:
@@ -248,7 +248,7 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 ch_r = (ev.recv_peer, rank, ev.recv_tag)
                 kr = recv_idx[ch_r]
                 recv_idx[ch_r] += 1
-                incoming = yield ("data", ("d",) + ch_r + (kr,), n)
+                incoming = yield ("data", ("d",) + ch_r + (kr,), ev.seq, n)
                 if params.is_eager(ev.recv_nbytes):
                     recv_done = max(clock, incoming) + params.recv_overhead
                 else:
@@ -256,7 +256,7 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                     recv_done = start + params.wire(ev.recv_nbytes) + params.recv_overhead
                     ack_mail[("a",) + ch_r + (kr,)] = recv_done + params.latency
                 if send_done is None:
-                    send_done = yield ("ack", ("a",) + ch_s + (ks,), n)
+                    send_done = yield ("ack", ("a",) + ch_s + (ks,), ev.seq, n)
                 clock = max(send_done, recv_done)
 
             elif kind in COLLECTIVE_KINDS:
@@ -264,7 +264,7 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 coll_counter += 1
                 st = colls.setdefault(ordinal, _CollState(nprocs))
                 st.entries[rank] = (clock, ev)
-                exit_time = yield ("coll", ordinal, n)
+                exit_time = yield ("coll", ordinal, ev.seq, n)
                 # The engine floors every collective exit at entry + call
                 # overhead (a rank that contributes nothing still pays the
                 # call itself — e.g. rank 0 of a Scan).
@@ -324,8 +324,7 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
             advance(rank, value)
             progressed = True
         if not progressed:
-            blocked = [f"rank {r}: {needs[r]!r}" for r in range(nprocs) if not done[r]]
-            raise MatchError("replay stalled (incomplete trace?):\n" + "\n".join(blocked))
+            raise stalled("replay", [(r, needs[r]) for r in range(nprocs) if not done[r]])
 
     originals = []
     for rank in range(nprocs):

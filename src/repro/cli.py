@@ -22,12 +22,7 @@ Entry points mirroring the paper's workflow:
 ``repro-lint``
     Rule-based static analysis of traces and built graphs
     (:mod:`repro.lint`): text, JSON, or SARIF 2.1.0 reports, no
-    perturbation engine involved.  ``repro-analyze``, ``repro-sweep``,
-    ``repro-diagnose``, ``repro-verify`` and ``repro-dot`` run its
-    trace-level rules before building a graph and refuse a trace set
-    with ERROR findings; a build failure ends them with one line naming
-    its rule, never a traceback.  ``--lint {off,warn,strict}`` (analyze
-    and sweep) logs findings and can add the graph-level rules.
+    perturbation engine involved.
 ``repro-diagnose``
     Automated bottleneck & faulty-rank diagnosis (:mod:`repro.diagnose`):
     critical-path extraction, makespan attribution, and anomalous-rank
@@ -57,6 +52,19 @@ Entry points mirroring the paper's workflow:
     Client for ``repro-serve``: submits jobs and renders responses in
     the exact byte formats of the corresponding CLI tools (CI diffs
     daemon output against CLI output with ``cmp``).
+
+Every tool that reads traces — analyze, sweep, dot, lint, diagnose,
+verify, metrics and replay — takes them through one front door,
+:func:`repro.lint.open_run`: it opens the trace set, runs the
+trace-level lint rules (MPG0xx) once and refuses a set with ERROR
+findings (``repro-lint`` reports them instead), and builds the graph at
+most once.  ``--lint {off,warn,strict}`` (analyze and sweep) logs the
+findings and can add the graph-level rules, whose build the tool then
+analyzes.  A trace that cannot be opened or decoded, a check's
+refusal, or a defect only the build or a traversal can see ends the
+run with exit status 1 and one stderr line naming the rule or the
+file, never a traceback.  A flag two tools share is declared once, in
+:data:`_FLAGS`.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro import obs
 from repro._util import atomic_write_text
@@ -80,7 +89,6 @@ from repro.core import (
     PerturbationSpec,
     StreamingTraversal,
     absorption_map,
-    build_graph,
     check_correctness,
     compiled_plan,
     critical_path,
@@ -105,7 +113,6 @@ from repro.metrics import (
 from repro.microbench import measure_machine
 from repro.mpisim import run_to_files
 from repro.noise import MachineSignature
-from repro.trace import TraceSet
 from repro.trace.stats import trace_stats
 
 __all__ = [
@@ -179,20 +186,6 @@ def _say(message: str) -> None:
     _RESULTS.info(message)
 
 
-def _add_obs_args(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="record the analyzer's own execution and write a Chrome trace-event "
-        "JSON (open in https://ui.perfetto.dev)",
-    )
-    ap.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write pipeline metrics (counters/gauges/timers) as JSON",
-    )
-
-
 def _start_observability(args, label: str):
     """Activate an obs session when ``--profile``/``--metrics-out`` ask
     for one; returns the session or None."""
@@ -251,56 +244,148 @@ def _parse_jobs(value: str) -> int | None:
     return None if jobs < 0 else jobs
 
 
-def _add_jobs_arg(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--jobs",
+#: Every flag two tools share, declared once.  Tools add them by name
+#: through :func:`_add`, overriding a field where theirs differs.
+_FLAGS: dict[str, dict] = {
+    "--traces": dict(help="directory containing trace files"),
+    "--stem": dict(help="trace file stem"),
+    "--out": dict(metavar="FILE", help="write the report to FILE instead of stdout"),
+    "--nprocs": dict(type=int),
+    "--machine": dict(choices=sorted(PRESETS)),
+    "--seed": dict(type=int, default=0),
+    "--scale": dict(type=float, default=1.0),
+    "--mode": dict(choices=("additive", "threshold"), default="additive"),
+    "--signature": dict(help="machine signature JSON (from repro-microbench)"),
+    "--measure": dict(help="measure a preset machine instead of loading a signature"),
+    "--measure-nprocs": dict(type=int, default=2),
+    "--collective-mode": dict(choices=("hub", "butterfly"), default="hub"),
+    "--eager-threshold": dict(
+        type=int, default=None, help="largest send modeled as buffered (default: none)"
+    ),
+    "--replicates": dict(type=int, default=0),
+    "--scales": dict(default="0,0.25,0.5,1,2,4", help="comma-separated scale factors"),
+    "--windows": dict(
+        type=int,
+        default=16,
+        metavar="N",
+        help="time windows for the efficiency timeline (default 16)",
+    ),
+    "--quantile": dict(
+        type=float,
+        default=None,
+        metavar="Q",
+        help="finite-support cut for unbounded distribution families: intervals "
+        "are sound up to this per-draw quantile (default 1 - 1e-12; bounded "
+        "families are always exact)",
+    ),
+    "--no-matches": dict(
+        action="store_true",
+        help="skip the match-nondeterminism / deadlock-potential analysis",
+    ),
+    "--engine": dict(
+        choices=("compiled", "streaming"),
+        default="compiled",
+        help="propagation engine: the vectorized compiled plan (default), or the "
+        "windowed streaming traversal for traces too large for memory — same "
+        "per-rank delays on the same seed",
+    ),
+    "--lint": dict(
+        choices=("off", "warn", "strict"),
+        default="warn",
+        help="pre-flight static analysis (repro.lint): the trace-level rules always "
+        "run and an ERROR finding always refuses the run; 'warn' (default) also "
+        "logs every finding, 'strict' also runs the graph-level rules and analyzes "
+        "the graph they checked, 'off' logs nothing",
+    ),
+    "--jobs": dict(
         type=_parse_jobs,
         default=0,
         metavar="N",
         help="worker processes for independent traversals: 0 = serial (default), "
         "N >= 2 = process pool, 'auto'/-1 = one per core; results are "
         "bit-identical regardless of N",
-    )
-
-
-def _add_fault_args(ap: argparse.ArgumentParser) -> None:
-    """Fault-tolerance / resumability flags shared by analyze and sweep."""
-    ap.add_argument(
-        "--checkpoint",
+    ),
+    "--checkpoint": dict(
         metavar="DIR",
         help="persist one shard per replicate/point into DIR as results are "
         "computed (see repro.core.checkpoint)",
-    )
-    ap.add_argument(
-        "--resume",
+    ),
+    "--resume": dict(
         action="store_true",
         help="with --checkpoint: read existing shards first and compute only "
         "the missing rows — bit-identical to an uninterrupted run",
-    )
-    ap.add_argument(
-        "--chunk-timeout",
+    ),
+    "--chunk-timeout": dict(
         type=float,
         default=None,
         metavar="SECONDS",
         help="per-chunk deadline for pooled execution; past-deadline chunks are "
         "speculatively resubmitted (default: no timeout)",
-    )
-    ap.add_argument(
-        "--retries",
+    ),
+    "--retries": dict(
         type=int,
         default=None,
         metavar="N",
         help="re-submissions per failed chunk before the failure policy applies "
         "(default: 2)",
-    )
-    ap.add_argument(
-        "--on-failure",
+    ),
+    "--on-failure": dict(
         choices=("fail", "degrade", "skip"),
         default=None,
         help="what to do with a chunk that exhausts its retries: fail the run "
         "(default), degrade to in-process serial execution, or skip it "
         "(its rows become NaN)",
-    )
+    ),
+    "--profile": dict(
+        metavar="FILE",
+        help="record the analyzer's own execution and write a Chrome trace-event "
+        "JSON (open in https://ui.perfetto.dev)",
+    ),
+    "--metrics-out": dict(
+        metavar="FILE", help="write pipeline metrics (counters/gauges/timers) as JSON"
+    ),
+    "--format": dict(
+        choices=("text", "json", "sarif"),
+        default="text",
+        help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
+    ),
+    "--list-rules": dict(action="store_true", help="print the rule catalog and exit"),
+    "--disable": dict(
+        action="append",
+        default=[],
+        metavar="RULE[,RULE...]",
+        help="rule ids to skip (repeatable or comma-separated)",
+    ),
+    "--severity": dict(
+        action="append",
+        default=[],
+        metavar="RULE=LEVEL",
+        help="override a rule's severity, e.g. MPG007=error (repeatable)",
+    ),
+    "--max-findings": dict(type=int, default=100, help="per-rule finding cap in the report"),
+    "--fail-on": dict(
+        choices=("error", "warning", "never"),
+        default="error",
+        help="exit nonzero when findings at/above this severity exist (default: error)",
+    ),
+}
+
+_TRACE_FLAGS = ("--traces", "--stem")
+_BUILD_FLAGS = ("--collective-mode", "--eager-threshold")
+_SIGNATURE_FLAGS = ("--signature", "--measure", "--measure-nprocs")
+_SPEC_FLAGS = ("--seed", "--scale", "--mode")
+_POLICY_FLAGS = ("--chunk-timeout", "--retries", "--on-failure")
+_OBS_FLAGS = ("--profile", "--metrics-out")
+_REPORT_FLAGS = (
+    "--format", "--out", "--list-rules", "--disable", "--severity", "--max-findings", "--fail-on"
+)
+
+
+def _add(ap: argparse.ArgumentParser, *flags: str, **override) -> None:
+    """Add the shared ``flags`` to ``ap``, each as :data:`_FLAGS`
+    declares it with ``override`` applied."""
+    for flag in flags:
+        ap.add_argument(flag, **{**_FLAGS[flag], **override})
 
 
 def _fault_policy(args) -> FaultPolicy | None:
@@ -341,85 +426,61 @@ def _load_signature(args) -> MachineSignature:
 
 
 def _build_config(args) -> BuildConfig:
+    """The graph semantics the build flags ask for; the defaults for a
+    tool without them (replay's ``--eager-threshold`` describes the
+    target machine, not the graph)."""
+    if not hasattr(args, "collective_mode"):
+        return BuildConfig()
     return BuildConfig(
         collective_mode=args.collective_mode,
         eager_threshold=args.eager_threshold,
     )
 
 
-def _add_lint_arg(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--lint",
-        choices=("off", "warn", "strict"),
-        default="warn",
-        help="pre-flight static analysis (repro.lint): the trace-level rules always "
-        "run and an ERROR finding always refuses the run; 'warn' (default) also "
-        "logs every finding, 'strict' also runs the graph-level rules, 'off' logs "
-        "nothing",
-    )
+def _log_lint(mode: str, report) -> None:
+    """``--lint warn|strict``: every finding through the structured
+    :func:`repro.core.diagnostics.warn` channel (so each is also counted
+    as a ``warnings.lint.<rule>`` metric), then the summary."""
+    from repro.core.diagnostics import warn
+
+    for f in report.findings:
+        message = warn(f"lint {f.rule_id}: {f.message}", f"lint.{f.rule_id}", f.rank, f.seq)
+        _LOG.warning(str(message))
+    _LOG.info(f"lint ({mode}): {report.summary()}")
 
 
 @contextlib.contextmanager
-def _gated(args, traces, build_config: BuildConfig):
-    """The check every analysis CLI runs before its graph build.
+def _door(args, source=None, **check):
+    """The tool's trace set through the one front door,
+    :func:`repro.lint.open_run`: ``--traces``/``--stem``, or an already
+    open ``source``, checked the way ``--lint`` says (a tool without it
+    checks as ``off``); ``check`` overrides the door's options.
 
-    The trace-level rules (MPG0xx) run once, reading one rank at a
-    time, and any ERROR finding refuses the run, whatever ``--lint``
-    says: the builder assumes a run that completed correctly (§4.3).
-    ``--lint`` only changes the
-    rest: ``off`` logs nothing, ``warn`` logs every finding through the
-    structured :func:`repro.core.diagnostics.warn` channel (so each is
-    also counted as a ``warnings.lint.<rule>`` metric), ``strict`` also
-    runs the graph-level rules over a guarded build.  Tools without
-    ``--lint`` gate as ``off``.  A :class:`DiagnosticError` raised in
-    the block — e.g. a defect only the build or the streaming traversal
-    can see — ends the run with one line naming its rule and code
+    Any :class:`DiagnosticError` raised opening or checking the traces,
+    or in the block — a defect only the build or a traversal can see —
+    ends the run with its one line (:func:`repro.lint.error_line`)
     instead of a traceback.
     """
     from repro import lint
     from repro.core.diagnostics import DiagnosticError
-    from repro.core.diagnostics import warn as _warn
-    from repro.lint.engine import build_error_finding
 
     mode = getattr(args, "lint", "off")
-    with obs.span("preflight_lint", mode=mode):
-        if mode == "strict":
-            report = lint.lint_run(traces, build_config=build_config)
-        else:
-            report = lint.lint_traces(traces)
-    if mode != "off":
-        for f in report.findings:
-            _LOG.warning(
-                str(_warn(f"lint {f.rule_id}: {f.message}", f"lint.{f.rule_id}", f.rank, f.seq))
-            )
-        _LOG.info(f"lint ({mode}): {report.summary()}")
-    if not report.ok:
-        first = report.errors[0]
-        raise SystemExit(
-            f"repro-lint found {len(report.errors)} ERROR finding(s) "
-            f"({', '.join(sorted({f.rule_id for f in report.errors}))}); refusing to "
-            f"build the graph — first: {first.rule_id} {first.location}: {first.message} "
-            f"(run repro-lint for the full report)"
-        )
+    log = None if mode == "off" else functools.partial(_log_lint, mode)
+    check = {"graph": mode == "strict", "log": log, **check}
+    traces, stem = (args.traces, args.stem) if source is None else (source, None)
     try:
-        yield
+        yield lint.open_run(traces, stem, _build_config(args), **check)
     except DiagnosticError as exc:
-        f = build_error_finding(exc)
-        one_line = " ".join(str(exc).split())
-        raise SystemExit(f"{f.rule_id} [{exc.code}] {f.location}: {one_line}") from None
+        raise SystemExit(lint.error_line(exc)) from None
 
 
 def _add_analysis_args(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--traces", required=True, help="directory containing trace files")
-    ap.add_argument("--stem", required=True, help="trace file stem")
-    ap.add_argument("--signature", help="machine signature JSON (from repro-microbench)")
-    ap.add_argument("--measure", help="measure a preset machine instead of loading a signature")
-    ap.add_argument("--measure-nprocs", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--mode", choices=("additive", "threshold"), default="additive")
-    ap.add_argument("--collective-mode", choices=("hub", "butterfly"), default="hub")
-    ap.add_argument("--eager-threshold", type=int, default=None)
+    """The flags analyze and sweep share."""
+    _add(ap, *_TRACE_FLAGS, required=True)
+    _add(ap, *_SIGNATURE_FLAGS, *_SPEC_FLAGS, *_BUILD_FLAGS)
+    _add(ap, "--jobs", "--checkpoint", "--resume", *_POLICY_FLAGS, *_OBS_FLAGS)
+    _add(ap, "--lint", "--engine")
+    _add_logging_args(ap)
 
 
 def main_trace(argv: list[str] | None = None) -> int:
@@ -427,11 +488,11 @@ def main_trace(argv: list[str] | None = None) -> int:
         prog="repro-trace", description="Run a bundled app on a simulated machine and trace it."
     )
     ap.add_argument("--app", required=True, choices=sorted(ALL_APPS))
-    ap.add_argument("--nprocs", type=int, required=True)
-    ap.add_argument("--machine", default="quiet", choices=sorted(PRESETS))
-    ap.add_argument("--out", required=True, help="output directory for trace files")
-    ap.add_argument("--stem", default=None, help="trace file stem (default: app name)")
-    ap.add_argument("--seed", type=int, default=0)
+    _add(ap, "--nprocs", required=True)
+    _add(ap, "--machine", default="quiet")
+    _add(ap, "--out", required=True, metavar=None, help="output directory for trace files")
+    _add(ap, "--stem", help="trace file stem (default: app name)")
+    _add(ap, "--seed")
     ap.add_argument("--binary", action="store_true", help="write binary traces")
     ap.add_argument("--buffer-events", type=int, default=4096)
     ap.add_argument(
@@ -468,11 +529,11 @@ def main_microbench(argv: list[str] | None = None) -> int:
         prog="repro-microbench",
         description="Measure a preset machine's signature via microbenchmarks.",
     )
-    ap.add_argument("--machine", required=True, choices=sorted(PRESETS))
-    ap.add_argument("--nprocs", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
+    _add(ap, "--machine", required=True)
+    _add(ap, "--nprocs", default=2)
+    _add(ap, "--seed")
     ap.add_argument("--method", choices=("empirical", "fit"), default="empirical")
-    ap.add_argument("--out", required=True, help="signature JSON output path")
+    _add(ap, "--out", required=True, help="signature JSON output path")
     _add_logging_args(ap)
     args = ap.parse_args(argv)
     _configure_logging(args)
@@ -492,19 +553,6 @@ def main_analyze(argv: list[str] | None = None) -> int:
         description="Build the message-passing graph and propagate perturbations.",
     )
     _add_analysis_args(ap)
-    _add_jobs_arg(ap)
-    _add_fault_args(ap)
-    _add_logging_args(ap)
-    _add_obs_args(ap)
-    _add_lint_arg(ap)
-    ap.add_argument(
-        "--engine",
-        choices=("compiled", "streaming"),
-        default="compiled",
-        help="propagation engine: the vectorized compiled plan (default), or the "
-        "windowed streaming traversal for traces too large for memory — same "
-        "per-rank delays on the same seed",
-    )
     ap.add_argument("--window", type=int, default=4096)
     ap.add_argument("--history", help="append the experiment to this history JSONL")
     ap.add_argument("--name", default="analysis", help="experiment name for the history")
@@ -513,10 +561,9 @@ def main_analyze(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the critical path's top contributing edges (compiled engine only)",
     )
-    ap.add_argument(
+    _add(
+        ap,
         "--replicates",
-        type=int,
-        default=0,
         help="Monte-Carlo replicates for the runtime-delay distribution "
         "(0 = single propagation only; compiled engine)",
     )
@@ -585,9 +632,8 @@ def main_analyze(argv: list[str] | None = None) -> int:
             raise SystemExit(f"--{flag} requires the compiled engine, not streaming")
 
     session = _start_observability(args, "repro-analyze")
-    traces = TraceSet.open(args.traces, args.stem)
-    config = _build_config(args)
-    with obs.span("analyze", engine=engine, mode=args.mode), _gated(args, traces, config):
+    with obs.span("analyze", engine=engine, mode=args.mode), _door(args) as run:
+        traces, config = run.traces, run.build_config
         sig = _load_signature(args)
         spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
 
@@ -616,7 +662,7 @@ def main_analyze(argv: list[str] | None = None) -> int:
             for w in result.warnings:
                 _LOG.warning(str(w))
         else:
-            build = build_graph(traces, config)
+            build = run.build
             vbounds = None
             if args.verify:
                 from repro.verify import (
@@ -643,10 +689,11 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     vreport,
                     args.verify_format,
                     args.verify_out,
-                    "verification report",
-                    summary_prefix="verify: ",
-                    text=lambda r: render_verify_text(r, verbose=args.verbose >= 1),
-                    json=functools.partial(render_json, to_dict=verify_to_dict),
+                    "verify: ",
+                    _ReportTool(
+                        "verify", "verification report", render_verify_text, verify_to_dict
+                    ),
+                    verbose=args.verbose >= 1,
                 )
                 if vreport.errors:
                     raise SystemExit(
@@ -708,10 +755,11 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     diag,
                     args.diagnose_format,
                     args.diagnose_out,
-                    "diagnosis report",
-                    summary_prefix="diagnosis: ",
-                    text=lambda r: render_diagnosis_text(r, verbose=args.verbose >= 1),
-                    json=functools.partial(render_json, to_dict=diagnosis_to_dict),
+                    "diagnosis: ",
+                    _ReportTool(
+                        "diagnosis", "diagnosis report", render_diagnosis_text, diagnosis_to_dict
+                    ),
+                    verbose=args.verbose >= 1,
                 )
         if args.history:
             rec = ExperimentHistory(args.history).record(args.name, spec, result, config)
@@ -725,38 +773,25 @@ def main_sweep(argv: list[str] | None = None) -> int:
         prog="repro-sweep", description="Noise-scale ladder over one trace set."
     )
     _add_analysis_args(ap)
-    _add_jobs_arg(ap)
-    _add_fault_args(ap)
-    _add_logging_args(ap)
-    _add_obs_args(ap)
-    _add_lint_arg(ap)
-    ap.add_argument("--scales", default="0,0.25,0.5,1,2,4", help="comma-separated scale factors")
-    ap.add_argument(
-        "--engine",
-        choices=("compiled", "streaming"),
-        default="compiled",
-        help="sweep engine: the compiled plan (default) or the windowed streaming "
-        "traversal — both give the same points",
-    )
+    _add(ap, "--scales")
     args = ap.parse_args(argv)
     _configure_logging(args)
 
     session = _start_observability(args, "repro-sweep")
-    traces = TraceSet.open(args.traces, args.stem)
-    config = _build_config(args)
-    with _gated(args, traces, config):
+    with _door(args) as run:
         sig = _load_signature(args)
         spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
         result = sweep_scales(
-            traces,
+            run.traces,
             spec,
             scales,
             mode=args.mode,
             engine=args.engine,
-            config=config,
+            config=run.build_config,
             jobs=args.jobs,
             policy=_fault_policy(args),
+            build=None if args.engine == "streaming" else run.build,
             **_checkpoint_args(args),
         )
     _say(result.table())
@@ -770,30 +805,25 @@ def main_dot(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro-dot", description="Export the message-passing graph as Graphviz DOT."
     )
-    ap.add_argument("--traces", required=True)
-    ap.add_argument("--stem", required=True)
-    ap.add_argument("--out", help="output .dot path (default: stdout)")
+    _add(ap, *_TRACE_FLAGS, required=True)
+    _add(ap, "--out", help="write the .dot file to FILE instead of stdout")
     ap.add_argument("--max-nodes", type=int, default=4000)
     ap.add_argument(
         "--seq-range",
         help="export only events with LO:HI sequence numbers (window view)",
     )
-    ap.add_argument("--collective-mode", choices=("hub", "butterfly"), default="hub")
-    ap.add_argument("--eager-threshold", type=int, default=None)
+    _add(ap, *_BUILD_FLAGS)
     _add_logging_args(ap)
     args = ap.parse_args(argv)
     _configure_logging(args)
 
-    traces = TraceSet.open(args.traces, args.stem)
-    config = _build_config(args)
-    with _gated(args, traces, config):
-        build = build_graph(traces, config)
-        graph = build.graph
+    with _door(args) as run:
+        graph = run.build.graph
         if args.seq_range:
             from repro.core import extract_window
 
             lo, hi = (int(x) for x in args.seq_range.split(":", 1))
-            graph = extract_window(build, lo, hi).graph
+            graph = extract_window(run.build, lo, hi).graph
     dot = to_dot(graph, name=args.stem, max_nodes=args.max_nodes)
     if args.out:
         Path(args.out).write_text(dot)
@@ -801,40 +831,6 @@ def main_dot(argv: list[str] | None = None) -> int:
     else:
         _say(dot)
     return 0
-
-
-#: The one set of CI-gate severities every report-producing tool accepts.
-FAIL_ON_CHOICES = ("error", "warning", "never")
-
-
-def _add_fail_on_arg(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument(
-        "--fail-on",
-        choices=FAIL_ON_CHOICES,
-        default="error",
-        help="exit nonzero when findings at/above this severity exist (default: error)",
-    )
-
-
-def _add_rule_flags(ap: argparse.ArgumentParser) -> None:
-    """The shared rule-mechanics flags (lint / diagnose / verify)."""
-    ap.add_argument(
-        "--disable",
-        action="append",
-        default=[],
-        metavar="RULE[,RULE...]",
-        help="rule ids to skip (repeatable or comma-separated)",
-    )
-    ap.add_argument(
-        "--severity",
-        action="append",
-        default=[],
-        metavar="RULE=LEVEL",
-        help="override a rule's severity, e.g. MPG007=error (repeatable)",
-    )
-    ap.add_argument(
-        "--max-findings", type=int, default=100, help="per-rule finding cap in the report"
-    )
 
 
 def _gate_exit(fail_on: str, errors: int, warnings: int = 0) -> int:
@@ -849,58 +845,65 @@ def _gate_exit(fail_on: str, errors: int, warnings: int = 0) -> int:
     return 0
 
 
-def main_lint(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Rule-based static analysis of traces and message-passing graphs.",
-    )
-    ap.add_argument("--traces", help="directory containing trace files")
-    ap.add_argument("--stem", help="trace file stem")
-    ap.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
-    )
-    ap.add_argument("--out", help="write the report to this file instead of stdout")
-    ap.add_argument(
-        "--trace-only",
-        action="store_true",
-        help="run only the trace-level rules (never builds a graph)",
-    )
-    _add_rule_flags(ap)
-    ap.add_argument("--skew-tolerance", type=float, default=0.5, help="MPG007 threshold")
-    _add_fail_on_arg(ap)
-    ap.add_argument("--list-rules", action="store_true", help="print the rule catalog and exit")
-    ap.add_argument("--collective-mode", choices=("hub", "butterfly"), default="hub")
-    ap.add_argument("--eager-threshold", type=int, default=None)
+class _ReportTool(NamedTuple):
+    """What sets lint, diagnose and verify apart in their one body: the
+    rule category ``--list-rules`` prints (None: every rule), the
+    report's name in the log, and its text and JSON renderings (None:
+    lint's own)."""
+
+    rules: str | None
+    noun: str
+    text: Callable | None = None
+    to_dict: Callable | None = None
+
+
+def _report_main(ap: argparse.ArgumentParser, argv, tool: _ReportTool, setup) -> int:
+    """The one body of lint, diagnose and verify: list the rules, or
+    open and check the trace set, run the tool, write its report and
+    gate the exit status.  ``ap`` holds the tool's own flags;
+    ``setup(args)`` returns the door's options and the run function,
+    which turns the checked run into the report."""
+    from repro import lint
+
+    _add(ap, *_TRACE_FLAGS, *_REPORT_FLAGS, *_BUILD_FLAGS, *_OBS_FLAGS)
     _add_logging_args(ap)
-    _add_obs_args(ap)
     args = ap.parse_args(argv)
     _configure_logging(args)
 
-    from repro import lint
-
     if args.list_rules:
-        for r in lint.all_rules():
+        for r in lint.all_rules(tool.rules):
             _say(f"{r.id}  {r.severity.name.lower():<7} {r.category:<5} [{r.code}] {r.summary}")
         return 0
     if not args.traces or not args.stem:
         ap.error("--traces and --stem are required (unless --list-rules)")
 
-    config = _lint_flag_config(args)
-
-    session = _start_observability(args, "repro-lint")
-    with obs.span("repro_lint"):
-        traces = TraceSet.open(args.traces, args.stem)
-        if args.trace_only:
-            report = lint.lint_traces(traces, config)
-        else:
-            report = lint.lint_run(traces, config, build_config=_build_config(args))
+    check, run_tool = setup(args)
+    session = _start_observability(args, ap.prog)
+    with obs.span(ap.prog.replace("-", "_")), _door(args, **check) as run:
+        report = run_tool(run)
     _finish_observability(args, session)
 
-    _write_report(report, args.format, args.out, "lint report")
+    _write_report(report, args.format, args.out, "", tool, verbose=args.verbose >= 1)
     return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
+
+
+def main_lint(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        prog="repro-lint",
+        description="Rule-based static analysis of traces and message-passing graphs.",
+    )
+    ap.add_argument(
+        "--trace-only",
+        action="store_true",
+        help="run only the trace-level rules (never builds a graph)",
+    )
+    ap.add_argument("--skew-tolerance", type=float, default=0.5, help="MPG007 threshold")
+
+    def setup(args):
+        check = dict(graph=not args.trace_only, config=_lint_flag_config(args), refuse=False)
+        return check, lambda run: run.report
+
+    return _report_main(ap, argv, _ReportTool(None, "lint report"), setup)
 
 
 def _lint_flag_config(args) -> "object":
@@ -927,26 +930,60 @@ def _lint_flag_config(args) -> "object":
 
 
 def _write_report(
-    report, fmt: str, out: str | None, name: str, summary_prefix: str = "", **renderers
+    report, fmt: str, out: str | None, summary_prefix: str, tool: _ReportTool, verbose: bool
 ) -> None:
-    """Write a lint-shaped report through :func:`repro.lint.write_report`.
-
-    ``renderers`` replace lint's ``text``/``json`` renderings (diagnosis
-    and verify reports bring their own); SARIF is one shape for every
-    report.  With ``out`` the report goes to that file and stdout gets
-    its one-line summary; otherwise the report itself goes to stdout.
+    """Write a lint-shaped report through :func:`repro.lint.write_report`
+    in the renderings ``tool`` brings (lint's where it brings none;
+    SARIF is one shape for every report).  With ``out`` the report goes
+    to that file and stdout gets its one-line summary; otherwise the
+    report itself goes to stdout.
     """
-    renderers = {**FORMATS, **renderers}
+    renderers = dict(FORMATS)
+    if tool.text is not None:
+        renderers["text"] = functools.partial(tool.text, verbose=verbose)
+    if tool.to_dict is not None:
+        renderers["json"] = functools.partial(render_json, to_dict=tool.to_dict)
     if not out:
         write_report(report, fmt, sys.stdout, renderers)
         return
     with open(out, "w") as fh:
         write_report(report, fmt, fh, renderers)
-    _LOG.info(f"{name} ({fmt}) written to {out}")
+    _LOG.info(f"{tool.noun} ({fmt}) written to {out}")
     _say(summary_prefix + report.summary())
 
 
-def _add_diagnose_threshold_args(ap: argparse.ArgumentParser) -> None:
+def _diagnose_config(args):
+    from repro.diagnose import DiagnoseConfig
+
+    return DiagnoseConfig(
+        replicates=args.replicates,
+        seed=args.seed,
+        scale=args.scale,
+        mode=args.mode,
+        z_threshold=args.z_threshold,
+        rel_excess=args.rel_excess,
+        min_peers=args.min_peers,
+        bottleneck_rank_share=args.bottleneck_rank_share,
+        serialization_margin=args.serialization_margin,
+        bottleneck_primitive_share=args.bottleneck_primitive_share,
+        imbalance_ratio=args.imbalance_ratio,
+        top_edges=args.top_edges,
+        lint=_lint_flag_config(args),
+    )
+
+
+def main_diagnose(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        prog="repro-diagnose",
+        description="Automated bottleneck & faulty-rank diagnosis over one trace set.",
+    )
+    _add(
+        ap,
+        "--replicates",
+        help="Monte-Carlo replicates for the replicate-delay anomaly metric "
+        "(0 = off; needs --signature or --measure)",
+    )
+    _add(ap, *_SIGNATURE_FLAGS, *_SPEC_FLAGS)
     ap.add_argument("--z-threshold", type=float, default=3.5, help="MPG210/212 robust-z floor")
     ap.add_argument(
         "--rel-excess",
@@ -984,100 +1021,17 @@ def _add_diagnose_threshold_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument(
         "--top-edges", type=int, default=10, help="costliest path edges kept in the report"
     )
+    from repro.diagnose import diagnose_build, diagnosis_to_dict, render_diagnosis_text
 
+    def setup(args):
+        config = _diagnose_config(args)
+        signature = _load_signature(args) if args.replicates > 0 else None
+        return {}, lambda run: diagnose_build(
+            run.build, config, signature=signature, trace_set=run.traces
+        )
 
-def _diagnose_config(args):
-    from repro.diagnose import DiagnoseConfig
-
-    return DiagnoseConfig(
-        replicates=args.replicates,
-        seed=args.seed,
-        scale=args.scale,
-        mode=args.mode,
-        z_threshold=args.z_threshold,
-        rel_excess=args.rel_excess,
-        min_peers=args.min_peers,
-        bottleneck_rank_share=args.bottleneck_rank_share,
-        serialization_margin=args.serialization_margin,
-        bottleneck_primitive_share=args.bottleneck_primitive_share,
-        imbalance_ratio=args.imbalance_ratio,
-        top_edges=args.top_edges,
-        lint=_lint_flag_config(args),
-    )
-
-
-def main_diagnose(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="repro-diagnose",
-        description="Automated bottleneck & faulty-rank diagnosis over one trace set.",
-    )
-    ap.add_argument("--traces", help="directory containing trace files")
-    ap.add_argument("--stem", help="trace file stem")
-    ap.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
-    )
-    ap.add_argument("--out", help="write the report to this file instead of stdout")
-    ap.add_argument(
-        "--replicates",
-        type=int,
-        default=0,
-        help="Monte-Carlo replicates for the replicate-delay anomaly metric "
-        "(0 = off; needs --signature or --measure)",
-    )
-    ap.add_argument("--signature", help="machine signature JSON (for --replicates)")
-    ap.add_argument("--measure", help="measure a preset machine instead of loading a signature")
-    ap.add_argument("--measure-nprocs", type=int, default=2)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--mode", choices=("additive", "threshold"), default="additive")
-    ap.add_argument("--collective-mode", choices=("hub", "butterfly"), default="hub")
-    ap.add_argument("--eager-threshold", type=int, default=None)
-    _add_diagnose_threshold_args(ap)
-    _add_rule_flags(ap)
-    _add_fail_on_arg(ap)
-    ap.add_argument(
-        "--list-rules", action="store_true", help="print the diagnosis rule catalog and exit"
-    )
-    _add_logging_args(ap)
-    _add_obs_args(ap)
-    args = ap.parse_args(argv)
-    _configure_logging(args)
-
-    from repro import lint
-    from repro.diagnose import diagnose_run, diagnosis_to_dict, render_diagnosis_text
-
-    if args.list_rules:
-        for r in lint.all_rules("diagnosis"):
-            _say(f"{r.id}  {r.severity.name.lower():<7} [{r.code}] {r.summary}")
-        return 0
-    if not args.traces or not args.stem:
-        ap.error("--traces and --stem are required (unless --list-rules)")
-
-    config = _diagnose_config(args)
-    signature = None
-    if args.replicates > 0:
-        signature = _load_signature(args)
-
-    session = _start_observability(args, "repro-diagnose")
-    with obs.span("repro_diagnose"):
-        traces = TraceSet.open(args.traces, args.stem)
-        build_config = _build_config(args)
-        with _gated(args, traces, build_config):
-            report = diagnose_run(traces, config, build_config=build_config, signature=signature)
-    _finish_observability(args, session)
-
-    _write_report(
-        report,
-        args.format,
-        args.out,
-        "diagnosis report",
-        text=lambda r: render_diagnosis_text(r, verbose=args.verbose >= 1),
-        json=functools.partial(render_json, to_dict=diagnosis_to_dict),
-    )
-    return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
+    tool = _ReportTool("diagnosis", "diagnosis report", render_diagnosis_text, diagnosis_to_dict)
+    return _report_main(ap, argv, tool, setup)
 
 
 def _parse_fail_below(specs: list[str]) -> dict[str, float]:
@@ -1100,8 +1054,7 @@ def main_metrics(argv: list[str] | None = None) -> int:
         description="Time-resolved POP-style efficiency metrics (parallel efficiency, "
         "load balance, communication efficiency) over a trace set.",
     )
-    ap.add_argument("--traces", help="directory containing mpisim trace files")
-    ap.add_argument("--stem", help="trace file stem (with --traces)")
+    _add(ap, *_TRACE_FLAGS)
     ap.add_argument(
         "--import",
         dest="import_file",
@@ -1109,13 +1062,7 @@ def main_metrics(argv: list[str] | None = None) -> int:
         help="import an external Chrome trace-event JSON file instead of "
         "--traces/--stem (see docs/METRICS.md for the mapping)",
     )
-    ap.add_argument(
-        "--windows",
-        type=int,
-        default=16,
-        metavar="N",
-        help="time windows for the efficiency timeline (default 16)",
-    )
+    _add(ap, "--windows")
     ap.add_argument(
         "--ideal",
         action="store_true",
@@ -1123,8 +1070,8 @@ def main_metrics(argv: list[str] | None = None) -> int:
         "near-infinite bandwidth) and split CommE into serialization x transfer "
         "efficiency; requires a complete mpisim trace set",
     )
-    ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
+    _add(ap, "--format", choices=("text", "json"), help=None)
+    _add(ap, "--out")
     ap.add_argument(
         "--fail-below",
         action="append",
@@ -1135,7 +1082,7 @@ def main_metrics(argv: list[str] | None = None) -> int:
         "worst window). Repeatable.",
     )
     _add_logging_args(ap)
-    _add_obs_args(ap)
+    _add(ap, *_OBS_FLAGS)
     args = ap.parse_args(argv)
     _configure_logging(args)
     if bool(args.import_file) == bool(args.traces):
@@ -1157,29 +1104,31 @@ def main_metrics(argv: list[str] | None = None) -> int:
 
     session = _start_observability(args, "repro-metrics")
     with obs.span("repro_metrics", windows=args.windows):
+        imported = None
         if args.import_file:
             with obs.span("import_chrome_trace"):
-                traces = import_chrome_trace(args.import_file)
-            source = args.import_file
+                imported = import_chrome_trace(args.import_file)
             _LOG.info(
-                f"imported {args.import_file}: {traces.nprocs} rank(s), "
-                f"{sum(len(evs) for evs in traces.load_all())} event(s)"
+                f"imported {args.import_file}: {imported.nprocs} rank(s), "
+                f"{sum(len(evs) for evs in imported.load_all())} event(s)"
             )
-        else:
-            traces = TraceSet.open(args.traces, args.stem)
-            source = f"{args.traces}/{args.stem}"
-        with obs.span("trace_frame"):
-            frame = trace_frame(traces)
-        ideal = None
-        if args.ideal:
-            with obs.span("ideal_replay"):
-                ideal = ideal_runtime(traces)
-        with obs.span("pop_metrics"):
-            pop = pop_metrics(frame, ideal=ideal)
-            timeline = pop_timeline(frame, args.windows)
-        report = build_report(
-            pop, timeline, source=source, program=traces.meta(0).program
-        )
+        with _door(args, imported) as run:
+            traces = run.traces
+            with obs.span("trace_frame"):
+                frame = trace_frame(traces)
+            ideal = None
+            if args.ideal:
+                with obs.span("ideal_replay"):
+                    ideal = ideal_runtime(traces)
+            with obs.span("pop_metrics"):
+                pop = pop_metrics(frame, ideal=ideal)
+                timeline = pop_timeline(frame, args.windows)
+            report = build_report(
+                pop,
+                timeline,
+                source=args.import_file or f"{args.traces}/{args.stem}",
+                program=traces.meta(0).program,
+            )
         publish_obs_metrics(report)
     _finish_observability(args, session)
 
@@ -1213,106 +1162,45 @@ def main_verify(argv: list[str] | None = None) -> int:
         "interpretation, no sampling) and match-nondeterminism / deadlock-potential "
         "analysis of wildcard receives.",
     )
-    ap.add_argument("--traces", help="directory containing trace files")
-    ap.add_argument("--stem", help="trace file stem")
-    ap.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
-    )
-    ap.add_argument("--out", help="write the report to this file instead of stdout")
-    ap.add_argument(
-        "--signature",
-        help="machine signature JSON — enables the certified-bounds analysis",
-    )
-    ap.add_argument("--measure", help="measure a preset machine instead of loading a signature")
-    ap.add_argument("--measure-nprocs", type=int, default=2)
-    ap.add_argument(
-        "--quantile",
-        type=float,
-        default=None,
-        metavar="Q",
-        help="finite-support cut for unbounded distribution families: intervals "
-        "are sound up to this per-draw quantile (default 1 - 1e-12; bounded "
-        "families are always exact)",
-    )
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--mode", choices=("additive", "threshold"), default="additive")
-    ap.add_argument(
+    _add(ap, *_SIGNATURE_FLAGS, *_SPEC_FLAGS)
+    _add(ap, "--quantile")
+    _add(
+        ap,
         "--replicates",
-        type=int,
-        default=0,
         help="also propagate N actual Monte-Carlo replicates and cross-check "
         "every one against the certified bounds (0 = static only; needs "
         "--signature or --measure)",
     )
-    ap.add_argument(
-        "--no-matches",
-        action="store_true",
-        help="skip the match-nondeterminism / deadlock-potential analysis",
-    )
-    ap.add_argument("--collective-mode", choices=("hub", "butterfly"), default="hub")
-    ap.add_argument("--eager-threshold", type=int, default=None)
-    _add_rule_flags(ap)
-    _add_fail_on_arg(ap)
-    ap.add_argument(
-        "--list-rules", action="store_true", help="print the verification rule catalog and exit"
-    )
-    _add_logging_args(ap)
-    _add_obs_args(ap)
-    args = ap.parse_args(argv)
-    _configure_logging(args)
-
-    from repro import lint
+    _add(ap, "--no-matches")
     from repro.verify import (
         DEFAULT_QUANTILE,
         VerifyConfig,
         render_verify_text,
-        verify_run,
+        verify_build,
         verify_to_dict,
     )
 
-    if args.list_rules:
-        for r in lint.all_rules("verify"):
-            _say(f"{r.id}  {r.severity.name.lower():<7} [{r.code}] {r.summary}")
-        return 0
-    if not args.traces or not args.stem:
-        ap.error("--traces and --stem are required (unless --list-rules)")
+    def setup(args):
+        config = VerifyConfig(
+            quantile=DEFAULT_QUANTILE if args.quantile is None else args.quantile,
+            scale=args.scale,
+            mode=args.mode,
+            replicates=args.replicates,
+            seed=args.seed,
+            matches=not args.no_matches,
+            lint=_lint_flag_config(args),
+        )
+        signature = None
+        if args.signature or args.measure:
+            signature = _load_signature(args)
+        elif args.replicates > 0:
+            raise SystemExit("--replicates needs --signature FILE or --measure PRESET")
+        return {}, lambda run: verify_build(
+            run.build, config, signature=signature, trace_set=run.traces
+        )
 
-    config = VerifyConfig(
-        quantile=DEFAULT_QUANTILE if args.quantile is None else args.quantile,
-        scale=args.scale,
-        mode=args.mode,
-        replicates=args.replicates,
-        seed=args.seed,
-        matches=not args.no_matches,
-        lint=_lint_flag_config(args),
-    )
-    signature = None
-    if args.signature or args.measure:
-        signature = _load_signature(args)
-    elif args.replicates > 0:
-        raise SystemExit("--replicates needs --signature FILE or --measure PRESET")
-
-    session = _start_observability(args, "repro-verify")
-    with obs.span("repro_verify"):
-        traces = TraceSet.open(args.traces, args.stem)
-        build_config = _build_config(args)
-        with _gated(args, traces, build_config):
-            report = verify_run(traces, config, build_config=build_config, signature=signature)
-    _finish_observability(args, session)
-
-    _write_report(
-        report,
-        args.format,
-        args.out,
-        "verification report",
-        text=lambda r: render_verify_text(r, verbose=args.verbose >= 1),
-        json=functools.partial(render_json, to_dict=verify_to_dict),
-    )
-    return _gate_exit(args.fail_on, len(report.errors), len(report.warnings))
+    tool = _ReportTool("verify", "verification report", render_verify_text, verify_to_dict)
+    return _report_main(ap, argv, tool, setup)
 
 
 def main_replay(argv: list[str] | None = None) -> int:
@@ -1320,27 +1208,26 @@ def main_replay(argv: list[str] | None = None) -> int:
         prog="repro-replay",
         description="Dimemas-style deterministic replay under target machine parameters.",
     )
-    ap.add_argument("--traces", required=True)
-    ap.add_argument("--stem", required=True)
+    _add(ap, *_TRACE_FLAGS, required=True)
     ap.add_argument("--latency", type=float, default=1000.0)
     ap.add_argument("--bandwidth", type=float, default=1.0)
     ap.add_argument("--send-overhead", type=float, default=200.0)
     ap.add_argument("--recv-overhead", type=float, default=200.0)
-    ap.add_argument("--eager-threshold", type=int, default=8192)
+    _add(
+        ap, "--eager-threshold", default=8192, help="target machine: largest message sent eagerly"
+    )
     ap.add_argument("--cpu-factor", type=float, default=1.0)
     ap.add_argument(
         "--cpu-factors",
         help="comma-separated cpu_factor ladder: replay once per factor "
         "(parallelized by --jobs) and print a what-if table",
     )
-    _add_jobs_arg(ap)
+    _add(ap, "--jobs")
     _add_logging_args(ap)
     args = ap.parse_args(argv)
     _configure_logging(args)
 
     from repro.baselines import ReplayParams, replay, replay_ladder
-
-    traces = TraceSet.open(args.traces, args.stem)
 
     def params_for(cpu_factor: float) -> ReplayParams:
         return ReplayParams(
@@ -1352,20 +1239,21 @@ def main_replay(argv: list[str] | None = None) -> int:
             cpu_factor=cpu_factor,
         )
 
-    if args.cpu_factors:
-        factors = [float(f) for f in args.cpu_factors.split(",") if f.strip()]
-        results = replay_ladder(traces, [params_for(f) for f in factors], jobs=args.jobs)
-        _say(
-            f"target machine: latency {args.latency:g} cy, bandwidth {args.bandwidth:g} B/cy, "
-            f"{len(factors)}-point cpu-factor ladder"
-        )
-        _say(f"{'cpu factor':>11} {'makespan (cy)':>16} {'speedup':>9}")
-        for f, res in zip(factors, results):
-            _say(f"{f:>11g} {res.makespan:>16,.0f} {res.speedup:>8.2f}x")
-        return 0
+    with _door(args) as run:
+        if args.cpu_factors:
+            factors = [float(f) for f in args.cpu_factors.split(",") if f.strip()]
+            results = replay_ladder(run.traces, [params_for(f) for f in factors], jobs=args.jobs)
+            _say(
+                f"target machine: latency {args.latency:g} cy, bandwidth {args.bandwidth:g} "
+                f"B/cy, {len(factors)}-point cpu-factor ladder"
+            )
+            _say(f"{'cpu factor':>11} {'makespan (cy)':>16} {'speedup':>9}")
+            for f, res in zip(factors, results):
+                _say(f"{f:>11g} {res.makespan:>16,.0f} {res.speedup:>8.2f}x")
+            return 0
 
-    params = params_for(args.cpu_factor)
-    result = replay(traces, params)
+        params = params_for(args.cpu_factor)
+        result = replay(run.traces, params)
     _say(
         f"target machine: latency {params.latency:g} cy, bandwidth {params.bandwidth:g} B/cy, "
         f"cpu factor {params.cpu_factor:g}"
@@ -1416,29 +1304,14 @@ def main_serve(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="per-job deadline; past it the request gets a 504 (default: none)",
     )
-    _add_jobs_arg(ap)
-    ap.add_argument(
+    _add(ap, "--jobs")
+    _add(
+        ap,
         "--checkpoint",
-        metavar="DIR",
         help="durable result cache: shards and compiled plans persist in DIR, so "
         "repeated identical requests are near-free (see repro.core.checkpoint)",
     )
-    ap.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-chunk deadline for pooled execution inside jobs",
-    )
-    ap.add_argument(
-        "--retries", type=int, default=None, metavar="N", help="pool chunk retries (default 2)"
-    )
-    ap.add_argument(
-        "--on-failure",
-        choices=("fail", "degrade", "skip"),
-        default=None,
-        help="pool chunk failure policy (default fail)",
-    )
+    _add(ap, *_POLICY_FLAGS)
     ap.add_argument(
         "--allow-fault-injection",
         action="store_true",
@@ -1529,51 +1402,28 @@ def main_client(argv: list[str] | None = None) -> int:
     sub.add_parser("healthz", help="liveness probe")
     sub.add_parser("metricsz", help="aggregated daemon metrics and span histogram")
 
-    def add_job(name: str, needs_signature: bool) -> argparse.ArgumentParser:
+    def add_job(name: str, *flags: str) -> argparse.ArgumentParser:
+        """A job subcommand; every parameter unset (None) by default, so
+        the daemon applies its own defaults."""
         p = sub.add_parser(name, help=f"POST /v1/{name}")
-        p.add_argument("--traces", required=True, help="trace directory")
-        p.add_argument("--stem", required=True, help="trace file stem")
+        _add(p, *_TRACE_FLAGS, required=True)
         p.add_argument(
             "--upload",
             action="store_true",
             help="read the trace files locally and ship their contents inline "
             "(default: the daemon reads --traces server-side)",
         )
-        if needs_signature:
-            p.add_argument("--signature", help="machine signature JSON (sent inline)")
-        p.add_argument("--out", metavar="FILE", help="write the rendered result to FILE")
+        _add(p, "--out", help="write the rendered result to FILE")
         p.add_argument("--inject", choices=("error", "kill-worker"), help=argparse.SUPPRESS)
+        _add(p, *flags, *_BUILD_FLAGS, default=None)
         return p
 
-    def add_analysis_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--scale", type=float, default=None)
-        p.add_argument("--mode", choices=("additive", "threshold"), default=None)
-        p.add_argument("--collective-mode", choices=("hub", "butterfly"), default=None)
-        p.add_argument("--eager-threshold", type=int, default=None)
-
-    p = add_job("analyze", needs_signature=True)
-    add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
-
-    p = add_job("sweep", needs_signature=True)
-    add_analysis_params(p)
-    p.add_argument("--scales", default=None, help="comma-separated scale factors")
-
-    p = add_job("diagnose", needs_signature=True)
-    add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
-
-    p = add_job("metrics", needs_signature=False)
-    p.add_argument("--windows", type=int, default=None)
-    p.add_argument("--collective-mode", choices=("hub", "butterfly"), default=None)
-    p.add_argument("--eager-threshold", type=int, default=None)
-
-    p = add_job("verify", needs_signature=True)
-    add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--quantile", type=float, default=None)
-    p.add_argument("--no-matches", action="store_true")
+    analysis = ("--signature", *_SPEC_FLAGS)
+    add_job("analyze", *analysis, "--replicates")
+    add_job("sweep", *analysis, "--scales")
+    add_job("diagnose", *analysis, "--replicates")
+    add_job("metrics", "--windows")
+    _add(add_job("verify", *analysis, "--replicates", "--quantile"), "--no-matches")
 
     args = ap.parse_args(argv)
     _configure_logging(args)

@@ -27,7 +27,15 @@ from repro.trace.events import (
     ROOTED_COLLECTIVES,
 )
 
-__all__ = ["MatchResult", "MatchError", "CollectiveGroup", "match_events", "size_mismatch", "unpaired"]
+__all__ = [
+    "MatchResult",
+    "MatchError",
+    "CollectiveGroup",
+    "match_events",
+    "size_mismatch",
+    "stalled",
+    "unpaired",
+]
 
 Key = tuple  # (rank, seq)
 
@@ -119,6 +127,38 @@ def unpaired(leftovers: Sequence[tuple[str, Key, tuple]]) -> MatchError:
         code="unmatched-endpoint",
         rank=rank,
         seq=seq,
+    )
+
+
+def _waits_for(rank: int, need: tuple) -> str:
+    """What a blocked rank waits for, in words (see :func:`stalled`)."""
+    kind, key, seq, _ = need
+    waits = f"rank {rank} event #{seq} waits for"
+    if kind == "coll":
+        return f"{waits} every rank at collective #{key}"
+    _, src, dst, tag, k = key
+    if kind == "data":
+        return f"{waits} the data of message {k} from rank {src} (tag {tag})"
+    return f"{waits} rank {dst} to acknowledge message {k} (tag {tag})"
+
+
+def stalled(what: str, blocked: Sequence[tuple[int, tuple]]) -> MatchError:
+    """The error for a rank-by-rank traversal in which no rank can move.
+
+    ``blocked`` holds ``(rank, need)`` of every waiting rank, a need
+    being ``(kind, key, seq, n)``: ``kind`` ``"data"``/``"ack"`` with
+    the mailbox key ``("d"|"a", src, dst, tag, k)`` of the k-th message on
+    its channel, or ``"coll"`` with the collective's ordinal; ``seq`` is
+    the event the rank blocks in.  The error is located there on the
+    first blocked rank, and coded by what it waits for: a message half
+    is an ``unmatched-endpoint``, a collective a ``collective-mismatch``.
+    """
+    rank, need = blocked[0]
+    return MatchError(
+        f"{what} stalled: " + "; ".join(_waits_for(r, n) for r, n in blocked),
+        code="collective-mismatch" if need[0] == "coll" else "unmatched-endpoint",
+        rank=rank,
+        seq=need[2],
     )
 
 

@@ -45,7 +45,7 @@ from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
-from repro.core.matching import CollectiveGroup, MatchError, size_mismatch, unpaired
+from repro.core.matching import CollectiveGroup, MatchError, size_mismatch, stalled, unpaired
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import (
     BuildConfig,
@@ -522,10 +522,9 @@ class StreamingTraversal:
                     )
                     window *= 2
                     continue
-                blocked = [
-                    f"rank {r}: waiting on {needs[r]!r}" for r in range(nprocs) if not done[r]
-                ]
-                raise MatchError("streaming traversal stalled:\n" + "\n".join(blocked))
+                raise stalled(
+                    "streaming traversal", [(r, needs[r]) for r in range(nprocs) if not done[r]]
+                )
 
         mail.check_paired()
         return TraversalResult(
@@ -589,8 +588,9 @@ class StreamingTraversal:
     ):
         """Generator: walks one rank's events computing START/END delays.
 
-        Yields *needs* — ("data", key, n), ("ack", key, n), ("coll",
-        ordinal, n) — and receives the satisfied value.
+        Yields *needs* — ("data", key, seq, n), ("ack", key, seq, n),
+        ("coll", ordinal, seq, n), ``seq`` the event waiting — and
+        receives the satisfied value.
         Returns (final_delay, final_local_time, events_consumed).
         """
         cfg = self.config
@@ -649,7 +649,7 @@ class StreamingTraversal:
                 req_state[ev.req] = ("claim", data_key, claim)
                 d_end = local_end
             else:
-                sent = yield ("data", data_key, n)
+                sent = yield ("data", data_key, ev.seq, n)
                 d_end = max(local_end, landed(sent, claim))
             if ack is not None and ack_phase == Phase.END:
                 mail.ack[ack_key] = d_end + applier.effective(ack, 0.0)
@@ -676,7 +676,7 @@ class StreamingTraversal:
                     if kind == EventKind.SENDRECV:
                         d_end = yield from recv_half(ev, d_start, local_end)
                     if ack_key is not None:
-                        d_end = max(d_end, (yield ("ack", ack_key, n)))
+                        d_end = max(d_end, (yield ("ack", ack_key, ev.seq, n)))
 
             elif kind in (EventKind.RECV, EventKind.IRECV):
                 d_end = yield from recv_half(ev, d_start, local_end)
@@ -689,10 +689,10 @@ class StreamingTraversal:
                             f"rank {rank} event #{ev.seq} completes unknown request {rid}"
                         )
                     if state[0] == "claim":
-                        sent = yield ("data", state[1], n)
+                        sent = yield ("data", state[1], ev.seq, n)
                         d_end = max(d_end, landed(sent, state[2]))
                     elif state[1] is not None:
-                        d_end = max(d_end, (yield ("ack", state[1], n)))
+                        d_end = max(d_end, (yield ("ack", state[1], ev.seq, n)))
                     # ("ack", None): eager isend — nothing lands here.
 
             elif kind in COLLECTIVE_KINDS:
@@ -700,7 +700,7 @@ class StreamingTraversal:
                 coll_counter += 1
                 st = colls.setdefault(ordinal, _CollState(nprocs))
                 st.entries[rank] = (d_start, local_end, ev)
-                cross = yield ("coll", ordinal, n)
+                cross = yield ("coll", ordinal, ev.seq, n)
                 d_end = max(local_end, cross)
 
             # INIT / FINALIZE and non-completing TEST: purely local.

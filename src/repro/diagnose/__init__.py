@@ -23,9 +23,10 @@ machine-checkable artifact:
   reported through the existing :mod:`repro.lint` text / JSON / SARIF
   reporters so CI can gate on findings.
 
-Entry points are :func:`~repro.diagnose.engine.diagnose_run` (traces
-in, report out) and :func:`~repro.diagnose.engine.diagnose_build`
-(reuse an existing :class:`~repro.core.builder.BuildResult`).
+The entry point is :func:`~repro.diagnose.engine.diagnose_build`, over
+a built :class:`~repro.core.builder.BuildResult` — for instance the
+build :func:`repro.lint.open_run` hands over once the traces passed
+their check.
 """
 
 from repro.diagnose.anomaly import (
@@ -41,7 +42,6 @@ from repro.diagnose.engine import (
     DiagnoseContext,
     DiagnosisReport,
     diagnose_build,
-    diagnose_run,
     diagnosis_to_dict,
     render_diagnosis_text,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "DiagnoseContext",
     "DiagnosisReport",
     "diagnose_build",
-    "diagnose_run",
     "diagnosis_to_dict",
     "render_diagnosis_text",
 ]

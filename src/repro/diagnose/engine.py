@@ -6,7 +6,6 @@ MPG2xx rule pack, and finalizes a :class:`DiagnosisReport` — a
 :class:`~repro.lint.engine.LintReport` subclass the existing text /
 JSON / SARIF reporters render unchanged, with the structured analysis
 artifacts riding along for programmatic consumers.
-:func:`diagnose_run` is the traces-in convenience wrapper.
 
 The report is deterministic: the critical path is bit-identical to the
 scalar reference oracle, the anomaly detector is pure arithmetic over
@@ -20,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.builder import BuildResult, build_graph
+from repro.core.builder import BuildResult
 from repro.core.compiled import compiled_plan
 from repro.core.perturb import PerturbationSpec
-from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
 from repro.diagnose.anomaly import AnomalyReport, detect_anomalies
 from repro.diagnose.attribution import Attribution, attribute_path
@@ -39,7 +37,6 @@ __all__ = [
     "DiagnoseContext",
     "DiagnosisReport",
     "diagnose_build",
-    "diagnose_run",
     "diagnosis_to_dict",
     "render_diagnosis_text",
 ]
@@ -174,23 +171,6 @@ def diagnose_build(
             anomalies=anomalies,
             replicates=config.replicates,
         )
-
-
-def diagnose_run(
-    trace_set: TraceSource,
-    config: DiagnoseConfig | None = None,
-    build_config: BuildConfig | None = None,
-    signature: MachineSignature | None = None,
-) -> DiagnosisReport:
-    """Traces in, diagnosis report out.
-
-    Unlike :func:`repro.lint.lint_run` this does *not* guard the graph
-    build: diagnosis interprets a well-formed run, so a build failure
-    propagates as its :class:`~repro.core.diagnostics.DiagnosticError`
-    (run ``repro-lint`` first for malformed-trace triage).
-    """
-    build = build_graph(trace_set, build_config)
-    return diagnose_build(build, config, signature=signature, trace_set=trace_set)
 
 
 def render_diagnosis_text(report: DiagnosisReport, verbose: bool = False) -> str:

@@ -17,14 +17,24 @@ Typical use::
         print(lint.render_text(report))
 
 The ``repro-lint`` CLI renders reports as text, JSON, or SARIF 2.1.0
-(for GitHub code scanning).  ``repro-analyze``, ``repro-sweep``,
-``repro-diagnose``, ``repro-verify`` and ``repro-dot`` run the
-trace-level rules before every graph build and refuse a trace set with
-ERROR findings; ``--lint {off,warn,strict}`` chooses whether findings
-are logged and whether the graph-level rules gate too.
+(for GitHub code scanning).  :func:`open_run` is the one front door for
+trace input: every trace-reading CLI and ``repro-serve`` open a trace
+set through it, it runs the trace-level rules once and refuses a set
+with ERROR findings, and it builds the graph at most once — the graph
+the graph-level rules checked, when they ran.
 """
 
-from repro.lint.engine import LintContext, LintReport, lint_build, lint_run, lint_traces
+from repro.lint.engine import (
+    CheckedRun,
+    LintContext,
+    LintReport,
+    RunRefused,
+    error_line,
+    lint_build,
+    lint_run,
+    lint_traces,
+    open_run,
+)
 from repro.lint.model import Finding, LintConfig, Rule, Severity
 from repro.lint.registry import all_rules, get_rule, rule_for_code
 from repro.lint.report import (
@@ -38,17 +48,21 @@ from repro.lint.report import (
 )
 
 __all__ = [
+    "CheckedRun",
     "Finding",
     "LintConfig",
     "LintContext",
     "LintReport",
     "Rule",
+    "RunRefused",
     "Severity",
     "all_rules",
+    "error_line",
     "get_rule",
     "lint_build",
     "lint_run",
     "lint_traces",
+    "open_run",
     "render_json",
     "render_sarif",
     "render_text",

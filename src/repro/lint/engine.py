@@ -19,6 +19,11 @@ Entry points:
 
 All three, and the diagnosis (MPG2xx) and verification (MPG3xx)
 engines, run their rules through the one :func:`run_rules`.
+
+:func:`open_run` is the one front door for trace input: every
+trace-reading CLI and the serving daemon open, check and build a trace
+set through it; :func:`lint_traces` and :func:`lint_run` are its
+report-only forms.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from pathlib import Path
+from typing import Callable, Iterator
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
@@ -36,15 +42,19 @@ from repro.core.primitives import BuildConfig
 from repro.lint.model import Finding, LintConfig, Severity
 from repro.lint.registry import all_rules, rule_for_code, run_rule
 from repro.trace.events import EventRecord, TraceMeta
-from repro.trace.reader import TraceSource
+from repro.trace.reader import TraceSet, TraceSource
 
 __all__ = [
+    "CheckedRun",
     "LintContext",
     "LintReport",
+    "RunRefused",
     "build_error_finding",
+    "error_line",
     "lint_build",
     "lint_run",
     "lint_traces",
+    "open_run",
     "run_rules",
 ]
 
@@ -338,8 +348,7 @@ def run_rules(
 
 def lint_traces(trace_set: TraceSource, config: LintConfig | None = None) -> LintReport:
     """Run the trace-level rules only (MPG0xx); no graph is built."""
-    with obs.span("lint", layer="trace"):
-        return run_rules(LintContext(trace_set=trace_set), config or LintConfig(), ("trace",))
+    return open_run(trace_set, config=config, refuse=False).report
 
 
 def lint_build(
@@ -365,6 +374,98 @@ def lint_run(
     build_config: BuildConfig | None = None,
 ) -> LintReport:
     """The full pre-flight pass: trace rules, guarded build, graph rules."""
-    with obs.span("lint", layer="all"):
-        ctx = LintContext(trace_set=trace_set, build_config=build_config)
-        return run_rules(ctx, config or LintConfig(), ("trace", "graph"))
+    return open_run(trace_set, None, build_config, graph=True, config=config, refuse=False).report
+
+
+# -- the front door ----------------------------------------------------------
+
+
+class RunRefused(DiagnosticError):
+    """The check found ERROR findings in a trace set: one message naming
+    every failing rule, located at and coded as the first finding."""
+
+    def __init__(self, report: LintReport) -> None:
+        errors = report.errors
+        first = errors[0]
+        super().__init__(
+            f"repro-lint found {len(errors)} ERROR finding(s) "
+            f"({', '.join(sorted({f.rule_id for f in errors}))}); refusing to "
+            f"build the graph — first: {first.rule_id} {first.location}: {first.message} "
+            f"(run repro-lint for the full report)",
+            code=first.code,
+            rank=first.rank,
+            seq=first.seq,
+        )
+
+
+def error_line(err: DiagnosticError) -> str:
+    """The one line a front end stops a run with: a refusal's own
+    message, any other failure as its rule, code, location and message."""
+    if isinstance(err, RunRefused):
+        return str(err)
+    f = build_error_finding(err)
+    return f"{f.rule_id} [{err.code}] {f.location}: {' '.join(str(err).split())}"
+
+
+@dataclass
+class CheckedRun:
+    """A trace set the check admitted, handed to the tool: the traces,
+    the check's report, and the graph, built at most once — on first
+    use of :attr:`build`, or by the check itself when it ran the graph
+    rules."""
+
+    traces: TraceSource
+    report: LintReport
+    build_config: BuildConfig
+    _build: BuildResult | None = None
+
+    @property
+    def build(self) -> BuildResult:
+        if self._build is None:
+            self._build = build_graph(self.traces, self.build_config)
+        return self._build
+
+
+def open_run(
+    traces: TraceSource | str | Path,
+    stem: str | None = None,
+    build_config: BuildConfig | None = None,
+    *,
+    graph: bool = False,
+    config: LintConfig | None = None,
+    refuse: bool = True,
+    log: Callable[[LintReport], None] | None = None,
+) -> CheckedRun:
+    """The one front door for trace input.
+
+    Opens ``traces`` (a directory, with ``stem``; or takes an open trace
+    source), runs the trace pack (MPG0xx) once — reading one rank at a
+    time — plus, with ``graph``, the graph pack over a guarded build
+    that the run then keeps, and hands ``log`` the report.  An ERROR
+    finding raises :class:`RunRefused` unless ``refuse`` is off (the
+    builder assumes a run that completed correctly, §4.3); ``repro-lint``
+    turns it off to report findings instead.  Every failure to open or
+    read is a :class:`DiagnosticError`, so a front end can end any of
+    them with one line (:func:`error_line`).
+    """
+    if isinstance(traces, (str, Path)):
+        if stem is None:
+            raise TypeError("open_run: a trace directory needs its stem")
+        try:
+            traces = TraceSet.open(traces, stem)
+        except DiagnosticError:  # a file that does not decode names itself
+            raise
+        except OSError as exc:  # names the directory or file itself
+            raise DiagnosticError(str(exc)) from None
+        except ValueError as exc:  # rank files that do not form one run
+            raise DiagnosticError(f"trace set {stem!r} in {traces}: {exc}") from None
+    build_config = build_config or BuildConfig()
+    with obs.span("lint", layer="all" if graph else "trace"):
+        ctx = LintContext(trace_set=traces, build_config=build_config)
+        categories = ("trace", "graph") if graph else ("trace",)
+        report = run_rules(ctx, config or LintConfig(), categories)
+    if log is not None:
+        log(report)
+    if refuse and not report.ok:
+        raise RunRefused(report)
+    return CheckedRun(traces, report, build_config, ctx.build)

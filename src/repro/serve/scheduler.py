@@ -34,11 +34,13 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.builder import BuildResult, build_graph
+from repro.core.builder import BuildResult
 from repro.core.checkpoint import build_digest
+from repro.core.diagnostics import DiagnosticError
 from repro.core.primitives import BuildConfig
+from repro.lint.engine import error_line, open_run
 from repro.serve.wire import ServeError
-from repro.trace.reader import TraceSet, find_trace_files
+from repro.trace.reader import TraceSource, find_trace_files
 
 __all__ = ["BuildCache", "CacheEntry"]
 
@@ -50,7 +52,7 @@ class CacheEntry:
     the entry's lifetime (cleaned up on eviction)."""
 
     key: str
-    traces: TraceSet
+    traces: TraceSource
     build: BuildResult
     digest: str
     tempdir: tempfile.TemporaryDirectory | None = None
@@ -119,7 +121,10 @@ def _build_entry(
     upload: dict[str, str] | None,
     config: BuildConfig,
 ) -> CacheEntry:
-    """Thread-side body of one build: trace IO + graph construction."""
+    """Thread-side body of one build: the traces through the front door
+    (:func:`repro.lint.open_run` — opened, checked by the trace pack,
+    built), any refusal or build failure as one ``input-error`` line
+    naming its rule."""
     tempdir: tempfile.TemporaryDirectory | None = None
     try:
         if upload is not None:
@@ -131,17 +136,12 @@ def _build_entry(
             assert traces_dir is not None
             source = traces_dir
         try:
-            traces = TraceSet.open(source, stem)
-        except FileNotFoundError as exc:
-            raise ServeError("input-error", str(exc)) from exc
-        except (ValueError, OSError) as exc:
-            raise ServeError("input-error", f"cannot load traces: {exc}") from exc
-        try:
-            build = build_graph(traces, config)
-        except (ValueError, KeyError) as exc:
-            raise ServeError("input-error", f"cannot build graph: {exc}") from exc
+            run = open_run(source, stem, config)
+            build = run.build
+        except DiagnosticError as exc:
+            raise ServeError("input-error", error_line(exc)) from exc
         return CacheEntry(
-            key=key, traces=traces, build=build, digest=build_digest(build), tempdir=tempdir
+            key=key, traces=run.traces, build=build, digest=build_digest(build), tempdir=tempdir
         )
     except BaseException:
         if tempdir is not None:

@@ -208,12 +208,14 @@ def decode_events_binary(fh: BinaryIO, with_flags: bool = True) -> Iterator[Even
     (no wildcard-flags byte); see :func:`read_header_binary_versioned`.
     """
     rec = _FIXED if with_flags else _FIXED_V1
+    index = 0
     while True:
         head = fh.read(rec.size)
         if not head:
             return
+        index += 1
         if len(head) < rec.size:
-            raise ValueError("truncated binary trace record")
+            raise ValueError(f"record {index}: truncated binary trace record")
         fields = rec.unpack(head)
         flags = fields[16] if with_flags else 0
         (
@@ -239,7 +241,7 @@ def decode_events_binary(fh: BinaryIO, with_flags: bool = True) -> Iterator[Even
         if total:
             blob = fh.read(8 * total)
             if len(blob) < 8 * total:
-                raise ValueError("truncated request-id block")
+                raise ValueError(f"record {index}: truncated request-id block")
             ids = struct.unpack(f"<{total}q", blob)
         yield EventRecord(
             kind=EventKind(kind),

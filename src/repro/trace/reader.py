@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import glob
 import re
+import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
@@ -52,6 +53,10 @@ class TraceSource(Protocol):
 
     def load_all(self) -> list[list[EventRecord]]: ...
 
+
+#: What a decoder raises on bytes it cannot read (a bad JSON line or
+#: header, a mistyped field, a record cut short).
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, struct.error)
 
 _RANK_RE = re.compile(r"\.rank(\d+)\.trace\.(jsonl|bin)$")
 
@@ -97,12 +102,25 @@ class TraceReader:
             not self.path.name.endswith(fmt.TEXT_SUFFIX) and self._sniff_binary()
         )
         self._bin_flags = True
-        if self.binary:
-            with open(self.path, "rb") as fh:
-                self.meta, self._bin_flags = fmt.read_header_binary_versioned(fh)
-        else:
-            with open(self.path, "r") as fh:
-                self.meta = fmt.read_header_text(fh)
+        try:
+            if self.binary:
+                with open(self.path, "rb") as fh:
+                    self.meta, self._bin_flags = fmt.read_header_binary_versioned(fh)
+            else:
+                with open(self.path, "r") as fh:
+                    self.meta = fmt.read_header_text(fh)
+        except _DECODE_ERRORS as exc:
+            raise self._unreadable(exc, "header") from None
+
+    def _unreadable(self, exc: Exception, where: str | None = None) -> ValueError:
+        """A decoder error as a :class:`~repro.core.diagnostics.DiagnosticError`
+        naming this file, ``where`` in it (a binary record names its own
+        number) and the rank, once the header has said which."""
+        from repro.core.diagnostics import DiagnosticError
+
+        at = f", {where}" if where else ""
+        rank = self.meta.rank if hasattr(self, "meta") else None
+        return DiagnosticError(f"cannot read {self.path}{at}: {exc}", rank=rank)
 
     def _sniff_binary(self) -> bool:
         with open(self.path, "rb") as fh:
@@ -120,14 +138,21 @@ class TraceReader:
         if self.binary:
             with open(self.path, "rb") as fh:
                 fmt.read_header_binary(fh)
-                yield from fmt.decode_events_binary(fh, with_flags=self._bin_flags)
+                try:
+                    yield from fmt.decode_events_binary(fh, with_flags=self._bin_flags)
+                except _DECODE_ERRORS as exc:
+                    raise self._unreadable(exc) from None
         else:
             with open(self.path, "r") as fh:
                 fmt.read_header_text(fh)
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        yield fmt.decode_event_text(line)
+                lineno = 1
+                try:
+                    for lineno, line in enumerate(fh, 2):
+                        line = line.strip()
+                        if line:
+                            yield fmt.decode_event_text(line)
+                except _DECODE_ERRORS as exc:
+                    raise self._unreadable(exc, f"line {lineno}") from None
 
     def __iter__(self) -> Iterator[EventRecord]:
         return self.events()
@@ -193,10 +218,6 @@ class TraceSet:
         paths = find_trace_files(directory, stem)
         if not paths:
             raise FileNotFoundError(f"no trace files for stem {stem!r} in {directory}")
-        return cls([TraceReader(p) for p in paths])
-
-    @classmethod
-    def open_paths(cls, paths: Sequence[str | Path]) -> "TraceSet":
         return cls([TraceReader(p) for p in paths])
 
     def meta(self, rank: int) -> TraceMeta:

@@ -13,8 +13,8 @@ Two sampling-free analyses over a built message-passing graph:
   would-block chains under reordered matches (deadlock potential).
 
 Both surface through the MPG3xx rule pack (:mod:`repro.verify.rules`)
-on the shared lint reporting stack; :func:`verify_build` /
-:func:`verify_run` are the entry points, ``repro-verify`` the CLI.
+on the shared lint reporting stack; :func:`verify_build` is the entry
+point, ``repro-verify`` the CLI.
 """
 
 from repro.verify.bounds import (
@@ -29,7 +29,6 @@ from repro.verify.engine import (
     VerifyReport,
     render_verify_text,
     verify_build,
-    verify_run,
     verify_to_dict,
 )
 from repro.verify.intervals import DEFAULT_QUANTILE, Interval, support_interval
@@ -57,6 +56,5 @@ __all__ = [
     "render_verify_text",
     "support_interval",
     "verify_build",
-    "verify_run",
     "verify_to_dict",
 ]

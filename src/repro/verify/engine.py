@@ -8,8 +8,7 @@ match-nondeterminism / deadlock-potential analysis
 pack, and finalizes a :class:`VerifyReport`: a
 :class:`~repro.lint.engine.LintReport` subclass the existing text /
 JSON / SARIF reporters render unchanged, with the structured artifacts
-riding along for programmatic consumers.  :func:`verify_run` is the
-traces-in convenience wrapper.
+riding along for programmatic consumers.
 
 With ``config.replicates > 0`` the engine additionally runs the actual
 Monte-Carlo propagation and cross-checks that every replicate's
@@ -25,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.core.builder import BuildResult, build_graph
+from repro.core.builder import BuildResult
 from repro.core.compiled import compiled_plan
 from repro.core.montecarlo import monte_carlo
 from repro.core.perturb import PerturbationSpec
-from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
 from repro.lint.engine import LintContext, LintReport, run_rules
 from repro.lint.model import LintConfig
@@ -46,7 +44,6 @@ __all__ = [
     "VerifyReport",
     "render_verify_text",
     "verify_build",
-    "verify_run",
     "verify_to_dict",
 ]
 
@@ -170,24 +167,6 @@ def verify_build(
             replicates=config.replicates,
             containment_violations=tuple(containment[1]) if containment else (),
         )
-
-
-def verify_run(
-    trace_set: TraceSource,
-    config: VerifyConfig | None = None,
-    build_config: BuildConfig | None = None,
-    signature: MachineSignature | None = None,
-) -> VerifyReport:
-    """Traces in, verification report out.
-
-    Like :func:`repro.diagnose.diagnose_run` this does *not* guard the
-    graph build: verification interprets a well-formed run, so a build
-    failure propagates as its :class:`~repro.core.diagnostics.
-    DiagnosticError` (run ``repro-lint`` first for malformed-trace
-    triage).
-    """
-    build = build_graph(trace_set, build_config)
-    return verify_build(build, config, signature=signature, trace_set=trace_set)
 
 
 def render_verify_text(report: VerifyReport, verbose: bool = False) -> str:

@@ -9,7 +9,6 @@ from repro.core import build_graph
 from repro.diagnose import (
     DiagnoseConfig,
     diagnose_build,
-    diagnose_run,
     diagnosis_to_dict,
     render_diagnosis_text,
 )
@@ -24,6 +23,11 @@ SLOW_FACTOR = 25.0
 
 def finding_ids(report):
     return [f.rule_id for f in report.findings]
+
+
+def diagnose(trace, config=None, signature=None):
+    """Traces in, report out: the graph build, then the diagnosis."""
+    return diagnose_build(build_graph(trace), config, signature=signature, trace_set=trace)
 
 
 class TestConfigValidation:
@@ -59,19 +63,19 @@ class TestRulePack:
         assert all(r.category == "diagnosis" for r in rules)
 
     def test_summary_always_emitted(self, ring_trace):
-        report = diagnose_run(ring_trace)
+        report = diagnose(ring_trace)
         assert "MPG200" in finding_ids(report)
         assert report.graph_checked
         assert report.rules_run == tuple(r.id for r in all_rules("diagnosis"))
 
     def test_clean_symmetric_run_has_no_warnings(self, ring_trace, stencil_trace):
         for trace in (ring_trace, stencil_trace):
-            report = diagnose_run(trace)
+            report = diagnose(trace)
             assert report.warnings == [], finding_ids(report)
             assert report.errors == []
 
     def test_slow_rank_fires_mpg210_naming_culprit(self, ring_trace):
-        report = diagnose_run(slow_rank_memory(ring_trace, 2, SLOW_FACTOR))
+        report = diagnose(slow_rank_memory(ring_trace, 2, SLOW_FACTOR))
         hits = [f for f in report.findings if f.rule_id == "MPG210"]
         assert hits and hits[0].rank == 2
         assert len(report.warnings) >= 1
@@ -84,7 +88,7 @@ class TestRulePack:
             [ev(0, 0, EventKind.INIT, 0.0, 1.0), ev(0, 1, EventKind.FINALIZE, 99.0, 100.0)],
             [ev(1, 0, EventKind.INIT, 0.0, 1.0), ev(1, 1, EventKind.FINALIZE, 9.0, 10.0)],
         )
-        report = diagnose_run(trace)
+        report = diagnose(trace)
         assert "MPG201" in finding_ids(report)
         hit = next(f for f in report.findings if f.rule_id == "MPG201")
         assert hit.rank == 0 and hit.severity == Severity.WARNING
@@ -92,7 +96,7 @@ class TestRulePack:
     def test_mpg201_spares_balanced_ties(self, ring_trace):
         """A symmetric app whose path merely *stays* on one rank must
         not be called serialized (the runner-up margin gate)."""
-        report = diagnose_run(ring_trace)
+        report = diagnose(ring_trace)
         assert "MPG201" not in finding_ids(report)
 
     def test_disable_and_severity_override(self, ring_trace):
@@ -101,7 +105,7 @@ class TestRulePack:
                 disabled=("MPG202",), severity_overrides={"MPG200": Severity.WARNING}
             )
         )
-        report = diagnose_run(ring_trace, config)
+        report = diagnose(ring_trace, config)
         ids = finding_ids(report)
         assert "MPG202" not in ids
         summary = next(f for f in report.findings if f.rule_id == "MPG200")
@@ -109,13 +113,13 @@ class TestRulePack:
 
     def test_replicate_metric_via_pipeline(self, ring_trace, const_signature):
         config = DiagnoseConfig(replicates=4, seed=7)
-        report = diagnose_run(ring_trace, config, signature=const_signature)
+        report = diagnose(ring_trace, config, signature=const_signature)
         assert report.replicates == 4
         assert "replicate-delay" in report.anomalies.metrics
 
     def test_replicates_without_signature_rejected(self, ring_trace):
         with pytest.raises(ValueError, match="machine signature"):
-            diagnose_run(ring_trace, DiagnoseConfig(replicates=2))
+            diagnose(ring_trace, DiagnoseConfig(replicates=2))
 
 
 class TestReportArtifacts:
@@ -128,14 +132,14 @@ class TestReportArtifacts:
         assert len(report.anomalies.profiles) == build.graph.nprocs
 
     def test_json_document_schema(self, ring_trace):
-        doc = diagnosis_to_dict(diagnose_run(ring_trace))
+        doc = diagnosis_to_dict(diagnose(ring_trace))
         assert doc["schema"] == "repro-diagnosis-report/1"
         diag = doc["diagnosis"]
         assert set(diag) == {"critical_path", "attribution", "anomalies", "replicates"}
         assert diag["critical_path"]["engine"] == "compiled"
 
     def test_text_rendering(self, ring_trace):
-        report = diagnose_run(ring_trace)
+        report = diagnose(ring_trace)
         out = render_diagnosis_text(report, verbose=True)
         assert "critical path:" in out
         assert "top path edges:" in out
@@ -144,12 +148,12 @@ class TestReportArtifacts:
     def test_sarif_rendering_reuses_lint_reporter(self, ring_trace):
         import json
 
-        doc = json.loads(render_sarif(diagnose_run(ring_trace)))
+        doc = json.loads(render_sarif(diagnose(ring_trace)))
         ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
         assert "MPG200" in ids
 
     def test_findings_sorted_severity_first(self, ring_trace):
-        report = diagnose_run(slow_rank_memory(ring_trace, 1, SLOW_FACTOR))
+        report = diagnose(slow_rank_memory(ring_trace, 1, SLOW_FACTOR))
         sevs = [int(f.severity) for f in report.findings]
         assert sevs == sorted(sevs, reverse=True)
 

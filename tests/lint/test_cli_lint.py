@@ -1,6 +1,8 @@
-"""CLI tests: the ``repro-lint`` entry point and the pre-build gate of
-``repro-analyze`` / ``repro-sweep`` / ``repro-diagnose`` /
-``repro-verify`` / ``repro-dot`` (``--lint`` on the first two).
+"""CLI tests: the ``repro-lint`` entry point and the front door every
+trace-reading tool passes — ``repro-analyze`` / ``repro-sweep`` /
+``repro-diagnose`` / ``repro-verify`` / ``repro-dot`` /
+``repro-metrics`` / ``repro-replay`` / ``repro-lint`` (``--lint`` on
+the first two).
 
 The acceptance-critical pair: a seeded-defect trace set is refused by
 ``--lint strict``, while every bundled example app lints clean.
@@ -18,7 +20,9 @@ from repro.cli import (
     main_diagnose,
     main_dot,
     main_lint,
+    main_metrics,
     main_microbench,
+    main_replay,
     main_sweep,
     main_trace,
     main_verify,
@@ -194,22 +198,27 @@ def _copy_traces(src, dst, edit=None):
     return dst
 
 
-def _drop_first_recv(name, events):
-    """Rank 1 loses its first RECV; later records are renumbered so the
-    trace pack sees a dense, well-formed stream and only matching fails."""
-    if ".rank0001." not in name:
-        return events
-    records = [json.loads(line) for line in events]
-    i = next(i for i, r in enumerate(records) if r[0] == EventKind.RECV)
-    del records[i]
-    for seq, r in enumerate(records):
-        r[2] = seq
-    return [json.dumps(r) for r in records]
+def _drop_first(kind, rank):
+    """An edit under which ``rank`` loses its first ``kind`` event; later
+    records are renumbered so the trace pack sees a dense, well-formed
+    stream and only matching fails."""
+
+    def edit(name, events):
+        if f".rank{rank:04d}." not in name:
+            return events
+        records = [json.loads(line) for line in events]
+        i = next(i for i, r in enumerate(records) if r[0] == kind)
+        del records[i]
+        for seq, r in enumerate(records):
+            r[2] = seq
+        return [json.dumps(r) for r in records]
+
+    return edit
 
 
 @pytest.fixture(scope="module")
 def malformed_traces(clean_traces, tmp_path_factory):
-    """The clean ring traces broken three ways, with the rule each must name."""
+    """The clean ring traces broken four ways, with the rule each must name."""
     root = tmp_path_factory.mktemp("malformed")
     return {
         "header-only": (_copy_traces(clean_traces, root / "hdr", lambda n, e: []), "MPG003"),
@@ -219,7 +228,14 @@ def malformed_traces(clean_traces, tmp_path_factory):
             ),
             "MPG003",
         ),
-        "unpaired": (_copy_traces(clean_traces, root / "unpaired", _drop_first_recv), "MPG102"),
+        "unpaired": (
+            _copy_traces(clean_traces, root / "unpaired", _drop_first(EventKind.RECV, 1)),
+            "MPG102",
+        ),
+        "missing-send": (
+            _copy_traces(clean_traces, root / "nosend", _drop_first(EventKind.SEND, 0)),
+            "MPG102",
+        ),
     }
 
 
@@ -236,7 +252,31 @@ TOOLS = {
     "diagnose": (main_diagnose, False),
     "verify": (main_verify, False),
     "dot": (main_dot, False),
+    "metrics": (main_metrics, False),
+    "replay": (main_replay, False),
 }
+
+#: Which tool refuses which defect.  Metrics never pairs messages, so
+#: only the trace pack can refuse its input; replay pairs them but
+#: finishes with a receive gone (its eager send is simply never taken).
+REFUSALS = [
+    (tool, defect)
+    for tool in sorted(TOOLS)
+    for defect in ("header-only", "truncated", "unpaired", "missing-send")
+    if not (tool == "metrics" and defect in ("unpaired", "missing-send"))
+    and not (tool == "replay" and defect == "unpaired")
+]
+
+
+def _exit_line(main, argv):
+    """The one line ``main(argv)`` ends with — the ``SystemExit`` message
+    the interpreter prints to stderr, exiting with status 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str)  # exit status 1, message on stderr
+    assert message.count("\n") == 0
+    return message
 
 
 class TestMalformedTraceRefusal:
@@ -244,20 +284,30 @@ class TestMalformedTraceRefusal:
     status 1 and one stderr line, the way the interpreter reports the
     ``SystemExit`` message — never a traceback or a silent result."""
 
-    @pytest.mark.parametrize("defect", ["header-only", "truncated", "unpaired"])
-    @pytest.mark.parametrize("tool", sorted(TOOLS))
+    @pytest.mark.parametrize("tool,defect", REFUSALS)
     def test_refused_by_rule_id(self, tool, defect, malformed_traces, signature_file):
         main, needs_signature = TOOLS[tool]
         traces, rule_id = malformed_traces[defect]
         argv = ["--traces", str(traces), "--stem", "ring", "--quiet"]
         if needs_signature:
             argv += ["--signature", str(signature_file)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        message = exc.value.code
-        assert isinstance(message, str)  # exit status 1, message on stderr
-        assert message.count("\n") == 0
-        assert rule_id in message
+        assert rule_id in _exit_line(main, argv)
+
+    @pytest.mark.parametrize("engine", ["compiled", "streaming"])
+    @pytest.mark.parametrize("tool", ["analyze", "sweep"])
+    def test_missing_send_named_by_both_engines(
+        self, tool, engine, malformed_traces, signature_file
+    ):
+        """A dropped send blocks the streaming traversal; the stall names
+        the same rule the compiled build does, in words, not tuples."""
+        main, _ = TOOLS[tool]
+        traces, _ = malformed_traces["missing-send"]
+        argv = ["--traces", str(traces), "--stem", "ring", "--quiet"]
+        argv += ["--signature", str(signature_file), "--engine", engine]
+        message = _exit_line(main, argv)
+        assert message.startswith("MPG102 [unmatched-endpoint] rank ")
+        assert "event #" in message.split(":")[0]
+        assert "('" not in message
 
     @pytest.mark.parametrize("tool", ["analyze", "sweep"])
     def test_streaming_refuses_unpaired(self, tool, malformed_traces, signature_file):
@@ -274,6 +324,79 @@ class TestMalformedTraceRefusal:
         assert isinstance(message, str)
         assert message.startswith("MPG102 [unmatched-endpoint] rank 0, event #")
         assert "unpaired pairwise event" in message
+
+
+@pytest.fixture(scope="module")
+def unreadable_traces(clean_traces, tmp_path_factory):
+    """The clean ring made unreadable three ways: ``(traces, stem, name)``
+    with the file (or directory) each refusal must name."""
+    root = tmp_path_factory.mktemp("unreadable")
+    bad_line = _copy_traces(
+        clean_traces,
+        root / "line",
+        lambda n, e: e[:2] + ['[3,1,2,"oops"]'] + e[3:] if ".rank0001." in n else e,
+    )
+    binary = root / "bin"
+    assert main_trace(
+        ["--app", "token_ring", "--nprocs", "4", "--out", str(binary), "--stem", "ring",
+         "--param", "traversals=2", "--seed", "1", "--binary", "--quiet"]
+    ) == 0
+    cut = binary / "ring.rank0001.trace.bin"
+    cut.write_bytes(cut.read_bytes()[:-5])
+    return {
+        "missing-stem": (bad_line, "nope", str(bad_line)),
+        "bad-text-line": (bad_line, "ring", str(bad_line / "ring.rank0001.trace.jsonl")),
+        "truncated-binary": (binary, "ring", str(cut)),
+    }
+
+
+class TestUnreadableInput:
+    """Every trace-reading tool ends an unopenable or undecodable trace
+    set with one line naming the file — never a traceback."""
+
+    @pytest.mark.parametrize("case", ["missing-stem", "bad-text-line", "truncated-binary"])
+    @pytest.mark.parametrize("tool", sorted([*TOOLS, "lint"]))
+    def test_names_the_file(self, tool, case, unreadable_traces, signature_file):
+        main, needs_signature = {**TOOLS, "lint": (main_lint, False)}[tool]
+        traces, stem, name = unreadable_traces[case]
+        argv = ["--traces", str(traces), "--stem", stem, "--quiet"]
+        if needs_signature:
+            argv += ["--signature", str(signature_file)]
+        message = _exit_line(main, argv)
+        assert name in message
+        if case != "missing-stem":
+            assert "rank 1" in message
+
+    def test_line_and_record_numbers(self, unreadable_traces):
+        traces, _, _ = unreadable_traces["bad-text-line"]
+        assert "line 4: malformed trace line" in _exit_line(
+            main_lint, ["--traces", str(traces), "--stem", "ring"]
+        )
+        traces, _, _ = unreadable_traces["truncated-binary"]
+        assert "truncated binary trace record" in _exit_line(
+            main_lint, ["--traces", str(traces), "--stem", "ring"]
+        )
+
+
+class TestStrictBuildsOnce:
+    """``--lint strict`` analyzes the graph its graph rules checked: the
+    pipeline counters match ``--lint warn``, which builds once too."""
+
+    @pytest.mark.parametrize("tool", ["analyze", "sweep"])
+    def test_same_counters_as_warn(self, tool, clean_traces, signature_file, tmp_path):
+        main, _ = TOOLS[tool]
+        counters = {}
+        for mode in ("warn", "strict"):
+            out = tmp_path / f"{mode}.json"
+            rc = main(
+                ["--traces", str(clean_traces), "--stem", "ring", "--signature",
+                 str(signature_file), "--lint", mode, "--metrics-out", str(out), "--quiet"]
+            )
+            assert rc == 0
+            metrics = json.loads(out.read_text())["metrics"]
+            counters[mode] = {k: metrics[k] for k in ("match.transfers", "graph.nodes")}
+        assert counters["strict"] == counters["warn"]
+        assert counters["warn"]["match.transfers"] == 8  # 4 ranks x 2 traversals
 
 
 APP_PARAMS = {

@@ -219,6 +219,21 @@ class TestBitIdentity:
         assert from_upload["build"]["key"] == from_dir["build"]["key"]
 
 
+class TestInputErrors:
+    def test_header_only_rank_is_refused_by_rule_id(self, client, workdir):
+        """The daemon checks an upload through the same front door as the
+        CLIs: a rank file holding only its header is refused by the trace
+        pack, naming the rule, before any graph is built."""
+        upload = {p.name: p.read_text() for p in (workdir / "traces").iterdir()}
+        rank1 = next(name for name in upload if ".rank0001." in name)
+        upload[rank1] = upload[rank1].splitlines(keepends=True)[0]
+        with pytest.raises(ServeError) as exc_info:
+            client.job("diagnose", upload=upload, stem="ring", params={})
+        assert exc_info.value.code == "input-error"
+        assert "MPG003" in exc_info.value.message
+        assert client.healthz()["ok"] is True
+
+
 class TestFaultContainment:
     def test_injected_error_is_contained(self, client, workdir, signature_dict):
         with pytest.raises(ServeError) as exc_info:

@@ -1,4 +1,4 @@
-"""Trace validation: the gate every analysis CLI runs before its build.
+"""Trace validation: the front door every trace-reading CLI passes.
 
 The builder assumes (§4.3) "the program did run correctly in the first
 place".  The trace-level lint rules (MPG0xx) are the one check of that
@@ -13,8 +13,7 @@ from argparse import Namespace
 
 import pytest
 
-from repro.cli import _gated
-from repro.core import BuildConfig, build_graph
+from repro.cli import _door
 from repro.trace.events import EventKind
 from repro.trace.reader import MemoryTrace
 from tests.lint.helpers import ev, wrap
@@ -27,9 +26,10 @@ def _log_level(caplog):
 
 
 def gate(trace, lint="warn"):
-    """Run the CLI gate over ``trace`` with a graph build in its block."""
-    with _gated(Namespace(lint=lint), trace, BuildConfig()):
-        return build_graph(trace, BuildConfig())
+    """Take ``trace`` through the CLI's front door, as ``--lint`` says,
+    and build the graph it hands over."""
+    with _door(Namespace(lint=lint), trace) as run:
+        return run.build
 
 
 def refused(trace, lint="warn"):

@@ -19,7 +19,6 @@ from repro.verify import (
     makespan_bounds,
     render_verify_text,
     verify_build,
-    verify_run,
     verify_to_dict,
 )
 from repro.core.compiled import compiled_plan
@@ -27,6 +26,11 @@ from repro.core.compiled import compiled_plan
 
 def finding_ids(report):
     return [f.rule_id for f in report.findings]
+
+
+def verify(trace, config=None, signature=None):
+    """Traces in, report out: the graph build, then the verification."""
+    return verify_build(build_graph(trace), config, signature=signature, trace_set=trace)
 
 
 class TestConfigValidation:
@@ -58,7 +62,7 @@ class TestRulePack:
         assert all(r.category == "verify" for r in rules)
 
     def test_clean_run_with_signature(self, ring_trace, mixed_signature):
-        report = verify_run(ring_trace, signature=mixed_signature)
+        report = verify(ring_trace, signature=mixed_signature)
         assert isinstance(report, VerifyReport)
         assert "MPG300" in finding_ids(report)  # certificate always stated
         assert "MPG301" in finding_ids(report)  # Exponential noise -> q-bounded
@@ -66,17 +70,17 @@ class TestRulePack:
         assert report.rules_run == tuple(r.id for r in all_rules("verify"))
 
     def test_absolute_certificate_skips_mpg301(self, ring_trace, const_signature):
-        report = verify_run(ring_trace, signature=const_signature)
+        report = verify(ring_trace, signature=const_signature)
         assert "MPG300" in finding_ids(report)
         assert "MPG301" not in finding_ids(report)
 
     def test_no_signature_means_no_bounds_findings(self, ring_trace):
-        report = verify_run(ring_trace)
+        report = verify(ring_trace)
         assert report.bounds is None
         assert not any(f.rule_id.startswith("MPG30") for f in report.findings)
 
     def test_containment_pass_fires_mpg302(self, ring_trace, mixed_signature):
-        report = verify_run(
+        report = verify(
             ring_trace,
             VerifyConfig(replicates=10),
             signature=mixed_signature,
@@ -110,13 +114,13 @@ class TestRulePack:
 
     def test_replicates_without_signature_rejected(self, ring_trace):
         with pytest.raises(ValueError, match="signature"):
-            verify_run(ring_trace, VerifyConfig(replicates=5))
+            verify(ring_trace, VerifyConfig(replicates=5))
 
 
 class TestLintMechanics:
     def test_disable_rule(self, ring_trace, mixed_signature):
         config = VerifyConfig(lint=LintConfig(disabled=("MPG301",)))
-        report = verify_run(ring_trace, config, signature=mixed_signature)
+        report = verify(ring_trace, config, signature=mixed_signature)
         assert "MPG301" not in finding_ids(report)
         assert "MPG301" not in report.rules_run
 
@@ -161,7 +165,7 @@ class TestMonteCarloHook:
 
 class TestRenderings:
     def test_text_certificate_and_match_lines(self, ring_trace, mixed_signature):
-        report = verify_run(
+        report = verify(
             ring_trace, VerifyConfig(replicates=5), signature=mixed_signature
         )
         out = render_verify_text(report)
@@ -171,12 +175,12 @@ class TestRenderings:
         assert "match analysis:" in out
 
     def test_verbose_lists_per_rank_intervals(self, ring_trace, mixed_signature):
-        report = verify_run(ring_trace, signature=mixed_signature)
+        report = verify(ring_trace, signature=mixed_signature)
         out = render_verify_text(report, verbose=True)
         assert "rank 0:" in out and "rank 3:" in out
 
     def test_json_document_schema(self, ring_trace, mixed_signature):
-        report = verify_run(
+        report = verify(
             ring_trace, VerifyConfig(replicates=5), signature=mixed_signature
         )
         doc = verify_to_dict(report)
