@@ -19,21 +19,24 @@ This module implements that replay semantics over our trace format:
 * collectives are re-timed with the dissemination / binomial-tree
   algorithms of :mod:`repro.mpisim.collectives`.
 
-Replay uses the same order-based matching as the analyzer (§4.1) and
-the same wavefront scheduling as the streaming traversal, so it streams
-and never needs synchronized clocks: all per-rank replay clocks start
-at 0 at MPI_Init.
+Replay runs on the streaming traversal's scheduler,
+:class:`~repro.core.matching.RankScheduler`: order-based matching
+(§4.1), one rank generator per rank, the same lookahead window.  So it
+reads each rank once, never needs synchronized clocks (all per-rank
+replay clocks start at 0 at MPI_Init), and refuses what the traversal
+refuses — a trace that stalls, a receive whose size differs from its
+send's, a transfer left unpaired — instead of re-timing a run that did
+not happen.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.core.matching import MatchError, stalled
+from repro.core.matching import MatchError, RankScheduler
 from repro.mpisim.collectives import collective_exits
 from repro.mpisim.network import NetworkModel
 from repro.trace.events import COLLECTIVE_KINDS, EventKind, EventRecord
@@ -97,63 +100,66 @@ class ReplayResult:
         return self.original_makespan / self.makespan if self.makespan else float("inf")
 
 
-class _CollState:
-    def __init__(self, nprocs: int):
-        self.entries: dict[int, tuple] = {}  # rank -> (clock, ev)
-        self.exits: list | None = None
-        self.consumed = 0
-        self.nprocs = nprocs
-
-    def full(self) -> bool:
-        return len(self.entries) == self.nprocs
-
-
-_UNMET = object()
-_PRIME = object()
-
-
 def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
     """Re-time a traced run under the target machine parameters.
 
     The trace must describe a complete run (same guarantees the
     analyzer requires, §4.3); replay is deterministic (no noise — the
-    Dimemas limitation the paper's framework addresses).
+    Dimemas limitation the paper's framework addresses).  A trace that
+    is not a complete run is refused with the :class:`MatchError` the
+    streaming traversal raises on it.
     """
     params = params or ReplayParams()
     nprocs = trace_set.nprocs
-    data_mail: dict[tuple, float] = {}  # ready/arrival times keyed by channel ordinal
-    ack_mail: dict[tuple, float] = {}
-    colls: dict[int, _CollState] = {}
+    sched = RankScheduler("replay", nprocs)
     net = params.network()
     no_noise = lambda rank, rng, t, duration: 0.0
     rngs = [np.random.default_rng(0) for _ in range(nprocs)]
     net_rng = np.random.default_rng(0)
 
-    def eval_collective(state: _CollState, ordinal: int) -> list[float]:
-        kinds = {e.kind for _, e in state.entries.values()}
-        roots = {e.root for _, e in state.entries.values()}
-        if len(kinds) != 1 or len(roots) != 1:
-            raise MatchError(f"collective #{ordinal}: inconsistent kind/root")
-        kind = next(iter(kinds))
-        root = next(iter(roots))
-        nbytes = max(e.nbytes for _, e in state.entries.values())
-        entries = [state.entries[r][0] for r in range(nprocs)]
+    def exits(group, entries: list[float]) -> list[float]:
         return collective_exits(
-            kind, entries, root if root >= 0 else 0, nbytes, net, no_noise, rngs, net_rng
+            group.kind, entries, max(group.root, 0), group.nbytes, net, no_noise, rngs, net_rng
         )
 
     def rank_proc(rank: int, events: Iterator[EventRecord]):
-        send_idx: dict[tuple, int] = defaultdict(int)
-        recv_idx: dict[tuple, int] = defaultdict(int)
+        """Generator: re-times one rank's events, yielding the
+        scheduler's needs (:class:`RankScheduler`).  Returns (replayed
+        finish time, original span from the first event's start to the
+        last one's end)."""
         req_state: dict[int, tuple] = {}
-        coll_counter = 0
         clock = 0.0
+        first: EventRecord | None = None
         prev: EventRecord | None = None
         n = 0
 
+        def send_half(ev: EventRecord, clock: float) -> tuple:
+            """Publish ``ev``'s data; return (ready time, ack key, None
+            when eager: an eager send is done once it is ready)."""
+            ready = clock + params.send_overhead
+            ch = (rank, ev.peer, ev.tag)
+            if params.is_eager(ev.nbytes):
+                sched.send(ch, ev.nbytes, ev.seq, ready + params.wire(ev.nbytes))
+                return ready, None
+            # Rendezvous: publish readiness; the sender waits for the ack.
+            return ready, sched.send(ch, ev.nbytes, ev.seq, ready)
+
+        def landed(key: tuple, nbytes: int, posted: float, incoming: float) -> float:
+            """When a receive posted at ``posted`` completes, given the
+            sender's published time; a rendezvous transfer starts once
+            both sides are ready and acknowledges one latency later."""
+            start = max(posted, incoming)
+            if params.is_eager(nbytes):
+                return start + params.recv_overhead
+            arrival = start + params.wire(nbytes) + params.recv_overhead
+            sched.acknowledge(key, arrival + params.latency)
+            return arrival
+
         for ev in events:
             n += 1
-            if prev is not None:
+            if prev is None:
+                first = ev
+            else:
                 clock += (ev.t_start - prev.t_end) * params.cpu_factor
             kind = ev.kind
 
@@ -161,109 +167,53 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 clock += params.call_overhead
 
             elif kind == EventKind.SEND:
-                ch = (rank, ev.peer, ev.tag)
-                k = send_idx[ch]
-                send_idx[ch] += 1
-                ready = clock + params.send_overhead
-                if params.is_eager(ev.nbytes):
-                    data_mail[("d",) + ch + (k,)] = ready + params.wire(ev.nbytes)
-                    clock = ready
-                else:
-                    # Rendezvous: publish readiness; block for the ack.
-                    data_mail[("d",) + ch + (k,)] = ready
-                    clock = yield ("ack", ("a",) + ch + (k,), ev.seq, n)
+                ready, ack_key = send_half(ev, clock)
+                clock = ready if ack_key is None else (yield ("ack", ack_key, ev.seq, n))
 
             elif kind == EventKind.RECV:
-                ch = (ev.peer, rank, ev.tag)
-                k = recv_idx[ch]
-                recv_idx[ch] += 1
-                incoming = yield ("data", ("d",) + ch + (k,), ev.seq, n)
-                if params.is_eager(ev.nbytes):
-                    clock = max(clock, incoming) + params.recv_overhead
-                else:
-                    start = max(clock, incoming)  # rendezvous handshake
-                    clock = start + params.wire(ev.nbytes) + params.recv_overhead
-                    ack_mail[("a",) + ch + (k,)] = clock + params.latency
+                key = sched.recv((ev.peer, rank, ev.tag), rank, ev.seq, ev.nbytes)
+                incoming = yield ("data", key, ev.seq, n)
+                clock = landed(key, ev.nbytes, clock, incoming)
 
             elif kind == EventKind.ISEND:
-                ch = (rank, ev.peer, ev.tag)
-                k = send_idx[ch]
-                send_idx[ch] += 1
-                ready = clock + params.send_overhead
-                if params.is_eager(ev.nbytes):
-                    data_mail[("d",) + ch + (k,)] = ready + params.wire(ev.nbytes)
-                    req_state[ev.req] = ("done_at", ready)
-                else:
-                    data_mail[("d",) + ch + (k,)] = ready
-                    req_state[ev.req] = ("ack", ("a",) + ch + (k,))
-                clock = ready
+                clock, ack_key = send_half(ev, clock)
+                req_state[ev.req] = ("done_at", clock) if ack_key is None else ("ack", ack_key)
 
             elif kind == EventKind.IRECV:
-                ch = (ev.peer, rank, ev.tag)
-                k = recv_idx[ch]
-                recv_idx[ch] += 1
                 clock += params.call_overhead
-                req_state[ev.req] = ("recv", ("d",) + ch + (k,), ev.nbytes, clock)
-                if not params.is_eager(ev.nbytes):
-                    # Rendezvous against a posted receive: the handshake can
-                    # start once both sides are ready; the ack reaches the
-                    # sender one transfer + one latency later.
-                    pass  # resolved when the claim is consumed below
+                key = sched.recv((ev.peer, rank, ev.tag), rank, ev.seq, ev.nbytes)
+                req_state[ev.req] = ("recv", key, ev.nbytes, clock)
 
             elif kind.is_completion:
                 done = clock
                 for rid in ev.completed:
                     state = req_state.pop(rid, None)
                     if state is None:
-                        raise MatchError(f"rank {rank} completes unknown request {rid}")
+                        raise MatchError(
+                            f"rank {rank} event #{ev.seq} completes unknown request {rid}"
+                        )
                     if state[0] == "done_at":
                         done = max(done, state[1])
                     elif state[0] == "ack":
                         done = max(done, (yield ("ack", state[1], ev.seq, n)))
-                    elif state[0] == "recv":
+                    else:
                         _, key, nbytes, posted = state
                         incoming = yield ("data", key, ev.seq, n)
-                        if params.is_eager(nbytes):
-                            arrival = max(incoming, posted) + params.recv_overhead
-                        else:
-                            start = max(incoming, posted)
-                            arrival = start + params.wire(nbytes) + params.recv_overhead
-                            ack_mail[("a",) + (key[1], key[2], key[3], key[4])] = (
-                                arrival + params.latency
-                            )
-                        done = max(done, arrival)
+                        done = max(done, landed(key, nbytes, posted, incoming))
                 clock = max(clock, done) + params.call_overhead
 
             elif kind == EventKind.SENDRECV:
-                ch_s = (rank, ev.peer, ev.tag)
-                ks = send_idx[ch_s]
-                send_idx[ch_s] += 1
-                ready = clock + params.send_overhead
-                if params.is_eager(ev.nbytes):
-                    data_mail[("d",) + ch_s + (ks,)] = ready + params.wire(ev.nbytes)
-                    send_done = ready
-                else:
-                    data_mail[("d",) + ch_s + (ks,)] = ready
-                    send_done = None  # resolved via ack below
-                ch_r = (ev.recv_peer, rank, ev.recv_tag)
-                kr = recv_idx[ch_r]
-                recv_idx[ch_r] += 1
-                incoming = yield ("data", ("d",) + ch_r + (kr,), ev.seq, n)
-                if params.is_eager(ev.recv_nbytes):
-                    recv_done = max(clock, incoming) + params.recv_overhead
-                else:
-                    start = max(clock, incoming)
-                    recv_done = start + params.wire(ev.recv_nbytes) + params.recv_overhead
-                    ack_mail[("a",) + ch_r + (kr,)] = recv_done + params.latency
-                if send_done is None:
-                    send_done = yield ("ack", ("a",) + ch_s + (ks,), ev.seq, n)
+                send_done, ack_key = send_half(ev, clock)
+                ch = (ev.recv_peer, rank, ev.recv_tag)
+                key = sched.recv(ch, rank, ev.seq, ev.recv_nbytes)
+                incoming = yield ("data", key, ev.seq, n)
+                recv_done = landed(key, ev.recv_nbytes, clock, incoming)
+                if ack_key is not None:
+                    send_done = yield ("ack", ack_key, ev.seq, n)
                 clock = max(send_done, recv_done)
 
             elif kind in COLLECTIVE_KINDS:
-                ordinal = ev.coll_seq if ev.coll_seq >= 0 else coll_counter
-                coll_counter += 1
-                st = colls.setdefault(ordinal, _CollState(nprocs))
-                st.entries[rank] = (clock, ev)
+                ordinal = sched.enter(rank, ev, clock)
                 exit_time = yield ("coll", ordinal, ev.seq, n)
                 # The engine floors every collective exit at entry + call
                 # overhead (a rank that contributes nothing still pays the
@@ -271,66 +221,15 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 clock = max(exit_time, clock + params.call_overhead)
 
             prev = ev
-        return (clock, n)
+        return clock, (prev.t_end - first.t_start if first is not None else 0.0)
 
-    # ---------------------------------------------------------------- scheduler
-    finish = [0.0] * nprocs
-    consumed = [0] * nprocs
-    done = [False] * nprocs
     procs = [rank_proc(r, trace_set.events_of(r)) for r in range(nprocs)]
-    needs: list = [None] * nprocs
-
-    def advance(rank: int, value) -> None:
-        try:
-            need = next(procs[rank]) if value is _PRIME else procs[rank].send(value)
-        except StopIteration as stop:
-            finish[rank], consumed[rank] = stop.value
-            done[rank] = True
-            needs[rank] = None
-            return
-        consumed[rank] = need[-1]
-        needs[rank] = need
-
-    def satisfy(rank: int):
-        need = needs[rank]
-        kind = need[0]
-        if kind == "data":
-            return data_mail.pop(need[1]) if need[1] in data_mail else _UNMET
-        if kind == "ack":
-            return ack_mail.pop(need[1]) if need[1] in ack_mail else _UNMET
-        # collective
-        ordinal = need[1]
-        st = colls.get(ordinal)
-        if st is None or not st.full():
-            return _UNMET
-        if st.exits is None:
-            st.exits = eval_collective(st, ordinal)
-        value = st.exits[rank]
-        st.consumed += 1
-        if st.consumed == nprocs:
-            del colls[ordinal]
-        return value
-
-    for rank in range(nprocs):
-        advance(rank, _PRIME)
-    while not all(done):
-        progressed = False
-        for rank in range(nprocs):
-            if done[rank]:
-                continue
-            value = satisfy(rank)
-            if value is _UNMET:
-                continue
-            advance(rank, value)
-            progressed = True
-        if not progressed:
-            raise stalled("replay", [(r, needs[r]) for r in range(nprocs) if not done[r]])
-
-    originals = []
-    for rank in range(nprocs):
-        events = list(trace_set.events_of(rank))
-        originals.append(events[-1].t_end - events[0].t_start if events else 0.0)
-    return ReplayResult(finish_times=finish, original_finish_times=originals, params=params)
+    finals = sched.run(procs, exits)
+    return ReplayResult(
+        finish_times=[clock for clock, _ in finals],
+        original_finish_times=[span for _, span in finals],
+        params=params,
+    )
 
 
 def _replay_worker(payload, params: ReplayParams) -> ReplayResult:

@@ -413,9 +413,20 @@ def _machine(name: str, nprocs: int, seed: int):
     return PRESETS[name](nprocs, seed=seed)
 
 
+def _read_file(load: Callable, path: str, what: str):
+    """``load(path)``, ending the run with one line naming the file when
+    it cannot be read or is not a valid ``what``."""
+    try:
+        return load(path)
+    except KeyError as exc:
+        raise SystemExit(f"cannot read {what} {path}: no field {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_signature(args) -> MachineSignature:
     if args.signature:
-        return MachineSignature.load(args.signature)
+        return _read_file(MachineSignature.load, args.signature, "machine signature")
     if args.measure:
         machine = _machine(args.measure, max(args.measure_nprocs, 2), args.seed)
         with obs.span("measure_machine", preset=args.measure):
@@ -1107,12 +1118,12 @@ def main_metrics(argv: list[str] | None = None) -> int:
         imported = None
         if args.import_file:
             with obs.span("import_chrome_trace"):
-                imported = import_chrome_trace(args.import_file)
+                imported = _read_file(import_chrome_trace, args.import_file, "Chrome trace")
             _LOG.info(
                 f"imported {args.import_file}: {imported.nprocs} rank(s), "
                 f"{sum(len(evs) for evs in imported.load_all())} event(s)"
             )
-        with _door(args, imported) as run:
+        with _door(args, imported, graph=bool(args.traces)) as run:
             traces = run.traces
             with obs.span("trace_frame"):
                 frame = trace_frame(traces)
@@ -1365,7 +1376,8 @@ def _client_payload(args, kind: str) -> dict:
     else:
         job["traces"] = args.traces
     if getattr(args, "signature", None):
-        job["signature"] = MachineSignature.load(args.signature).to_dict()
+        signature = _read_file(MachineSignature.load, args.signature, "machine signature")
+        job["signature"] = signature.to_dict()
     params: dict = {}
     for key in ("seed", "scale", "mode", "replicates", "windows"):
         value = getattr(args, key, None)

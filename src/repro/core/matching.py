@@ -9,7 +9,9 @@ ordinal; nonblocking operations link to the completion event that
 retired their request ("status flags", Fig. 3).
 
 The result is a :class:`MatchResult` of pure key-to-key links, consumed
-by the graph builder and by the streaming traversal.
+by the graph builder.  The engines that walk the traces without a graph
+— the streaming traversal (§6) and the Dimemas replay (§1.1) — match
+the same way on the fly, through one :class:`RankScheduler`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.core.diagnostics import DiagnosticError
+from repro.core.diagnostics import DiagnosticError, warn
 from repro.trace.events import (
     COLLECTIVE_KINDS,
     EventKind,
@@ -31,6 +33,7 @@ __all__ = [
     "MatchResult",
     "MatchError",
     "CollectiveGroup",
+    "RankScheduler",
     "match_events",
     "size_mismatch",
     "stalled",
@@ -179,6 +182,204 @@ def size_mismatch(
         rank=rank,
         seq=seq,
     )
+
+
+class _CollState:
+    """One collective instance being assembled across ranks."""
+
+    def __init__(self) -> None:
+        self.entries: dict[int, tuple] = {}  # rank -> (entry value, event)
+        self.exits: list | None = None
+        self.consumed = 0
+
+
+def _collective_group(ordinal: int, evs: Sequence[EventRecord]) -> CollectiveGroup:
+    """The instance ``evs`` (one event per rank) form; every rank must
+    call the same collective with the same root."""
+    odd = next((e for e in evs if (e.kind, e.root) != (evs[0].kind, evs[0].root)), None)
+    if odd is not None:
+        raise MatchError(
+            f"collective #{ordinal}: inconsistent kind/root across ranks",
+            code="collective-mismatch",
+            rank=odd.rank,
+            seq=odd.seq,
+        )
+    return CollectiveGroup(
+        ordinal=ordinal,
+        kind=evs[0].kind,
+        root=evs[0].root,
+        nbytes=max(e.nbytes for e in evs),
+        members=tuple((r, e.seq) for r, e in enumerate(evs)),
+    )
+
+
+_UNMET = object()
+
+
+class RankScheduler:
+    """The rank-by-rank traversal both graph-free engines run on: the
+    streaming perturbation traversal (§6) and the Dimemas replay (§1.1).
+
+    An engine supplies one generator per rank and a collective
+    evaluator; the scheduler owns everything between the ranks.  A rank
+    generator publishes through it — :meth:`send` a send's data,
+    :meth:`recv` a posted receive, :meth:`acknowledge` a receive's ack,
+    :meth:`enter` a collective — and yields a *need* where it blocks:
+    ``("data"|"ack", key, seq, n)`` with the mailbox key ``("d"|"a",
+    src, dst, tag, k)`` of the k-th message on its channel, or
+    ``("coll", ordinal, seq, n)``; ``seq`` is the waiting event and
+    ``n`` the rank's events consumed so far.  It is sent back the
+    sender's value, the ack, or its exit from the collective —
+    ``evaluate(group, entries)``, the :class:`CollectiveGroup` and
+    every rank's entry value in, one exit per rank out.
+
+    Matching is by order (§4.1): the k-th send on a channel meets its
+    k-th receive, which must name the send's size (one size per pair).
+    Mailbox entries are deleted on delivery, so memory tracks only the
+    traffic in flight; ``hwm`` is the most they ever held.  ``window``
+    caps how many events a rank may run ahead of the least-advanced
+    unfinished one (§4's trace buffer); a capped run that cannot move
+    doubles it with a ``window-doubled`` warning.
+    """
+
+    def __init__(self, what: str, nprocs: int, window: int = 4096):
+        self.what = what
+        self.nprocs = nprocs
+        self.window = window
+        self.data: dict[tuple, tuple] = {}  # key -> (value, nbytes, seq) of the send
+        self.ack: dict[tuple, object] = {}
+        self.claims: dict[tuple, tuple] = {}  # data key -> (rank, seq, nbytes) of the receive
+        self.warnings: list = []
+        self.hwm = 0
+        self._sent: dict[tuple, int] = defaultdict(int)
+        self._posted: dict[tuple, int] = defaultdict(int)
+        self._colls: dict[int, _CollState] = {}
+        self._entered = [0] * nprocs
+
+    def send(self, ch: tuple, nbytes: int, seq: int, value) -> tuple:
+        """Publish ``value`` as the data of send event ``seq``, the next
+        message on channel ``ch = (src, dst, tag)``; return its ack key."""
+        k = self._sent[ch]
+        self._sent[ch] = k + 1
+        self.data[("d",) + ch + (k,)] = (value, nbytes, seq)
+        return ("a",) + ch + (k,)
+
+    def recv(self, ch: tuple, rank: int, seq: int, nbytes: int) -> tuple:
+        """Post receive event ``seq`` of ``rank`` for the next message on
+        channel ``ch``; return the data key a need on it waits for."""
+        k = self._posted[ch]
+        self._posted[ch] = k + 1
+        key = ("d",) + ch + (k,)
+        self.claims[key] = (rank, seq, nbytes)
+        return key
+
+    def acknowledge(self, key: tuple, value) -> None:
+        """Publish the ack of the message with data key ``key``."""
+        self.ack[("a",) + key[1:]] = value
+
+    def enter(self, rank: int, ev: EventRecord, value) -> int:
+        """Enter ``rank`` into collective ``ev`` with ``value``; return
+        the instance's ordinal."""
+        ordinal = ev.coll_seq if ev.coll_seq >= 0 else self._entered[rank]
+        self._entered[rank] += 1
+        self._colls.setdefault(ordinal, _CollState()).entries[rank] = (value, ev)
+        return ordinal
+
+    def run(self, procs: Sequence, evaluate) -> list:
+        """Drive the rank generators ``procs`` to their ends; return what
+        each returned.  Raises :func:`stalled` when no rank can move, and
+        :func:`unpaired` at the end if a transfer lost a half."""
+        nprocs = self.nprocs
+        results: list = [None] * nprocs
+        needs: list = [None] * nprocs
+        consumed = [0] * nprocs
+        done = [False] * nprocs
+
+        def step(rank: int, value) -> None:
+            try:
+                need = procs[rank].send(value)
+            except StopIteration as stop:
+                results[rank] = stop.value
+                done[rank] = True
+                return
+            needs[rank] = need
+            consumed[rank] = need[-1]
+
+        for rank in range(nprocs):
+            step(rank, None)
+        window = self.window
+        while not all(done):
+            progressed = capped = False
+            floor = min(consumed[r] for r in range(nprocs) if not done[r])
+            for rank in range(nprocs):
+                if done[rank]:
+                    continue
+                if consumed[rank] - floor > window:
+                    capped = True
+                    continue
+                value = self._satisfy(rank, needs[rank], evaluate)
+                if value is _UNMET:
+                    continue
+                step(rank, value)
+                progressed = True
+            self.hwm = max(self.hwm, len(self.data) + len(self.ack))
+            if not progressed:
+                if not capped:
+                    raise stalled(self.what, [(r, needs[r]) for r in range(nprocs) if not done[r]])
+                self.warnings.append(
+                    warn(
+                        f"window {window} too small for matching distance; doubling",
+                        code="window-doubled",
+                    )
+                )
+                window *= 2
+        self._check_paired()
+        return results
+
+    def _satisfy(self, rank: int, need: tuple, evaluate):
+        kind, key = need[0], need[1]
+        if kind == "data":
+            sent = self.data.pop(key, None)
+            if sent is None:
+                return _UNMET
+            value, nbytes, _ = sent
+            at, seq, wanted = self.claims.pop(key)
+            if nbytes != wanted:
+                raise size_mismatch(at, seq, key[1], key[3], wanted, nbytes)
+            return value
+        if kind == "ack":
+            return self.ack.pop(key, _UNMET)
+        st = self._colls.get(key)
+        if st is None or len(st.entries) < self.nprocs:
+            return _UNMET
+        if st.exits is None:
+            entries = [st.entries[r] for r in range(self.nprocs)]
+            group = _collective_group(key, [ev for _, ev in entries])
+            st.exits = evaluate(group, [value for value, _ in entries])
+        st.consumed += 1
+        if st.consumed == self.nprocs:
+            del self._colls[key]
+        return st.exits[rank]
+
+    def _check_paired(self) -> None:
+        """Raise once every rank is done if a transfer lost a half: a send
+        whose data no receive took, or a receive no send reached (a
+        never-completed IRECV).  A never-completed IRECV whose send did
+        arrive leaves both halves behind; that pair is whole.  An eager
+        send never waits, so without this check a dropped receive would
+        go unnoticed."""
+        leftovers = [
+            ("send", (key[1], sent[2]), key[1:4])
+            for key, sent in self.data.items()
+            if key not in self.claims
+        ]
+        leftovers += [
+            ("recv", claim[:2], key[1:4])
+            for key, claim in self.claims.items()
+            if key not in self.data
+        ]
+        if leftovers:
+            raise unpaired(leftovers)
 
 
 def match_events(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult:

@@ -15,10 +15,12 @@ sampling, see :mod:`repro.core.perturb`):
     to "arbitrarily large trace files" (§1 difference (3), §6).  Each
     transfer's send and receive halves evaluate the builder's own
     :func:`~repro.core.primitives.transfer_deltas`, each collective its
-    :func:`~repro.core.primitives.collective_edges`; a receive whose
-    size differs from its send's raises the matcher's
-    ``unmatched-endpoint`` error.  Memory is bounded by the lookahead
-    window and by in-flight (unconsumed) message contributions, not by
+    :func:`~repro.core.primitives.collective_edges`.  The ranks run on
+    :class:`~repro.core.matching.RankScheduler`, the scheduler the
+    Dimemas replay runs on too: it matches messages by order, refuses a
+    receive whose size differs from its send's and a trace that stalls
+    or leaves a transfer unpaired, and bounds memory by the lookahead
+    window and the in-flight (unconsumed) message contributions, not by
     trace length.
 
 Delay semantics: every node carries ``D(v) = t'(v) − t(v)`` on its own
@@ -37,7 +39,6 @@ rank's local clock; ``D(v) = max over in-edges (D(u) + δ_eff)`` where
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -45,7 +46,7 @@ from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
-from repro.core.matching import CollectiveGroup, MatchError, size_mismatch, stalled, unpaired
+from repro.core.matching import CollectiveGroup, MatchError, RankScheduler
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import (
     BuildConfig,
@@ -310,85 +311,21 @@ def longest_weighted_path(
 # ---------------------------------------------------------------------------
 
 
-class _Mailboxes:
-    """Cross-rank delay contributions in flight.
-
-    ``data[("d", src, dst, tag, k)]`` — the (send START delay, send
-    nbytes, send seq) of the k-th transfer on a channel, published by
-    the send; ``ack[("a", src, dst, tag, k)]`` — the finished ack
-    contribution, published by the receive.  Entries are deleted on
-    consumption so memory tracks only unmatched traffic.  ``claims``
-    maps the data key of each never-completed IRECV to its (rank, seq),
-    filled in as its rank finishes.
-    """
-
-    def __init__(self) -> None:
-        self.data: dict[tuple, tuple] = {}
-        self.ack: dict[tuple, float] = {}
-        self.claims: dict[tuple, tuple] = {}
-
-    def size(self) -> int:
-        return len(self.data) + len(self.ack)
-
-    def check_paired(self) -> None:
-        """Raise once every rank is done if a transfer lost a half: a
-        send whose data no receive took, or a never-completed IRECV no
-        send reached.  (A never-completed IRECV leaves its matched send's
-        data behind; that pair is whole.)  An eager send never waits, so
-        without this check a dropped receive would go unnoticed."""
-        leftovers = [
-            ("send", (key[1], sent[2]), key[1:4])
-            for key, sent in self.data.items()
-            if key not in self.claims
-        ]
-        leftovers += [
-            ("recv", at, key[1:4]) for key, at in self.claims.items() if key not in self.data
-        ]
-        if leftovers:
-            raise unpaired(leftovers)
-
-
-class _CollState:
-    """One collective instance being assembled across ranks."""
-
-    def __init__(self, nprocs: int):
-        self.entries: dict[int, tuple] = {}  # rank -> (D_start, D_end local, ev)
-        self.exits: list | None = None
-        self.consumed = 0
-        self.nprocs = nprocs
-
-    def full(self) -> bool:
-        return len(self.entries) == self.nprocs
-
-
 def _eval_collective(
-    ordinal: int,
-    entries: dict,
-    nprocs: int,
+    group: CollectiveGroup,
+    entries: Sequence[tuple],
     config: BuildConfig,
     applier: _DeltaApplier,
 ) -> list[float]:
     """Per-rank END-subevent delay of one collective instance.
 
     ``entries[r]`` is rank r's (START delay, END delay along its
-    intra-event S→E edge, event).  Evaluates the *same* edge templates
-    the in-core builder materializes (identical DeltaSpecs, identical
-    uids) over a scratch endpoint→delay map, so streaming and in-core
-    agree bit-for-bit.
+    intra-event S→E edge).  Evaluates the *same* edge templates the
+    in-core builder materializes (identical DeltaSpecs, identical uids)
+    over a scratch endpoint→delay map, so streaming and in-core agree
+    bit-for-bit.
     """
-    evs = [entries[r][2] for r in range(nprocs)]
-    if len({e.kind for e in evs}) != 1 or len({e.root for e in evs}) != 1:
-        raise MatchError(
-            f"collective #{ordinal}: inconsistent kind/root across ranks",
-            code="collective-mismatch",
-        )
-    group = CollectiveGroup(
-        ordinal=ordinal,
-        kind=evs[0].kind,
-        root=evs[0].root,
-        nbytes=max(0, *(e.nbytes for e in evs)),
-        members=tuple((r, e.seq) for r, e in enumerate(evs)),
-    )
+    nprocs = len(entries)
     edges = collective_edges(group, nprocs, config)
     starts = [sub(r, group.members[r][1], Phase.START) for r in range(nprocs)]
     ends = [sub(r, group.members[r][1], Phase.END) for r in range(nprocs)]
@@ -407,7 +344,7 @@ def _eval_collective(
         indegree.setdefault(et.src, indegree.get(et.src, 0))
         out_by_src.setdefault(et.src, []).append(et)
     for r in range(nprocs):
-        values[starts[r]], values[ends[r]], _ = entries[r]
+        values[starts[r]], values[ends[r]] = entries[r]
         indegree.setdefault(starts[r], 0)
         indegree.setdefault(ends[r], 0)
 
@@ -462,164 +399,47 @@ class StreamingTraversal:
         self.window = window
         self.max_mailbox = 0  # high-water mark, reported for ABL2
 
-    # -- public API -------------------------------------------------------------
     def run(self, trace_set) -> TraversalResult:
         with obs.span("streaming_traversal", mode=self.mode, window=self.window):
-            result = self._run(trace_set)
+            applier = _DeltaApplier(self.spec, self.mode)
+            sched = RankScheduler("streaming traversal", trace_set.nprocs, self.window)
+            procs = [
+                self._rank_proc(rank, trace_set.events_of(rank), sched, applier)
+                for rank in range(trace_set.nprocs)
+            ]
+            finals = sched.run(
+                procs, lambda group, entries: _eval_collective(group, entries, self.config, applier)
+            )
+            self.max_mailbox = max(self.max_mailbox, sched.hwm)
             obs.span_add("traversal.propagations")
             obs.gauge_max("window.occupancy_hwm", self.max_mailbox)
-            if result.clamped_edges:
-                obs.span_add("traversal.clamped_edges", result.clamped_edges)
-            return result
+            if applier.clamped:
+                obs.span_add("traversal.clamped_edges", applier.clamped)
+            return TraversalResult(
+                final_delay=[d for d, _ in finals],
+                final_local_times=[t for _, t in finals],
+                mode=self.mode,
+                clamped_edges=applier.clamped,
+                warnings=sched.warnings,
+            )
 
-    def _run(self, trace_set) -> TraversalResult:
-        nprocs = trace_set.nprocs
-        applier = _DeltaApplier(self.spec, self.mode)
-        mail = _Mailboxes()
-        colls: dict[int, _CollState] = {}
-        warnings: list[str] = []
-        window = self.window
-
-        final_delay = [0.0] * nprocs
-        final_time = [0.0] * nprocs
-        consumed = [0] * nprocs
-        done = [False] * nprocs
-
-        procs = [
-            self._rank_proc(rank, trace_set.events_of(rank), nprocs, applier, mail, colls, warnings)
-            for rank in range(nprocs)
-        ]
-        needs: list = [None] * nprocs
-        # Prime every generator to its first need (or completion).
-        for rank, proc in enumerate(procs):
-            needs[rank] = self._advance(proc, _PRIME, rank, final_delay, final_time, done, consumed)
-
-        while not all(done):
-            progressed = False
-            capped = False
-            floor = min(consumed[r] for r in range(nprocs) if not done[r])
-            for rank in range(nprocs):
-                if done[rank]:
-                    continue
-                if consumed[rank] - floor > window:
-                    capped = True
-                    continue
-                value = self._satisfy(needs[rank], rank, mail, colls, nprocs, applier)
-                if value is _UNMET:
-                    continue
-                needs[rank] = self._advance(
-                    procs[rank], value, rank, final_delay, final_time, done, consumed
-                )
-                progressed = True
-            self.max_mailbox = max(self.max_mailbox, mail.size())
-            if not progressed:
-                if capped:
-                    warnings.append(
-                        warn(
-                            f"window {window} too small for matching distance; doubling",
-                            code="window-doubled",
-                        )
-                    )
-                    window *= 2
-                    continue
-                raise stalled(
-                    "streaming traversal", [(r, needs[r]) for r in range(nprocs) if not done[r]]
-                )
-
-        mail.check_paired()
-        return TraversalResult(
-            final_delay=final_delay,
-            final_local_times=final_time,
-            mode=self.mode,
-            clamped_edges=applier.clamped,
-            warnings=warnings,
-        )
-
-    # -- scheduler helpers --------------------------------------------------------
-    def _advance(self, proc, value, rank, final_delay, final_time, done, consumed):
-        try:
-            need = next(proc) if value is _PRIME else proc.send(value)
-        except StopIteration as stop:
-            d, t, n = stop.value
-            final_delay[rank] = d
-            final_time[rank] = t
-            consumed[rank] = n
-            done[rank] = True
-            return None
-        consumed[rank] = need[-1]  # every need carries the rank's event count
-        return need
-
-    def _satisfy(self, need, rank, mail, colls, nprocs, applier):
-        kind = need[0]
-        if kind == "data":
-            key = need[1]
-            if key in mail.data:
-                return mail.data.pop(key)
-            return _UNMET
-        if kind == "ack":
-            key = need[1]
-            if key in mail.ack:
-                return mail.ack.pop(key)
-            return _UNMET
-        if kind == "coll":
-            ordinal = need[1]
-            st = colls.get(ordinal)
-            if st is None or not st.full():
-                return _UNMET
-            if st.exits is None:
-                st.exits = _eval_collective(ordinal, st.entries, nprocs, self.config, applier)
-            value = st.exits[rank]
-            st.consumed += 1
-            if st.consumed == nprocs:
-                del colls[ordinal]
-            return value
-        raise AssertionError(f"unknown need {need!r}")  # pragma: no cover
-
-    # -- per-rank event processor ---------------------------------------------------
     def _rank_proc(
         self,
         rank: int,
         events: Iterator[EventRecord],
-        nprocs: int,
+        sched: RankScheduler,
         applier: _DeltaApplier,
-        mail: _Mailboxes,
-        colls: dict,
-        warnings: list,
     ):
-        """Generator: walks one rank's events computing START/END delays.
-
-        Yields *needs* — ("data", key, seq, n), ("ack", key, seq, n),
-        ("coll", ordinal, seq, n), ``seq`` the event waiting — and
-        receives the satisfied value.
-        Returns (final_delay, final_local_time, events_consumed).
+        """Generator: walks one rank's events computing START/END delays,
+        yielding the scheduler's needs (:class:`RankScheduler`).
+        Returns (final_delay, final_local_time).
         """
         cfg = self.config
-        send_idx: dict[tuple, int] = defaultdict(int)
-        recv_idx: dict[tuple, int] = defaultdict(int)
         req_state: dict[int, tuple] = {}
-        coll_counter = 0
         prev: EventRecord | None = None
         d_prev_end = 0.0
         n = 0
         last_t_end = 0.0
-
-        def send_half(ch: tuple, nbytes: int, d_start: float, seq: int) -> tuple | None:
-            """Publish the data contribution of send event ``seq`` on
-            channel ``ch``; return the mailbox key of its ack, or None
-            when the send is eager (:meth:`BuildConfig.models_ack`)."""
-            k = send_idx[ch]
-            send_idx[ch] += 1
-            mail.data[("d",) + ch + (k,)] = (d_start, nbytes, seq)
-            return ("a",) + ch + (k,) if cfg.models_ack(nbytes) else None
-
-        def landed(sent: tuple, claim: tuple) -> float:
-            """Delay a consumed data contribution carries into its receive;
-            the sender's size must be the receive's (one size per pair)."""
-            d_src, sent_nbytes, _ = sent
-            data, seq, (src, _, tag), nbytes = claim
-            if sent_nbytes != nbytes:
-                raise size_mismatch(rank, seq, src, tag, nbytes, sent_nbytes)
-            return d_src + applier.effective(data, 0.0)
 
         def recv_half(ev: EventRecord, d_start: float, local_end: float):
             """Receive half of ``ev`` (a generator, driven with ``yield
@@ -637,22 +457,18 @@ class StreamingTraversal:
                 ch, nbytes = (ev.recv_peer, rank, ev.recv_tag), ev.recv_nbytes
             else:
                 ch, nbytes = (ev.peer, rank, ev.tag), ev.nbytes
-            k = recv_idx[ch]
-            recv_idx[ch] += 1
-            data, ack, ack_phase = transfer_deltas(*ch, nbytes, k, ev.kind, cfg)
-            ack_key = ("a",) + ch + (k,)
+            key = sched.recv(ch, rank, ev.seq, nbytes)
+            data, ack, ack_phase = transfer_deltas(*ch, nbytes, key[-1], ev.kind, cfg)
             if ack is not None and ack_phase == Phase.START:
-                mail.ack[ack_key] = d_start + applier.effective(ack, 0.0)
-            data_key = ("d",) + ch + (k,)
-            claim = (data, ev.seq, ch, nbytes)
+                sched.acknowledge(key, d_start + applier.effective(ack, 0.0))
             if ev.kind == EventKind.IRECV:
-                req_state[ev.req] = ("claim", data_key, claim)
+                req_state[ev.req] = ("claim", key, data)
                 d_end = local_end
             else:
-                sent = yield ("data", data_key, ev.seq, n)
-                d_end = max(local_end, landed(sent, claim))
+                d_src = yield ("data", key, ev.seq, n)
+                d_end = max(local_end, d_src + applier.effective(data, 0.0))
             if ack is not None and ack_phase == Phase.END:
-                mail.ack[ack_key] = d_end + applier.effective(ack, 0.0)
+                sched.acknowledge(key, d_end + applier.effective(ack, 0.0))
             return d_end
 
         for ev in events:
@@ -669,7 +485,9 @@ class StreamingTraversal:
             d_end = local_end
 
             if kind in (EventKind.SEND, EventKind.ISEND, EventKind.SENDRECV):
-                ack_key = send_half((rank, ev.peer, ev.tag), ev.nbytes, d_start, ev.seq)
+                ack_key = sched.send((rank, ev.peer, ev.tag), ev.nbytes, ev.seq, d_start)
+                if not cfg.models_ack(ev.nbytes):
+                    ack_key = None  # eager: the send never waits for an ack
                 if kind == EventKind.ISEND:
                     req_state[ev.req] = ("ack", ack_key)
                 else:
@@ -689,19 +507,15 @@ class StreamingTraversal:
                             f"rank {rank} event #{ev.seq} completes unknown request {rid}"
                         )
                     if state[0] == "claim":
-                        sent = yield ("data", state[1], ev.seq, n)
-                        d_end = max(d_end, landed(sent, state[2]))
+                        d_src = yield ("data", state[1], ev.seq, n)
+                        d_end = max(d_end, d_src + applier.effective(state[2], 0.0))
                     elif state[1] is not None:
                         d_end = max(d_end, (yield ("ack", state[1], ev.seq, n)))
                     # ("ack", None): eager isend — nothing lands here.
 
             elif kind in COLLECTIVE_KINDS:
-                ordinal = ev.coll_seq if ev.coll_seq >= 0 else coll_counter
-                coll_counter += 1
-                st = colls.setdefault(ordinal, _CollState(nprocs))
-                st.entries[rank] = (d_start, local_end, ev)
-                cross = yield ("coll", ordinal, ev.seq, n)
-                d_end = max(local_end, cross)
+                ordinal = sched.enter(rank, ev, (d_start, local_end))
+                d_end = max(local_end, (yield ("coll", ordinal, ev.seq, n)))
 
             # INIT / FINALIZE and non-completing TEST: purely local.
 
@@ -709,11 +523,8 @@ class StreamingTraversal:
             d_prev_end = d_end
 
         leftovers = [rid for rid, st in req_state.items() if st[1] is not None]
-        for st in req_state.values():
-            if st[0] == "claim":
-                mail.claims[st[1]] = (rank, st[2][1])
         if leftovers:
-            warnings.append(
+            sched.warnings.append(
                 warn(
                     f"rank {rank}: {len(leftovers)} request(s) never completed; their "
                     f"transfer delays were dropped (§4.3 asynchronous case)",
@@ -722,8 +533,4 @@ class StreamingTraversal:
                     count=len(leftovers),
                 )
             )
-        return (d_prev_end, last_t_end + d_prev_end, n)
-
-
-_UNMET = object()
-_PRIME = object()
+        return (d_prev_end, last_t_end + d_prev_end)

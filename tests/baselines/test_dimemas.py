@@ -11,7 +11,6 @@ from repro.apps import (
     token_ring,
 )
 from repro.baselines import ReplayParams, replay
-from repro.core.matching import MatchError
 from repro.mpisim import (
     Compute,
     Irecv,
@@ -24,8 +23,6 @@ from repro.mpisim import (
     Waitall,
     run,
 )
-from repro.trace.events import EventKind, EventRecord
-from repro.trace.reader import MemoryTrace
 
 NET = NetworkModel(
     latency=1000.0, bandwidth=2.0, send_overhead=200.0, recv_overhead=200.0, eager_threshold=8192
@@ -153,14 +150,3 @@ class TestValidation:
             ReplayParams(bandwidth=0.0)
         with pytest.raises(ValueError):
             ReplayParams(cpu_factor=0.0)
-
-    def test_incomplete_trace_stalls(self):
-        r0 = [
-            EventRecord(rank=0, seq=0, kind=EventKind.INIT, t_start=0.0, t_end=1.0),
-            EventRecord(
-                rank=0, seq=1, kind=EventKind.RECV, t_start=2.0, t_end=3.0, peer=1, tag=0
-            ),
-        ]
-        r1 = [EventRecord(rank=1, seq=0, kind=EventKind.INIT, t_start=0.0, t_end=1.0)]
-        with pytest.raises(MatchError, match="stalled"):
-            replay(MemoryTrace([r0, r1]), SAME)

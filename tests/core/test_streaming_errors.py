@@ -1,12 +1,16 @@
-"""Error paths of the streaming traversal on malformed traces.
+"""Error paths of the two rank-by-rank engines on malformed traces.
 
-The engine must fail loudly and diagnosably — never hang or silently
-produce wrong delays — when handed traces that do not describe a
-complete run (§4.3's precondition).
+The streaming traversal and the Dimemas replay run on one scheduler
+(:class:`repro.core.matching.RankScheduler`), so each must fail loudly
+and diagnosably — never hang or silently produce wrong numbers — when
+handed traces that do not describe a complete run (§4.3's
+precondition).  Every suite below runs on the streaming traversal; its
+``...OnReplay`` twin runs the same tests on the replay.
 """
 
 import pytest
 
+from repro.baselines import ReplayParams, replay
 from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal
 from repro.core.matching import MatchError
 from repro.noise import Constant, MachineSignature
@@ -29,10 +33,36 @@ def wrap(rank, inner):
 
 
 SPEC = PerturbationSpec(MachineSignature(os_noise=Constant(10.0)), seed=0)
+#: Both engines send the same messages eagerly: the replay's default
+#: eager threshold is the streaming build's too.
+EAGER = ReplayParams().eager_threshold
+
+
+def run_streaming(traces):
+    return StreamingTraversal(SPEC, config=BuildConfig(eager_threshold=EAGER)).run(traces)
+
+
+def run_replay(traces):
+    return replay(traces, ReplayParams())
+
+
+@pytest.fixture
+def engine():
+    """``engine(traces)`` runs the engine under test: the streaming
+    traversal here, the Dimemas replay in the :class:`OnReplay` suites."""
+    return run_streaming
+
+
+class OnReplay:
+    """Mixed into a suite, runs its tests on the Dimemas replay."""
+
+    @pytest.fixture
+    def engine(self):
+        return run_replay
 
 
 class TestStalls:
-    def test_missing_sender(self):
+    def test_missing_sender(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.RECV, dict(peer=1, tag=0))]),
@@ -40,9 +70,9 @@ class TestStalls:
             ]
         )
         with pytest.raises(MatchError, match="stalled"):
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
 
-    def test_missing_collective_participant(self):
+    def test_missing_collective_participant(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.BARRIER, dict(coll_seq=0))]),
@@ -50,9 +80,9 @@ class TestStalls:
             ]
         )
         with pytest.raises(MatchError, match="stalled"):
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
 
-    def test_stall_message_names_blockers(self):
+    def test_stall_message_names_blockers(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.RECV, dict(peer=1, tag=7))]),
@@ -60,20 +90,20 @@ class TestStalls:
             ]
         )
         with pytest.raises(MatchError) as exc:
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
         assert "rank 0" in str(exc.value)
         assert "data" in str(exc.value)
 
 
 class TestHardErrors:
-    def test_unknown_request_completion(self):
+    def test_unknown_request_completion(self, engine):
         traces = MemoryTrace(
             [wrap(0, [(EventKind.WAIT, dict(reqs=(9,), completed=(9,)))])]
         )
         with pytest.raises(MatchError, match="unknown request"):
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
 
-    def test_collective_kind_mismatch(self):
+    def test_collective_kind_mismatch(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.BARRIER, dict(coll_seq=0))]),
@@ -81,18 +111,38 @@ class TestHardErrors:
             ]
         )
         with pytest.raises(MatchError, match="inconsistent") as exc:
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
         assert exc.value.code == "collective-mismatch"
 
-    def test_collective_root_mismatch(self):
+    def test_collective_root_mismatch(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.BCAST, dict(coll_seq=0, root=0, nbytes=8))]),
                 wrap(1, [(EventKind.BCAST, dict(coll_seq=0, root=1, nbytes=8))]),
             ]
         )
-        with pytest.raises(MatchError, match="inconsistent"):
-            StreamingTraversal(SPEC).run(traces)
+        with pytest.raises(MatchError, match="inconsistent") as exc:
+            engine(traces)
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("collective-mismatch", 1, 1)
+
+    def test_receive_size_differs_from_send(self, engine):
+        traces = MemoryTrace(
+            [
+                wrap(0, [(EventKind.SEND, dict(peer=1, tag=0, nbytes=8))]),
+                wrap(1, [(EventKind.RECV, dict(peer=0, tag=0, nbytes=16))]),
+            ]
+        )
+        with pytest.raises(MatchError, match="receives 16 B") as exc:
+            engine(traces)
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 1, 1)
+
+
+IRECV_WITH_SEND = MemoryTrace(
+    [
+        wrap(0, [(EventKind.IRECV, dict(peer=1, tag=0, nbytes=8, req=0))]),
+        wrap(1, [(EventKind.SEND, dict(peer=0, tag=0, nbytes=8))]),
+    ]
+)
 
 
 class TestUnpairedTransfers:
@@ -100,35 +150,27 @@ class TestUnpairedTransfers:
     traversal finishes and then refuses, naming the first leftover, the
     way the in-core matcher does."""
 
-    def test_eager_send_without_receive(self):
+    def test_eager_send_without_receive(self, engine):
         traces = MemoryTrace(
             [
                 wrap(0, [(EventKind.SEND, dict(peer=1, tag=0, nbytes=8))]),
                 wrap(1, []),
             ]
         )
-        engine = StreamingTraversal(SPEC, config=BuildConfig(eager_threshold=1024))
         with pytest.raises(MatchError, match="1 unpaired pairwise event") as exc:
-            engine.run(traces)
+            engine(traces)
         assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 0, 1)
 
-    def test_uncompleted_irecv_without_send(self):
+    def test_uncompleted_irecv_without_send(self, engine):
         traces = MemoryTrace(
             [wrap(0, [(EventKind.IRECV, dict(peer=1, tag=0, nbytes=8, req=0))]), wrap(1, [])]
         )
         with pytest.raises(MatchError, match="recv") as exc:
-            StreamingTraversal(SPEC).run(traces)
+            engine(traces)
         assert (exc.value.code, exc.value.rank, exc.value.seq) == ("unmatched-endpoint", 0, 1)
 
-    def test_uncompleted_irecv_with_send_is_paired(self):
-        traces = MemoryTrace(
-            [
-                wrap(0, [(EventKind.IRECV, dict(peer=1, tag=0, nbytes=8, req=0))]),
-                wrap(1, [(EventKind.SEND, dict(peer=0, tag=0, nbytes=8))]),
-            ]
-        )
-        res = StreamingTraversal(SPEC, config=BuildConfig(eager_threshold=1024)).run(traces)
-        assert any("never completed" in w for w in res.warnings)
+    def test_uncompleted_irecv_with_send_is_paired(self, engine):
+        engine(IRECV_WITH_SEND)
 
 
 class TestWarnings:
@@ -142,3 +184,19 @@ class TestWarnings:
         res = StreamingTraversal(SPEC).run(traces)
         assert any("never completed" in w for w in res.warnings)
         assert len(res.final_delay) == 2
+
+    def test_uncompleted_irecv_warned(self):
+        res = run_streaming(IRECV_WITH_SEND)
+        assert any("never completed" in w for w in res.warnings)
+
+
+class TestStallsOnReplay(OnReplay, TestStalls):
+    pass
+
+
+class TestHardErrorsOnReplay(OnReplay, TestHardErrors):
+    pass
+
+
+class TestUnpairedTransfersOnReplay(OnReplay, TestUnpairedTransfers):
+    pass

@@ -256,15 +256,13 @@ TOOLS = {
     "replay": (main_replay, False),
 }
 
-#: Which tool refuses which defect.  Metrics never pairs messages, so
-#: only the trace pack can refuse its input; replay pairs them but
-#: finishes with a receive gone (its eager send is simply never taken).
+#: Every tool refuses every defect: metrics checks its traces with the
+#: graph pack, and replay ends with the leftover check a receive gone
+#: leaves its eager send to.
 REFUSALS = [
     (tool, defect)
     for tool in sorted(TOOLS)
     for defect in ("header-only", "truncated", "unpaired", "missing-send")
-    if not (tool == "metrics" and defect in ("unpaired", "missing-send"))
-    and not (tool == "replay" and defect == "unpaired")
 ]
 
 
@@ -326,6 +324,25 @@ class TestMalformedTraceRefusal:
         assert "unpaired pairwise event" in message
 
 
+    @pytest.mark.parametrize(
+        "main,extra,named",
+        [
+            (main_replay, [], "MPG102 [unmatched-endpoint] rank 0, event #"),
+            (main_replay, ["--cpu-factors", "1,2"], "MPG102 [unmatched-endpoint] rank 0, event #"),
+            (main_metrics, ["--ideal"], "repro-lint found 1 ERROR finding(s) (MPG102)"),
+        ],
+        ids=["replay", "replay-ladder", "metrics-ideal"],
+    )
+    def test_dropped_receive_is_not_replayed(self, main, extra, named, malformed_traces):
+        """A ring whose rank 1 lost its first RECV is no run to re-time:
+        no makespan, no speed-up, no POP numbers — one line naming the
+        unpaired send (replay's leftover check) or the rule (metrics'
+        door, which runs the graph pack before it replays)."""
+        traces, _ = malformed_traces["unpaired"]
+        argv = ["--traces", str(traces), "--stem", "ring", "--quiet", *extra]
+        assert _exit_line(main, argv).startswith(named)
+
+
 @pytest.fixture(scope="module")
 def unreadable_traces(clean_traces, tmp_path_factory):
     """The clean ring made unreadable three ways: ``(traces, stem, name)``
@@ -366,6 +383,21 @@ class TestUnreadableInput:
         assert name in message
         if case != "missing-stem":
             assert "rank 1" in message
+
+    @pytest.mark.parametrize("content", ["not json", '{"traceEvents": []}'])
+    def test_metrics_import_names_the_file(self, content, tmp_path):
+        path = tmp_path / "outside.json"
+        path.write_text(content + "\n")
+        message = _exit_line(main_metrics, ["--import", str(path), "--quiet"])
+        assert message.startswith(f"cannot read Chrome trace {path}: ")
+
+    @pytest.mark.parametrize("tool", ["analyze", "sweep"])
+    def test_signature_names_the_file(self, tool, clean_traces, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text("not json\n")
+        argv = ["--traces", str(clean_traces), "--stem", "ring", "--quiet"]
+        message = _exit_line(TOOLS[tool][0], [*argv, "--signature", str(path)])
+        assert message.startswith(f"cannot read machine signature {path}: ")
 
     def test_line_and_record_numbers(self, unreadable_traces):
         traces, _, _ = unreadable_traces["bad-text-line"]
