@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.matching import MatchError, RankScheduler
+from repro.core.matching import RankScheduler, unknown_request
 from repro.mpisim.collectives import collective_exits
 from repro.mpisim.network import NetworkModel
 from repro.trace.events import COLLECTIVE_KINDS, EventKind, EventRecord
@@ -189,9 +189,7 @@ def replay(trace_set, params: ReplayParams | None = None) -> ReplayResult:
                 for rid in ev.completed:
                     state = req_state.pop(rid, None)
                     if state is None:
-                        raise MatchError(
-                            f"rank {rank} event #{ev.seq} completes unknown request {rid}"
-                        )
+                        raise unknown_request(rank, ev.seq, rid)
                     if state[0] == "done_at":
                         done = max(done, state[1])
                     elif state[0] == "ack":

@@ -80,7 +80,6 @@ from typing import Callable, NamedTuple
 
 from repro import obs
 from repro._util import atomic_write_text
-from repro.apps import ALL_APPS
 from repro.core import (
     BuildConfig,
     CheckpointStore,
@@ -98,7 +97,6 @@ from repro.core import (
     to_dot,
 )
 from repro.lint.report import FORMATS, render_json, write_report
-from repro.machines import PRESETS
 from repro.metrics import (
     build_report,
     gate_report,
@@ -110,8 +108,6 @@ from repro.metrics import (
     render_text,
     trace_frame,
 )
-from repro.microbench import measure_machine
-from repro.mpisim import run_to_files
 from repro.noise import MachineSignature
 from repro.trace.stats import trace_stats
 
@@ -244,14 +240,23 @@ def _parse_jobs(value: str) -> int | None:
     return None if jobs < 0 else jobs
 
 
+def _presets() -> dict:
+    """The machine presets.  They import the simulator, so only the tools
+    that simulate or measure load them."""
+    from repro.machines import PRESETS
+
+    return PRESETS
+
+
 #: Every flag two tools share, declared once.  Tools add them by name
-#: through :func:`_add`, overriding a field where theirs differs.
-_FLAGS: dict[str, dict] = {
+#: through :func:`_add`, overriding a field where theirs differs.  A
+#: callable entry is resolved when a parser is built.
+_FLAGS: dict[str, dict | Callable[[], dict]] = {
     "--traces": dict(help="directory containing trace files"),
     "--stem": dict(help="trace file stem"),
     "--out": dict(metavar="FILE", help="write the report to FILE instead of stdout"),
     "--nprocs": dict(type=int),
-    "--machine": dict(choices=sorted(PRESETS)),
+    "--machine": lambda: dict(choices=sorted(_presets())),
     "--seed": dict(type=int, default=0),
     "--scale": dict(type=float, default=1.0),
     "--mode": dict(choices=("additive", "threshold"), default="additive"),
@@ -385,7 +390,8 @@ def _add(ap: argparse.ArgumentParser, *flags: str, **override) -> None:
     """Add the shared ``flags`` to ``ap``, each as :data:`_FLAGS`
     declares it with ``override`` applied."""
     for flag in flags:
-        ap.add_argument(flag, **{**_FLAGS[flag], **override})
+        spec = _FLAGS[flag]
+        ap.add_argument(flag, **{**(spec() if callable(spec) else spec), **override})
 
 
 def _fault_policy(args) -> FaultPolicy | None:
@@ -408,9 +414,10 @@ def _checkpoint_args(args) -> dict:
 
 
 def _machine(name: str, nprocs: int, seed: int):
-    if name not in PRESETS:
-        raise SystemExit(f"unknown machine preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name](nprocs, seed=seed)
+    presets = _presets()
+    if name not in presets:
+        raise SystemExit(f"unknown machine preset {name!r}; choose from {sorted(presets)}")
+    return presets[name](nprocs, seed=seed)
 
 
 def _read_file(load: Callable, path: str, what: str):
@@ -428,6 +435,8 @@ def _load_signature(args) -> MachineSignature:
     if args.signature:
         return _read_file(MachineSignature.load, args.signature, "machine signature")
     if args.measure:
+        from repro.microbench import measure_machine
+
         machine = _machine(args.measure, max(args.measure_nprocs, 2), args.seed)
         with obs.span("measure_machine", preset=args.measure):
             report = measure_machine(machine, seed=args.seed)
@@ -495,6 +504,9 @@ def _add_analysis_args(ap: argparse.ArgumentParser) -> None:
 
 
 def main_trace(argv: list[str] | None = None) -> int:
+    from repro.apps import ALL_APPS
+    from repro.mpisim import run_to_files
+
     ap = argparse.ArgumentParser(
         prog="repro-trace", description="Run a bundled app on a simulated machine and trace it."
     )
@@ -548,6 +560,7 @@ def main_microbench(argv: list[str] | None = None) -> int:
     _add_logging_args(ap)
     args = ap.parse_args(argv)
     _configure_logging(args)
+    from repro.microbench import measure_machine
 
     machine = _machine(args.machine, max(args.nprocs, 2), args.seed)
     report = measure_machine(machine, seed=args.seed)

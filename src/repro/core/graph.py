@@ -540,41 +540,6 @@ class MessagePassingGraph:
     def message_edges(self) -> Iterator[Edge]:
         return (e for e in self.edges if e.kind == EdgeKind.MESSAGE)
 
-    # -- interop ---------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a :class:`networkx.MultiDiGraph` for ad-hoc analysis.
-
-        Node attributes: ``rank``, ``seq``, ``phase``, ``kind``,
-        ``t_local``, ``label``, ``virtual``.  Edge attributes: ``kind``,
-        ``weight``, ``delta_kind``, ``label``.  A MultiDiGraph is used
-        because templates may legitimately emit parallel edges between
-        the same subevent pair.
-        """
-        import networkx as nx
-
-        g = nx.MultiDiGraph(nprocs=self.nprocs)
-        for n in self.nodes:
-            g.add_node(
-                n.node_id,
-                rank=n.rank,
-                seq=n.seq,
-                phase=n.phase.name,
-                kind=n.kind.name,
-                t_local=n.t_local,
-                label=n.label,
-                virtual=n.is_virtual,
-            )
-        for e in self.edges:
-            g.add_edge(
-                e.src,
-                e.dst,
-                kind=e.kind.name,
-                weight=e.weight,
-                delta_kind=DeltaKind(e.delta.kind).name,
-                label=e.label,
-            )
-        return g
-
     # -- stats ---------------------------------------------------------------------
     def stats(self) -> dict:
         n_edges = len(self.edge_label)

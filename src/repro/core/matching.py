@@ -37,6 +37,7 @@ __all__ = [
     "match_events",
     "size_mismatch",
     "stalled",
+    "unknown_request",
     "unpaired",
 ]
 
@@ -128,6 +129,17 @@ def unpaired(leftovers: Sequence[tuple[str, Key, tuple]]) -> MatchError:
     return MatchError(
         f"{len(leftovers)} unpaired pairwise event(s): {shown}",
         code="unmatched-endpoint",
+        rank=rank,
+        seq=seq,
+    )
+
+
+def unknown_request(rank: int, seq: int, rid: int) -> MatchError:
+    """The error for a completion of a request its rank never posted or
+    already completed, coded as MPG005's ``wait-without-request``."""
+    return MatchError(
+        f"rank {rank} event #{seq} completes unknown request {rid}",
+        code="wait-without-request",
         rank=rank,
         seq=seq,
     )
@@ -444,13 +456,7 @@ def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult
                 for rid in ev.completed:
                     src_key = open_reqs.pop(rid, None)
                     if src_key is None:
-                        raise MatchError(
-                            f"rank {rank} event #{ev.seq} completes unknown/duplicate "
-                            f"request {rid}",
-                            code="wait-without-request",
-                            rank=rank,
-                            seq=ev.seq,
-                        )
+                        raise unknown_request(rank, ev.seq, rid)
                     result.completion_of[src_key] = key
             elif ev.kind in COLLECTIVE_KINDS:
                 ordinal = ev.coll_seq if ev.coll_seq >= 0 else coll_counter

@@ -46,7 +46,7 @@ from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
-from repro.core.matching import CollectiveGroup, MatchError, RankScheduler
+from repro.core.matching import CollectiveGroup, MatchError, RankScheduler, unknown_request
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import (
     BuildConfig,
@@ -503,9 +503,7 @@ class StreamingTraversal:
                 for rid in ev.completed:
                     state = req_state.pop(rid, None)
                     if state is None:
-                        raise MatchError(
-                            f"rank {rank} event #{ev.seq} completes unknown request {rid}"
-                        )
+                        raise unknown_request(rank, ev.seq, rid)
                     if state[0] == "claim":
                         d_src = yield ("data", state[1], ev.seq, n)
                         d_end = max(d_end, d_src + applier.effective(state[2], 0.0))

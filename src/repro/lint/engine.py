@@ -292,6 +292,7 @@ def run_rules(
     categories: tuple[str, ...],
     surface: str = "lint",
     report: type[LintReport] = LintReport,
+    stop_on_error: bool = False,
     **artifacts,
 ) -> LintReport:
     """The one rule runner: every enabled rule of ``categories`` over
@@ -303,13 +304,17 @@ def run_rules(
     :func:`run_rule` applies.  Graph rules get a guarded build first (a
     no-op when ``ctx`` already holds one); a build failure whose code no
     finding covers becomes a finding itself, so the report never hides
-    why the graph could not be checked.  ``report``/``artifacts`` let
+    why the graph could not be checked.  With ``stop_on_error`` no
+    category runs after one that found an ERROR, so a trace set that
+    will be refused pays no build.  ``report``/``artifacts`` let
     diagnose and verify return their :class:`LintReport` subclasses.
     """
     findings: list[Finding] = []
     rules_run: list[str] = []
     keep = config.max_findings_per_rule + 1
     for category in categories:
+        if stop_on_error and any(f.severity == Severity.ERROR for f in findings):
+            break
         if category == "graph":
             ctx.try_build()
         rules = [r for r in all_rules(category) if config.enabled(r)]
@@ -390,7 +395,7 @@ class RunRefused(DiagnosticError):
         super().__init__(
             f"repro-lint found {len(errors)} ERROR finding(s) "
             f"({', '.join(sorted({f.rule_id for f in errors}))}); refusing to "
-            f"build the graph — first: {first.rule_id} {first.location}: {first.message} "
+            f"build the graph — first: {_line(first, first.message)} "
             f"(run repro-lint for the full report)",
             code=first.code,
             rank=first.rank,
@@ -398,13 +403,17 @@ class RunRefused(DiagnosticError):
         )
 
 
+def _line(f: Finding, message: str) -> str:
+    """A finding named the one way: ``rule_id [code] location: message``."""
+    return f"{f.rule_id} [{f.code}] {f.location}: {message}"
+
+
 def error_line(err: DiagnosticError) -> str:
     """The one line a front end stops a run with: a refusal's own
     message, any other failure as its rule, code, location and message."""
     if isinstance(err, RunRefused):
         return str(err)
-    f = build_error_finding(err)
-    return f"{f.rule_id} [{err.code}] {f.location}: {' '.join(str(err).split())}"
+    return _line(build_error_finding(err), " ".join(str(err).split()))
 
 
 @dataclass
@@ -443,10 +452,12 @@ def open_run(
     time — plus, with ``graph``, the graph pack over a guarded build
     that the run then keeps, and hands ``log`` the report.  An ERROR
     finding raises :class:`RunRefused` unless ``refuse`` is off (the
-    builder assumes a run that completed correctly, §4.3); ``repro-lint``
-    turns it off to report findings instead.  Every failure to open or
-    read is a :class:`DiagnosticError`, so a front end can end any of
-    them with one line (:func:`error_line`).
+    builder assumes a run that completed correctly, §4.3); a refusing
+    door skips the graph pack, and its build, once the trace pack found
+    an ERROR.  ``repro-lint`` turns ``refuse`` off to report every
+    finding instead.  Every failure to open or read is a
+    :class:`DiagnosticError`, so a front end can end any of them with
+    one line (:func:`error_line`).
     """
     if isinstance(traces, (str, Path)):
         if stem is None:
@@ -463,7 +474,7 @@ def open_run(
     with obs.span("lint", layer="all" if graph else "trace"):
         ctx = LintContext(trace_set=traces, build_config=build_config)
         categories = ("trace", "graph") if graph else ("trace",)
-        report = run_rules(ctx, config or LintConfig(), categories)
+        report = run_rules(ctx, config or LintConfig(), categories, stop_on_error=refuse)
     if log is not None:
         log(report)
     if refuse and not report.ok:

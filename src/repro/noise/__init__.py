@@ -3,7 +3,14 @@
 Distributions (parametric and empirical), fitting from microbenchmark
 samples, synthetic OS-noise generators, and the machine-signature bundle
 the analyzer consumes.
+
+Fitting (:mod:`repro.noise.fitting`) needs ``scipy.stats``; it runs once
+per machine, while the analyzer only consumes the fitted signature.  So
+``FitResult`` and ``fit_best`` load on first access, and importing this
+package for analysis never loads scipy.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.noise.distributions import (
     ZERO,
@@ -23,7 +30,6 @@ from repro.noise.distributions import (
     Weibull,
 )
 from repro.noise.empirical import Empirical, ecdf
-from repro.noise.fitting import FitResult, fit_best
 from repro.noise.models import (
     NO_NOISE,
     CompositeNoise,
@@ -34,6 +40,9 @@ from repro.noise.models import (
     RandomPreemption,
 )
 from repro.noise.signature import MachineSignature
+
+if TYPE_CHECKING:
+    from repro.noise.fitting import FitResult, fit_best
 
 __all__ = [
     "ZERO",
@@ -64,3 +73,12 @@ __all__ = [
     "RandomPreemption",
     "MachineSignature",
 ]
+
+
+def __getattr__(name: str):
+    """Load the fitting names on first access (PEP 562)."""
+    if name in ("FitResult", "fit_best"):
+        from repro.noise import fitting
+
+        return getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

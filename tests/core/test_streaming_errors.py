@@ -13,6 +13,7 @@ import pytest
 from repro.baselines import ReplayParams, replay
 from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal
 from repro.core.matching import MatchError
+from repro.lint import error_line
 from repro.noise import Constant, MachineSignature
 from repro.trace.events import EventKind, EventRecord
 from repro.trace.reader import MemoryTrace
@@ -102,6 +103,15 @@ class TestHardErrors:
         )
         with pytest.raises(MatchError, match="unknown request"):
             engine(traces)
+
+    def test_unknown_request_names_mpg005(self, engine):
+        traces = MemoryTrace(
+            [wrap(0, [(EventKind.WAIT, dict(reqs=(9,), completed=(9,)))])]
+        )
+        with pytest.raises(MatchError) as exc:
+            engine(traces)
+        assert (exc.value.code, exc.value.rank, exc.value.seq) == ("wait-without-request", 0, 1)
+        assert error_line(exc.value).startswith("MPG005 [wait-without-request] rank 0, event #1:")
 
     def test_collective_kind_mismatch(self, engine):
         traces = MemoryTrace(

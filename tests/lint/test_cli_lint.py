@@ -30,6 +30,7 @@ from repro.cli import (
 from repro.lint import lint_run
 from repro.mpisim import run
 from repro.trace.events import EventKind
+from repro.trace.reader import TraceSet
 from repro.trace.writer import TraceSetWriter
 from tests.lint.helpers import ev
 
@@ -323,6 +324,22 @@ class TestMalformedTraceRefusal:
         assert message.startswith("MPG102 [unmatched-endpoint] rank 0, event #")
         assert "unpaired pairwise event" in message
 
+
+    def test_refused_trace_pays_no_build(self, malformed_traces, monkeypatch):
+        """The truncated ring is refused for its trace defect alone: once
+        the trace rules found an error, metrics' door runs neither the
+        graph rules nor their build.  repro-lint, which refuses nothing,
+        still reports the build's echo of the lost event."""
+        traces, _ = malformed_traces["truncated"]
+        assert "MPG102" in lint_run(TraceSet.open(traces, "ring")).counts()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a refused trace set was built")
+
+        monkeypatch.setattr("repro.lint.engine.build_graph", no_build)
+        message = _exit_line(main_metrics, ["--traces", str(traces), "--stem", "ring"])
+        assert "ERROR finding(s) (MPG003); " in message
+        assert "first: MPG003 [truncated-trace] rank 1" in message
 
     @pytest.mark.parametrize(
         "main,extra,named",

@@ -148,7 +148,7 @@ class TestReport:
         ]
         message = refused(MemoryTrace([events]), lint="off")
         assert message.startswith("repro-lint found 2 ERROR finding(s) (MPG001, MPG003)")
-        assert "first: MPG001 rank 0, event #2:" in message
+        assert "first: MPG001 [overlapping-events] rank 0, event #2:" in message
 
     def test_summary_counts(self, ring_trace, caplog):
         gate(ring_trace)
