@@ -16,14 +16,14 @@ lowers it into a :class:`CoarseIR`:
   symbolic level schedule whose sources are either template offsets at
   a fixed iteration lag, or absolute positions in the pre region.
 
-Execution (see ``compiled._coarse_*``) walks the template once per
-instance over a ring buffer of ``maxlag + 1`` instance frames, so all
-scratch is template-sized and the per-level numpy operations amortize
-over the full replicate batch — cost scales with *distinct structure*,
-not event count.  Per-edge delta sampling still visits every edge
-(uids differ per repetition — that is what makes replicates exact),
-but it is gathered per instance chunk through the same shared draw
-programs.
+Execution (:meth:`~repro.core.compiled.CompiledPlan.walk`) runs the
+template once per instance over a ring buffer of ``maxlag + 1``
+instance frames, so all scratch is template-sized and the per-level
+numpy operations amortize over the full replicate batch — cost scales
+with *distinct structure*, not event count.  Per-edge delta sampling
+still visits every edge (uids differ per repetition — that is what
+makes replicates exact), but it is gathered per instance chunk through
+the same shared draw programs.
 
 Everything here is *conservative*: each structural assumption is
 verified vectorially against the actual arrays, and any mismatch
@@ -37,6 +37,8 @@ of schedule.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.graph import Phase
@@ -45,6 +47,7 @@ __all__ = [
     "AUTO_MIN_NODES",
     "COARSEN_CHOICES",
     "CoarseIR",
+    "Level",
     "MAX_LAG",
     "MIN_REPEATS",
     "detect_phases",
@@ -66,30 +69,28 @@ _PENDING = -2  # virtual node not yet assigned to an instance
 _STATIC = -1
 
 
-class _SLevel:
-    """One static (pre or post) level, in absolute scratch positions.
+@dataclass(slots=True)
+class Level:
+    """One level of a schedule: every destination's in-edges come from
+    earlier levels, so the whole level is one vectorized gather + max.
 
-    ``ecol`` indexes the static-edge effective-delta column axis (the
-    order of ``CoarseIR.static_eids``).
+    ``dst`` are the destinations' slots and ``src``/``ecol`` each
+    in-edge's source slot and effective-delta column, grouped by
+    destination; ``segs`` are the offsets of each destination's first
+    in-edge and ``single`` says every destination has exactly one.
+    The flat schedule (``CompiledPlan.levels``) indexes nodes and edges
+    by id; the static pre/post levels of a :class:`CoarseIR` index
+    scratch positions and the ``static_eids`` column axis.
     """
 
-    __slots__ = ("dst", "src", "ecol", "segs", "single")
-
-    def __init__(self, dst, src, ecol, segs, single):
-        self.dst = dst
-        self.src = src
-        self.ecol = ecol
-        self.segs = segs
-        self.single = single
-
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
+    dst: np.ndarray
+    src: np.ndarray
+    ecol: np.ndarray
+    segs: np.ndarray
+    single: bool
 
 
+@dataclass(slots=True)
 class _TLevel:
     """One symbolic template level.
 
@@ -100,22 +101,12 @@ class _TLevel:
     axis ``[0, n_te)``.
     """
 
-    __slots__ = ("dst", "src_lag", "src_ref", "ecol", "segs", "single")
-
-    def __init__(self, dst, src_lag, src_ref, ecol, segs, single):
-        self.dst = dst
-        self.src_lag = src_lag
-        self.src_ref = src_ref
-        self.ecol = ecol
-        self.segs = segs
-        self.single = single
-
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
+    dst: np.ndarray
+    src_lag: np.ndarray
+    src_ref: np.ndarray
+    ecol: np.ndarray
+    segs: np.ndarray
+    single: bool
 
 
 class CoarseIR:
@@ -158,8 +149,8 @@ class CoarseIR:
         self.pre_node_ids = np.empty(0, dtype=np.int64)
         self.post_node_ids = np.empty(0, dtype=np.int64)
         # Schedules
-        self.pre_levels: list[_SLevel] = []
-        self.post_levels: list[_SLevel] = []
+        self.pre_levels: list[Level] = []
+        self.post_levels: list[Level] = []
         self.tmpl_levels: list[_TLevel] = []
         self.zero_offs = np.empty(0, dtype=np.int64)  # offsets never written
         self.fold_src_pos = np.empty((0, 0), dtype=np.int64)  # (fold, n_t) pre positions
@@ -389,9 +380,9 @@ def detect_phases(
     for lv in plan.levels:
         contrib = templated[lv.src] | after[lv.src]
         if lv.single:
-            after[lv.nodes] = contrib
+            after[lv.dst] = contrib
         else:
-            after[lv.nodes] = (
+            after[lv.dst] = (
                 np.maximum.reduceat(contrib.astype(np.int8), lv.segs) > 0
             )
     static_mask = pos_inst == _STATIC
@@ -457,7 +448,7 @@ def detect_phases(
                     static_eids.append(ei)
                     ecol.append(len(static_eids) - 1)
             levels.append(
-                _SLevel(
+                Level(
                     np.array(dst, dtype=np.int64),
                     np.array(src, dtype=np.int64),
                     np.array(ecol, dtype=np.int64),

@@ -16,10 +16,12 @@ form and then processes **all replicates simultaneously**:
   reproduces :meth:`PerturbationSpec.sample` draws **bit-for-bit** for
   every (replicate, edge) lane, falling back to the scalar spec lane
   by lane wherever it has no verified fast path;
-* a propagation kernel carrying a ``(R, n_nodes)`` delay matrix
-  through one topological pass (per-node max over in-edges vectorized
-  across the replicate axis, both ``additive`` and ``threshold``
-  modes).
+* one walk (:meth:`CompiledPlan.walk`) carrying all replicate rows
+  through one max-plus pass — one :func:`level_step` per level, the
+  per-node max over in-edges vectorized across the replicate axis, both
+  ``additive`` and ``threshold`` modes — over the flat level schedule,
+  or over the two-level :class:`~repro.core.coarsen.CoarseIR` when
+  phase coarsening applied.
 
 Results are unconditionally identical to :func:`propagate` for *any*
 signature.
@@ -34,57 +36,55 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.builder import BuildResult
-from repro.core.coarsen import AUTO_MIN_NODES, COARSEN_CHOICES, detect_phases
+from repro.core.coarsen import AUTO_MIN_NODES, COARSEN_CHOICES, Level, detect_phases
 from repro.core.graph import DeltaKind, EdgeKind
 from repro.core.perturb import PerturbationSpec
 from repro.core.sampler import _adopt_tables, _BoundSampler, _get_tables, _TemplateSampler
 from repro.core.traversal import MODES, TraversalResult
 from repro.noise.signature import MachineSignature
 
-__all__ = ["CompiledBatch", "CompiledPlan", "compiled_plan"]
+__all__ = ["SCRATCH_CELLS", "CompiledBatch", "CompiledPlan", "Walk", "compiled_plan", "level_step"]
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Scratch budget of one walk step, in float64 cells (about 100 MB):
+#: bounds the replicate rows of a batch and the templated instances
+#: drawn at once.
+SCRATCH_CELLS = 12_000_000
 
 # ---------------------------------------------------------------------------
 # The compiled plan
 # ---------------------------------------------------------------------------
 
 
-class _Level:
-    """One rank of the level schedule: nodes whose in-edges all come from
-    earlier levels, so the whole rank is a single vectorized gather+max.
-
-    ``segs`` are the offsets of each node's first in-edge within the
-    level."""
-
-    __slots__ = ("nodes", "src", "eid", "segs", "single")
-
-    def __init__(self, nodes, src, eid, segs, single):
-        self.nodes = nodes
-        self.src = src
-        self.eid = eid
-        self.segs = segs
-        self.single = single
-
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __setstate__(self, state):
-        for s, v in state.items():
-            setattr(self, s, v)
+def level_step(S: np.ndarray, eff: np.ndarray, lv: Level) -> None:
+    """One level of the max-plus pass over R replicate rows:
+    ``S[:, dst] = max over each destination's in-edges of
+    S[:, src] + eff[:, ecol]``."""
+    contrib = S[:, lv.src] + eff[:, lv.ecol]
+    S[:, lv.dst] = contrib if lv.single else np.maximum.reduceat(contrib, lv.segs, axis=1)
 
 
-def _level_schedule(graph, level: np.ndarray) -> list[_Level]:
+def _gather(S: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(R, len(pos)) columns ``pos`` of ``S``; 0.0 where ``pos`` is -1."""
+    out = np.zeros((S.shape[0], len(pos)), dtype=np.float64)
+    have = pos >= 0
+    out[:, have] = S[:, pos[have]]
+    return out
+
+
+def _level_schedule(graph, level: np.ndarray) -> list[Level]:
     """The level schedule of ``graph`` given each node's level.
 
     Levels 1.. in order; within a level, nodes by id and each node's
-    in-edges in insertion (CSR) order.  Every ``_Level`` array is a
+    in-edges in insertion (CSR) order.  Every ``Level`` array is a
     slice of one flat array sorted that way.
     """
     ptr, in_ids = graph.in_csr()
@@ -102,13 +102,7 @@ def _level_schedule(graph, level: np.ndarray) -> list[_Level]:
     segs = first - np.repeat(edge_at[:-1], np.diff(node_at))
     edge_at = edge_at.tolist()
     return [
-        _Level(
-            nodes[a:b],
-            src[ea:eb],
-            eid[ea:eb],
-            segs[a:b],
-            eb - ea == b - a,
-        )
+        Level(nodes[a:b], src[ea:eb], eid[ea:eb], segs[a:b], eb - ea == b - a)
         for a, b, ea, eb in zip(node_at, node_at[1:], edge_at, edge_at[1:])
     ]
 
@@ -135,14 +129,11 @@ def _uid_columns(uids: list, sampled_ids: np.ndarray, delta_kind: np.ndarray, n_
     return uid_mat, uid_len, uid_kind
 
 
-def _apply_mode_w(raw: np.ndarray, w: np.ndarray, mode: str):
-    """δ_eff + additive clamp counts for explicit per-column weights.
-
-    Exactly the operations of :meth:`CompiledPlan.apply_mode` (which
-    delegates here with the full weight row) — the coarse engine calls
-    it with gathered static / per-instance weight slices so both paths
-    compute bit-identical effective deltas.
-    """
+def _apply_mode(raw: np.ndarray, w: np.ndarray, mode: str):
+    """``(δ_eff, clamped)`` for raw deltas over edges of weights ``w``
+    (same clamp semantics as ``_DeltaApplier``); ``clamped`` counts
+    additive-mode zero-floor clamps per replicate row.  Elementwise, so
+    a region of columns gets the floats the whole row would."""
     if mode == "threshold":
         return np.maximum(0.0, raw - w), np.zeros(raw.shape[0], dtype=np.int64)
     mask = raw < -w
@@ -161,6 +152,30 @@ class CompiledBatch:
     delays: np.ndarray
     clamped: np.ndarray  # (replicates,) per-replicate clamped-edge counts
     mode: str
+
+
+class Walk(NamedTuple):
+    """What :meth:`CompiledPlan.walk` returns for R replicate rows."""
+
+    delays: np.ndarray  # (R, nprocs) per-rank final delays
+    clamped: np.ndarray  # (R,) additive-mode zero-floor clamps
+    node_delay: np.ndarray | None  # (R, n_nodes), on request
+    edge_delta: np.ndarray | None  # (R, n_edges) effective deltas, on request
+
+
+#: ``take(cols, span)``: (R, len(cols)) raw deltas of edges ``cols`` for
+#: the walk's R rows; ``span`` is the ``(j0, j1)`` range of templated
+#: instances the edges belong to, or None.
+Take = Callable[[object, "tuple[int, int] | None"], np.ndarray]
+
+
+def _draw(pair, seeds: list[int], scale: float, span) -> np.ndarray:
+    """One region drawn by the coarse samplers: the static edges when
+    ``span`` is None, else templated instances ``[j0, j1)``."""
+    static_s, tmpl_s = pair
+    if span is None:
+        return static_s.sample_raw(seeds, scale)
+    return tmpl_s.sample(seeds, scale, *span)
 
 
 class CompiledPlan:
@@ -272,13 +287,15 @@ class CompiledPlan:
 
         Interval-scaled OS draws (``os_quantum > 0``) make draw programs
         weight-dependent, which breaks template program sharing — those
-        signatures take the flat engine (still exact, just slower).
+        signatures are sampled flat (still exact, just slower).
         """
         return self.coarse is not None and signature.os_quantum <= 0.0
 
     def _coarse_bind(self, signature: MachineSignature):
         """``(static_sampler, template_sampler)`` for one signature, or
-        None when the template cannot be sampled coarsely (flat path)."""
+        None when it must be sampled flat."""
+        if not self._coarse_ready(signature):
+            return None
         for sig, pair in self._coarse_binds:
             if sig is signature or sig == signature:
                 return pair
@@ -293,66 +310,59 @@ class CompiledPlan:
             self._coarse_binds.pop(0)
         return pair
 
+    def _spans(self, R: int):
+        """Templated instance ranges ``(j0, j1)`` whose deltas for ``R``
+        rows fit the scratch budget, in order."""
+        ir = self.coarse
+        step = max(1, int(SCRATCH_CELLS // max(1, R * ir.n_te * 3)))
+        for j0 in range(0, ir.m_run, step):
+            yield j0, min(ir.m_run, j0 + step)
+
     def sample_raw_batch(
         self, signature: MachineSignature, seeds: list[int], scale: float = 1.0
     ) -> np.ndarray:
         """(R, n_edges) sampled deltas (already scaled), bit-identical to
         per-replicate ``PerturbationSpec.sample`` over every edge."""
+        seeds = list(seeds)
         with obs.span("compiled.sample", replicates=len(seeds)):
-            if self._coarse_ready(signature):
-                pair = self._coarse_bind(signature)
-                if pair is not None:
-                    return self._coarse_sample_full(pair, list(seeds), scale)
-            return self.bind(signature).sample_raw(list(seeds), scale)
+            pair = self._coarse_bind(signature)
+            if pair is None:
+                return self.bind(signature).sample_raw(seeds, scale)
+            # Region by region, as the walk draws them: the coarse
+            # samplers give each column the flat sampler's value.
+            ir = self.coarse
+            raw = np.zeros((len(seeds), self.n_edges), dtype=np.float64)
+            raw[:, ir.static_eids] = _draw(pair, seeds, scale, None)
+            for span in self._spans(len(seeds)):
+                raw[:, ir.run_edge_ids[span[0] : span[1]].reshape(-1)] = _draw(
+                    pair, seeds, scale, span
+                )
+            return raw
 
-    def _coarse_sample_full(self, pair, seeds: list[int], scale: float) -> np.ndarray:
-        """Assemble the full (R, n_edges) raw matrix through the coarse
-        samplers — avoids the per-edge flat bind on huge graphs while
-        producing identical values column by column."""
-        ir = self.coarse
-        static_s, tmpl_s = pair
-        R = len(seeds)
-        raw = np.zeros((R, self.n_edges), dtype=np.float64)
-        if len(ir.static_eids):
-            raw[:, ir.static_eids] = static_s.sample_raw(seeds, scale)
-        step = max(1, int(12_000_000 // max(1, R * ir.n_te * 3)))
-        for j0 in range(0, ir.m_run, step):
-            j1 = min(ir.m_run, j0 + step)
-            raw[:, ir.run_edge_ids[j0:j1].reshape(-1)] = tmpl_s.sample(
-                seeds, scale, j0, j1
-            )
-        return raw
+    def _take(self, signature: MachineSignature, seeds: list[int], scale: float) -> Take:
+        """The walk's raw deltas for sampled replicate rows: the coarse
+        samplers draw one region at a time; otherwise every edge is
+        drawn up front."""
+        pair = self._coarse_bind(signature)
+        if pair is None:
+            raw = self.sample_raw_batch(signature, seeds, scale)
+            return lambda cols, span: raw[:, cols]
 
-    # -- mode + kernel ----------------------------------------------------------
-    def apply_mode(self, raw: np.ndarray, mode: str):
-        """δ_eff per edge (same clamp semantics as ``_DeltaApplier``).
+        def take(cols, span):
+            with obs.span("compiled.sample", replicates=len(seeds)):
+                return _draw(pair, seeds, scale, span)
 
-        Returns ``(eff, clamped)``; ``clamped`` counts additive-mode
-        zero-floor clamps per replicate."""
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        return _apply_mode_w(raw, self.edge_weight, mode)
+        return take
 
+    # -- the walk ---------------------------------------------------------------
     def kernel(self, eff: np.ndarray) -> np.ndarray:
-        """One topological pass for all replicates: (R, n_nodes) delays."""
+        """The flat level schedule for all rows: (R, n_nodes) delays."""
         D = np.zeros((eff.shape[0], self.n_nodes), dtype=np.float64)
         for lv in self.levels:
-            contrib = D[:, lv.src] + eff[:, lv.eid]
-            if lv.single:
-                D[:, lv.nodes] = contrib
-            else:
-                D[:, lv.nodes] = np.maximum.reduceat(contrib, lv.segs, axis=1)
+            level_step(D, eff, lv)
         return D
 
-    def finals(self, D: np.ndarray) -> np.ndarray:
-        """(R, nprocs) per-rank final delays from a node-delay matrix."""
-        out = np.zeros((D.shape[0], self.nprocs), dtype=np.float64)
-        have = self.final_node >= 0
-        out[:, have] = D[:, self.final_node[have]]
-        return out
-
-    # -- coarse (two-level) execution ---------------------------------------------
-    def _tmpl_levels_abs(self, phi: int):
+    def _tmpl_levels_abs(self, phi: int) -> list[Level]:
         """Template levels materialized for ring frame ``phi``: absolute
         scratch positions for destinations and (lagged or static)
         sources.  Cached per frame — there are only ``L`` variants."""
@@ -367,7 +377,7 @@ class CompiledPlan:
                     lagged, ir.ring_base + slot * ir.n_t + lv.src_ref, lv.src_ref
                 )
                 dst = ir.ring_base + phi * ir.n_t + lv.dst
-                got.append((dst, src, lv.ecol, lv.segs, lv.single))
+                got.append(Level(dst, src, lv.ecol, lv.segs, lv.single))
             self._tmpl_abs[phi] = got
         return got
 
@@ -388,142 +398,82 @@ class CompiledPlan:
             }
         return self._tap_groups
 
-    def _coarse_run(self, R: int, eff_static: np.ndarray, tmpl_eff, D_full=None):
-        """Walk the two-level plan for ``R`` replicate rows.
+    def walk(self, R: int, take: Take, mode: str, *, detail: bool = False) -> Walk:
+        """The max-plus pass over the plan for ``R`` replicate rows.
 
-        ``eff_static`` is the (R, n_static) effective-delta block in
-        ``static_eids`` order; ``tmpl_eff(j0, j1)`` returns the
-        ``(eff, clamped)`` block for templated instances ``[j0, j1)``.
-        Returns ``(final delays (R, nprocs), template clamp counts)``.
-        Any execution order yields the flat engine's exact floats: each
-        node's value is the max over the identical contrib operand
-        pairs, and float max is order-exact.
+        ``take(cols, span)`` gives the rows' raw deltas of edges ``cols``
+        (a slice or an id array); ``span`` is the ``(j0, j1)`` range of
+        templated instances those edges belong to, or None.  ``mode`` is
+        checked here and applied per region.  A plan with a
+        :class:`~repro.core.coarsen.CoarseIR` takes the coarse walk —
+        static pre levels, the template once per instance over the ring
+        of frames, static post levels — and the flat level schedule
+        otherwise.  Both yield the same floats: each node's value is the
+        max over the identical contrib operand pairs, and float max is
+        order-exact.  With ``detail`` the result also carries the node
+        delays and effective edge deltas.
         """
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         ir = self.coarse
+        if ir is None:
+            eff, clamped = _apply_mode(take(slice(None), None), self.edge_weight, mode)
+            D = self.kernel(eff)
+            delays = _gather(D, self.final_node)
+            return Walk(delays, clamped, *((D, eff) if detail else (None, None)))
+        D = np.zeros((R, self.n_nodes), dtype=np.float64) if detail else None
+        E = np.zeros((R, self.n_edges), dtype=np.float64) if detail else None
+
+        def eff_of(cols, span):
+            eff, clamped = _apply_mode(take(cols, span), self.edge_weight[cols], mode)
+            if E is not None:
+                E[:, cols] = eff
+            return eff, clamped
+
         S = np.zeros((R, ir.W), dtype=np.float64)
+        eff_s, clamped = eff_of(ir.static_eids, None)
         for lv in ir.pre_levels:
-            contrib = S[:, lv.src] + eff_static[:, lv.ecol]
-            if lv.single:
-                S[:, lv.dst] = contrib
-            else:
-                S[:, lv.dst] = np.maximum.reduceat(contrib, lv.segs, axis=1)
-        n_t, L, ring = ir.n_t, ir.L, ir.ring_base
+            level_step(S, eff_s, lv)
+        n_t, n_te, L, ring = ir.n_t, ir.n_te, ir.L, ir.ring_base
         for j in range(ir.fold):
             frame = ring + (j % L) * n_t
             S[:, frame : frame + n_t] = S[:, ir.fold_src_pos[j]]
-        if D_full is not None and ir.n_pre:
-            D_full[:, ir.pre_node_ids] = S[:, : ir.n_pre]
         taps = self._instance_taps()
-        clamp = np.zeros(R, dtype=np.int64)
         zero = ir.zero_offs
-        step = max(1, int(12_000_000 // max(1, R * ir.n_te * 3)))
-        for j0 in range(0, ir.m_run, step):
-            j1 = min(ir.m_run, j0 + step)
-            eff_c, nclamp_c = tmpl_eff(j0, j1)
-            clamp += nclamp_c
+        for j0, j1 in self._spans(R):
+            eff_c, nclamp = eff_of(ir.run_edge_ids[j0:j1].reshape(-1), (j0, j1))
+            clamped += nclamp
             for j in range(j0, j1):
                 i = ir.fold + j
-                phi = i % L
-                frame = ring + phi * n_t
+                frame = ring + (i % L) * n_t
                 if len(zero):
                     S[:, frame + zero] = 0.0
-                off = (j - j0) * ir.n_te
-                for dst, src, ecol, segs, single in self._tmpl_levels_abs(phi):
-                    contrib = S[:, src] + eff_c[:, off + ecol]
-                    if single:
-                        S[:, dst] = contrib
-                    else:
-                        S[:, dst] = np.maximum.reduceat(contrib, segs, axis=1)
+                eff_i = eff_c[:, (j - j0) * n_te : (j - j0 + 1) * n_te]
+                for lv in self._tmpl_levels_abs(i % L):
+                    level_step(S, eff_i, lv)
                 tp = taps.get(i)
                 if tp is not None:
                     S[:, tp[0]] = S[:, frame + tp[1]]
-                if D_full is not None:
-                    D_full[:, ir.run_node_ids[i]] = S[:, frame : frame + n_t]
+                if D is not None:
+                    D[:, ir.run_node_ids[i]] = S[:, frame : frame + n_t]
         for lv in ir.post_levels:
-            contrib = S[:, lv.src] + eff_static[:, lv.ecol]
-            if lv.single:
-                S[:, lv.dst] = contrib
-            else:
-                S[:, lv.dst] = np.maximum.reduceat(contrib, lv.segs, axis=1)
-        if D_full is not None and ir.n_post:
-            D_full[:, ir.post_node_ids] = S[:, ir.post_base : ir.post_base + ir.n_post]
-        delays = np.zeros((R, self.nprocs), dtype=np.float64)
-        have = ir.final_pos >= 0
-        if have.any():
-            delays[:, have] = S[:, ir.final_pos[have]]
-        return delays, clamp
-
-    def _coarse_batch(self, spec: PerturbationSpec, seeds: list[int], mode: str):
-        """Coarse-path ``propagate_batch`` (None → caller goes flat)."""
-        pair = self._coarse_bind(spec.signature)
-        if pair is None:
-            return None
-        static_s, tmpl_s = pair
-        ir = self.coarse
-        R = len(seeds)
-        delays = np.empty((R, self.nprocs), dtype=np.float64)
-        clamped = np.empty(R, dtype=np.int64)
-        w_static = self.edge_weight[ir.static_eids]
-        step = max(1, min(R, 12_000_000 // max(1, ir.W + 4 * ir.n_te)))
-        for lo in range(0, R, step):
-            chunk = seeds[lo : lo + step]
-            Rc = len(chunk)
-            with obs.span("compiled.sample", replicates=Rc):
-                raw_s = static_s.sample_raw(chunk, spec.scale)
-            eff_s, nclamp = _apply_mode_w(raw_s, w_static, mode)
-
-            def tmpl_eff(j0, j1, _chunk=chunk):
-                with obs.span("compiled.sample", replicates=Rc):
-                    raw_t = tmpl_s.sample(_chunk, spec.scale, j0, j1)
-                w = self.edge_weight[ir.run_edge_ids[j0:j1]].reshape(-1)
-                return _apply_mode_w(raw_t, w, mode)
-
-            with obs.span("compiled.propagate", replicates=Rc, mode=mode, coarse=True):
-                d, cl = self._coarse_run(Rc, eff_s, tmpl_eff)
-                nclamp = nclamp + cl
-                obs.span_add("traversal.propagations", Rc)
-                if nclamp.any():
-                    obs.span_add("traversal.clamped_edges", int(nclamp.sum()))
-            delays[lo : lo + step] = d
-            clamped[lo : lo + step] = nclamp
-        return CompiledBatch(delays=delays, clamped=clamped, mode=mode)
-
-    def _coarse_presampled(
-        self, raw_base: np.ndarray, scales: list[float], mode: str
-    ) -> CompiledBatch:
-        """Coarse-path ``propagate_presampled_batch``: effective deltas
-        are gathered per region from the single pre-sampled row, so no
-        (R, n_edges) scratch is ever allocated."""
-        ir = self.coarse
-        scales_arr = np.asarray(scales, dtype=np.float64)
-        R = len(scales_arr)
-        with obs.span("compiled.propagate", replicates=R, mode=mode, coarse=True):
-            eff_s, nclamp = _apply_mode_w(
-                raw_base[ir.static_eids][None, :] * scales_arr[:, None],
-                self.edge_weight[ir.static_eids],
-                mode,
-            )
-
-            def tmpl_eff(j0, j1):
-                cols = ir.run_edge_ids[j0:j1].reshape(-1)
-                return _apply_mode_w(
-                    raw_base[cols][None, :] * scales_arr[:, None],
-                    self.edge_weight[cols],
-                    mode,
-                )
-
-            delays, cl = self._coarse_run(R, eff_s, tmpl_eff)
-            nclamp = nclamp + cl
-            obs.span_add("traversal.propagations", R)
-            if nclamp.any():
-                obs.span_add("traversal.clamped_edges", int(nclamp.sum()))
-        return CompiledBatch(delays=delays, clamped=nclamp, mode=mode)
+            level_step(S, eff_s, lv)
+        if D is not None:
+            D[:, ir.pre_node_ids] = S[:, : ir.n_pre]
+            D[:, ir.post_node_ids] = S[:, ir.post_base : ir.post_base + ir.n_post]
+        return Walk(_gather(S, ir.final_pos), clamped, D, E)
 
     # -- high-level entry points --------------------------------------------------
-    def _batch_size(self, replicates: int) -> int:
-        """Bound (R, n_nodes)+(R, n_edges) scratch to ~100 MB per batch."""
-        per_rep = max(1, self.n_nodes + 3 * self.n_edges)
-        return max(1, min(replicates, 12_000_000 // per_rep))
+    def _propagate(self, R: int, take: Take, mode: str, detail: bool = False) -> Walk:
+        """:meth:`walk` under the ``compiled.propagate`` span, counted
+        in ``traversal.propagations`` / ``traversal.clamped_edges``."""
+        coarse = self.coarse is not None
+        with obs.span("compiled.propagate", replicates=R, mode=mode, coarse=coarse):
+            out = self.walk(R, take, mode, detail=detail)
+            obs.span_add("traversal.propagations", R)
+            if out.clamped.any():
+                obs.span_add("traversal.clamped_edges", int(out.clamped.sum()))
+        return out
 
     def propagate_batch(
         self,
@@ -537,27 +487,22 @@ class CompiledPlan:
         scale=spec.scale)`` — the exact Monte-Carlo replicate schedule.
         ``seeds`` defaults to ``[spec.seed]``.
         """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         seeds = [spec.seed] if seeds is None else list(seeds)
-        if self._coarse_ready(spec.signature):
-            out = self._coarse_batch(spec, seeds, mode)
-            if out is not None:
-                return out
         R = len(seeds)
+        # Scratch per row: region-drawn rows need template-sized blocks,
+        # rows drawn up front every node and edge.
+        if self._coarse_bind(spec.signature) is not None:
+            per_row = self.coarse.W + 4 * self.coarse.n_te
+        else:
+            per_row = self.n_nodes + 3 * self.n_edges
+        step = max(1, min(R, SCRATCH_CELLS // max(1, per_row)))
         delays = np.empty((R, self.nprocs), dtype=np.float64)
         clamped = np.empty(R, dtype=np.int64)
-        step = self._batch_size(R)
         for lo in range(0, R, step):
             chunk = seeds[lo : lo + step]
-            raw = self.sample_raw_batch(spec.signature, chunk, spec.scale)
-            with obs.span("compiled.propagate", replicates=len(chunk), mode=mode):
-                eff, nclamp = self.apply_mode(raw, mode)
-                delays[lo : lo + step] = self.finals(self.kernel(eff))
-                clamped[lo : lo + step] = nclamp
-                obs.span_add("traversal.propagations", len(chunk))
-                if nclamp.any():
-                    obs.span_add("traversal.clamped_edges", int(nclamp.sum()))
+            out = self._propagate(len(chunk), self._take(spec.signature, chunk, spec.scale), mode)
+            delays[lo : lo + step] = out.delays
+            clamped[lo : lo + step] = out.clamped
         return CompiledBatch(delays=delays, clamped=clamped, mode=mode)
 
     def propagate_presampled_batch(
@@ -569,50 +514,26 @@ class CompiledPlan:
             raise ValueError(
                 f"raw_base has shape {np.shape(raw_base)}, expected length {self.n_edges}"
             )
-        if self.coarse is not None:
-            return self._coarse_presampled(raw_base, scales, mode)
-        raw = raw_base[None, :] * np.asarray(scales, dtype=np.float64)[:, None]
-        with obs.span("compiled.propagate", replicates=len(scales), mode=mode):
-            eff, nclamp = self.apply_mode(raw, mode)
-            delays = self.finals(self.kernel(eff))
-            obs.span_add("traversal.propagations", len(scales))
-            if nclamp.any():
-                obs.span_add("traversal.clamped_edges", int(nclamp.sum()))
-        return CompiledBatch(delays=delays, clamped=nclamp, mode=mode)
+        col = np.asarray(scales, dtype=np.float64)[:, None]
+        out = self._propagate(len(col), lambda cols, span: raw_base[cols][None, :] * col, mode)
+        return CompiledBatch(delays=out.delays, clamped=out.clamped, mode=mode)
 
     def propagate_one(self, spec: PerturbationSpec, mode: str = "additive") -> TraversalResult:
         """Drop-in ``propagate`` replacement (single spec/seed) with the
         in-core extras (node delays, edge deltas) populated."""
+        # Drawn before the walk allocates its node and edge rows, so the
+        # sampler's scratch and those rows are never resident together.
         raw = self.sample_raw_batch(spec.signature, [spec.seed], spec.scale)
-        with obs.span("compiled.propagate", replicates=1, mode=mode):
-            eff, nclamp = self.apply_mode(raw, mode)
-            if self.coarse is not None:
-                ir = self.coarse
-                D = np.zeros((1, self.n_nodes), dtype=np.float64)
-                self._coarse_run(
-                    1,
-                    eff[:, ir.static_eids],
-                    lambda j0, j1: (
-                        eff[:, ir.run_edge_ids[j0:j1].reshape(-1)],
-                        np.zeros(1, dtype=np.int64),
-                    ),
-                    D_full=D,
-                )
-            else:
-                D = self.kernel(eff)
-            delays = self.finals(D)[0]
-            have = self.final_node >= 0
-            times = np.where(have, self.final_t_local + delays, 0.0)
-            obs.span_add("traversal.propagations")
-            if nclamp[0]:
-                obs.span_add("traversal.clamped_edges", int(nclamp[0]))
+        out = self._propagate(1, lambda cols, span: raw[:, cols], mode, detail=True)
+        delays = out.delays[0]
+        times = np.where(self.final_node >= 0, self.final_t_local + delays, 0.0)
         return TraversalResult(
             final_delay=delays.tolist(),
             final_local_times=times.tolist(),
             mode=mode,
-            clamped_edges=int(nclamp[0]),
-            node_delay=D[0].tolist(),
-            edge_delta=eff[0].tolist(),
+            clamped_edges=int(out.clamped[0]),
+            node_delay=out.node_delay[0].tolist(),
+            edge_delta=out.edge_delta[0].tolist(),
         )
 
 

@@ -18,7 +18,7 @@ from repro.trace.events import (
     ROOTED_COLLECTIVES,
     TraceMeta,
 )
-from repro.trace.reader import MemoryTrace, RankStream, TraceReader, TraceSet, find_trace_files
+from repro.trace.reader import MemoryTrace, TraceReader, TraceSet, find_trace_files
 from repro.trace.writer import TraceSetWriter, TraceWriter, rank_filename
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ROOTED_COLLECTIVES",
     "TraceMeta",
     "MemoryTrace",
-    "RankStream",
     "TraceReader",
     "TraceSet",
     "find_trace_files",

@@ -2,11 +2,9 @@
 
 The analyzer streams traces instead of loading them in core (§1
 difference (3); §6 "windowed approach").  :class:`TraceReader` yields
-one rank's events lazily from disk; :class:`RankStream` wraps any event
-iterator with one-event lookahead (the matching algorithm of §4.1 needs
-``peek``); :class:`TraceSet` opens the per-rank files written by
-:class:`repro.trace.writer.TraceSetWriter` and checks they form a
-coherent run.
+one rank's events lazily from disk; :class:`TraceSet` opens the
+per-rank files written by :class:`repro.trace.writer.TraceSetWriter`
+and checks they form a coherent run.
 
 An in-memory variant (:class:`MemoryTrace`) backs tests and
 property-based generators without touching disk.
@@ -18,7 +16,7 @@ import glob
 import re
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from repro import obs
 from repro.trace import format as fmt
@@ -26,7 +24,6 @@ from repro.trace.events import EventRecord, TraceMeta
 
 __all__ = [
     "TraceReader",
-    "RankStream",
     "TraceSet",
     "MemoryTrace",
     "TraceSource",
@@ -46,8 +43,6 @@ class TraceSource(Protocol):
     nprocs: int
 
     def meta(self, rank: int) -> TraceMeta: ...
-
-    def streams(self) -> "list[RankStream]": ...
 
     def events_of(self, rank: int) -> Iterator[EventRecord]: ...
 
@@ -158,46 +153,6 @@ class TraceReader:
         return self.events()
 
 
-class RankStream:
-    """One-event-lookahead cursor over a rank's event sequence.
-
-    The order-based matcher repeatedly asks "what is the next unmatched
-    event on rank r?" — ``peek``/``advance`` is exactly that interface.
-    """
-
-    def __init__(self, rank: int, events: Iterable[EventRecord]):
-        self.rank = rank
-        self._it = iter(events)
-        self._head: EventRecord | None = None
-        self._exhausted = False
-        self.consumed = 0
-        self._pull()
-
-    def _pull(self) -> None:
-        try:
-            self._head = next(self._it)
-        except StopIteration:
-            self._head = None
-            self._exhausted = True
-
-    def peek(self) -> EventRecord | None:
-        """Next event without consuming it (``None`` at end of trace)."""
-        return self._head
-
-    def advance(self) -> EventRecord:
-        """Consume and return the next event."""
-        if self._head is None:
-            raise StopIteration(f"rank {self.rank} trace exhausted")
-        ev = self._head
-        self._pull()
-        self.consumed += 1
-        return ev
-
-    @property
-    def exhausted(self) -> bool:
-        return self._head is None
-
-
 class TraceSet:
     """The per-rank trace files of one complete run."""
 
@@ -222,10 +177,6 @@ class TraceSet:
 
     def meta(self, rank: int) -> TraceMeta:
         return self.readers[rank].meta
-
-    def streams(self) -> list[RankStream]:
-        """Fresh lookahead cursors, one per rank."""
-        return [RankStream(r.meta.rank, r.events()) for r in self.readers]
 
     def events_of(self, rank: int) -> Iterator[EventRecord]:
         return self.readers[rank].events()
@@ -273,9 +224,6 @@ class MemoryTrace:
 
     def meta(self, rank: int) -> TraceMeta:
         return self._metas[rank]
-
-    def streams(self) -> list[RankStream]:
-        return [RankStream(r, iter(evs)) for r, evs in enumerate(self._events)]
 
     def events_of(self, rank: int) -> Iterator[EventRecord]:
         return iter(self._events[rank])

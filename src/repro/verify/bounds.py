@@ -17,19 +17,18 @@ Soundness argument, end to end:
    edge with sums and nonnegative integer multiplicities only
    (:meth:`~repro.core.perturb.PerturbationSpec.sample`), then scales —
    all interval-monotone, mirrored exactly by :func:`edge_intervals`.
-3. The mode transfer (:func:`repro.core.compiled._apply_mode_w`) and
-   the level-schedule kernel use only ``+``/``max``/floor-clamps, which
-   are monotone in IEEE float arithmetic.  Propagating the ``lo`` and
-   ``hi`` rows through the *same* kernel a replicate would take
-   therefore brackets every replicate's per-rank delay exactly — no
-   epsilon, no tolerance.
+3. :meth:`CompiledPlan.walk <repro.core.compiled.CompiledPlan.walk>`
+   — the one pass every replicate takes — applies the mode transfer and
+   the level steps with only ``+``/``max``/floor-clamps, which are
+   monotone in IEEE float arithmetic.  Walking the ``lo`` and ``hi``
+   rows through it therefore brackets every replicate's per-rank delay
+   exactly — no epsilon, no tolerance.
 
-When the plan carries a :class:`~repro.core.coarsen.CoarseIR` the
-interval rows run through :meth:`CompiledPlan._coarse_run` — the phase-
-template walk whose contract is "any execution order yields the flat
-engine's exact floats" — so bounds are bit-identical on coarse and
-flat plans by construction, and million-event stress traces
-verify in seconds instead of walking a million flat levels.
+The walk takes the phase-template schedule when the plan carries a
+:class:`~repro.core.coarsen.CoarseIR` and the flat level schedule
+otherwise, with the same floats either way, so bounds are
+bit-identical on coarse and flat plans, and million-event stress
+traces verify in seconds instead of walking a million flat levels.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.core.compiled import CompiledPlan, _apply_mode_w
+from repro.core.compiled import CompiledPlan
 from repro.core.graph import DeltaKind
-from repro.core.traversal import MODES
 from repro.noise.signature import MachineSignature
 from repro.verify.intervals import DEFAULT_QUANTILE, Interval, support_interval
 
@@ -285,33 +283,17 @@ def makespan_bounds(
     mode: str = "additive",
     quantile: float = DEFAULT_QUANTILE,
 ) -> MakespanBounds:
-    """Propagate the lo/hi interval rows through the compiled schedule.
+    """Walk the lo/hi interval rows through the compiled plan.
 
-    Takes the coarse phase-template walk when the plan has one (bit-
-    identical to the flat kernel by the ``_coarse_run`` contract), the
-    flat level schedule otherwise — so the resulting floats do not
-    depend on the ``coarsen`` setting at all.
+    :meth:`CompiledPlan.walk` takes the coarse phase-template walk when
+    the plan has one and the flat level schedule otherwise, with the
+    same floats — so the bounds do not depend on the ``coarsen``
+    setting at all.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     with obs.span("verify.bounds", edges=plan.n_edges, quantile=quantile):
         iv = edge_intervals(plan, signature, scale=scale, quantile=quantile)
         raw2 = np.vstack([iv.lo, iv.hi])
-        coarse = plan.coarse is not None
-        if coarse:
-            ir = plan.coarse
-            eff_s, _ = _apply_mode_w(
-                raw2[:, ir.static_eids], plan.edge_weight[ir.static_eids], mode
-            )
-
-            def tmpl_eff(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-                cols = ir.run_edge_ids[j0:j1].reshape(-1)
-                return _apply_mode_w(raw2[:, cols], plan.edge_weight[cols], mode)
-
-            delays, _ = plan._coarse_run(2, eff_s, tmpl_eff)
-        else:
-            eff, _ = plan.apply_mode(raw2, mode)
-            delays = plan.finals(plan.kernel(eff))
+        delays = plan.walk(2, lambda cols, span: raw2[:, cols], mode).delays
         return MakespanBounds(
             rank_lo=delays[0].copy(),
             rank_hi=delays[1].copy(),
@@ -320,5 +302,5 @@ def makespan_bounds(
             sampled_edges=int(len(plan.sampled_ids)),
             scale=scale,
             mode=mode,
-            coarse=coarse,
+            coarse=plan.coarse is not None,
         )

@@ -102,10 +102,10 @@ def plan_hash(plan) -> str:
     h = hashlib.sha256()
     h.update(f"{plan.nprocs}:{plan.n_nodes}:{plan.n_edges}:{len(plan.levels)}\n".encode())
     for i, lv in enumerate(plan.levels):
-        for name in ("nodes", "src", "eid", "segs"):
-            _arr(h, f"L{i}.{name}", getattr(lv, name))
+        for label, name in (("nodes", "dst"), ("src", "src"), ("eid", "ecol"), ("segs", "segs")):
+            _arr(h, f"L{i}.{label}", getattr(lv, name))
         # Per-node in-edge counts; the level keeps only the ``segs`` offsets.
-        _arr(h, f"L{i}.sizes", np.diff(lv.segs, append=len(lv.eid)))
+        _arr(h, f"L{i}.sizes", np.diff(lv.segs, append=len(lv.ecol)))
         h.update(f"L{i}.single={bool(lv.single)}\n".encode())
     for name in ("uid_mat", "uid_len", "uid_kind", "final_node", "final_t_local"):
         _arr(h, name, getattr(plan, name))

@@ -132,6 +132,23 @@ def test_presampled_batch_matches_flat(app_builds):
         assert np.array_equal(pc.clamped, pf.clamped), mode
 
 
+@pytest.mark.parametrize("coarsen", ["on", "off"])
+def test_unknown_mode_is_refused_on_every_plan(app_builds, coarsen):
+    # The coarse walk once applied any unknown mode as additive; both
+    # plans must refuse it on every entry point.
+    _, build = app_builds["stencil1d"]
+    plan = CompiledPlan(build, coarsen=coarsen)
+    assert (plan.coarse is not None) == (coarsen == "on")
+    spec = PerturbationSpec(SIGNATURES["expo"], seed=11)
+    raw = plan.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
+    with pytest.raises(ValueError, match="mode"):
+        plan.propagate_presampled_batch(raw, [1.0], mode="bogus")
+    with pytest.raises(ValueError, match="mode"):
+        plan.propagate_batch(spec, seeds=[1, 2], mode="bogus")
+    with pytest.raises(ValueError, match="mode"):
+        plan.propagate_one(spec, mode="bogus")
+
+
 def test_quantum_signature_takes_flat_path_with_identical_results(app_builds):
     _, build = app_builds["stencil1d"]
     coarse = CompiledPlan(build, coarsen="on")
@@ -360,17 +377,18 @@ class TestPlanCache:
         other = build_graph(other_trace)
         assert load_plan(store, other, "on") is None
 
-    def test_previous_schema_blob_is_a_miss(self, app_builds, tmp_path):
-        """A blob cached under the previous plan layout (no delta columns,
-        schema ``repro-plan-cache/1``) reads as corrupt and is recompiled
-        — never handed out to fail on first use."""
+    @pytest.mark.parametrize("schema", ["repro-plan-cache/1", "repro-plan-cache/3"])
+    def test_previous_schema_blob_is_a_miss(self, app_builds, tmp_path, schema):
+        """A blob cached under a previous plan layout (``/1``: no delta
+        columns; ``/3``: class-based level records) reads as corrupt and
+        is recompiled — never handed out to fail on first use."""
         store = CheckpointStore(tmp_path)
         build = self._fresh_build(app_builds)
         old = CompiledPlan(build, coarsen="on")
         for name in ("delta_rank", "delta_src", "delta_dst", "delta_rounds"):
             delattr(old, name)
         blob = {
-            "schema": "repro-plan-cache/1",
+            "schema": schema,
             "digest": build_digest(build),
             "numpy": np.__version__,
             "coarsen": "on",

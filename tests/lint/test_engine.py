@@ -174,9 +174,6 @@ class OneRankAtATime:
         self.reads.append(rank)
         return self._trace.events_of(rank)
 
-    def streams(self):
-        raise AssertionError("the trace pack streamed every rank at once")
-
     def load_all(self):
         raise AssertionError("the trace pack loaded every rank at once")
 

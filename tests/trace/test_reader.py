@@ -5,7 +5,6 @@ import pytest
 from repro.trace.events import EventKind, EventRecord, TraceMeta
 from repro.trace.reader import (
     MemoryTrace,
-    RankStream,
     TraceReader,
     TraceSet,
     find_trace_files,
@@ -53,31 +52,6 @@ class TestTraceReader:
         assert len(list(reader.events())) == 3
 
 
-class TestRankStream:
-    def test_peek_does_not_consume(self):
-        events = make_events(0, 3)
-        s = RankStream(0, iter(events))
-        assert s.peek() is events[0]
-        assert s.peek() is events[0]
-        assert s.consumed == 0
-
-    def test_advance(self):
-        events = make_events(0, 2)
-        s = RankStream(0, iter(events))
-        assert s.advance() is events[0]
-        assert s.peek() is events[1]
-        assert s.advance() is events[1]
-        assert s.peek() is None
-        assert s.exhausted
-        assert s.consumed == 2
-
-    def test_advance_past_end_raises(self):
-        s = RankStream(0, iter([]))
-        assert s.exhausted
-        with pytest.raises(StopIteration):
-            s.advance()
-
-
 class TestTraceSet:
     def test_open_by_stem(self, tmp_path):
         write_set(tmp_path, "app", 3)
@@ -89,13 +63,6 @@ class TestTraceSet:
         write_set(tmp_path, "b", 2, binary=True)
         ts = TraceSet.open(tmp_path, "b")
         assert ts.nprocs == 2
-
-    def test_streams(self, tmp_path):
-        write_set(tmp_path, "app", 2)
-        ts = TraceSet.open(tmp_path, "app")
-        streams = ts.streams()
-        assert [s.rank for s in streams] == [0, 1]
-        assert streams[0].peek().rank == 0
 
     def test_load_all(self, tmp_path):
         write_set(tmp_path, "app", 2, per_rank=3)
