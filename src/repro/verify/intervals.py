@@ -17,7 +17,11 @@ Quantile formulas mirror the *samplers* in
 :mod:`repro.noise.distributions`, not just the textbook family — e.g.
 :class:`~repro.noise.distributions.TruncatedNormal` draws by inverse
 CDF restricted to the surviving tail mass, so its quantile-bounded hi
-is ``ppf(cdf(alpha) + q * (1 - cdf(alpha)))``.
+is ``ppf(cdf(alpha) + q * (1 - cdf(alpha)))``.  The Normal-family and
+Gamma quantiles come from :mod:`scipy.special` (``ndtri``, ``ndtr``,
+``gammaincinv``), the same functions :mod:`scipy.stats` evaluates for
+them, so the bounds are the same floats without importing
+:mod:`scipy.stats`.
 """
 
 from __future__ import annotations
@@ -136,29 +140,29 @@ def support_interval(dist: RandomVariable, q: float = DEFAULT_QUANTILE) -> Inter
     if isinstance(dist, Normal):
         if dist.sigma == 0.0:
             return Interval(dist.mu, dist.mu)
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        z = float(norm.ppf(q))
+        z = float(ndtri(q))
         return Interval(dist.mu - dist.sigma * z, dist.mu + dist.sigma * z, lo_q=True, hi_q=True)
     if isinstance(dist, TruncatedNormal):
-        from scipy.stats import norm
+        from scipy.special import ndtr, ndtri
 
         a = (dist.lower - dist.mu) / dist.sigma
-        lo_mass = float(norm.cdf(a))
+        lo_mass = float(ndtr(a))
         # Sampler: u ~ Uniform(cdf(a), 1); x = mu + sigma * ppf(u).
-        hi = dist.mu + dist.sigma * float(norm.ppf(lo_mass + q * (1.0 - lo_mass)))
+        hi = dist.mu + dist.sigma * float(ndtri(lo_mass + q * (1.0 - lo_mass)))
         return Interval(dist.lower, hi, hi_q=True)
     if isinstance(dist, LogNormal):
         if dist.sigma == 0.0:
             v = math.exp(dist.mu)
             return Interval(v, v)
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        return Interval(0.0, math.exp(dist.mu + dist.sigma * float(norm.ppf(q))), hi_q=True)
+        return Interval(0.0, math.exp(dist.mu + dist.sigma * float(ndtri(q))), hi_q=True)
     if isinstance(dist, Gamma):
-        from scipy.stats import gamma as gamma_dist
+        from scipy.special import gammaincinv
 
-        return Interval(0.0, float(gamma_dist.ppf(q, dist.shape, scale=dist.scale)), hi_q=True)
+        return Interval(0.0, float(gammaincinv(dist.shape, q)) * dist.scale, hi_q=True)
     if isinstance(dist, Weibull):
         # ppf(q) = scale * (-log(1 - q)) ** (1/shape)
         return Interval(0.0, dist.scale * (-math.log1p(-q)) ** (1.0 / dist.shape), hi_q=True)

@@ -16,7 +16,8 @@ a happens-before (HB) order over all events via vector clocks:
 * collectives as synchronization points: everything before any member's
   call happens-before everything after every member's call.
 
-``hb(a, b)`` is then an O(1) clock lookup.  HB derived this way
+``a`` happens-before ``b`` iff ``a != b`` and ``VC[b][a.rank] >
+a.seq``, one clock lookup.  HB derived this way
 under-approximates the true ordering (it only uses orderings every
 legal execution must respect), so "no HB edge" over-approximates
 concurrency: a reported race can at worst be infeasible for a subtler
@@ -39,6 +40,18 @@ A sender ``s`` is a *swap-closable alternative* for wildcard receive
 When instead ``r1`` could steal ``s`` but ``s``'s actual receive ``r2``
 cannot accept ``m1`` and has no other feasible sender, the swapped
 execution blocks ``r2`` forever: a deadlock-potential chain.
+
+The tests run as numpy masks, not one Python call per (receive, send)
+pair.  For each rank that posts a wildcard receive, its incoming sends
+are lowered once into columns (:class:`_SendColumns`): sender rank,
+tag, payload size, clock row, and the posted signature and completion
+point of the receive ``r2`` that took each send.  One mask over those
+columns then gives a wildcard receive's candidates, two more over the
+candidates give swap-closability and divergence, and the deadlock
+branch runs the same feasibility mask for ``r2``.  The cost is one
+mask per wildcard receive over its rank's sends; no (receive × send)
+matrix is ever allocated.  The pairwise form is kept as a test oracle
+in ``tests/verify/matchref.py``.
 """
 
 from __future__ import annotations
@@ -116,34 +129,34 @@ class MatchAnalysis:
 
 _RECV_KINDS = frozenset({EventKind.RECV, EventKind.IRECV, EventKind.SENDRECV})
 
+Signature = tuple[int, bool, int, bool]
 
-def _recv_signature(ev: EventRecord) -> tuple[int | None, int | None]:
-    """The *posted* (source, tag) of a receive; None = wildcard."""
+
+def _recv_signature(ev: EventRecord) -> Signature:
+    """The *posted* (source, source is wildcard, tag, tag is wildcard)
+    of a receive.  The flags are separate so that no tag value doubles
+    as a wildcard."""
     if ev.kind == EventKind.SENDRECV:
-        return (
-            None if ev.src_any else ev.recv_peer,
-            None if ev.tag_any else ev.recv_tag,
-        )
-    return (None if ev.src_any else ev.peer, None if ev.tag_any else ev.tag)
-
-
-def _send_meta(ev: EventRecord) -> tuple[int, int, int]:
-    """(dest, tag, nbytes) of a send-side event (send half of SENDRECV)."""
-    return ev.peer, ev.tag, ev.nbytes
-
-
-def _compat(recv_ev: EventRecord, send_ev: EventRecord) -> bool:
-    src, tag = _recv_signature(recv_ev)
-    _, s_tag, _ = _send_meta(send_ev)
-    return (src is None or src == send_ev.rank) and (tag is None or tag == s_tag)
+        return ev.recv_peer, ev.src_any, ev.recv_tag, ev.tag_any
+    return ev.peer, ev.src_any, ev.tag, ev.tag_any
 
 
 class _HappensBefore:
-    """Vector clocks over all events; ``hb(a, b)`` in O(1).
+    """Vector clocks over all events.
 
     ``VC[e][k]`` is the number of rank-``k`` events in ``e``'s causal
-    past (including ``e`` itself for ``k == e.rank``), so
-    ``hb(a, b) == VC[b][a.rank] > a.seq`` for ``a != b``.
+    past (including ``e`` itself for ``k == e.rank``), so ``a``
+    happens-before ``b`` iff ``a != b`` and ``VC[b][a.rank] > a.seq``:
+    ``a`` precedes ``b`` in every legal execution consistent with the
+    recorded orderings.
+
+    The clocks are filled rank by rank.  An event with no cross edge
+    (no entry in ``preds``) only inherits its program predecessor's
+    clock, so a run of such events is one slice assignment.  A rank
+    stops at an event with a cross predecessor that is not filled yet
+    and waits on that predecessor's rank; it is resumed once that rank
+    has filled past it.  Ranks still waiting when none can run mean the
+    edges form a cycle.
     """
 
     def __init__(
@@ -153,51 +166,53 @@ class _HappensBefore:
         self._base = [0] * (self.nprocs + 1)
         for r, evs in enumerate(events):
             self._base[r + 1] = self._base[r] + len(evs)
-        n = self._base[-1]
-        self.vc = np.zeros((n, self.nprocs), dtype=np.int64)
-        # Kahn over program order + cross edges.
-        indeg = np.zeros(n, dtype=np.int64)
-        succs: dict[int, list[int]] = {}
-        for r, evs in enumerate(events):
-            for ev in evs:
-                i = self.index(ev.key)
-                if ev.seq > 0:
-                    indeg[i] += 1
-                    succs.setdefault(self.index((r, ev.seq - 1)), []).append(i)
-                for p in preds.get(ev.key, ()):
-                    indeg[i] += 1
-                    succs.setdefault(self.index(p), []).append(i)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        done = 0
-        flat = [ev for evs in events for ev in evs]
+        self.vc = vc = np.zeros((self._base[-1], self.nprocs), dtype=np.int64)
+        lengths = [len(evs) for evs in events]
+        # Per rank, the seqs that have cross predecessors, last first.
+        joins: list[list[int]] = [[] for _ in events]
+        for r, seq in preds:
+            joins[r].append(seq)
+        for seqs in joins:
+            seqs.sort(reverse=True)
+        filled = [0] * self.nprocs  # per rank: seqs below this are filled
+        waiting: list[list[Key]] = [[] for _ in events]  # rank -> (seq, waiter)
+        ready = list(range(self.nprocs))
         while ready:
-            i = ready.pop()
-            done += 1
-            ev = flat[i]
-            vc = self.vc[i]
-            if ev.seq > 0:
-                np.maximum(vc, self.vc[self.index((ev.rank, ev.seq - 1))], out=vc)
-            for p in preds.get(ev.key, ()):
-                np.maximum(vc, self.vc[self.index(p)], out=vc)
-            vc[ev.rank] = ev.seq + 1
-            for j in succs.get(i, ()):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if done != n:
+            r = ready.pop()
+            base, seq, seqs = self._base[r], filled[r], joins[r]
+            while seq < lengths[r]:
+                if seqs and seqs[-1] == seq:
+                    sources = preds[(r, seq)]
+                    late = [(k, q) for k, q in sources if q >= filled[k]]
+                    if late:
+                        k, q = late[0]
+                        waiting[k].append((q, r))
+                        break
+                    row = vc[base + seq]
+                    if seq > 0:
+                        row[:] = vc[base + seq - 1]
+                    for k, q in sources:
+                        np.maximum(row, vc[self._base[k] + q], out=row)
+                    row[r] = seq + 1
+                    seqs.pop()
+                    end = seq + 1
+                else:
+                    end = seqs[-1] if seqs else lengths[r]
+                    run = vc[base + seq : base + end]
+                    if seq > 0:
+                        run[:] = vc[base + seq - 1]
+                    run[:, r] = np.arange(seq + 1, end + 1)
+                filled[r] = seq = end
+            if waiting[r]:
+                ready.extend(w for q, w in waiting[r] if q < seq)
+                waiting[r] = [(q, w) for q, w in waiting[r] if q >= seq]
+        if filled != lengths:
             raise ValueError(
                 "happens-before graph has a cycle — trace and matching are inconsistent"
             )
 
     def index(self, key: Key) -> int:
         return self._base[key[0]] + key[1]
-
-    def hb(self, a: Key, b: Key) -> bool:
-        """Strict happens-before: ``a`` precedes ``b`` in every legal
-        execution consistent with the recorded orderings."""
-        if a == b:
-            return False
-        return bool(self.vc[self.index(b)][a[0]] > a[1])
 
 
 def _completion_key(ev: EventRecord, completion_of: dict) -> Key:
@@ -233,110 +248,175 @@ def _collective_preds(
                     preds.setdefault(nxt, []).append(a)
 
 
+def _happens_before(build: BuildResult) -> _HappensBefore:
+    """The clocks of program order, matched transfers and collectives."""
+    events = build.events
+    match = build.match
+    preds: dict[Key, list[Key]] = {}
+    # Matched send -> receive completion point.  A SENDRECV event is
+    # both a send posting and a receive completion; treating it as
+    # atomic would turn two mutually exchanging SENDRECVs into a
+    # false HB cycle, so a SENDRECV sender's edge originates from
+    # its program predecessor (the posting happens on entry, after
+    # everything the rank did before — but not after the event's own
+    # receive half completes).
+    for skey, rkey in match.transfer_of.items():
+        rev = events[rkey[0]][rkey[1]]
+        sev = events[skey[0]][skey[1]]
+        if sev.kind == EventKind.SENDRECV:
+            if skey[1] == 0:
+                continue
+            src = (skey[0], skey[1] - 1)
+        else:
+            src = skey
+        preds.setdefault(_completion_key(rev, match.completion_of), []).append(src)
+    _collective_preds(build, preds)
+    return _HappensBefore(events, preds)
+
+
+class _SendColumns:
+    """Every matched send to one destination rank, lowered to arrays.
+
+    Positions follow ``match.transfer_of`` order, which fixes the order
+    of a race's alternatives.  Besides each send's rank, tag, payload
+    size and clock row, the columns carry the receive ``r2`` that
+    actually took the send: its posted signature and its completion
+    point.
+    """
+
+    def __init__(self, keys: list[Key], build: BuildResult, hb: _HappensBefore) -> None:
+        events = build.events
+        match = build.match
+        self.keys = keys
+        self.position = {k: i for i, k in enumerate(keys)}
+        sends = [events[r][q] for r, q in keys]
+        self.rank = np.array([s.rank for s in sends], dtype=np.int64)
+        self.tag = np.array([s.tag for s in sends], dtype=np.int64)
+        self.nbytes = np.array([s.nbytes for s in sends], dtype=np.int64)
+        self.row = np.array([hb.index(k) for k in keys], dtype=np.int64)
+        self.r2 = [match.transfer_of[k] for k in keys]
+        takers = [events[r][q] for r, q in self.r2]
+        posted = [_recv_signature(ev) for ev in takers]
+        self.r2_src = np.array([sig[0] for sig in posted], dtype=np.int64)
+        self.r2_src_any = np.array([sig[1] for sig in posted], dtype=bool)
+        self.r2_tag = np.array([sig[2] for sig in posted], dtype=np.int64)
+        self.r2_tag_any = np.array([sig[3] for sig in posted], dtype=bool)
+        done = [_completion_key(ev, match.completion_of) for ev in takers]
+        self.r2c_rank = np.array([c[0] for c in done], dtype=np.int64)
+        self.r2c_seq = np.array([c[1] for c in done], dtype=np.int64)
+        self._vc = hb.vc
+        self._clock: dict[int, np.ndarray] = {}
+
+    def feasible(self, sig: Signature, completion: Key) -> np.ndarray:
+        """Mask of the sends a receive posted as ``sig`` and completing
+        at ``completion`` could legally have matched: compatible with
+        ``sig``, and not after ``completion`` in happens-before."""
+        c_rank, c_seq = completion
+        clock = self._clock.get(c_rank)
+        if clock is None:
+            clock = self._clock[c_rank] = self._vc[self.row, c_rank]
+        ok = clock <= c_seq
+        j = self.position.get(completion)
+        if j is not None:
+            ok[j] = True  # an event does not happen-before itself
+        src, src_any, tag, tag_any = sig
+        if not src_any:
+            ok &= self.rank == src
+        if not tag_any:
+            ok &= self.tag == tag
+        return ok
+
+
 def analyze_matches(build: BuildResult) -> MatchAnalysis:
     """Run the full analysis over a build's trace + match results."""
     events = build.events
     match = build.match
     with obs.span("verify.matches", events=sum(len(e) for e in events)):
-        preds: dict[Key, list[Key]] = {}
-        # Matched send -> receive completion point.  A SENDRECV event is
-        # both a send posting and a receive completion; treating it as
-        # atomic would turn two mutually exchanging SENDRECVs into a
-        # false HB cycle, so a SENDRECV sender's edge originates from
-        # its program predecessor (the posting happens on entry, after
-        # everything the rank did before — but not after the event's own
-        # receive half completes).
-        for skey, rkey in match.transfer_of.items():
-            rev = events[rkey[0]][rkey[1]]
-            sev = events[skey[0]][skey[1]]
-            if sev.kind == EventKind.SENDRECV:
-                if skey[1] == 0:
-                    continue
-                src = (skey[0], skey[1] - 1)
-            else:
-                src = skey
-            preds.setdefault(_completion_key(rev, match.completion_of), []).append(src)
-        _collective_preds(build, preds)
-        hb = _HappensBefore(events, preds)
-
-        # Send events grouped by destination rank.
+        hb = _happens_before(build)
+        wildcards = [
+            ev
+            for evs in events
+            for ev in evs
+            if ev.kind in _RECV_KINDS and (ev.src_any or ev.tag_any)
+        ]
         sends_to: dict[int, list[Key]] = {}
-        for skey in match.transfer_of:
-            dest, _, _ = _send_meta(events[skey[0]][skey[1]])
-            sends_to.setdefault(dest, []).append(skey)
+        if any(ev.key in match.reverse_transfer_of for ev in wildcards):
+            for skey in match.transfer_of:
+                sends_to.setdefault(events[skey[0]][skey[1]].peer, []).append(skey)
+        lowered: dict[int, _SendColumns] = {}
 
-        def recv_completion(key: Key) -> Key:
-            return _completion_key(events[key[0]][key[1]], match.completion_of)
+        def columns(rank: int) -> _SendColumns:
+            cols = lowered.get(rank)
+            if cols is None:
+                cols = lowered[rank] = _SendColumns(sends_to.get(rank, []), build, hb)
+            return cols
 
-        def feasible_senders(rkey: Key) -> list[Key]:
-            """Senders ``r`` could legally have matched (HB-pruned)."""
-            rev = events[rkey[0]][rkey[1]]
-            r_c = recv_completion(rkey)
-            out = []
-            for skey in sends_to.get(rkey[0], ()):
-                sev = events[skey[0]][skey[1]]
-                if _compat(rev, sev) and not hb.hb(r_c, skey):
-                    out.append(skey)
-            return out
+        feasible_of: dict[Key, np.ndarray] = {}
+
+        def feasible_senders(rkey: Key) -> np.ndarray:
+            """Positions, in its rank's columns, of the senders ``rkey``
+            could legally have matched."""
+            got = feasible_of.get(rkey)
+            if got is None:
+                rev = events[rkey[0]][rkey[1]]
+                mask = columns(rkey[0]).feasible(
+                    _recv_signature(rev), _completion_key(rev, match.completion_of)
+                )
+                got = feasible_of[rkey] = np.flatnonzero(mask)
+            return got
 
         races: list[MatchRace] = []
         deadlocks: list[DeadlockChain] = []
-        n_wild = 0
-        for rank_events in events:
-            for r1 in rank_events:
-                if r1.kind not in _RECV_KINDS or not (r1.src_any or r1.tag_any):
-                    continue
-                n_wild += 1
-                m1key = match.reverse_transfer_of.get(r1.key)
-                if m1key is None:
-                    continue  # never resolved; nothing to compare against
-                m1 = events[m1key[0]][m1key[1]]
-                r1_c = recv_completion(r1.key)
-                alternatives: list[Key] = []
-                divergent: list[Key] = []
-                for skey in sends_to.get(r1.rank, ()):
-                    if skey == m1key:
-                        continue
-                    sev = events[skey[0]][skey[1]]
-                    if sev.rank == m1.rank:
-                        continue  # non-overtaking: same-source order is fixed
-                    if not _compat(r1, sev) or hb.hb(r1_c, skey):
-                        continue
-                    r2key = match.transfer_of[skey]
-                    r2 = events[r2key[0]][r2key[1]]
-                    if _compat(r2, m1) and not hb.hb(recv_completion(r2key), m1key):
-                        # Swap-closable: r1 takes s, r2 takes m1.
-                        alternatives.append(skey)
-                        _, s_tag, s_nbytes = _send_meta(sev)
-                        _, m_tag, m_nbytes = _send_meta(m1)
-                        if s_tag != m_tag or s_nbytes != m_nbytes:
-                            divergent.append(skey)
-                    elif not _compat(r2, m1):
-                        # r1 could steal s, but s's receive cannot take m1:
-                        # does r2 have any other feasible sender left?
-                        others = [k for k in feasible_senders(r2key) if k != skey]
-                        if not others:
-                            deadlocks.append(
-                                DeadlockChain(
-                                    recv=r1.key, matched=m1key, stolen=skey, starved=r2key
-                                )
-                            )
-                if alternatives:
-                    races.append(
-                        MatchRace(
-                            recv=r1.key,
-                            matched=m1key,
-                            alternatives=tuple(alternatives),
-                            divergent=tuple(divergent),
-                        )
+        for r1 in wildcards:
+            m1key = match.reverse_transfer_of.get(r1.key)
+            if m1key is None:
+                continue  # never resolved; nothing to compare against
+            m1 = events[m1key[0]][m1key[1]]
+            cols = columns(r1.rank)
+            # Non-overtaking: same-source order is fixed, so no send from
+            # m1's rank (m1 included) is an alternative.
+            mask = cols.feasible(_recv_signature(r1), _completion_key(r1, match.completion_of))
+            mask &= cols.rank != m1.rank
+            cand = np.flatnonzero(mask)
+            if not cand.size:
+                continue
+            # Could s's receive r2 take m1 instead?  Compatible, and r2's
+            # completion c2 does not happen-before m1 (c2 == m1 does not).
+            takes_m1 = (cols.r2_src_any[cand] | (cols.r2_src[cand] == m1.rank)) & (
+                cols.r2_tag_any[cand] | (cols.r2_tag[cand] == m1.tag)
+            )
+            c2_rank, c2_seq = cols.r2c_rank[cand], cols.r2c_seq[cand]
+            before_m1 = (hb.vc[hb.index(m1key)][c2_rank] > c2_seq) & (
+                (c2_rank != m1.rank) | (c2_seq != m1.seq)
+            )
+            alt = cand[takes_m1 & ~before_m1]
+            if alt.size:
+                # Swap-closable: r1 takes s, r2 takes m1.
+                div = alt[(cols.tag[alt] != m1.tag) | (cols.nbytes[alt] != m1.nbytes)]
+                races.append(
+                    MatchRace(
+                        recv=r1.key,
+                        matched=m1key,
+                        alternatives=tuple(cols.keys[i] for i in alt.tolist()),
+                        divergent=tuple(cols.keys[i] for i in div.tolist()),
+                    )
+                )
+            for i in cand[~takes_m1].tolist():
+                # r1 could steal s, but s's receive cannot take m1: does
+                # r2 have any other feasible sender left?
+                skey, r2key = cols.keys[i], cols.r2[i]
+                left = feasible_senders(r2key)
+                if not left.size or (left.size == 1 and columns(r2key[0]).keys[left[0]] == skey):
+                    deadlocks.append(
+                        DeadlockChain(recv=r1.key, matched=m1key, stolen=skey, starved=r2key)
                     )
         analysis = MatchAnalysis(
             events=sum(len(e) for e in events),
-            wildcard_receives=n_wild,
+            wildcard_receives=len(wildcards),
             races=tuple(races),
             deadlocks=tuple(deadlocks),
         )
-        obs.span_add("verify.wildcards", n_wild)
+        obs.span_add("verify.wildcards", len(wildcards))
         if races:
             obs.span_add("verify.races", len(races))
         if deadlocks:

@@ -103,10 +103,7 @@ def bounds_containment(ctx: "VerifyContext", config: LintConfig) -> Iterator[Fin
     if violations:
         return  # MPG303 carries the failure
     r = bounds_containment
-    yield r.finding(
-        f"all {checked} Monte-Carlo replicates contained in the certified "
-        "bounds (engine auto)"
-    )
+    yield r.finding(f"all {checked} Monte-Carlo replicates contained in the certified bounds")
 
 
 @rule(

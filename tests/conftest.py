@@ -14,6 +14,8 @@ import pytest
 
 from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal, build_graph, propagate
 from repro.mpisim import (
+    ANY_SOURCE,
+    ANY_TAG,
     Allreduce,
     Barrier,
     Bcast,
@@ -27,6 +29,7 @@ from repro.mpisim import (
     Scan,
     Send,
     Sendrecv,
+    Wait,
     Waitall,
     run,
 )
@@ -116,6 +119,47 @@ def stencil_trace():
 # ---------------------------------------------------------------------------
 
 
+WILDCARD_ROUNDS = ("fanin", "ifanin", "anytag", "pinned")
+
+
+def _wildcard_round(me: RankInfo, kind: str, nbytes: int):
+    """One wildcard round form of :func:`plan_program`, received on rank 0."""
+    p = me.size
+    if kind == "fanin":
+        if me.rank == 0:
+            for _ in range(p - 1):
+                yield Recv(source=ANY_SOURCE, tag=11)
+        else:
+            yield Send(dest=0, nbytes=nbytes * me.rank, tag=11)
+    elif kind == "ifanin":
+        if me.rank == 0:
+            reqs = []
+            for _ in range(p - 1):
+                reqs.append((yield Irecv(source=ANY_SOURCE, tag=13)))
+            for req in reqs:
+                yield Wait(req)
+        else:
+            req = yield Isend(dest=0, nbytes=nbytes * me.rank, tag=13)
+            yield Wait(req)
+    elif kind == "anytag":
+        if me.rank == 0:
+            for _ in range(2, p, 2):
+                yield Recv(source=ANY_SOURCE, tag=20)
+            for _ in range(1, p, 2):
+                yield Recv(source=ANY_SOURCE, tag=ANY_TAG)
+        else:
+            yield Send(dest=0, nbytes=nbytes * me.rank, tag=20 + me.rank * (me.rank % 2))
+    elif kind == "pinned":
+        if me.rank == 0:
+            for _ in range(p - 2):
+                yield Recv(source=ANY_SOURCE, tag=12)
+            yield Recv(source=p - 1, tag=12)
+        else:
+            if me.rank == p - 1:
+                yield Compute(1_000_000)
+            yield Send(dest=0, nbytes=nbytes, tag=12)
+
+
 def plan_program(plan: list[tuple]):
     """Build a rank program from a round plan.
 
@@ -129,6 +173,27 @@ def plan_program(plan: list[tuple]):
     - ``("allreduce", nbytes)`` / ``("barrier",)`` / ``("bcast", root, nbytes)``
       / ``("reduce", root, nbytes)`` / ``("scan", nbytes)`` /
       ``("rscatter", nbytes)``
+
+    Wildcard forms, all received on rank 0 (in ``fanin``, ``ifanin`` and
+    ``anytag`` rank ``r`` sends ``nbytes * r`` bytes, so a swap is
+    observable):
+
+    - ``("fanin", nbytes)`` — every other rank sends once; rank 0 posts
+      one ``ANY_SOURCE`` receive per sender
+    - ``("ifanin", nbytes)`` — the same with ``IRECV(ANY_SOURCE)`` + ``WAIT``
+    - ``("anytag", nbytes)`` — even ranks send tag 20, odd ranks tag
+      ``20 + rank``; rank 0 takes the tag-20 messages with ``ANY_SOURCE``
+      receives, then the rest with ``ANY_SOURCE``/``ANY_TAG`` ones
+    - ``("pinned", nbytes)`` — rank 0 posts ``ANY_SOURCE`` receives for all
+      but the last rank, then a receive pinned to the last rank, which
+      sends only after a long compute: a wildcard could have stolen the
+      pinned receive's message (a deadlock chain)
+
+    Every wildcard round ends with a barrier, and rank 0 takes all of the
+    round's messages before it enters the barrier.  So no message crosses
+    into another round: a wildcard receive never takes a later round's
+    message, and a ``ring``/``xchg`` receive, which takes any tag from
+    its pinned source, never takes a wildcard round's.
     """
 
     def program(me: RankInfo):
@@ -171,6 +236,9 @@ def plan_program(plan: list[tuple]):
                 yield Scan(nbytes=round_[1])
             elif kind == "rscatter":
                 yield ReduceScatter(nbytes=round_[1])
+            elif kind in WILDCARD_ROUNDS and p > 1:
+                yield from _wildcard_round(me, kind, round_[1])
+                yield Barrier()
 
     return program
 

@@ -3,9 +3,11 @@
 scipy backs one job, fitting microbenchmark samples to distribution
 families (§5), done once per machine by ``repro-microbench`` or an
 analysis's ``--measure``.  The traversal only consumes the fitted
-signature, so every other tool starts without it.  Each check runs its
-entry points in a fresh interpreter, where ``sys.modules`` shows what a
-user's start-up paid for.
+signature, so every other tool starts without it.  ``repro-verify``'s
+quantile bounds for Normal-family and Gamma draws need
+:mod:`scipy.special` only, never :mod:`scipy.stats`.  Each check runs
+its entry points in a fresh interpreter, where ``sys.modules`` shows
+what a user's start-up paid for.
 """
 
 import json
@@ -19,11 +21,13 @@ import pytest
 import repro
 from repro import cli
 from repro.noise import Exponential, MachineSignature
+from repro.noise.distributions import Gamma, LogNormal
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Runs ``[[entry_point, argv], ...]`` from ``argv[1]`` in order and
-#: prints, after each, its exit status and whether scipy is loaded.
+#: prints, after each, its exit status and whether the module named by
+#: ``argv[2]`` is loaded.
 PROBE = """
 import json, sys
 from repro import cli
@@ -33,18 +37,18 @@ for name, argv in json.loads(sys.argv[1]):
         rc = getattr(cli, name)(argv)
     except SystemExit as exc:
         rc = exc.code
-    rows.append([name, rc, "scipy" in sys.modules])
+    rows.append([name, rc, sys.argv[2] in sys.modules])
 print(json.dumps(rows))
 """
 
 
-def run_fresh(*calls):
-    """``[[name, exit status, scipy loaded], ...]`` for ``calls`` run one
-    after another in one new interpreter."""
+def run_fresh(*calls, module="scipy"):
+    """``[[name, exit status, module loaded], ...]`` for ``calls`` run
+    one after another in one new interpreter."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(calls)],
+        [sys.executable, "-c", PROBE, json.dumps(calls), module],
         env=env,
         capture_output=True,
         text=True,
@@ -82,6 +86,17 @@ def test_analysis_runs_load_no_scipy(ring):
     tools = ("main_analyze", "main_diagnose", "main_verify")
     rows = run_fresh(*[(name, analysis_args(ring)) for name in tools])
     assert rows == [[name, 0, False] for name in tools]
+
+
+def test_verify_bounds_load_no_scipy_stats(ring):
+    """Bounding LogNormal and Gamma draws takes scipy.special's
+    quantiles, not scipy.stats."""
+    MachineSignature(
+        os_noise=LogNormal(4.0, 0.5), latency=Gamma(2.0, 10.0), name="lognormal"
+    ).save(ring / "lognormal.json")
+    verify = analysis_args(ring, "--signature", str(ring / "lognormal.json"))
+    assert run_fresh(("main_verify", verify), module="scipy.stats") == [["main_verify", 0, False]]
+    assert run_fresh(("main_verify", verify), module="scipy.special") == [["main_verify", 0, True]]
 
 
 def test_fitting_loads_scipy(ring):

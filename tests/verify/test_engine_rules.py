@@ -89,6 +89,11 @@ class TestRulePack:
         assert report.replicates == 10
         assert report.containment_violations == ()
 
+    def test_mpg302_message_names_no_engine(self, ring_trace, mixed_signature):
+        report = verify(ring_trace, VerifyConfig(replicates=10), signature=mixed_signature)
+        (hit,) = [f for f in report.findings if f.rule_id == "MPG302"]
+        assert hit.message == "all 10 Monte-Carlo replicates contained in the certified bounds"
+
     def test_race_build_fires_mpg311_as_warning(self):
         build = build_graph(run(race_program, nprocs=NPROCS, seed=1).trace)
         report = verify_build(build)

@@ -83,6 +83,40 @@ def test_normal_is_two_sided():
     assert iv.lo == pytest.approx(-iv.hi)
 
 
+def _scipy_stats_interval(dist, q):
+    """The bounds as :mod:`scipy.stats` computes them."""
+    from scipy.stats import gamma, norm
+
+    if isinstance(dist, Normal):
+        z = float(norm.ppf(q))
+        return Interval(dist.mu - dist.sigma * z, dist.mu + dist.sigma * z, lo_q=True, hi_q=True)
+    if isinstance(dist, TruncatedNormal):
+        lo_mass = float(norm.cdf((dist.lower - dist.mu) / dist.sigma))
+        z = float(norm.ppf(lo_mass + q * (1.0 - lo_mass)))
+        return Interval(dist.lower, dist.mu + dist.sigma * z, hi_q=True)
+    if isinstance(dist, LogNormal):
+        return Interval(0.0, math.exp(dist.mu + dist.sigma * float(norm.ppf(q))), hi_q=True)
+    return Interval(0.0, float(gamma.ppf(q, dist.shape, scale=dist.scale)), hi_q=True)
+
+
+@pytest.mark.parametrize("family", ["normal", "truncnormal", "lognormal", "gamma"])
+def test_special_function_quantiles_equal_scipy_stats(family):
+    """The bounds use scipy.special, not scipy.stats, and are the very
+    same floats, over random parameters and quantiles."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        loc, spread = rng.uniform(-50.0, 200.0), rng.uniform(0.01, 40.0)
+        lower = loc + rng.uniform(-3.0, 3.0) * spread
+        dist = {
+            "normal": Normal(loc, spread),
+            "truncnormal": TruncatedNormal(loc, spread, lower=lower),
+            "lognormal": LogNormal(loc / 50.0, spread / 20.0),
+            "gamma": Gamma(spread / 4.0, abs(loc) + 0.1),
+        }[family]
+        for q in (DEFAULT_QUANTILE, rng.uniform(0.5, 1.0), 1.0 - 10.0 ** -rng.uniform(1, 15)):
+            assert support_interval(dist, q) == _scipy_stats_interval(dist, q), (dist, q)
+
+
 def test_degenerate_normal_is_exact():
     iv = support_interval(Normal(7.0, 0.0))
     assert iv == Interval(7.0, 7.0)
