@@ -33,6 +33,7 @@ from repro.noise.signature import MachineSignature
 __all__ = ["PerturbationSpec"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -82,21 +83,34 @@ class PerturbationSpec:
         object.__setattr__(self, "_bg", bg)
         object.__setattr__(self, "_template", template)
         object.__setattr__(self, "_gen", np.random.Generator(bg))
+        # Every edge key starts with _mix's (seed, kind) prefix: hash it
+        # once per kind.
+        object.__setattr__(self, "_prefix", {})
 
     def _rng(self, delta: DeltaSpec) -> np.random.Generator:
         uid = delta.uid
         if not uid:
             raise ValueError(f"DeltaSpec {delta} has no uid; cannot sample deterministically")
-        k = _mix((self.seed, int(delta.kind)) + tuple(uid))
+        kind = int(delta.kind)
+        k = self._prefix.get(kind)
+        if k is None:
+            k = self._prefix[kind] = _mix((self.seed, kind))
+        for v in uid:  # continues _mix((seed, kind, *uid))
+            k = _splitmix64(k ^ (v & _MASK64))
         s1 = _splitmix64(k)
         s2 = _splitmix64(s1)
         s3 = _splitmix64(s2)
-        state = dict(self._template)
-        inc = ((((s2 << 64) | s3) << 1) | 1) & ((1 << 128) - 1)  # odd, 128-bit
-        state["state"] = {"state": (k << 64) | s1, "inc": inc}
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
+        inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128  # odd, 128-bit
+        return self._seeded((k << 64) | s1, inc)
+
+    def _seeded(self, state: int, inc: int) -> np.random.Generator:
+        """The shared generator, re-keyed to the 128-bit PCG64 ``state``
+        and increment ``inc`` with an empty uint32 buffer."""
+        st = dict(self._template)
+        st["state"] = {"state": state, "inc": inc}
+        st["has_uint32"] = 0
+        st["uinteger"] = 0
+        self._bg.state = st
         return self._gen
 
     def sample(self, delta: DeltaSpec, weight: float = 0.0) -> float:
@@ -107,11 +121,17 @@ class PerturbationSpec:
         ``signature.os_quantum`` of duration, DESIGN.md §4) and is
         ignored in the paper's per-edge model.
         """
-        kind = delta.kind
-        if kind == DeltaKind.NONE:
+        if delta.kind == DeltaKind.NONE:
             return 0.0
+        return self._sample_from(self._rng(delta), delta, weight)
+
+    def _sample_from(
+        self, rng: np.random.Generator, delta: DeltaSpec, weight: float = 0.0
+    ) -> float:
+        """:meth:`sample`'s draws for a sampled edge, taken from ``rng``
+        as positioned (the compiled sampler passes a lane's stream)."""
+        kind = delta.kind
         sig = self.signature
-        rng = self._rng(delta)
         if kind == DeltaKind.OS:
             value = sig.sample_os_interval(rng, delta.rank, weight)
         elif kind == DeltaKind.LATENCY:

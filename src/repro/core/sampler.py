@@ -19,12 +19,27 @@ Exactness strategy
 ------------------
 
 The ziggurat layer tables numpy uses for ``standard_exponential`` /
-``standard_normal`` are not exported, so they are *harvested* at
-runtime: the PCG64 LCG is invertible, so for any desired 64-bit output
-we can construct the predecessor state, feed it to a real
-``Generator``, and observe the returned value and the number of raw
-draws consumed.  256 probes plus a binary search per layer recover
-``(w[idx], k[idx])`` exactly (cached on disk, re-verified on load).
+``standard_normal`` are not exported.  The package ships them for the
+numpy version it was harvested on (``ziggurat-np<version>.json``); on
+any other numpy they are *harvested* at runtime: the PCG64 LCG is
+invertible, so for any desired 64-bit output we can construct the
+predecessor state, feed it to a real ``Generator``, and observe the
+returned value and the number of raw draws consumed.  256 probes plus a
+binary search per layer recover ``(w[idx], k[idx])`` exactly (cached
+on disk).  Shipped, cached and harvested tables pass the same
+scalar-draw checks before use.
+
+A ziggurat draw that misses the fast path (a wedge test or the base
+layer's tail; Marsaglia & Tsang, "The Ziggurat Method for Generating
+Random Variables", J. Stat. Softw. 5(8), 2000, as numpy's
+``distributions.c`` implements it) finishes in lanes: only the missed
+lanes' PCG states advance, so every later draw of the edge's program
+reads the right stream position.  The wedge tables ``f`` (the density
+at the layer edges) and the tail start ``r`` derive from ``w``.  A
+wedge is decided in lanes only when its two sides differ by more than
+a relative margin (``np.exp`` may differ from libm's ``exp`` in the
+last ulp); the tails use ``math.log1p``, i.e. libm, per lane.
+Forced-miss probes check all of it against the real ``Generator``.
 
 The verified family registry (:func:`_classify`):
 
@@ -46,14 +61,17 @@ Interval-scaled OS edges (``os_quantum > 0``) take ``k`` draws and sum
 the zero-clamped values with ``np.sum``, which adds left to right below
 8 terms and pairwise from 8; programs replay ``k <= 7`` draws exactly.
 
-Lanes whose draw leaves the fast path (ziggurat rejection/tail, a
-rejected Lemire draw), edges whose program needs an unsupported family
-or ``k >= 8`` draws, and uid-less edges fall back to the scalar
-``PerturbationSpec`` for just that (edge, replicate) lane, so results
-are unconditionally identical to :func:`propagate` for *any*
-signature.  Every fast path is self-checked at runtime against scalar
-draws through the same evaluator; a check that fails disables only its
-own family or feature — slower, never wrong.  The ``compiled.lanes`` /
+Lanes whose draw cannot be decided in lanes (a wedge test inside the
+margin, a rejected Lemire draw), edges whose program needs an
+unsupported family or ``k >= 8`` draws, and uid-less edges fall back
+to the scalar ``PerturbationSpec`` for just that (edge, replicate)
+lane (a lane of a vector program restarts from the stream key it
+already derived), so results are unconditionally identical to
+:func:`propagate` for *any* signature.
+Every fast path is self-checked at runtime against scalar draws
+through the same evaluator; a check that fails disables only its own
+family or feature (a failed slow-path check only sends ziggurat misses
+back to the fallback) — slower, never wrong.  The ``compiled.lanes`` /
 ``compiled.fallback_lanes`` counters report how many lanes took which
 path.
 """
@@ -63,6 +81,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -350,30 +369,14 @@ def _eval_dist(d: _VecDist, u: np.ndarray, tables: dict):
 
     ``u`` holds uint64 outputs, or uint32 values (as uint64) for the
     uint32-stream family.  Returns ``(values, accept)`` — ``accept`` is
-    None when every lane is exact (no rejection step possible).
+    None when every lane is exact (no rejection step possible); lanes
+    it marks False hold no value yet.
     """
     acc = None
     if d.family == "uniform":
         v = (u >> _U64(11)).astype(np.float64) * _TO_DOUBLE
-        v = d.p1 + d.p2 * v
-    elif d.family == "exp":
-        we, ke = tables["exp"]
-        ri = u >> _U64(3)
-        idx = (ri & _U64(0xFF)).astype(np.intp)
-        pay = ri >> _U64(8)
-        v = pay.astype(np.float64) * we[idx]
-        acc = pay < ke[idx]
-        v = d.p1 * v
-    elif d.family == "norm":
-        wi, ki = tables["norm"]
-        idx = (u & _U64(0xFF)).astype(np.intp)
-        r = u >> _U64(8)
-        sign = (r & _U64(1)) != 0
-        rabs = (r >> _U64(1)) & _U64(0x000FFFFFFFFFFFFF)
-        v = rabs.astype(np.float64) * wi[idx]
-        v = np.where(sign, -v, v)
-        acc = rabs < ki[idx]
-        v = d.p1 + d.p2 * v
+    elif d.family in ("exp", "norm"):
+        v, acc = _ZIGGURAT_STEPS[d.family][0](u, *tables[d.family])[:2]
     elif d.family == "emp":  # Lemire bounded draw on a uint32
         m = u * _U64(d.p1)
         v = d.table[(m >> _U64(32)).astype(np.intp)]
@@ -381,23 +384,184 @@ def _eval_dist(d: _VecDist, u: np.ndarray, tables: dict):
             acc = (m & _M32) >= _U64(d.p2)
     else:  # "emp_interp": uniform(0, 1) double, then the sample quantile
         v = np.quantile(d.table, (u >> _U64(11)).astype(np.float64) * _TO_DOUBLE)
+    return _finish(d, v), acc
+
+
+def _finish(d: _VecDist, v: np.ndarray) -> np.ndarray:
+    """The family's affine map and the combinator chain, applied to the
+    standard variates ``v``."""
+    if d.family in ("uniform", "norm"):
+        v = d.p1 + d.p2 * v
+    elif d.family == "exp":
+        v = d.p1 * v
     for op, c in d.ops:
         v = v + c if op == "+" else v * c
-    return v, acc
+    return v
+
+
+def _exp_layer(u: np.ndarray, we: np.ndarray, ke: np.ndarray):
+    """The exponential ziggurat's first step: ``(x, accept, idx,
+    payload)``, with idx = (u >> 3) & 0xFF and the payload u >> 11."""
+    ri = u >> _U64(3)
+    idx = (ri & _U64(0xFF)).astype(np.intp)
+    pay = ri >> _U64(8)
+    return pay.astype(np.float64) * we[idx], pay < ke[idx], idx, pay
+
+
+def _norm_layer(u: np.ndarray, wi: np.ndarray, ki: np.ndarray):
+    """The normal ziggurat's first step: ``(x, accept, idx, rabs)``,
+    with idx = u & 0xFF, the sign in bit 8 and ``rabs`` the 52 bits
+    above it."""
+    idx = (u & _U64(0xFF)).astype(np.intp)
+    r = u >> _U64(8)
+    rabs = (r >> _U64(1)) & _U64(0x000FFFFFFFFFFFFF)
+    v = rabs.astype(np.float64) * wi[idx]
+    v = np.where((r & _U64(1)) != 0, -v, v)
+    return v, rabs < ki[idx], idx, rabs
+
+
+# ---------------------------------------------------------------------------
+# The ziggurat slow path, in lanes
+# ---------------------------------------------------------------------------
+
+# A wedge test is decided in lanes only when its two sides differ by more
+# than this relative margin: np.exp may differ from the C library's exp
+# (which numpy's ziggurat calls) in the last ulp, and the derived
+# ``fe``/``fi`` tables may differ from numpy's constants by as much.
+_WEDGE_MARGIN = 1e-12
+
+
+def _next_at(state, at) -> np.ndarray:
+    """Advance only the lanes ``at`` (a ``(rows, cols)`` index pair) of
+    ``state = (hi, lo, inc_hi, inc_lo)`` one PCG64 step, in place, and
+    return their outputs.  Two-axis indexing writes through whatever
+    the arrays' memory order is."""
+    hi, lo, ihi, ilo = state
+    h, l, u = _pcg_next64(hi[at], lo[at], ihi[at], ilo[at])
+    hi[at] = h
+    lo[at] = l
+    return u
+
+
+def _next_double_at(state, at) -> np.ndarray:
+    return (_next_at(state, at) >> _U64(11)).astype(np.float64) * _TO_DOUBLE
+
+
+def _take(at, mask):
+    return at[0][mask], at[1][mask]
+
+
+def _wedge(f, idx, d, y):
+    """Numpy's wedge test ``(f[i-1] - f[i]) * d + f[i] < y`` with a
+    margin: ``(accept, reject)``; lanes in neither are undecided."""
+    gap = (f[idx - 1] - f[idx]) * d + f[idx] - y
+    tol = _WEDGE_MARGIN * y
+    return gap < -tol, gap > tol
+
+
+def _exp_tail(at, state, pay, slow):
+    """The exponential ziggurat's base-layer tail: ``r - log1p(-d)``
+    for one more double ``d``, per lane with libm's log1p."""
+    r = slow[1]
+    return [r - math.log1p(-d) for d in _next_double_at(state, at).tolist()]
+
+
+def _norm_tail(at, state, rabs, slow):
+    """The normal ziggurat's tail loop, per lane with libm's log1p: draw
+    two doubles until ``yy + yy > xx * xx``, then ``r + xx``, negated
+    when bit 8 of the layer draw's ``rabs`` is set."""
+    _, r, inv_r = slow
+    neg = (((rabs >> _U64(8)) & _U64(1)) != 0).tolist()
+    z = np.empty(len(neg))
+    pos = np.arange(len(neg))
+    while len(pos):
+        d1 = _next_double_at(state, at).tolist()
+        d2 = _next_double_at(state, at).tolist()
+        keep = np.ones(len(pos), dtype=bool)
+        for j, (i, a, b) in enumerate(zip(pos.tolist(), d1, d2)):
+            xx = -inv_r * math.log1p(-a)
+            yy = -math.log1p(-b)
+            if yy + yy > xx * xx:
+                z[i] = -(r + xx) if neg[i] else r + xx
+                keep[j] = False
+        pos, at = pos[keep], _take(at, keep)
+    return z
+
+
+# family -> (first step, base-layer tail, the density a wedge compares with)
+_ZIGGURAT_STEPS = {
+    "exp": (_exp_layer, _exp_tail, lambda x: np.exp(-x)),
+    "norm": (_norm_layer, _norm_tail, lambda x: np.exp(-0.5 * x * x)),
+}
+
+
+def _ziggurat_misses(fam, u, at, state, layers, slow):
+    """Finish numpy's ``random_standard_exponential`` /
+    ``random_standard_normal`` for the lanes ``at`` whose first output
+    ``u`` missed the fast path: a base-layer miss takes the tail, any
+    other layer the wedge test on one more double, and a rejected wedge
+    draws again from the top.  Returns the standard variates and which
+    lanes were decided (the rest fall back)."""
+    layer, tail_fn, density = _ZIGGURAT_STEPS[fam]
+    f = slow[0]
+    z = np.empty(len(u))
+    done = np.zeros(len(u), dtype=bool)
+    pos = np.arange(len(u))
+    while len(pos):
+        x, fast, idx, bits = layer(u, *layers)
+        z[pos[fast]] = x[fast]
+        done[pos[fast]] = True
+        miss = ~fast
+        pos, at, idx, x, bits = pos[miss], _take(at, miss), idx[miss], x[miss], bits[miss]
+        tail = idx == 0
+        if tail.any():
+            z[pos[tail]] = tail_fn(_take(at, tail), state, bits[tail], slow)
+            done[pos[tail]] = True
+            wedge = ~tail
+            pos, at, idx, x = pos[wedge], _take(at, wedge), idx[wedge], x[wedge]
+        if not len(pos):
+            break
+        accept, reject = _wedge(f, idx, _next_double_at(state, at), density(x))
+        z[pos[accept]] = x[accept]
+        done[pos[accept]] = True
+        pos, at = pos[reject], _take(at, reject)
+        u = _next_at(state, at)
+    return z, done
+
+
+def _resolve_misses(d: _VecDist, u, v, acc, state, tables: dict):
+    """Finish the ziggurat draws that missed the fast path in lanes:
+    fill their values into ``v``, advance their streams in ``state``
+    (arrays the caller owns) and return ``acc`` with the decided lanes
+    set.  Without verified slow-path constants nothing changes."""
+    slow = tables.get(f"{d.family}_slow")
+    if slow is None:
+        return acc
+    at = np.nonzero(~acc)
+    if not len(at[0]):
+        return acc
+    z, done = _ziggurat_misses(d.family, u[at], at, state, tables[d.family], slow)
+    at = _take(at, done)
+    v[at] = _finish(d, z[done])
+    acc[at] = True
+    return acc
 
 
 def _eval_group(steps, keys, tables: dict, tile: int = 1):
     """Replay one group's draw program lane-parallel.
 
     ``keys`` are the lanes' initial stream states ``(hi, lo, inc_hi,
-    inc_lo)``, shape (R, n_lane).  ``steps`` are ``("const", row)`` —
-    no stream consumption — or ``("draw", _VecDist, factor_row | None,
-    k)``: ``k`` zero-clamped draws summed left to right (interval-scaled
-    OS edges), else one clamped draw times its factor (nbytes for δ_t
-    terms).  Per-lane rows repeat ``tile`` times along the lane axis
-    (template instances).  Returns ``(V, ok)``: the unscaled deltas,
-    accumulated in ``PerturbationSpec.sample``'s order, and the lanes
-    whose every draw took its fast path (None = all of them).
+    inc_lo)``, shape (R, n_lane); they are not modified.  ``steps`` are
+    ``("const", row)`` — no stream consumption — or ``("draw", _VecDist,
+    factor_row | None, k)``: ``k`` zero-clamped draws summed left to
+    right (interval-scaled OS edges), else one clamped draw times its
+    factor (nbytes for δ_t terms).  Per-lane rows repeat ``tile`` times
+    along the lane axis (template instances).  A ziggurat draw that
+    misses its fast path finishes in lanes (:func:`_resolve_misses`),
+    advancing only those lanes' streams.  Returns ``(V, ok)``: the
+    unscaled deltas, accumulated in ``PerturbationSpec.sample``'s
+    order, and the lanes whose every draw was decided in lanes (None =
+    all of them).
     """
     hi, lo, ihi, ilo = keys
     V = np.zeros(hi.shape, dtype=np.float64)
@@ -413,11 +577,13 @@ def _eval_group(steps, keys, tables: dict, tile: int = 1):
             if dist.u32 and buf is not None:
                 u, buf = buf, None
             else:
-                hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)
+                hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)  # fresh: misses advance in place
                 if dist.u32:
                     buf = u >> _U64(32)
                     u &= _M32
             v, acc = _eval_dist(dist, u, tables)
+            if acc is not None and dist.family in _ZIGGURAT_STEPS:
+                acc = _resolve_misses(dist, u, v, acc, (hi, lo, ihi, ilo), tables)
             np.maximum(v, 0.0, out=v)
             if fac is not None:
                 v *= np.tile(fac, tile)
@@ -434,13 +600,23 @@ def _eval_group(steps, keys, tables: dict, tile: int = 1):
 # ---------------------------------------------------------------------------
 
 _TABLES: dict | None = None
-_TABLE_KEYS = ("pcg", "uniform", "exp", "norm", "emp", "emp_interp", "multi")
+_TABLE_KEYS = (
+    "pcg", "uniform", "exp", "norm", "exp_slow", "norm_slow", "emp", "emp_interp", "multi"
+)
+_ZIGGURAT = ("exp", "norm", "exp_slow", "norm_slow")  # what table files hold
+# Per ziggurat family: payload bits, the standard variate and the
+# ``Generator`` method that draws it.
+_PAYLOAD_BITS = {"exp": 53, "norm": 52}
+_STANDARD = {
+    "exp": (_VecDist("exp", 1.0), "standard_exponential"),
+    "norm": (_VecDist("norm", 0.0, 1.0), "standard_normal"),
+}
 
 
-def _spec_state(k: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
-    """(state, inc) exactly as ``PerturbationSpec._rng`` would install them."""
-    inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
-    return (k << 64) | s1, inc
+def _predecessor(u0: int) -> int:
+    """The PCG64 state (increment 1) whose next raw output is ``u0``:
+    the LCG inverse of the post-step state ``(hi=0, lo=u0)``."""
+    return ((u0 - 1) * _PCG_INV_MULT) & _MASK128
 
 
 class _Prober:
@@ -458,10 +634,15 @@ class _Prober:
         st["uinteger"] = 0
         self.bg.state = st
 
+    def set_lane(self, states, i: int) -> None:
+        """Install lane ``i`` of ``states = (hi, lo, inc_hi, inc_lo)``."""
+        hi, lo, ihi, ilo = (int(a[i]) for a in states)
+        self.set_state((hi << 64) | lo, (ihi << 64) | ilo)
+
     def probe(self, u0: int, draw, maxn: int = 4) -> tuple[float, int]:
-        """Make the next raw output exactly ``u0`` (via the LCG inverse),
-        call ``draw()``, and count how many raw draws it consumed."""
-        s_pre = ((u0 - 1) * _PCG_INV_MULT) & _MASK128  # post-step (hi=0, lo=u0)
+        """Make the next raw output exactly ``u0``, call ``draw()``, and
+        count how many raw draws it consumed."""
+        s_pre = _predecessor(u0)
         self.set_state(s_pre, 1)
         value = draw()
         after = self.bg.state["state"]["state"]
@@ -504,32 +685,87 @@ def _harvest_layers(probe_fn, payload_bits: int) -> tuple[np.ndarray, np.ndarray
     return w, k
 
 
+def _derive_slow(fam: str, w: np.ndarray) -> tuple:
+    """Slow-path constants from the layer widths ``w``: the layer edges
+    ``x = w * 2**payload_bits``, the density there ``f`` (``exp(-x)``,
+    or ``exp(-x*x/2)`` for the normal) with ``f[0] = 1``, and the tail
+    start ``r = x[255]`` (and ``1 / r`` for the normal)."""
+    x = w * float(1 << _PAYLOAD_BITS[fam])
+    f = np.exp(-x) if fam == "exp" else np.exp(-0.5 * x * x)
+    f[0] = 1.0
+    r = float(x[255])
+    return (f, r) if fam == "exp" else (f, r, 1.0 / r)
+
+
 def _random_streams(n: int, seed: int):
-    """``n`` spec-style stream keys (k, s1, s2, s3) for self-checks."""
+    """``n`` spec-style stream states ``(hi, lo, inc_hi, inc_lo)`` for
+    self-checks."""
     rng = np.random.default_rng(seed)
-    return tuple(rng.integers(0, 1 << 64, size=n, dtype=_U64) for _ in range(4))
-
-
-def _stream_state_arrays(k, s1, s2, s3):
+    k, s1, s2, s3 = (rng.integers(0, 1 << 64, size=n, dtype=_U64) for _ in range(4))
     inc_hi = (s2 << _U64(1)) | (s3 >> _U64(63))
     inc_lo = (s3 << _U64(1)) | _U64(1)
-    return k.copy(), s1.copy(), inc_hi, inc_lo
+    return k, s1, inc_hi, inc_lo
 
 
-def _check_family(prober: _Prober, keys, u0, vec_values, accept, scalar_draw) -> bool:
+def _forced_streams(fam: str, layers, seed: int):
+    """Stream states whose first output misses ``fam``'s fast path: four
+    in every layer that can miss and 64 in the base layer (its tail),
+    with random payloads at or above the layer's ``k`` and random
+    don't-care bits."""
+    w, k = layers
+    top = 1 << _PAYLOAD_BITS[fam]
+    layer = np.nonzero(k < _U64(top))[0]
+    layer = np.repeat(layer, np.where(layer == 0, 64, 4)).astype(_U64)
+    rng = np.random.default_rng(seed)
+    pay = rng.integers(k[layer].astype(np.int64), top).astype(_U64)
+    spare = rng.integers(0, 8, size=len(layer)).astype(_U64)
+    if fam == "exp":  # idx = (u >> 3) & 0xFF, payload = u >> 11
+        u = (pay << _U64(11)) | (layer << _U64(3)) | spare
+    else:  # idx = u & 0xFF, sign = bit 8, rabs = bits 9..60
+        sign = rng.integers(0, 2, size=len(layer)).astype(_U64)
+        u = (spare << _U64(61)) | (pay << _U64(9)) | (sign << _U64(8)) | layer
+    pre = [_predecessor(x) for x in u.tolist()]
+    hi = np.array([s >> 64 for s in pre], dtype=_U64)
+    lo = np.array([s & _MASK64 for s in pre], dtype=_U64)
+    return hi, lo, np.zeros_like(hi), np.ones_like(hi)
+
+
+def _check_family(prober: _Prober, states, vec_values, accept, scalar_draw) -> bool:
     """Verify vectorized accepted-lane values against scalar draws."""
-    k, s1, s2, s3 = keys
-    idx = np.nonzero(accept)[0] if accept is not None else np.arange(len(u0))
-    if accept is not None and len(idx) < len(u0) // 2:
+    n = len(vec_values)
+    idx = np.nonzero(accept)[0] if accept is not None else np.arange(n)
+    if accept is not None and len(idx) < n // 2:
         return False  # implausible accept rate: layout assumption broken
     for i in idx:
-        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        prober.set_lane(states, i)
         if scalar_draw(prober.gen) != vec_values[i]:
             return False
     return True
 
 
-def _check_program(prober: _Prober, keys, tables: dict, program, lanes: int) -> bool:
+def _check_slow(prober: _Prober, fam: str, tables: dict, seed: int) -> bool:
+    """Verify the in-lane slow path on forced misses: every decided
+    lane's value, and its stream's next raw output, must equal what the
+    real ``Generator`` returns; nearly every lane must be decided."""
+    states = _forced_streams(fam, tables[fam], seed)
+    hi, lo, ihi, ilo = (a[None, :] for a in states)
+    hi, lo, u = _pcg_next64(hi, lo, ihi, ilo)
+    dist, method = _STANDARD[fam]
+    v, acc = _eval_dist(dist, u, tables)
+    acc = _resolve_misses(dist, u, v, acc, (hi, lo, ihi, ilo), tables)
+    _, _, after = _pcg_next64(hi, lo, ihi, ilo)
+    decided = np.nonzero(acc[0])[0]
+    if len(decided) < 0.99 * len(hi[0]):
+        return False
+    draw = getattr(prober.gen, method)
+    for i in decided.tolist():
+        prober.set_lane(states, i)
+        if draw() != v[0, i] or int(prober.bg.random_raw()) != int(after[0, i]):
+            return False
+    return True
+
+
+def _check_program(prober: _Prober, states, tables: dict, program, lanes: int) -> bool:
     """Verify the group evaluator on one draw program against scalar draws.
 
     ``program`` is a list of ``(RandomVariable, k)`` steps; the first
@@ -544,15 +780,13 @@ def _check_program(prober: _Prober, keys, tables: dict, program, lanes: int) -> 
         if not isinstance(vd, _VecDist):
             return False
         steps.append(("draw", vd, None, k))
-    k0, s1, s2, s3 = (a[:lanes] for a in keys)
-    state = tuple(a[None, :] for a in _stream_state_arrays(k0, s1, s2, s3))
-    V, ok = _eval_group(steps, state, tables)
+    V, ok = _eval_group(steps, tuple(a[None, :lanes] for a in states), tables)
     idx = np.arange(lanes) if ok is None else np.nonzero(ok[0])[0]
     if len(idx) < lanes // 2:
         return False  # implausible accept rate: layout assumption broken
     sigs = [MachineSignature(os_noise=dist, os_quantum=1.0) for dist, _ in program]
     for i in idx.tolist():
-        prober.set_state(*_spec_state(int(k0[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        prober.set_lane(states, i)
         value = 0.0
         for sig, (_, k) in zip(sigs, program):
             value += sig.sample_os_interval(prober.gen, 0, float(k))
@@ -566,7 +800,7 @@ def _check_samples(seed: int, n: int, interpolate: bool = False) -> Empirical:
     return Empirical(np.random.default_rng(seed).pareto(2.0, n) * 100.0, interpolate)
 
 
-def _check_bootstrap(prober: _Prober, keys, tables: dict) -> bool:
+def _check_bootstrap(prober: _Prober, states, tables: dict) -> bool:
     """Bootstrap Empirical draws, at sizes that are not powers of two:
     a fresh output's low half, the buffered high half, and the buffer
     surviving a 64-bit draw in between."""
@@ -575,20 +809,20 @@ def _check_bootstrap(prober: _Prober, keys, tables: dict) -> bool:
     programs = [[(a, 1)], [(a, 1), (b, 1), (a, 1)]]
     if tables["exp"] is not None:
         programs.append([(a, 1), (Exponential(50.0), 1), (b, 1)])
-    return all(_check_program(prober, keys, trial, p, 64) for p in programs)
+    return all(_check_program(prober, states, trial, p, 64) for p in programs)
 
 
-def _check_interpolated(prober: _Prober, keys, tables: dict) -> bool:
+def _check_interpolated(prober: _Prober, states, tables: dict) -> bool:
     """Interpolated Empirical draws: the quantile at a uniform double."""
     trial = dict(tables, emp_interp=True)
-    return _check_program(prober, keys, trial, [(_check_samples(3, 1000, True), 1)], 32)
+    return _check_program(prober, states, trial, [(_check_samples(3, 1000, True), 1)], 32)
 
 
-def _check_multi_draw(prober: _Prober, keys, tables: dict) -> bool:
+def _check_multi_draw(prober: _Prober, states, tables: dict) -> bool:
     """Interval-scaled OS draws: ``k = 2..7`` clamped draws summed."""
     dist = Exponential(50.0) if tables["exp"] is not None else Uniform(0.0, 50.0)
     return all(
-        _check_program(prober, keys, tables, [(dist, k)], 32)
+        _check_program(prober, states, tables, [(dist, k)], 32)
         for k in range(2, _MAX_OS_DRAWS + 1)
     )
 
@@ -597,79 +831,91 @@ def _build_tables(candidates: dict | None = None) -> dict:
     """Harvest + verify the vectorized sampling backend (once per process).
 
     Returns ``{"pcg": bool, "uniform": bool, "exp": (we, ke) | None,
-    "norm": (wi, ki) | None, "emp": bool, "emp_interp": bool, "multi":
+    "norm": (wi, ki) | None, "exp_slow": (fe, r) | None, "norm_slow":
+    (fi, r, 1/r) | None, "emp": bool, "emp_interp": bool, "multi":
     bool}``.  Any check that fails simply disables its family or
-    feature — affected lanes take the exact scalar fallback.
+    feature — affected lanes take the exact scalar fallback.  A failed
+    slow-path check disables only the slow path: ziggurat misses then
+    fall back, the fast path stays.
 
-    ``candidates`` optionally supplies previously-harvested ziggurat
-    tables (e.g. from the on-disk cache).  Candidates run through the
-    *same* scalar-draw verification as a fresh harvest, so a stale or
-    corrupted cache can never change results — it just falls through to
-    the runtime harvest.
+    ``candidates`` optionally supplies ziggurat tables from a table
+    file (the on-disk cache or the copy shipped with the package).
+    Candidates run through the *same* scalar-draw verification as a
+    fresh harvest, so a stale or corrupted file can never change
+    results — it just falls through to the runtime harvest.
     """
     out: dict = dict.fromkeys(_TABLE_KEYS, False)
-    out["exp"] = out["norm"] = None
+    for key in _ZIGGURAT:
+        out[key] = None
+    candidates = candidates or {}
     prober = _Prober()
-    keys = _random_streams(512, 0xC0FFEE)
-    k, s1, s2, s3 = keys
+    states = _random_streams(512, 0xC0FFEE)
 
     # 1. Raw-stream check: vectorized LCG vs BitGenerator.random_raw.
-    hi, lo, ihi, ilo = _stream_state_arrays(k, s1, s2, s3)
-    hi, lo, u0 = _pcg_next64(hi, lo, ihi, ilo)
-    _, _, u1 = _pcg_next64(hi, lo, ihi, ilo)
+    hi, lo, u0 = _pcg_next64(*states)
+    _, _, u1 = _pcg_next64(hi, lo, *states[2:])
     for i in range(0, 512, 31):
-        prober.set_state(*_spec_state(int(k[i]), int(s1[i]), int(s2[i]), int(s3[i])))
+        prober.set_lane(states, i)
         raw = prober.bg.random_raw(2)
         if int(raw[0]) != int(u0[i]) or int(raw[1]) != int(u1[i]):
             return out
     out["pcg"] = True
 
     # 2. Uniform double: out = (u >> 11) * 2^-53.
-    d = (u0 >> _U64(11)).astype(np.float64) * _TO_DOUBLE
-    vals = -2.5 + 7.0 * d
-    out["uniform"] = _check_family(
-        prober, keys, u0, vals, None, lambda g: g.uniform(-2.5, 4.5)
-    )
+    vals, _ = _eval_dist(_VecDist("uniform", -2.5, 7.0), u0, {})
+    out["uniform"] = _check_family(prober, states, vals, None, lambda g: g.uniform(-2.5, 4.5))
 
     # 3. Exponential ziggurat: idx = (u >> 3) & 0xFF, payload = u >> 11.
-    def check_exp(tables) -> bool:
-        v, acc = _eval_dist(_VecDist("exp", 1.0), u0, {"exp": tables})
-        return _check_family(prober, keys, u0, v, acc, lambda g: g.standard_exponential())
-
     # 4. Normal ziggurat: idx = u & 0xFF, sign = bit 8, rabs = 52 bits above.
-    def check_norm(tables) -> bool:
-        v, acc = _eval_dist(_VecDist("norm", 0.0, 1.0), u0, {"norm": tables})
-        return _check_family(prober, keys, u0, v, acc, lambda g: g.standard_normal())
-
-    harvests = {
-        "exp": (check_exp, lambda idx, pay: prober.probe(
-            ((pay << 8) | idx) << 3, prober.gen.standard_exponential), 53),
-        "norm": (check_norm, lambda idx, rabs: prober.probe(
-            (rabs << 9) | idx, prober.gen.standard_normal), 52),
+    # Then each one's slow path, on forced misses.
+    outputs = {
+        "exp": lambda idx, pay: ((pay << 8) | idx) << 3,
+        "norm": lambda idx, rabs: (rabs << 9) | idx,
     }
-    for fam, (check, probe_fn, payload_bits) in harvests.items():
-        cand = candidates.get(fam) if candidates else None
+    for fam, output in outputs.items():
+        dist, method = _STANDARD[fam]
+        draw = getattr(prober.gen, method)
+
+        def check(layers) -> bool:
+            v, acc = _eval_dist(dist, u0, {fam: layers})
+            return _check_family(prober, states, v, acc, lambda g: draw())
+
+        cand = candidates.get(fam)
         if cand is not None and check(cand):
             out[fam] = cand
             obs.add("compiled.tables_cache.hits")
+        else:
+            cand = None
+            with contextlib.suppress(RuntimeError):  # layer harvest gives up on odd builds
+                layers = _harvest_layers(
+                    lambda idx, pay: prober.probe(output(idx, pay), draw), _PAYLOAD_BITS[fam]
+                )
+                if check(layers):
+                    out[fam] = layers
+        if out[fam] is None:
             continue
-        with contextlib.suppress(RuntimeError):  # layer harvest gives up on odd builds
-            tables = _harvest_layers(probe_fn, payload_bits=payload_bits)
-            if check(tables):
-                out[fam] = tables
+        slow = f"{fam}_slow"
+        tries = [candidates.get(slow)] if cand is not None else []
+        tries.append(_derive_slow(fam, out[fam][0]))
+        out[slow] = next(
+            (c for c in tries if c is not None
+             and _check_slow(prober, fam, {fam: out[fam], slow: c}, 0x5EED)),
+            None,
+        )
 
     # 5. Measured (§5 empirical) signatures and interval-scaled OS draws.
-    out["emp"] = _check_bootstrap(prober, keys, out)
-    out["emp_interp"] = _check_interpolated(prober, keys, out)
-    out["multi"] = _check_multi_draw(prober, keys, out)
+    out["emp"] = _check_bootstrap(prober, states, out)
+    out["emp_interp"] = _check_interpolated(prober, states, out)
+    out["multi"] = _check_multi_draw(prober, states, out)
     return out
 
 
-# -- per-user on-disk table cache (skips the harvest in pool workers and
-# repeated CLI runs; contents are re-verified on every load) -----------------
+# -- table files: a per-user on-disk cache (skips the harvest on a numpy
+# without a shipped copy) and the copy shipped for one numpy version; the
+# contents of either are re-verified on every load ---------------------------
 
 TABLES_CACHE_ENV = "REPRO_TABLES_CACHE"
-_TABLES_CACHE_SCHEMA = "repro-ziggurat-tables/1"
+_TABLES_CACHE_SCHEMA = "repro-ziggurat-tables/2"
 
 
 def _tables_cache_path() -> Path | None:
@@ -691,70 +937,96 @@ def _tables_cache_path() -> Path | None:
     return root / f"ziggurat-np{np.__version__}.json"
 
 
+def _shipped_tables_path() -> Path:
+    """The table file shipped with the package for this numpy version
+    (absent for versions nobody harvested on).  To ship one for the
+    installed numpy, run ``python -c "from repro.core import sampler as
+    s; s._store_tables(s._shipped_tables_path(), s._build_tables())"``
+    and list nothing else: ``core/ziggurat-np*.json`` is package data.
+    """
+    return Path(__file__).with_name(f"ziggurat-np{np.__version__}.json")
+
+
 def _load_table_candidates(path: Path) -> dict | None:
-    """Parse cached tables; None on any structural problem (then the
-    normal harvest runs — verification guards against value problems)."""
+    """Parse a table file; None when it is missing, written for another
+    numpy or of another layout (then the harvest runs — verification
+    guards against value problems)."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(doc, dict) or doc.get("schema") != _TABLES_CACHE_SCHEMA:
+    if (
+        not isinstance(doc, dict)
+        or doc.get("schema") != _TABLES_CACHE_SCHEMA
+        or doc.get("numpy") != np.__version__
+    ):
         return None
     out: dict = {}
     for fam in ("exp", "norm"):
         ent = doc.get(fam)
+        out[fam] = out[f"{fam}_slow"] = None
         if ent is None:
-            out[fam] = None
             continue
         try:
             w = np.asarray(ent["w"], dtype=np.float64)
             kk = np.asarray(ent["k"], dtype=np.uint64)
+            slow = ent["slow"]
+            if slow is not None:
+                f = np.asarray(slow["f"], dtype=np.float64)
+                r = float(slow["r"])
+                slow = (f, r) if fam == "exp" else (f, r, float(slow["inv_r"]))
         except (KeyError, TypeError, ValueError, OverflowError):
             return None
-        if w.shape != (256,) or kk.shape != (256,):
+        if w.shape != (256,) or kk.shape != (256,) or (slow is not None and f.shape != (256,)):
             return None
         out[fam] = (w, kk)
+        out[f"{fam}_slow"] = slow
     return out
 
 
-def _store_tables(path: Path, tables: dict) -> None:
+def _tables_doc(tables: dict) -> dict:
+    """The table-file document for verified ``tables``."""
     doc: dict = {"schema": _TABLES_CACHE_SCHEMA, "numpy": np.__version__}
     for fam in ("exp", "norm"):
-        ent = tables[fam]
-        doc[fam] = (
-            None
-            if ent is None
-            else {"w": ent[0].tolist(), "k": [int(x) for x in ent[1].tolist()]}
-        )
+        ent, slow = tables[fam], tables[f"{fam}_slow"]
+        if ent is None:
+            doc[fam] = None
+            continue
+        if slow is not None:
+            slow = dict(zip(("f", "r", "inv_r"), slow))
+            slow["f"] = slow["f"].tolist()
+        doc[fam] = {"w": ent[0].tolist(), "k": [int(x) for x in ent[1].tolist()], "slow": slow}
+    return doc
+
+
+def _store_tables(path: Path, tables: dict) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(_tables_doc(tables), sort_keys=True) + "\n")
         obs.add("compiled.tables_cache.writes")
     except OSError:  # unwritable cache dir: never fatal
         pass
 
 
+def _same_entry(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def _tables_match_candidates(tables: dict, candidates: dict | None) -> bool:
-    if candidates is None:
-        return False
-    for fam in ("exp", "norm"):
-        t, c = tables[fam], candidates.get(fam)
-        if (t is None) != (c is None):
-            return False
-        if t is not None and not (
-            np.array_equal(t[0], c[0]) and np.array_equal(t[1], c[1])
-        ):
-            return False
-    return True
+    return candidates is not None and all(
+        _same_entry(tables[key], candidates.get(key)) for key in _ZIGGURAT
+    )
 
 
 def _get_tables() -> dict:
     global _TABLES
     if _TABLES is None:
         path = _tables_cache_path()
-        candidates = None
-        if path is not None and path.exists():
-            candidates = _load_table_candidates(path)
+        candidates = _load_table_candidates(path) if path is not None else None
+        if candidates is None:
+            candidates = _load_table_candidates(_shipped_tables_path())
         with obs.span("compiled.harvest_tables", cached=candidates is not None):
             _TABLES = _build_tables(candidates)
         if (
@@ -879,34 +1151,40 @@ class _Sampler:
             self.signature, plan.deltas[eid], plan.edge_weight[eid], self.classify, self.max_draws
         )
 
-    def _resample(self, raw, seeds, scale, rows, eids, cols) -> int:
+    def _resample(self, raw, scale, rows, eids, cols, states) -> int:
         """Exact per-lane fallback: ``raw[r, c]`` := the scalar spec's
-        draw for edge ``e``, for each ``(r, e, c)`` (rows ascending)."""
+        draws for edge ``e`` from the lane's initial stream ``states``
+        (``(hi, lo, inc_hi, inc_lo)`` per lane), for each ``(r, e, c)``."""
         plan = self.plan
-        spec = None
-        last = -1
-        for r, e, c in zip(rows.tolist(), eids.tolist(), cols.tolist()):
-            if r != last:
-                spec = PerturbationSpec(self.signature, seed=seeds[r], scale=scale)
-                last = r
-            raw[r, c] = spec.sample(plan.deltas[e], plan.edge_weight[e])
+        spec = PerturbationSpec(self.signature, scale=scale)
+        for r, e, c, hi, lo, ihi, ilo in zip(
+            rows.tolist(), eids.tolist(), cols.tolist(), *(a.tolist() for a in states)
+        ):
+            rng = spec._seeded((hi << 64) | lo, (ihi << 64) | ilo)
+            raw[r, c] = spec._sample_from(rng, plan.deltas[e], plan.edge_weight[e])
         return len(rows)
 
     def _resample_all(self, raw, seeds, scale, eids, cols) -> int:
-        """Scalar-sample edges ``eids`` into columns ``cols`` for every row."""
-        R, n = len(seeds), len(eids)
-        rows = np.repeat(np.arange(R), n)
-        return self._resample(raw, seeds, scale, rows, np.tile(eids, R), np.tile(cols, R))
+        """Scalar-sample edges ``eids`` (no vector program) into columns
+        ``cols`` for every row."""
+        plan = self.plan
+        for r, seed in enumerate(seeds):
+            spec = PerturbationSpec(self.signature, seed=seed, scale=scale)
+            for e, c in zip(eids.tolist(), cols.tolist()):
+                raw[r, c] = spec.sample(plan.deltas[e], plan.edge_weight[e])
+        return len(seeds) * len(eids)
 
-    def _sample_group(self, raw, seeds, scale, steps, keys, eids, cols, tile=1) -> int:
+    def _sample_group(self, raw, scale, steps, keys, eids, cols, tile=1) -> int:
         """Evaluate one group into ``raw[:, cols]``; lanes that left the
-        fast path are resampled by the scalar spec.  Returns their count."""
+        vector path are resampled by the scalar spec from their stream
+        keys.  Returns their count."""
         V, ok = _eval_group(steps, keys, self.tables, tile)
         raw[:, cols] = V * scale
         if ok is None or ok.all():
             return 0
-        rows, lanes = np.nonzero(~ok)
-        return self._resample(raw, seeds, scale, rows, eids[lanes], cols[lanes])
+        at = np.nonzero(~ok)
+        rows, lanes = at
+        return self._resample(raw, scale, rows, eids[lanes], cols[lanes], [a[at] for a in keys])
 
 
 def _seeds_u64(seeds: list[int]) -> np.ndarray:
@@ -970,7 +1248,7 @@ class _BoundSampler(_Sampler):
             keys = _stream_key_arrays(_seeds_u64(seeds), self.kind_u64, self.uid_mat, self.uid_len)
             for lanes, eids, cols, steps in self.groups:
                 group_keys = tuple(a[:, lanes] for a in keys)
-                fallback += self._sample_group(raw, seeds, scale, steps, group_keys, eids, cols)
+                fallback += self._sample_group(raw, scale, steps, group_keys, eids, cols)
         if len(self.unsup_ids):
             fallback += self._resample_all(raw, seeds, scale, self.unsup_ids, self.unsup_cols)
         obs.span_add("compiled.lanes", R * self.out_width)
@@ -1042,7 +1320,7 @@ class _TemplateSampler(_Sampler):
                 seeds_u64, plan.uid_kind[gids], plan.uid_mat[gids], plan.uid_len[gids]
             )
             cols = (base + tpos[None, :]).reshape(-1)
-            fallback += self._sample_group(raw, seeds, scale, steps, keys, gids, cols, tile=ni)
+            fallback += self._sample_group(raw, scale, steps, keys, gids, cols, tile=ni)
         if len(self.unsup_pos):
             eids = rows[:, self.unsup_pos].reshape(-1)
             cols = (base + self.unsup_pos[None, :]).reshape(-1)

@@ -195,30 +195,41 @@ class TruncatedNormal(_Base):
     def _alpha(self) -> float:
         return (self.lower - self.mu) / self.sigma
 
+    # The standard normal's cdf, quantile and density are the functions
+    # ``scipy.stats.norm`` evaluates (same floats), without its import.
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Inverse-CDF sampling restricted to the surviving tail mass.
-        from scipy.stats import norm
+        from scipy.special import ndtr, ndtri
+
+        lo = ndtr(self._alpha())
+        u = rng.uniform(lo, 1.0, size=n)
+        return self.mu + self.sigma * ndtri(u)
+
+    def _tail(self) -> tuple[float, float]:
+        """``(alpha, lambda)``: the standardized bound and the inverse
+        Mills ratio ``pdf(alpha) / (1 - cdf(alpha))``."""
+        from scipy.special import ndtr
 
         a = self._alpha()
-        lo = norm.cdf(a)
-        u = rng.uniform(lo, 1.0, size=n)
-        return self.mu + self.sigma * norm.ppf(u)
+        return a, _norm_pdf(a) / max(1.0 - ndtr(a), 1e-300)
 
     def mean(self) -> float:
-        from scipy.stats import norm
-
-        a = self._alpha()
-        lam = norm.pdf(a) / max(1.0 - norm.cdf(a), 1e-300)
+        _, lam = self._tail()
         return self.mu + self.sigma * lam
 
     def var(self) -> float:
-        from scipy.stats import norm
-
-        a = self._alpha()
-        z = max(1.0 - norm.cdf(a), 1e-300)
-        lam = norm.pdf(a) / z
+        a, lam = self._tail()
         delta = lam * (lam - a)
         return self.sigma**2 * (1.0 - delta)
+
+
+_NORM_PDF_C = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(x: float) -> float:
+    """The standard normal density, as ``scipy.stats.norm.pdf`` computes it."""
+    return np.exp(-np.square(x) / 2.0) / _NORM_PDF_C
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ references, and full cross-engine bit-identity — in-core ``propagate``
 vs :class:`CompiledPlan` vs ``StreamingTraversal`` — over every bundled
 app, both modes, and a ladder of seeds and scales."""
 
+import math
 import pickle
 
 import numpy as np
@@ -112,6 +113,8 @@ class TestPCG64Vectorization:
         wi, ki = tables["norm"]
         assert we.shape == ke.shape == wi.shape == ki.shape == (256,)
         assert np.all(we > 0) and np.all(wi > 0)
+        # The slow-path constants derived from a fresh harvest verify too.
+        assert tables["exp_slow"] is not None and tables["norm_slow"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,25 @@ def test_plan_pickle_roundtrip_is_bit_identical(app_builds):
     assert np.array_equal(before.delays, after.delays)
 
 
+def test_old_layout_tables_in_a_plan_pickle_are_ignored(app_builds, monkeypatch):
+    """A plan pickled with tables of another layout (no slow-path
+    entries) does not install them in the loading process."""
+    from repro.core import sampler as C
+
+    _, build = app_builds["stencil1d"]
+    plan = compiled_plan(build)
+    current = plan._tables
+    old = {k: v for k, v in current.items() if k not in ("exp_slow", "norm_slow")}
+    monkeypatch.setattr(plan, "_tables", old)
+    blob = pickle.dumps(plan)
+    monkeypatch.setattr(C, "_TABLES", None)
+    pickle.loads(blob)
+    assert C._TABLES is None
+    monkeypatch.setattr(plan, "_tables", current)
+    pickle.loads(pickle.dumps(plan))
+    assert C._tables_match_candidates(C._TABLES, current)
+
+
 def test_invalid_mode_and_engine_raise(app_builds):
     _, build = app_builds["token_ring"]
     plan = compiled_plan(build)
@@ -397,6 +419,48 @@ class TestTablesDiskCache:
         assert np.array_equal(harvested["exp"][0], good["exp"][0])
         assert np.array_equal(harvested["exp"][1], good["exp"][1])
 
+    def test_shipped_tables_verify_without_a_harvest(self, tmp_path, monkeypatch):
+        """An empty cache reads the table file shipped for this numpy:
+        both families and both slow paths verify, nothing is harvested
+        and nothing is written."""
+        from repro.core import sampler as C
+
+        if not C._shipped_tables_path().exists():
+            pytest.skip(f"no table file shipped for numpy {np.__version__}")
+
+        def no_harvest(*args):
+            raise AssertionError("harvested although the shipped tables verify")
+
+        monkeypatch.setenv(C.TABLES_CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(C, "_harvest_layers", no_harvest)
+        monkeypatch.setattr(C, "_TABLES", None)
+        with obs.observed() as session:
+            tables = C._get_tables()
+        assert session.metrics.counter("compiled.tables_cache.hits").value == 2
+        assert all(tables[key] is not None for key in C._ZIGGURAT)
+        assert C._tables_match_candidates(
+            tables, C._load_table_candidates(C._shipped_tables_path())
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_table_file_of_another_numpy_or_layout_is_ignored(self, tmp_path):
+        import json
+
+        from repro.core import sampler as C
+
+        doc = C._tables_doc(_build_tables())
+        old_layout = dict(doc, exp={k: v for k, v in doc["exp"].items() if k != "slow"})
+        path = tmp_path / "tables.json"
+        for bad in (
+            dict(doc, numpy="0.0.0"),
+            dict(doc, schema="repro-ziggurat-tables/1"),
+            old_layout,
+        ):
+            path.write_text(json.dumps(bad))
+            assert C._load_table_candidates(path) is None
+        path.write_text(json.dumps(doc))
+        assert C._load_table_candidates(path) is not None
+
     def test_cache_env_disables(self, monkeypatch):
         from repro.core import sampler as C
 
@@ -462,6 +526,42 @@ def _os_edges(plan, sig, min_draws=1, max_draws=None):
     return out
 
 
+def _force_stream(monkeypatch, plan, target, u0):
+    """Make edge ``target``'s stream, in every replicate and in both the
+    vector sampler and the scalar spec, the one whose first raw output
+    is ``u0`` (the LCG predecessor of ``(hi=0, lo=u0)``, increment 1)."""
+    from repro.core import sampler as S
+
+    state = S._predecessor(u0)
+    width = int(plan.uid_len[target])
+    tuid = plan.uid_mat[target, :width]
+    tdelta = plan.deltas[target]
+    real_keys = S._stream_key_arrays
+
+    def forced_keys(seeds_u64, kind_u64, uid_mat, uid_len):
+        hi, lo, inc_hi, inc_lo = real_keys(seeds_u64, kind_u64, uid_mat, uid_len)
+        lane = (
+            (kind_u64 == plan.uid_kind[target])
+            & (uid_len == width)
+            & (uid_mat[:, :width] == tuid).all(axis=1)
+        )
+        assert lane.sum() <= 1
+        hi[:, lane] = state >> 64
+        lo[:, lane] = state & S._MASK64
+        inc_hi[:, lane] = 0
+        inc_lo[:, lane] = 1
+        return hi, lo, inc_hi, inc_lo
+
+    real_rng = PerturbationSpec._rng
+
+    def forced_rng(self, delta):
+        gen = real_rng(self, delta)
+        return self._seeded(state, 1) if delta == tdelta else gen
+
+    monkeypatch.setattr(S, "_stream_key_arrays", forced_keys)
+    monkeypatch.setattr(PerturbationSpec, "_rng", forced_rng)
+
+
 class TestMeasuredVectorPath:
     SEEDS = [0, 5, 9]
 
@@ -506,48 +606,13 @@ class TestMeasuredVectorPath:
         """Give one edge a stream whose first uint32 is 0, which the
         Lemire step rejects for any size that is not a power of two: the
         lane must take the scalar fallback and still match it."""
-        from repro.core import sampler as S
-
         _, build = app_builds["token_ring"]
         plan = CompiledPlan(build)
         sig = MachineSignature(latency=_emp(2, 1000, 40.0))  # threshold 296
         target = next(
             e for e in plan.sampled_ids.tolist() if plan.deltas[e].kind != DeltaKind.OS
         )
-        tdelta = plan.deltas[target]
-        # Predecessor of the state whose XSL-RR output is u0 (inc = 1).
-        u0 = 0x12345678_00000000
-        state = ((u0 - 1) * S._PCG_INV_MULT) & S._MASK128
-        width = int(plan.uid_len[target])
-        tuid = plan.uid_mat[target, :width]
-
-        real_keys = S._stream_key_arrays
-
-        def forced_keys(seeds_u64, kind_u64, uid_mat, uid_len):
-            hi, lo, inc_hi, inc_lo = real_keys(seeds_u64, kind_u64, uid_mat, uid_len)
-            lane = (
-                (kind_u64 == plan.uid_kind[target])
-                & (uid_len == width)
-                & (uid_mat[:, :width] == tuid).all(axis=1)
-            )
-            hi[:, lane] = state >> 64
-            lo[:, lane] = state & S._MASK64
-            inc_hi[:, lane] = 0
-            inc_lo[:, lane] = 1
-            return hi, lo, inc_hi, inc_lo
-
-        real_rng = PerturbationSpec._rng
-
-        def forced_rng(self, delta):
-            gen = real_rng(self, delta)
-            if delta == tdelta:
-                st = dict(self._template)
-                st["state"] = {"state": state, "inc": 1}
-                self._bg.state = st
-            return gen
-
-        monkeypatch.setattr(S, "_stream_key_arrays", forced_keys)
-        monkeypatch.setattr(PerturbationSpec, "_rng", forced_rng)
+        _force_stream(monkeypatch, plan, target, 0x12345678_00000000)
         raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
         assert fallback == len(self.SEEDS)  # the forced lane, once per replicate
         assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
@@ -570,6 +635,129 @@ class TestMeasuredVectorPath:
         n_lat = len(plan.sampled_ids) - len(_os_edges(plan, sig))
         assert 0 < n_lat < len(plan.sampled_ids)
         assert fallback == len(self.SEEDS) * n_lat
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+
+
+# ---------------------------------------------------------------------------
+# Ziggurat misses finish in lanes (forced wedge, redraw and tail cases)
+# ---------------------------------------------------------------------------
+
+
+def _ziggurat_output(fam, case, seed=0):
+    """A raw output that misses ``fam``'s ziggurat fast path, found by
+    asking the real ``Generator`` how many raw outputs its draw takes:
+    a wedge accept takes 2, a wedge reject then a fast redraw 3, a
+    reject then a second miss 4 or more; ``tail`` misses the base layer."""
+    from repro.core import sampler as S
+
+    w, k = S._get_tables()[fam]
+    top = 1 << S._PAYLOAD_BITS[fam]
+    prober = S._Prober()
+    draw = prober.gen.standard_exponential if fam == "exp" else prober.gen.standard_normal
+    layers = [i for i in range(1, 256) if int(k[i]) < top]
+    want = {"accept": lambda n: n == 2, "reject": lambda n: n == 3,
+            "second miss": lambda n: n >= 4, "tail": lambda n: n >= 2}[case]
+    rng = np.random.default_rng(seed)
+    found = None
+    for _ in range(20_000):
+        idx = 0 if case == "tail" else layers[int(rng.integers(len(layers)))]
+        pay = int(rng.integers(int(k[idx]), top))
+        if fam == "exp":
+            u0 = ((pay << 8) | idx) << 3
+        else:
+            u0 = (pay << 9) | (int(rng.integers(2)) << 8) | idx
+        if not want(prober.probe(u0, draw, maxn=32)[1]):
+            continue
+        if fam != "exp" or case != "tail":
+            return u0
+        # Prefer a tail whose log1p numpy's vector loop rounds unlike
+        # libm (where that loop differs at all): only libm's is exact.
+        found = found or u0
+        prober.set_state(S._predecessor(u0), 1)
+        d = (int(prober.bg.random_raw(2)[1]) >> 11) * 2.0**-53  # the tail's double
+        r = S._derive_slow("exp", w)[1]
+        if r - float(np.log1p(np.full(8, -d))[0]) != r - math.log1p(-d):
+            return u0
+    assert found is not None, f"no {fam} {case} output found"
+    return found
+
+
+def _templated_edge(plan, kind):
+    """A sampled edge of ``kind``, inside a templated instance when the
+    plan coarsened (so the template sampler draws it, tile > 1)."""
+    ids = plan.coarse.run_edge_ids[1] if plan.coarse is not None else plan.sampled_ids
+    return next(e for e in ids.tolist() if plan.deltas[e].kind == kind)
+
+
+class TestZigguratMisses:
+    SEEDS = [0, 5, 9]
+
+    @pytest.mark.parametrize("coarsen", ["off", "on"])
+    @pytest.mark.parametrize(
+        "fam,case",
+        [("exp", "accept"), ("exp", "reject"), ("exp", "second miss"), ("exp", "tail"),
+         ("norm", "accept"), ("norm", "tail")],
+    )
+    def test_forced_miss_finishes_in_lanes(self, app_builds, monkeypatch, coarsen, fam, case):
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build, coarsen=coarsen)
+        assert (plan.coarse is not None) == (coarsen == "on")
+        latency = Exponential(40.0) if fam == "exp" else Normal(75.0, 5.0)
+        sig = MachineSignature(os_noise=Constant(100.0), latency=latency)
+        target = _templated_edge(plan, DeltaKind.LATENCY)
+        _force_stream(monkeypatch, plan, target, _ziggurat_output(fam, case))
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        assert fallback == 0
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+
+    @pytest.mark.parametrize("coarsen", ["off", "on"])
+    @pytest.mark.parametrize("case", ["reject", "second miss"])
+    def test_later_draws_read_the_advanced_stream(self, app_builds, monkeypatch, coarsen, case):
+        """A TRANSFER_OS edge draws latency, per-byte and OS noise from
+        one stream: after the forced latency miss, the other two draws
+        must start where numpy's loop left the stream."""
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build, coarsen=coarsen)
+        sig = MachineSignature(
+            os_noise=Exponential(80.0), latency=Exponential(40.0), per_byte=Exponential(0.004)
+        )
+        target = _templated_edge(plan, DeltaKind.TRANSFER_OS)
+        assert plan.deltas[target].nbytes > 0
+        _force_stream(monkeypatch, plan, target, _ziggurat_output("exp", case))
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        assert fallback == 0
+        assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
+
+    def test_failed_slow_path_check_disables_only_the_slow_path(self, app_builds, monkeypatch):
+        """Without verified slow-path constants every miss falls back, as
+        counted by the real Generator: the lanes whose one draw takes
+        more than one raw output."""
+        from repro.core import sampler as S
+
+        monkeypatch.setattr(S, "_check_slow", lambda *args: False)
+        tables = S._build_tables()
+        assert tables["exp"] is not None and tables["norm"] is not None
+        assert tables["exp_slow"] is None and tables["norm_slow"] is None
+        monkeypatch.setattr(S, "_TABLES", tables)
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build)
+        sig = MachineSignature(os_noise=Constant(100.0), latency=Exponential(40.0))
+        target = _templated_edge(plan, DeltaKind.LATENCY)
+        _force_stream(monkeypatch, plan, target, _ziggurat_output("exp", "tail"))
+        misses = 0
+        for seed in self.SEEDS:
+            spec = PerturbationSpec(sig, seed=seed)
+            for e in plan.sampled_ids.tolist():
+                if plan.deltas[e].kind == DeltaKind.OS:
+                    continue  # a Constant: no draw
+                gen = spec._rng(plan.deltas[e])
+                gen.standard_exponential()
+                after = gen.bit_generator.state["state"]["state"]
+                gen = spec._rng(plan.deltas[e])
+                gen.bit_generator.random_raw()
+                misses += after != gen.bit_generator.state["state"]["state"]
+        raw, _, fallback = _lane_counts(plan, sig, self.SEEDS)
+        assert fallback == misses >= len(self.SEEDS)
         assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
 
 

@@ -4,8 +4,9 @@ scipy backs one job, fitting microbenchmark samples to distribution
 families (§5), done once per machine by ``repro-microbench`` or an
 analysis's ``--measure``.  The traversal only consumes the fitted
 signature, so every other tool starts without it.  ``repro-verify``'s
-quantile bounds for Normal-family and Gamma draws need
-:mod:`scipy.special` only, never :mod:`scipy.stats`.  Each check runs
+quantile bounds for Normal-family and Gamma draws, and sampling a
+TruncatedNormal, need :mod:`scipy.special` only, never
+:mod:`scipy.stats`.  Each check runs
 its entry points in a fresh interpreter, where ``sys.modules`` shows
 what a user's start-up paid for.
 """
@@ -21,7 +22,7 @@ import pytest
 import repro
 from repro import cli
 from repro.noise import Exponential, MachineSignature
-from repro.noise.distributions import Gamma, LogNormal
+from repro.noise.distributions import Gamma, LogNormal, TruncatedNormal
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -97,6 +98,19 @@ def test_verify_bounds_load_no_scipy_stats(ring):
     verify = analysis_args(ring, "--signature", str(ring / "lognormal.json"))
     assert run_fresh(("main_verify", verify), module="scipy.stats") == [["main_verify", 0, False]]
     assert run_fresh(("main_verify", verify), module="scipy.special") == [["main_verify", 0, True]]
+
+
+def test_truncated_normal_analysis_loads_no_scipy_stats(ring):
+    """Sampling and the moments of a TruncatedNormal take scipy.special's
+    ndtr/ndtri, not scipy.stats."""
+    MachineSignature(
+        os_noise=TruncatedNormal(50.0, 10.0, lower=0.0), latency=Exponential(25.0), name="trunc"
+    ).save(ring / "trunc.json")
+    analyze = analysis_args(ring, "--signature", str(ring / "trunc.json"))
+    assert run_fresh(("main_analyze", analyze), module="scipy.stats") == [["main_analyze", 0, False]]
+    assert run_fresh(("main_analyze", analyze), module="scipy.special") == [
+        ["main_analyze", 0, True]
+    ]
 
 
 def test_fitting_loads_scipy(ring):

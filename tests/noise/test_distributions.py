@@ -111,6 +111,23 @@ class TestTruncatedNormal:
         assert t.mean() == pytest.approx(100.0, rel=1e-6)
         assert t.var() == pytest.approx(25.0, rel=1e-4)
 
+    def test_equals_scipy_stats_formulas(self):
+        """scipy.special's ndtr/ndtri and the local density give exactly
+        the floats the scipy.stats.norm formulas give."""
+        from scipy.stats import norm
+
+        params = np.random.default_rng(31)
+        for i in range(300):
+            mu, sigma = params.normal(0.0, 100.0), params.uniform(0.01, 100.0)
+            t = TruncatedNormal(mu, sigma, lower=mu + params.uniform(-6.0, 6.0) * sigma)
+            a = (t.lower - mu) / sigma
+            lam = norm.pdf(a) / max(1.0 - norm.cdf(a), 1e-300)
+            assert t.mean() == mu + sigma * lam
+            assert t.var() == sigma**2 * (1.0 - lam * (lam - a))
+            draws = np.random.default_rng(i).uniform(norm.cdf(a), 1.0, size=16)
+            expect = mu + sigma * norm.ppf(draws)
+            assert np.array_equal(t.sample_n(np.random.default_rng(i), 16), expect)
+
 
 class TestLogNormal:
     def test_moments(self, rng):
