@@ -656,7 +656,9 @@ def main_analyze(argv: list[str] | None = None) -> int:
             raise SystemExit(f"--{flag} requires the compiled engine, not streaming")
 
     session = _start_observability(args, "repro-analyze")
-    with obs.span("analyze", engine=engine, mode=args.mode), _door(args) as run:
+    with obs.span("analyze", engine=engine, mode=args.mode), _door(
+        args, keep_decoded=engine != "streaming"
+    ) as run:
         traces, config = run.traces, run.build_config
         sig = _load_signature(args)
         spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
@@ -802,7 +804,7 @@ def main_sweep(argv: list[str] | None = None) -> int:
     _configure_logging(args)
 
     session = _start_observability(args, "repro-sweep")
-    with _door(args) as run:
+    with _door(args, keep_decoded=args.engine != "streaming") as run:
         sig = _load_signature(args)
         spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
@@ -924,7 +926,12 @@ def main_lint(argv: list[str] | None = None) -> int:
     ap.add_argument("--skew-tolerance", type=float, default=0.5, help="MPG007 threshold")
 
     def setup(args):
-        check = dict(graph=not args.trace_only, config=_lint_flag_config(args), refuse=False)
+        check = dict(
+            graph=not args.trace_only,
+            config=_lint_flag_config(args),
+            refuse=False,
+            keep_decoded=not args.trace_only,
+        )
         return check, lambda run: run.report
 
     return _report_main(ap, argv, _ReportTool(None, "lint report"), setup)
@@ -1263,7 +1270,7 @@ def main_replay(argv: list[str] | None = None) -> int:
             cpu_factor=cpu_factor,
         )
 
-    with _door(args) as run:
+    with _door(args, keep_decoded=False) as run:
         if args.cpu_factors:
             factors = [float(f) for f in args.cpu_factors.split(",") if f.strip()]
             results = replay_ladder(run.traces, [params_for(f) for f in factors], jobs=args.jobs)

@@ -76,12 +76,9 @@ class RuntimeImpact:
 
 def runtime_impact(build: BuildResult, result: TraversalResult) -> RuntimeImpact:
     """Summarize how the perturbation changed each rank's runtime."""
-    runtimes = []
-    for events in build.events:
-        if events:
-            runtimes.append(events[-1].t_end - events[0].t_start)
-        else:
-            runtimes.append(0.0)
+    runtimes = [
+        float(f.t_end[-1]) - float(f.t_start[0]) if len(f) else 0.0 for f in build.frames
+    ]
     slowdowns = tuple(
         d / t if t > 0 else 0.0 for d, t in zip(result.final_delay, runtimes)
     )

@@ -34,7 +34,6 @@ Observability: the compiled path emits ``compiled.compile``,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,7 +42,7 @@ import numpy as np
 from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.coarsen import AUTO_MIN_NODES, COARSEN_CHOICES, Level, detect_phases
-from repro.core.graph import DeltaKind, EdgeKind
+from repro.core.graph import DeltaKind, DeltaRows, EdgeKind
 from repro.core.perturb import PerturbationSpec
 from repro.core.sampler import _adopt_tables, _BoundSampler, _get_tables, _TemplateSampler
 from repro.core.traversal import MODES, TraversalResult
@@ -52,7 +51,6 @@ from repro.noise.signature import MachineSignature
 __all__ = ["SCRATCH_CELLS", "CompiledBatch", "CompiledPlan", "Walk", "compiled_plan", "level_step"]
 
 _U64 = np.uint64
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Scratch budget of one walk step, in float64 cells (about 100 MB):
 #: bounds the replicate rows of a batch and the templated instances
@@ -107,23 +105,17 @@ def _level_schedule(graph, level: np.ndarray) -> list[Level]:
     ]
 
 
-def _uid_columns(uids: list, sampled_ids: np.ndarray, delta_kind: np.ndarray, n_edges: int):
+def _uid_columns(g, sampled_ids: np.ndarray, delta_kind: np.ndarray):
     """``(uid_mat, uid_len, uid_kind)``: the sampled edges' uids as
-    uint64 columns, masked exactly like ``perturb._mix`` masks them."""
-    lens = np.fromiter(map(len, uids), dtype=np.int64, count=len(uids))
-    flat = list(itertools.chain.from_iterable(uids))
-    try:
-        vals = np.array(flat)
-    except OverflowError:
-        vals = None
-    if vals is None or vals.dtype != np.int64:  # huge, odd or no values
-        vals = np.array([v & _MASK64 for v in flat], dtype=_U64)
-    uid_mat = np.zeros((n_edges, int(lens.max(initial=0))), dtype=_U64)
-    rows = np.repeat(sampled_ids, lens)
-    cols = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
-    uid_mat[rows, cols] = vals.view(_U64)
+    uint64 columns (the low 64 bits ``perturb._mix`` reads), read from
+    the graph's ``delta_uid``/``delta_uid_len`` columns; zero for the
+    edges that sample nothing."""
+    n_edges = len(delta_kind)
     uid_len = np.zeros(n_edges, dtype=np.int64)
-    uid_len[sampled_ids] = lens
+    uid_len[sampled_ids] = g.delta_uid_len[sampled_ids]
+    width = int(uid_len.max(initial=0))
+    uid_mat = np.zeros((n_edges, width), dtype=_U64)
+    uid_mat[sampled_ids] = g.delta_uid[sampled_ids, :width].view(_U64)
     uid_kind = np.zeros(n_edges, dtype=_U64)
     uid_kind[sampled_ids] = delta_kind[sampled_ids]
     return uid_mat, uid_len, uid_kind
@@ -202,7 +194,6 @@ class CompiledPlan:
             # repro.metrics.frames hands out as zero-copy views.
             self.edge_weight = g.edge_weight
             self.edge_kind = g.delta_kind  # the delta kind: what gets sampled
-            self.deltas = list(g.edge_delta)
             self.sampled_ids = np.nonzero(self.edge_kind != int(DeltaKind.NONE))[0]
             self.node_rank = g.node_rank
             self.node_seq = g.node_seq
@@ -219,10 +210,7 @@ class CompiledPlan:
             self.delta_rounds = g.delta_rounds
 
             self.uid_mat, self.uid_len, self.uid_kind = _uid_columns(
-                [self.deltas[i].uid for i in self.sampled_ids.tolist()],
-                self.sampled_ids,
-                self.edge_kind,
-                self.n_edges,
+                g, self.sampled_ids, self.edge_kind
             )
             topo, level = g.topological_levels()
             self.levels = _level_schedule(g, np.array(level, dtype=np.int64))
@@ -255,6 +243,21 @@ class CompiledPlan:
             self._tmpl_abs: dict = {}
             self._tap_groups: dict | None = None
             self._tables = _get_tables()  # harvested once; rides the pickle
+
+    @property
+    def deltas(self) -> DeltaRows:
+        """Each edge's :class:`~repro.core.graph.DeltaSpec`, read from
+        the plan's delta and uid columns (a uid only on sampled edges)."""
+        return DeltaRows(
+            self.edge_kind,
+            self.delta_rank,
+            self.delta_src,
+            self.delta_dst,
+            self.edge_nbytes,
+            self.delta_rounds,
+            self.uid_mat.view(np.int64),
+            self.uid_len,
+        )
 
     # -- pickling (ship arrays, not caches) -------------------------------------
     def __getstate__(self):

@@ -107,7 +107,7 @@ def async_warnings(build: BuildResult) -> list[AnalysisWarning]:
     """
     if build.warnings:
         return list(build.warnings)
-    return _match_warnings(build.match, build.events)
+    return _match_warnings(build.match, build.frames)
 
 
 def clamp_warnings(result: TraversalResult) -> list[AnalysisWarning]:

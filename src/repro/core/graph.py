@@ -20,9 +20,8 @@ delay (delta) propagation, never for cross-rank time arithmetic (§4.1).
 from __future__ import annotations
 
 import enum
-from array import array
 from collections.abc import Sequence
-from operator import attrgetter, index
+from operator import index
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -38,7 +37,9 @@ __all__ = [
     "NO_DELTA",
     "Node",
     "Edge",
+    "DeltaRows",
     "MessagePassingGraph",
+    "delta_columns",
 ]
 
 
@@ -142,40 +143,128 @@ class Edge(NamedTuple):
 _PHASE = {int(p): p for p in Phase}
 _EDGE_KIND = {int(k): k for k in EdgeKind}
 _EVENT_KIND = {int(k): k for k in EventKind}
+_DELTA_KIND = {int(k): k for k in DeltaKind}
 
-#: Numeric columns: name -> array typecode (numpy views use the same
-#: width, see ``_DTYPES``).  The delta columns unpack each edge's
-#: :class:`DeltaSpec` so phase detection and bounds read ints, not
-#: attributes.
+#: Numeric columns: name -> dtype.  The delta columns unpack each
+#: edge's :class:`DeltaSpec` so phase detection, bounds and the sampler
+#: read ints, not attributes; ``delta_uid`` is an (edges, width) int64
+#: matrix whose row ``j`` holds edge ``j``'s uid in its first
+#: ``delta_uid_len[j]`` cells (ints outside int64 are kept as their low
+#: 64 bits, which is all the sampler's stream key reads of them).
 _NODE_COLUMNS = {
-    "node_rank": "q",
-    "node_seq": "q",
-    "node_phase": "B",
-    "node_kind": "B",
-    "node_t_local": "d",
+    "node_rank": np.int64,
+    "node_seq": np.int64,
+    "node_phase": np.uint8,
+    "node_kind": np.uint8,
+    "node_t_local": np.float64,
 }
 _EDGE_COLUMNS = {
-    "edge_src": "q",
-    "edge_dst": "q",
-    "edge_kind": "B",
-    "edge_weight": "d",
-    "delta_kind": "B",
-    "delta_rank": "q",
-    "delta_src": "q",
-    "delta_dst": "q",
-    "delta_nbytes": "q",
-    "delta_rounds": "q",
+    "edge_src": np.int64,
+    "edge_dst": np.int64,
+    "edge_kind": np.uint8,
+    "edge_weight": np.float64,
 }
-_DTYPES = {"q": np.int64, "B": np.uint8, "d": np.float64}
-_DELTA_FIELDS = {
-    f"delta_{field}": attrgetter(field)
-    for field in ("kind", "rank", "src", "dst", "nbytes", "rounds")
+_DELTA_COLUMNS = {
+    "delta_kind": np.uint8,
+    "delta_rank": np.int64,
+    "delta_src": np.int64,
+    "delta_dst": np.int64,
+    "delta_nbytes": np.int64,
+    "delta_rounds": np.int64,
+    "delta_uid_len": np.int64,
 }
+_DELTA_ROW_COLUMNS = (*list(_DELTA_COLUMNS)[:6], "delta_uid", "delta_uid_len")
+_MASK64 = (1 << 64) - 1
+
+
+def _int64(v: int) -> int:
+    """``v`` as the int64 with its low 64 bits."""
+    v &= _MASK64
+    return v - (1 << 64) if v >> 63 else v
+
+
+def delta_columns(deltas: Sequence[DeltaSpec]) -> dict[str, np.ndarray]:
+    """:class:`DeltaSpec` values unpacked into the graph's delta
+    columns (:data:`_DELTA_COLUMNS` plus the ``delta_uid`` matrix)."""
+    fields = list(zip(*deltas)) if deltas else [()] * 7
+    cols = {
+        name: np.array(values, dtype=dtype)
+        for (name, dtype), values in zip(list(_DELTA_COLUMNS.items())[:6], fields)
+    }
+    uids = fields[6]
+    lens = np.fromiter(map(len, uids), dtype=np.int64, count=len(uids))
+    cols["delta_uid_len"] = lens
+    flat = [v for uid in uids for v in uid]
+    try:
+        vals = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        vals = np.array([_int64(v) for v in flat], dtype=np.int64)
+    uid = np.zeros((len(uids), int(lens.max(initial=0))), dtype=np.int64)
+    if len(flat):
+        rows = np.repeat(np.arange(len(uids)), lens)
+        uid[rows, np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)] = vals
+    cols["delta_uid"] = uid
+    return cols
+
+
+class DeltaRows(Sequence):
+    """Per-edge :class:`DeltaSpec` values read from delta columns: row
+    ``j`` is made when accessed (``graph.edge_delta``,
+    ``CompiledPlan.deltas``)."""
+
+    __slots__ = ("_kind", "_rank", "_src", "_dst", "_nbytes", "_rounds", "_uid", "_uid_len")
+
+    def __init__(self, kind, rank, src, dst, nbytes, rounds, uid, uid_len):
+        self._kind, self._rank, self._src, self._dst = kind, rank, src, dst
+        self._nbytes, self._rounds, self._uid, self._uid_len = nbytes, rounds, uid, uid_len
+
+    def __len__(self) -> int:
+        return len(self._kind)
+
+    def _row(self, j: int) -> DeltaSpec:
+        return DeltaSpec(
+            _DELTA_KIND[int(self._kind[j])],
+            int(self._rank[j]),
+            int(self._src[j]),
+            int(self._dst[j]),
+            int(self._nbytes[j]),
+            int(self._rounds[j]),
+            tuple(self._uid[j, : self._uid_len[j]].tolist()),
+        )
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return self.take(np.arange(len(self))[j])
+        j = index(j)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"row {j} out of range")
+        return self._row(j)
+
+    def take(self, ids) -> list[DeltaSpec]:
+        """The rows ``ids`` (an int array), made in one pass."""
+        lens = self._uid_len[ids].tolist()
+        uids = self._uid[ids].tolist()
+        return list(
+            map(
+                DeltaSpec,
+                [_DELTA_KIND[k] for k in self._kind[ids].tolist()],
+                self._rank[ids].tolist(),
+                self._src[ids].tolist(),
+                self._dst[ids].tolist(),
+                self._nbytes[ids].tolist(),
+                self._rounds[ids].tolist(),
+                [tuple(u[:n]) for u, n in zip(uids, lens)],
+            )
+        )
+
+    def __iter__(self) -> Iterator[DeltaSpec]:
+        return iter(self.take(slice(None)))
 
 
 class _Column:
-    """A numeric column read as a read-only numpy array (built on first
-    read after an append, then shared until the next append)."""
+    """A numeric column, read as a read-only numpy array."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -183,32 +272,42 @@ class _Column:
     def __get__(self, graph, owner=None):
         if graph is None:
             return self
-        return graph._numpy(self.name)
+        return graph._column(self.name)
 
 
 class _RowView(Sequence):
-    """``graph.nodes`` / ``graph.edges``: each row made into a
-    :class:`Node` / :class:`Edge` value when accessed."""
+    """``graph.nodes`` / ``graph.edges``: the rows as :class:`Node` /
+    :class:`Edge` values, all made on the first access that reads one
+    and kept until the graph grows (``len`` makes none)."""
 
-    __slots__ = ("_labels", "_row")
+    __slots__ = ("_labels", "_rows")
 
-    def __init__(self, labels: list, row):
+    def __init__(self, labels: list, rows):
         self._labels = labels  # one per row: the length, kept current
-        self._row = row
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(j) for j in range(*i.indices(len(self)))]
-        i = index(i)
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"row {i} out of range")
-        return self._row(i)
+        return self._rows()[i]
+
+    def __iter__(self):
+        return iter(self._rows())
+
+
+def _grown(col: np.ndarray, values, dtype) -> np.ndarray:
+    """``col`` with ``values`` appended, read-only."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim == 2 and col.ndim == 2 and values.shape[1] != col.shape[1]:
+        width = max(values.shape[1], col.shape[1])
+        col = np.pad(col, ((0, 0), (0, width - col.shape[1])))
+        values = np.pad(values, ((0, 0), (0, width - values.shape[1])))
+    out = values if not len(col) else np.concatenate([col, values])
+    if out is values and out.base is not None:
+        out = out.copy()  # never share a caller's buffer
+    out.flags.writeable = False
+    return out
 
 
 class MessagePassingGraph:
@@ -218,12 +317,17 @@ class MessagePassingGraph:
     ``node_seq``, ``node_phase``, ``node_kind``, ``node_t_local``,
     ``node_label``); edge ``j`` is row ``j`` of the edge columns
     (``edge_src``, ``edge_dst``, ``edge_kind``, ``edge_weight``,
-    ``edge_label``, ``edge_delta`` and the unpacked ``delta_*`` ints).
-    Numeric columns read as read-only numpy arrays; ``nodes``/``edges``
-    are sequence views yielding :class:`Node`/:class:`Edge` values.
-    Adjacency is CSR over edge ids, built on first use with a stable
-    sort, so ``in_edge_ids(v)`` lists ``v``'s in-edges in insertion
-    order.
+    ``edge_label``) and of the delta columns (``delta_kind``,
+    ``delta_rank``, ``delta_src``, ``delta_dst``, ``delta_nbytes``,
+    ``delta_rounds``, the ``delta_uid`` matrix and ``delta_uid_len``).
+    Numeric columns are read-only numpy arrays, held as such;
+    ``nodes``/``edges`` are sequence views yielding :class:`Node`/
+    :class:`Edge` values, and ``edge_delta`` one yielding each edge's
+    :class:`DeltaSpec`.  Rows appended one at a time (:meth:`add_node`,
+    :meth:`add_edge`) are gathered and joined to the columns on the next
+    read.  Adjacency is CSR over edge ids, built on first use with a
+    stable sort, so ``in_edge_ids(v)`` lists ``v``'s in-edges in
+    insertion order.
 
     The streaming analyzer (:mod:`repro.core.traversal`) never builds
     this object; it exists for exact verification, visualization
@@ -246,62 +350,102 @@ class MessagePassingGraph:
     delta_dst = _Column()
     delta_nbytes = _Column()
     delta_rounds = _Column()
+    delta_uid = _Column()
+    delta_uid_len = _Column()
 
     def __init__(self, nprocs: int):
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = nprocs
-        self._cols: dict[str, array] = {
-            name: array(code) for name, code in {**_NODE_COLUMNS, **_EDGE_COLUMNS}.items()
+        self._cols: dict[str, np.ndarray] = {
+            name: np.zeros(0, dtype=dtype)
+            for name, dtype in {**_NODE_COLUMNS, **_EDGE_COLUMNS, **_DELTA_COLUMNS}.items()
         }
+        self._cols["delta_uid"] = np.zeros((0, 0), dtype=np.int64)
+        self._pending_nodes: list[tuple] = []  # rows from add_node
+        self._pending_edges: list[tuple] = []  # rows from add_edge
         self.node_label: list[str] = []
         self.edge_label: list[str] = []
-        self.edge_delta: list[DeltaSpec] = []
         self.final_nodes: list[int | None] = [None] * nprocs  # FINALIZE ENDs
-        self._derived: dict = {}  # numpy columns, CSR, rank chains
+        self._derived: dict = {}  # CSR, rank chains, row values
         self._subevents: dict | None = None  # (rank, seq, phase) -> id, on demand
 
     @property
     def nodes(self) -> Sequence[Node]:
-        return _RowView(self.node_label, self._node)
+        return _RowView(self.node_label, self._node_rows)
 
     @property
     def edges(self) -> Sequence[Edge]:
-        return _RowView(self.edge_label, self._edge)
+        return _RowView(self.edge_label, self._edge_rows)
 
-    def _node(self, i: int) -> Node:
+    @property
+    def edge_delta(self) -> DeltaRows:
+        """Each edge's :class:`DeltaSpec`, read from the delta columns."""
+        c = self._flushed()
+        return DeltaRows(*(c[name] for name in _DELTA_ROW_COLUMNS))
+
+    def _node_rows(self) -> list[Node]:
+        rows = self._derived.get("node_rows")
+        if rows is None:
+            c = self._flushed()
+            rows = self._derived["node_rows"] = list(
+                map(
+                    Node,
+                    range(len(self.node_label)),
+                    c["node_rank"].tolist(),
+                    c["node_seq"].tolist(),
+                    [_PHASE[p] for p in c["node_phase"].tolist()],
+                    [_EVENT_KIND[k] for k in c["node_kind"].tolist()],
+                    c["node_t_local"].tolist(),
+                    self.node_label,
+                )
+            )
+        return rows
+
+    def _edge_rows(self) -> list[Edge]:
+        rows = self._derived.get("edge_rows")
+        if rows is None:
+            c = self._flushed()
+            rows = self._derived["edge_rows"] = list(
+                map(
+                    Edge,
+                    c["edge_src"].tolist(),
+                    c["edge_dst"].tolist(),
+                    [_EDGE_KIND[k] for k in c["edge_kind"].tolist()],
+                    c["edge_weight"].tolist(),
+                    self.edge_delta,
+                    self.edge_label,
+                )
+            )
+        return rows
+
+    def _flushed(self) -> dict[str, np.ndarray]:
+        """The columns, with any rows added one at a time joined on."""
+        if self._pending_nodes:
+            rows, self._pending_nodes = self._pending_nodes, []
+            self._extend(_NODE_COLUMNS, zip(*rows))
+        if self._pending_edges:
+            rows, self._pending_edges = self._pending_edges, []
+            src, dst, kind, weight, delta = zip(*rows)
+            self._extend(_EDGE_COLUMNS, (src, dst, kind, weight))
+            self._extend_deltas(delta_columns(delta))
+        return self._cols
+
+    def _column(self, name: str) -> np.ndarray:
+        return self._flushed()[name]
+
+    def _extend(self, names: dict, values) -> None:
         c = self._cols
-        return Node(
-            i,
-            c["node_rank"][i],
-            c["node_seq"][i],
-            _PHASE[c["node_phase"][i]],
-            _EVENT_KIND[c["node_kind"][i]],
-            c["node_t_local"][i],
-            self.node_label[i],
-        )
+        for (name, dtype), vals in zip(names.items(), values):
+            c[name] = _grown(c[name], vals, dtype)
+        self._derived.clear()
 
-    def _edge(self, i: int) -> Edge:
-        c = self._cols
-        return Edge(
-            c["edge_src"][i],
-            c["edge_dst"][i],
-            _EDGE_KIND[c["edge_kind"][i]],
-            c["edge_weight"][i],
-            self.edge_delta[i],
-            self.edge_label[i],
-        )
-
-    def _numpy(self, name: str) -> np.ndarray:
-        arr = self._derived.get(name)
-        if arr is None:
-            col = self._cols[name]
-            arr = np.frombuffer(col, dtype=_DTYPES[col.typecode]).copy()
-            arr.flags.writeable = False
-            self._derived[name] = arr
-        return arr
+    def _extend_deltas(self, delta: dict) -> None:
+        self._extend(_DELTA_COLUMNS, (delta[name] for name in _DELTA_COLUMNS))
+        self._cols["delta_uid"] = _grown(self._cols["delta_uid"], delta["delta_uid"], np.int64)
 
     def __getstate__(self) -> dict:
+        self._flushed()
         state = dict(self.__dict__)
         state["_derived"] = {}
         state["_subevents"] = None
@@ -328,12 +472,7 @@ class MessagePassingGraph:
                     f"duplicate subevent {key}", code="duplicate-subevent", rank=rank, seq=seq
                 )
             index[key] = node_id
-        c = self._cols
-        c["node_rank"].append(rank)
-        c["node_seq"].append(seq)
-        c["node_phase"].append(phase)
-        c["node_kind"].append(kind)
-        c["node_t_local"].append(t_local)
+        self._pending_nodes.append((rank, seq, phase, kind, t_local))
         self.node_label.append(label)
         self._derived.clear()
         return node_id
@@ -358,41 +497,38 @@ class MessagePassingGraph:
             raise DiagnosticError(
                 f"negative local edge weight {weight} ({src}->{dst})",
                 code="invalid-edge-weight",
-                rank=self._cols["node_rank"][src],
-                seq=self._cols["node_seq"][src],
+                rank=int(self.node_rank[src]),
+                seq=int(self.node_seq[src]),
             )
         edge_id = len(self.edge_label)
-        self.extend_edges([src], [dst], [kind], [weight], [delta], [label])
+        self._pending_edges.append((src, dst, kind, weight, delta))
+        self.edge_label.append(label)
+        self._derived.clear()
         return edge_id
 
     def extend_nodes(self, rank, seq, phase, kind, t_local, label) -> None:
-        """Append node rows in bulk (one sequence per column).
+        """Append node rows in bulk (one sequence or array per column).
 
         The caller guarantees real subevents are unique — the builder
         does, by requiring dense per-rank sequence numbers.
         """
-        c = self._cols
-        for name, values in zip(_NODE_COLUMNS, (rank, seq, phase, kind, t_local)):
-            c[name].extend(values)
+        self._flushed()
+        self._extend(_NODE_COLUMNS, (rank, seq, phase, kind, t_local))
         self.node_label.extend(label)
-        self._derived.clear()
         self._subevents = None
 
     def extend_edges(self, src, dst, kind, weight, delta, label) -> None:
-        """Append edge rows in bulk (one sequence per column).
+        """Append edge rows in bulk (one sequence or array per column).
 
-        The caller has validated each row as :meth:`add_edge` would —
-        the builder does, in trace order, so an error names the first
-        defect.
+        ``delta`` is a sequence of :class:`DeltaSpec` or the delta
+        columns themselves (:func:`delta_columns`' mapping).  The caller
+        has validated each row as :meth:`add_edge` would — the builder
+        does, in trace order, so an error names the first defect.
         """
-        c = self._cols
-        for name, values in zip(_EDGE_COLUMNS, (src, dst, kind, weight)):
-            c[name].extend(values)
-        for name, field in _DELTA_FIELDS.items():
-            c[name].extend(map(field, delta))
-        self.edge_delta.extend(delta)
+        self._flushed()
+        self._extend(_EDGE_COLUMNS, (src, dst, kind, weight))
+        self._extend_deltas(delta if isinstance(delta, dict) else delta_columns(delta))
         self.edge_label.extend(label)
-        self._derived.clear()
 
     # -- lookup -----------------------------------------------------------------
     def _subevent_index(self) -> dict:
@@ -400,10 +536,12 @@ class MessagePassingGraph:
         only for point lookups and one-at-a-time construction; the
         analysis path never needs it."""
         if self._subevents is None:
-            c = self._cols
+            c = self._flushed()
             self._subevents = {
                 (r, s, _PHASE[p]): i
-                for i, (r, s, p) in enumerate(zip(c["node_rank"], c["node_seq"], c["node_phase"]))
+                for i, (r, s, p) in enumerate(
+                    zip(c["node_rank"].tolist(), c["node_seq"].tolist(), c["node_phase"].tolist())
+                )
                 if p != Phase.VIRTUAL
             }
         return self._subevents
@@ -543,11 +681,11 @@ class MessagePassingGraph:
     # -- stats ---------------------------------------------------------------------
     def stats(self) -> dict:
         n_edges = len(self.edge_label)
-        n_local = self._cols["edge_kind"].count(EdgeKind.LOCAL)
+        n_local = int(np.count_nonzero(self.edge_kind == EdgeKind.LOCAL))
         return {
             "nprocs": self.nprocs,
             "nodes": len(self.node_label),
-            "virtual_nodes": self._cols["node_phase"].count(Phase.VIRTUAL),
+            "virtual_nodes": int(np.count_nonzero(self.node_phase == Phase.VIRTUAL)),
             "edges": n_edges,
             "local_edges": n_local,
             "message_edges": n_edges - n_local,

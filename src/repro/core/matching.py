@@ -18,16 +18,20 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.core.diagnostics import DiagnosticError, warn
 from repro.trace.events import (
     COLLECTIVE_KINDS,
+    COMPLETION_KINDS,
     EventKind,
     EventRecord,
     ROOTED_COLLECTIVES,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.columns import EventColumns
 
 __all__ = [
     "MatchResult",
@@ -102,20 +106,6 @@ class MatchResult:
 
     def link_count(self) -> int:
         return len(self.transfer_of)
-
-
-def _channels_of(ev: EventRecord) -> list[tuple[str, tuple, int]]:
-    """(role, channel, nbytes) contributions of one event to pairwise
-    matching."""
-    out = []
-    if ev.kind in (EventKind.SEND, EventKind.ISEND):
-        out.append(("send", (ev.rank, ev.peer, ev.tag), ev.nbytes))
-    elif ev.kind in (EventKind.RECV, EventKind.IRECV):
-        out.append(("recv", (ev.peer, ev.rank, ev.tag), ev.nbytes))
-    elif ev.kind == EventKind.SENDRECV:
-        out.append(("send", (ev.rank, ev.peer, ev.tag), ev.nbytes))
-        out.append(("recv", (ev.recv_peer, ev.rank, ev.recv_tag), ev.recv_nbytes))
-    return out
 
 
 def unpaired(leftovers: Sequence[tuple[str, Key, tuple]]) -> MatchError:
@@ -394,16 +384,23 @@ class RankScheduler:
             raise unpaired(leftovers)
 
 
-def match_events(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult:
+def match_events(per_rank: Sequence) -> MatchResult:
     """Match a complete run's events (in-core variant).
 
+    ``per_rank`` holds each rank's :class:`~repro.trace.columns.
+    EventColumns` (or its events, which are put into columns first).
     Walks every rank's events in order exactly once (§4.1): FIFO
     channel queues pair sends with receives; request-id maps link
     nonblocking operations to their completions; collective ordinals
     group collective calls.
     """
+    from repro.trace.columns import EventColumns
+
+    frames = [
+        f if isinstance(f, EventColumns) else EventColumns.from_events(f) for f in per_rank
+    ]
     with obs.span("match_events"):
-        result = _match_events_impl(per_rank)
+        result = _match_events_impl(frames)
         obs.span_add("match.transfers", len(result.transfer_of))
         obs.span_add("match.completions", len(result.completion_of))
         obs.span_add("match.collectives", len(result.collectives))
@@ -412,84 +409,117 @@ def match_events(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult:
         return result
 
 
-def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult:
+_SEND, _RECV, _SENDRECV = int(EventKind.SEND), int(EventKind.RECV), int(EventKind.SENDRECV)
+_ISEND, _IRECV = int(EventKind.ISEND), int(EventKind.IRECV)
+_COMPLETION = frozenset(int(k) for k in COMPLETION_KINDS)
+_COLLECTIVE = frozenset(int(k) for k in COLLECTIVE_KINDS)
+_ROOTED = frozenset(int(k) for k in ROOTED_COLLECTIVES)
+_KINDS = tuple(EventKind)
+
+
+def _match_events_impl(frames: Sequence[EventColumns]) -> MatchResult:
     result = MatchResult()
+    transfer_of = result.transfer_of
+    reverse_transfer_of = result.reverse_transfer_of
+    transfer_index = result.transfer_index
     pending_sends: dict[tuple, deque] = defaultdict(deque)
     pending_recvs: dict[tuple, deque] = defaultdict(deque)
     send_counts: dict[tuple, int] = defaultdict(int)
     collectives: dict[int, dict] = {}
 
-    for rank, events in enumerate(per_rank):
+    def send(key: tuple, channel: tuple, nbytes: int) -> None:
+        transfer_index[key] = send_counts[channel]
+        send_counts[channel] += 1
+        q = pending_recvs[channel]
+        if q:
+            rkey, recv_nbytes = q.popleft()
+            if recv_nbytes != nbytes:
+                src, _, tag = channel
+                raise size_mismatch(*rkey, src, tag, recv_nbytes, nbytes)
+            transfer_of[key] = rkey
+            reverse_transfer_of[rkey] = key
+        else:
+            pending_sends[channel].append((key, nbytes))
+
+    def recv(key: tuple, channel: tuple, nbytes: int) -> None:
+        q = pending_sends[channel]
+        if q:
+            skey, send_nbytes = q.popleft()
+            if send_nbytes != nbytes:
+                src, _, tag = channel
+                raise size_mismatch(*key, src, tag, nbytes, send_nbytes)
+            transfer_of[skey] = key
+            reverse_transfer_of[key] = skey
+        else:
+            pending_recvs[channel].append((key, nbytes))
+
+    for rank, f in enumerate(frames):
         open_reqs: dict[int, Key] = {}
         coll_counter = 0
-        for ev in events:
-            key = (ev.rank, ev.seq)
-            for role, channel, nbytes in _channels_of(ev):
-                if role == "send":
-                    result.transfer_index[key] = send_counts[channel]
-                    send_counts[channel] += 1
-                    q = pending_recvs[channel]
-                    if q:
-                        rkey, recv_nbytes = q.popleft()
-                        if recv_nbytes != nbytes:
-                            src, _, tag = channel
-                            raise size_mismatch(*rkey, src, tag, recv_nbytes, nbytes)
-                        result.transfer_of[key] = rkey
-                        result.reverse_transfer_of[rkey] = key
-                    else:
-                        pending_sends[channel].append((key, nbytes))
-                else:
-                    q = pending_sends[channel]
-                    if q:
-                        skey, send_nbytes = q.popleft()
-                        if send_nbytes != nbytes:
-                            src, _, tag = channel
-                            raise size_mismatch(*key, src, tag, nbytes, send_nbytes)
-                        result.transfer_of[skey] = key
-                        result.reverse_transfer_of[key] = skey
-                    else:
-                        pending_recvs[channel].append((key, nbytes))
+        done = f.done.tolist()
+        done_ptr = f.done_ptr.tolist()
+        for i, (kind, ev_rank, seq, peer, tag, nbytes, req, root, coll_seq) in enumerate(
+            zip(
+                f.kind.tolist(),
+                f.rank.tolist(),
+                f.seq.tolist(),
+                f.peer.tolist(),
+                f.tag.tolist(),
+                f.nbytes.tolist(),
+                f.req.tolist(),
+                f.root.tolist(),
+                f.coll_seq.tolist(),
+            )
+        ):
+            key = (ev_rank, seq)
+            if kind == _SEND or kind == _ISEND:
+                send(key, (ev_rank, peer, tag), nbytes)
+            elif kind == _RECV or kind == _IRECV:
+                recv(key, (peer, ev_rank, tag), nbytes)
+            elif kind == _SENDRECV:
+                send(key, (ev_rank, peer, tag), nbytes)
+                recv(key, (int(f.recv_peer[i]), ev_rank, int(f.recv_tag[i])), int(f.recv_nbytes[i]))
 
-            if ev.kind in (EventKind.ISEND, EventKind.IRECV):
-                open_reqs[ev.req] = key
-            elif ev.kind.is_completion:
-                for rid in ev.completed:
+            if kind == _ISEND or kind == _IRECV:
+                open_reqs[req] = key
+            elif kind in _COMPLETION:
+                for rid in done[done_ptr[i] : done_ptr[i + 1]]:
                     src_key = open_reqs.pop(rid, None)
                     if src_key is None:
-                        raise unknown_request(rank, ev.seq, rid)
+                        raise unknown_request(rank, seq, rid)
                     result.completion_of[src_key] = key
-            elif ev.kind in COLLECTIVE_KINDS:
-                ordinal = ev.coll_seq if ev.coll_seq >= 0 else coll_counter
+            elif kind in _COLLECTIVE:
+                ordinal = coll_seq if coll_seq >= 0 else coll_counter
                 coll_counter += 1
                 inst = collectives.setdefault(
                     ordinal,
-                    {"kind": ev.kind, "root": ev.root, "nbytes": ev.nbytes, "members": {}},
+                    {"kind": _KINDS[kind], "root": root, "nbytes": nbytes, "members": {}},
                 )
-                if inst["kind"] != ev.kind:
+                if inst["kind"] != kind:
                     raise MatchError(
-                        f"collective #{ordinal}: rank {rank} called {ev.kind.name}, "
+                        f"collective #{ordinal}: rank {rank} called {_KINDS[kind].name}, "
                         f"others called {inst['kind'].name}",
                         code="collective-mismatch",
                         rank=rank,
-                        seq=ev.seq,
+                        seq=seq,
                     )
-                if ev.kind in ROOTED_COLLECTIVES and inst["root"] != ev.root:
+                if kind in _ROOTED and inst["root"] != root:
                     raise MatchError(
-                        f"collective #{ordinal} ({ev.kind.name}): root mismatch "
-                        f"({ev.root} vs {inst['root']})",
+                        f"collective #{ordinal} ({_KINDS[kind].name}): root mismatch "
+                        f"({root} vs {inst['root']})",
                         code="collective-mismatch",
                         rank=rank,
-                        seq=ev.seq,
+                        seq=seq,
                     )
                 if rank in inst["members"]:
                     raise MatchError(
                         f"rank {rank} appears twice in collective #{ordinal}",
                         code="collective-mismatch",
                         rank=rank,
-                        seq=ev.seq,
+                        seq=seq,
                     )
                 inst["members"][rank] = key
-                inst["nbytes"] = max(inst["nbytes"], ev.nbytes)
+                inst["nbytes"] = max(inst["nbytes"], nbytes)
         result.uncompleted.extend(open_reqs.values())
 
     # Unpaired pairwise events are a hard error: the run completed, so every
@@ -499,7 +529,7 @@ def _match_events_impl(per_rank: Sequence[Sequence[EventRecord]]) -> MatchResult
     if leftovers:
         raise unpaired(leftovers)
 
-    nprocs = len(per_rank)
+    nprocs = len(frames)
     for ordinal in sorted(collectives):
         inst = collectives[ordinal]
         if len(inst["members"]) != nprocs:

@@ -25,6 +25,12 @@ Template catalogue:
 ``gap_edge``
     E(prev)→S(next) compute-phase edge; carries one δ_os sample — the
     paper's primary noise-attachment point (§4.2, §5.1).
+``chain_edges``
+    One rank's whole chain (every ``intra_event_edge`` and
+    ``gap_edge``) laid out with array ops over the rank's
+    :class:`~repro.trace.columns.EventColumns`: the in-core builder's
+    form of the two templates above, which the streaming traversal
+    applies one event at a time.
 ``transfer_deltas`` / ``transfer_edges``
     Fig. 2 (blocking) and Fig. 3 (nonblocking + waits): a data-path edge
     carrying δ_λ1 + δ_t(d) + δ_os2 into the receive-completion subevent,
@@ -49,6 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from repro._util import ilog2_ceil
 from repro.core.diagnostics import DiagnosticError
 from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, NO_DELTA, Phase
@@ -63,6 +71,8 @@ __all__ = [
     "bfly",
     "intra_event_edge",
     "gap_edge",
+    "chain_edges",
+    "INTRA_OS_KINDS",
     "transfer_deltas",
     "transfer_edges",
     "collective_edges",
@@ -85,6 +95,8 @@ UNROOTED_HUB_KINDS = frozenset(
 BCAST_STYLE = frozenset({EventKind.BCAST, EventKind.SCATTER})
 REDUCE_STYLE = frozenset({EventKind.REDUCE, EventKind.GATHER})
 PREFIX_STYLE = frozenset({EventKind.SCAN})
+#: Kinds whose S→E edge carries a δ_os sample (see ``intra_event_edge``).
+INTRA_OS_KINDS = frozenset({EventKind.SEND}) | ROOTED_COLLECTIVES | PREFIX_STYLE
 
 # uid namespaces (first element) — keep distinct per template so two edges
 # never share a sampling stream.
@@ -162,12 +174,9 @@ class BuildConfig:
 
 
 def intra_event_edge(ev: EventRecord) -> EdgeT:
-    """S→E edge of one event, weighted with the observed duration."""
-    if ev.kind == EventKind.SEND:
-        delta = DeltaSpec(
-            DeltaKind.OS, rank=ev.rank, uid=(_UID_INTRA, ev.rank, ev.seq)
-        )  # δ_os1 of Eq. 1
-    elif ev.kind in ROOTED_COLLECTIVES or ev.kind in PREFIX_STYLE:
+    """S→E edge of one event, weighted with the observed duration.  A
+    blocking SEND's is δ_os1 of Eq. 1; see :data:`INTRA_OS_KINDS`."""
+    if ev.kind in INTRA_OS_KINDS:
         delta = DeltaSpec(DeltaKind.OS, rank=ev.rank, uid=(_UID_INTRA, ev.rank, ev.seq))
     else:
         delta = NO_DELTA
@@ -206,6 +215,65 @@ def gap_edge(prev: EventRecord, ev: EventRecord) -> EdgeT:
         DeltaSpec(DeltaKind.OS, rank=ev.rank, uid=(_UID_GAP, ev.rank, ev.seq)),
         label="compute",
     )
+
+
+_INTRA_OS_CODES = sorted(int(k) for k in INTRA_OS_KINDS)
+
+
+def chain_edges(frame, base: int) -> dict[str, np.ndarray]:
+    """One rank's chain of local edges as edge and delta columns (the
+    graph's ``edge_*``/``delta_*`` columns keyed without the ``edge_``
+    prefix, ``label`` a list).
+
+    ``frame`` is the rank's :class:`~repro.trace.columns.EventColumns`,
+    its events owning node ids ``base + 2 * i`` (START) and ``+ 1``
+    (END).  The rows are the builder's order: event 0's S→E edge, then
+    per later event its S→E edge and the gap edge into it, each exactly
+    :func:`intra_event_edge` / :func:`gap_edge` of that event.  The
+    caller has checked the chain (dense seqs, no negative weight).
+    """
+    n = len(frame)
+    if not n:
+        return {}
+    rank, seq = frame.rank, frame.seq
+    # Row 2i - 1 (row 0 for event 0) is event i's S→E edge; row 2i its gap.
+    intra = np.maximum(2 * np.arange(n) - 1, 0)
+    gap = 2 * np.arange(1, n)
+    m = 2 * n - 1
+    src = np.empty(m, dtype=np.int64)
+    src[intra] = base + 2 * np.arange(n)
+    src[gap] = base + 2 * np.arange(n - 1) + 1
+    weight = np.empty(m, dtype=np.float64)
+    weight[intra] = frame.t_end - frame.t_start
+    weight[gap] = frame.t_start[1:] - frame.t_end[:-1]
+    os_intra = np.isin(frame.kind, _INTRA_OS_CODES)
+    sampled = np.ones(m, dtype=bool)
+    sampled[intra] = os_intra
+    owner = np.empty(m, dtype=np.int64)
+    owner[intra] = rank
+    owner[gap] = rank[1:]
+    uid = np.zeros((m, 3), dtype=np.int64)
+    uid[intra, 0] = _UID_INTRA
+    uid[gap, 0] = _UID_GAP
+    uid[:, 1] = owner
+    uid[intra, 2] = seq
+    uid[gap, 2] = seq[1:]
+    uid[~sampled] = 0
+    return {
+        "src": src,
+        "dst": src + 1,  # S→E of one event, or E of one to S of the next
+        "kind": np.zeros(m, dtype=np.uint8),  # EdgeKind.LOCAL
+        "weight": weight,
+        "label": ["op"] + ["op", "compute"] * (n - 1),
+        "delta_kind": np.where(sampled, int(DeltaKind.OS), int(DeltaKind.NONE)).astype(np.uint8),
+        "delta_rank": np.where(sampled, owner, -1),
+        "delta_src": np.full(m, -1, dtype=np.int64),
+        "delta_dst": np.full(m, -1, dtype=np.int64),
+        "delta_nbytes": np.zeros(m, dtype=np.int64),
+        "delta_rounds": np.zeros(m, dtype=np.int64),
+        "delta_uid_len": np.where(sampled, 3, 0),
+        "delta_uid": uid,
+    }
 
 
 def transfer_deltas(

@@ -1145,11 +1145,14 @@ class _Sampler:
             self._classified[key] = _classify_cached(dist, self.tables)
         return self._classified[key]
 
-    def program(self, eid: int):
+    def programs(self, eids: np.ndarray) -> list:
+        """The draw program of each edge in ``eids`` (None where the
+        edge has no uid or no vector program)."""
         plan = self.plan
-        return _edge_program(
-            self.signature, plan.deltas[eid], plan.edge_weight[eid], self.classify, self.max_draws
-        )
+        return [
+            _edge_program(self.signature, d, w, self.classify, self.max_draws) if d.uid else None
+            for d, w in zip(plan.deltas.take(eids), plan.edge_weight[eids].tolist())
+        ]
 
     def _resample(self, raw, scale, rows, eids, cols, states) -> int:
         """Exact per-lane fallback: ``raw[r, c]`` := the scalar spec's
@@ -1157,22 +1160,34 @@ class _Sampler:
         (``(hi, lo, inc_hi, inc_lo)`` per lane), for each ``(r, e, c)``."""
         plan = self.plan
         spec = PerturbationSpec(self.signature, scale=scale)
+        edges = np.unique(eids)
+        delta_of = dict(zip(edges.tolist(), plan.deltas.take(edges)))
+        weight_of = dict(zip(edges.tolist(), plan.edge_weight[edges].tolist()))
         for r, e, c, hi, lo, ihi, ilo in zip(
             rows.tolist(), eids.tolist(), cols.tolist(), *(a.tolist() for a in states)
         ):
             rng = spec._seeded((hi << 64) | lo, (ihi << 64) | ilo)
-            raw[r, c] = spec._sample_from(rng, plan.deltas[e], plan.edge_weight[e])
+            raw[r, c] = spec._sample_from(rng, delta_of[e], weight_of[e])
         return len(rows)
 
     def _resample_all(self, raw, seeds, scale, eids, cols) -> int:
         """Scalar-sample edges ``eids`` (no vector program) into columns
-        ``cols`` for every row."""
+        ``cols`` for every row: each lane's stream is keyed in lanes
+        (:func:`_stream_key_arrays`) and drawn by :meth:`_resample`."""
         plan = self.plan
-        for r, seed in enumerate(seeds):
-            spec = PerturbationSpec(self.signature, seed=seed, scale=scale)
-            for e, c in zip(eids.tolist(), cols.tolist()):
-                raw[r, c] = spec.sample(plan.deltas[e], plan.edge_weight[e])
-        return len(seeds) * len(eids)
+        unkeyed = eids[plan.uid_len[eids] == 0]
+        if len(unkeyed):  # the scalar spec's own error for a uid-less edge
+            PerturbationSpec(self.signature, seed=seeds[0], scale=scale).sample(
+                plan.deltas[int(unkeyed[0])]
+            )
+        keys = _stream_key_arrays(
+            _seeds_u64(seeds), plan.uid_kind[eids], plan.uid_mat[eids], plan.uid_len[eids]
+        )
+        R, n = len(seeds), len(eids)
+        rows = np.repeat(np.arange(R), n)
+        lanes = np.tile(np.arange(n), R)
+        states = [a.reshape(-1) for a in keys]
+        return self._resample(raw, scale, rows, eids[lanes], cols[lanes], states)
 
     def _sample_group(self, raw, scale, steps, keys, eids, cols, tile=1) -> int:
         """Evaluate one group into ``raw[:, cols]``; lanes that left the
@@ -1216,10 +1231,9 @@ class _BoundSampler(_Sampler):
         sup: list[tuple[int, int]] = []  # (edge id, column) with a vector program
         programs: list = []
         unsup: list[tuple[int, int]] = []
-        for eid, col in zip(cand.tolist(), cand_cols.tolist()):
-            # The scalar engine raises for uid-less sampled edges; defer
-            # to it so the error (and message) is identical.
-            prog = self.program(eid) if plan.deltas[eid].uid else None
+        # The scalar engine raises for uid-less sampled edges; they get no
+        # program, so the fallback defers to it and the error is identical.
+        for eid, col, prog in zip(cand.tolist(), cand_cols.tolist(), self.programs(cand)):
             if prog is None:
                 unsup.append((eid, col))
             else:
@@ -1290,8 +1304,8 @@ class _TemplateSampler(_Sampler):
         programs: list = []
         unsup: list[int] = []
         if self.ok:
-            for q in np.nonzero(sampled_cols)[0].tolist():
-                prog = self.program(int(ref[q]))
+            positions = np.nonzero(sampled_cols)[0]
+            for q, prog in zip(positions.tolist(), self.programs(ref[positions])):
                 if prog is None:
                     unsup.append(q)
                 else:

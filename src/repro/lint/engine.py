@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro import obs
 from repro.core.builder import BuildResult, build_graph
@@ -42,7 +42,10 @@ from repro.core.primitives import BuildConfig
 from repro.lint.model import Finding, LintConfig, Severity
 from repro.lint.registry import all_rules, rule_for_code, run_rule
 from repro.trace.events import EventRecord, TraceMeta
-from repro.trace.reader import TraceSet, TraceSource
+from repro.trace.reader import TraceSet, TraceSource, rank_columns
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.columns import EventColumns
 
 __all__ = [
     "CheckedRun",
@@ -59,26 +62,26 @@ __all__ = [
 ]
 
 
-def _span(events: list[EventRecord]) -> float:
+def _span(frame: EventColumns) -> float:
     """A rank's trace span: first event START to last event END."""
-    return events[-1].t_end - events[0].t_start
+    return float(frame.t_end[-1]) - float(frame.t_start[0])
 
 
 class _TraceView:
     """Some ranks of a trace set as the trace rules see them: their
-    events (:meth:`ranks`), headers (:meth:`meta`) and :attr:`spans`."""
+    columns (:meth:`ranks`), headers (:meth:`meta`) and :attr:`spans`."""
 
     def __init__(
         self,
         ctx: LintContext,
-        ranks: list[tuple[int, list[EventRecord]]],
+        ranks: list[tuple[int, EventColumns]],
         spans: list[tuple[int, float]],
     ):
         self._ranks = ranks
         self.meta = ctx.meta
         self.spans = spans
 
-    def ranks(self) -> Iterator[tuple[int, list[EventRecord]]]:
+    def ranks(self) -> Iterator[tuple[int, EventColumns]]:
         return iter(self._ranks)
 
 
@@ -88,9 +91,11 @@ class LintContext:
     ``per_rank`` materializes the event lists on first use (rules share
     the one copy); ``graph`` is the built message-passing graph or
     ``None`` when no build was possible — graph rules that need it must
-    tolerate its absence.  Trace rules read only :meth:`ranks`,
-    :meth:`meta` and :attr:`spans`, so :meth:`views` can hand them a
-    trace set still on disk one rank at a time.
+    tolerate its absence.  Trace rules read only :meth:`ranks` (each
+    rank's :class:`~repro.trace.columns.EventColumns`), :meth:`meta` and
+    :attr:`spans`, so :meth:`views` can hand them a trace set still on
+    disk one rank at a time.  With ``keep_decoded`` a trace set on disk
+    keeps each rank's decode for the build (:meth:`TraceSet.columns`).
     """
 
     def __init__(
@@ -100,6 +105,7 @@ class LintContext:
         build: BuildResult | None = None,
         graph: MessagePassingGraph | None = None,
         build_config: BuildConfig | None = None,
+        keep_decoded: bool = False,
     ) -> None:
         if trace_set is None and per_rank is None and build is None and graph is None:
             raise ValueError("LintContext needs a trace_set, events, a build, or a graph")
@@ -108,6 +114,7 @@ class LintContext:
         self.build = build
         self._graph = graph
         self.build_config = build_config
+        self.keep_decoded = keep_decoded
         self.build_error: DiagnosticError | None = None
 
     @classmethod
@@ -133,9 +140,15 @@ class LintContext:
             return None
         return self.trace_set
 
-    def ranks(self) -> Iterator[tuple[int, list[EventRecord]]]:
-        """``(rank, events)`` of every rank, in rank order."""
-        return enumerate(self.per_rank)
+    @cached_property
+    def _frames(self) -> list[EventColumns]:
+        from repro.trace.columns import EventColumns
+
+        return [EventColumns.from_events(evs) for evs in self.per_rank]
+
+    def ranks(self) -> Iterator[tuple[int, EventColumns]]:
+        """``(rank, columns)`` of every rank, in rank order."""
+        return enumerate(self._frames)
 
     def meta(self, rank: int) -> TraceMeta | None:
         """Rank ``rank``'s trace header (None without a trace set)."""
@@ -146,7 +159,7 @@ class LintContext:
     @cached_property
     def spans(self) -> list[tuple[int, float]]:
         """``(rank, span)`` of every rank holding events."""
-        return [(r, _span(evs)) for r, evs in self.ranks() if evs]
+        return [(r, _span(frame)) for r, frame in self.ranks() if len(frame)]
 
     @cached_property
     def nprocs(self) -> int:
@@ -157,13 +170,18 @@ class LintContext:
     def event_count(self) -> int:
         return sum(len(evs) for evs in self.per_rank)
 
+    def _decode(self, source: TraceSource, rank: int) -> EventColumns:
+        if self.keep_decoded and isinstance(source, TraceSet):
+            return source.columns(rank, keep=True)
+        return rank_columns(source, rank)
+
     def views(self) -> Iterator[LintContext | _TraceView]:
         """What the trace rules run over, in order.
 
         An in-memory context is its own one view.  A trace set on disk
-        is read once, one rank at a time: a view per rank, then one
+        is decoded once, one rank at a time: a view per rank, then one
         holding only the per-rank spans for the cross-rank rule (MPG007),
-        so the trace pack never holds more than one rank's events.
+        so the trace pack holds at most one rank's columns itself.
         """
         source = self._on_disk
         if source is None:
@@ -172,11 +190,11 @@ class LintContext:
         spans: list[tuple[int, float]] = []
         count = 0
         for rank in range(source.nprocs):
-            events = list(source.events_of(rank))
-            count += len(events)
-            if events:
-                spans.append((rank, _span(events)))
-            yield _TraceView(self, [(rank, events)], [])
+            frame = self._decode(source, rank)
+            count += len(frame)
+            if len(frame):
+                spans.append((rank, _span(frame)))
+            yield _TraceView(self, [(rank, frame)], [])
         self.spans, self.event_count = spans, count
         yield _TraceView(self, [], spans)
 
@@ -353,7 +371,7 @@ def run_rules(
 
 def lint_traces(trace_set: TraceSource, config: LintConfig | None = None) -> LintReport:
     """Run the trace-level rules only (MPG0xx); no graph is built."""
-    return open_run(trace_set, config=config, refuse=False).report
+    return open_run(trace_set, config=config, refuse=False, keep_decoded=False).report
 
 
 def lint_build(
@@ -444,6 +462,7 @@ def open_run(
     config: LintConfig | None = None,
     refuse: bool = True,
     log: Callable[[LintReport], None] | None = None,
+    keep_decoded: bool = True,
 ) -> CheckedRun:
     """The one front door for trace input.
 
@@ -458,6 +477,13 @@ def open_run(
     finding instead.  Every failure to open or read is a
     :class:`DiagnosticError`, so a front end can end any of them with
     one line (:func:`error_line`).
+
+    A trace set on disk is decoded once: with ``keep_decoded`` (the
+    default) it keeps each rank's columns for ``trace_stats`` and the
+    build, which takes them over (:meth:`TraceSet.take_columns`).  A
+    tool that never builds in core (``--engine streaming``, replay, a
+    trace-only lint) turns it off, so the check holds one rank at a
+    time.
     """
     if isinstance(traces, (str, Path)):
         if stem is None:
@@ -472,7 +498,7 @@ def open_run(
             raise DiagnosticError(f"trace set {stem!r} in {traces}: {exc}") from None
     build_config = build_config or BuildConfig()
     with obs.span("lint", layer="all" if graph else "trace"):
-        ctx = LintContext(trace_set=traces, build_config=build_config)
+        ctx = LintContext(trace_set=traces, build_config=build_config, keep_decoded=keep_decoded)
         categories = ("trace", "graph") if graph else ("trace",)
         report = run_rules(ctx, config or LintConfig(), categories, stop_on_error=refuse)
     if log is not None:

@@ -7,6 +7,11 @@ nonblocking requests follow the post/complete protocol.  All checks
 use only per-rank information — never cross-rank timestamp comparison,
 which the methodology forbids (the one cross-rank rule, MPG007,
 compares durations, not clock readings).
+
+Each rule reads a rank's :class:`~repro.trace.columns.EventColumns`
+and first decides with array comparisons whether the rank holds any
+finding at all; only a rank that does is walked event by event, by
+the loop that words the findings.
 """
 
 from __future__ import annotations
@@ -14,12 +19,71 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.lint.model import Finding, LintConfig, Severity
 from repro.lint.registry import rule
-from repro.trace.events import EventKind
+from repro.trace.events import COMPLETION_KINDS, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import LintContext
+    from repro.trace.columns import EventColumns
+
+_COMPLETION_CODES = [int(k) for k in COMPLETION_KINDS]
+
+
+def _overlaps(frame: EventColumns) -> bool:
+    """Whether an event starts before the latest END so far (NaN ENDs
+    are skipped, as the walk skips them)."""
+    if len(frame) < 2:
+        return False
+    return bool(np.any(frame.t_start[1:] < np.fmax.accumulate(frame.t_end)[:-1]))
+
+
+def _request_ids(frame: EventColumns):
+    """``(opened, completions)``: the ids ISEND/IRECV rows open with
+    their rows, and the completed ids of completion rows with theirs."""
+    kind = frame.kind
+    nb = (kind == EventKind.ISEND) | (kind == EventKind.IRECV)
+    n_done = np.diff(frame.done_ptr)
+    done_row = np.repeat(np.arange(len(frame)), n_done)
+    of_completion = np.isin(kind, _COMPLETION_CODES)[done_row]
+    return (
+        (frame.req[nb], np.nonzero(nb)[0]),
+        (frame.done[of_completion], done_row[of_completion], of_completion),
+    )
+
+
+def _protocol_kept(frame: EventColumns) -> bool:
+    """Whether every request follows the post/complete protocol: each
+    ISEND/IRECV opens a fresh nonnegative id, and each completion
+    retires ids opened before it, still open, and among its own."""
+    (opened, open_row), (ids, row, of_completion) = _request_ids(frame)
+    if np.any(opened < 0):
+        return False
+    order = np.argsort(opened, kind="stable")
+    known = opened[order]
+    if np.any(known[1:] == known[:-1]) or len(np.unique(ids)) != len(ids):
+        return False  # a reused id, or one completed twice
+    at = np.minimum(np.searchsorted(known, ids), max(len(known) - 1, 0))
+    if len(ids) and (not len(known) or np.any(known[at] != ids)):
+        return False  # completes an id never opened
+    if np.any(open_row[order][at] >= row):
+        return False  # opened only after its completion
+    # Completed ids are among the row's own request ids: where a row's
+    # two lists have one length they are compared position by position;
+    # the other rows are looked up one by one.
+    n_reqs = np.diff(frame.reqs_ptr)
+    n_done = np.diff(frame.done_ptr)
+    pos = np.arange(len(frame.done)) - np.repeat(frame.done_ptr[:-1], n_done)
+    pos, same = pos[of_completion], (n_reqs == n_done)[row]
+    aligned = np.zeros(len(ids), dtype=bool)
+    if len(frame.reqs):
+        at = np.where(same, frame.reqs_ptr[row] + pos, 0)
+        aligned = same & (frame.reqs[at] == ids)
+    return all(
+        rid in frame.reqs_of(r) for rid, r in zip(ids[~aligned].tolist(), row[~aligned].tolist())
+    )
 
 __all__: list[str] = []  # rules register themselves; nothing to re-export
 
@@ -37,7 +101,10 @@ __all__: list[str] = []  # rules register themselves; nothing to re-export
     ),
 )
 def overlapping_events(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
+    for rank, frame in ctx.ranks():
+        if not _overlaps(frame):
+            continue
+        events = frame.records()
         prev_end = -math.inf
         prev_seq = None
         for ev in events:
@@ -67,10 +134,15 @@ def overlapping_events(ctx: LintContext, config: LintConfig) -> Iterator[Finding
     ),
 )
 def negative_timestamp(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
+    for rank, frame in ctx.ranks():
         meta = ctx.meta(rank)
         offset_explains_negative = meta is not None and meta.clock_offset < 0
-        for ev in events:
+        bad = ~np.isfinite(frame.t_start) | ~np.isfinite(frame.t_end)
+        if not offset_explains_negative:
+            bad |= frame.t_start < 0
+        if not bad.any():
+            continue
+        for ev in frame.records():
             if not math.isfinite(ev.t_start) or not math.isfinite(ev.t_end):
                 yield negative_timestamp.finding(
                     f"event #{ev.seq} ({ev.kind.name}) has non-finite timestamps "
@@ -104,11 +176,13 @@ def negative_timestamp(ctx: LintContext, config: LintConfig) -> Iterator[Finding
     ),
 )
 def truncated_trace(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
-        if not events:
+    for rank, frame in ctx.ranks():
+        if not len(frame):
             yield truncated_trace.finding(f"rank {rank} trace holds no events", rank=rank)
             continue
-        for i, ev in enumerate(events):
+        if not (np.any(frame.rank != rank) or np.any(frame.seq != np.arange(len(frame)))):
+            continue
+        for i, ev in enumerate(frame.records()):
             if ev.rank != rank:
                 yield truncated_trace.finding(
                     f"record {i} claims rank {ev.rank} but was read from rank {rank}'s trace",
@@ -137,9 +211,10 @@ def truncated_trace(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     ),
 )
 def missing_framing(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
-        if not events:
+    for rank, frame in ctx.ranks():
+        if not len(frame):
             continue
+        events = (frame.record(0), frame.record(len(frame) - 1))
         if events[0].kind != EventKind.INIT:
             yield missing_framing.finding(
                 f"first event is {events[0].kind.name}, not INIT", rank=rank, seq=events[0].seq
@@ -165,10 +240,12 @@ def missing_framing(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     ),
 )
 def wait_without_request(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
+    for rank, frame in ctx.ranks():
+        if _protocol_kept(frame):
+            continue
         open_reqs: set[int] = set()
         seen_reqs: set[int] = set()
-        for ev in events:
+        for ev in frame.records():
             if ev.kind in (EventKind.ISEND, EventKind.IRECV):
                 if ev.req < 0:
                     yield wait_without_request.finding(
@@ -225,9 +302,14 @@ def wait_without_request(ctx: LintContext, config: LintConfig) -> Iterator[Findi
     ),
 )
 def uncompleted_request(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
-    for rank, events in ctx.ranks():
+    for rank, frame in ctx.ranks():
+        # Under the protocol every id is opened once and retired at
+        # most once, so equal counts leave none open.
+        (opened, _), (ids, _, _) = _request_ids(frame)
+        if len(opened) == len(ids) and _protocol_kept(frame):
+            continue
         open_reqs: dict[int, int] = {}  # req id -> seq that opened it
-        for ev in events:
+        for ev in frame.records():
             if ev.kind in (EventKind.ISEND, EventKind.IRECV):
                 if ev.req >= 0 and ev.req not in open_reqs:
                     open_reqs[ev.req] = ev.seq

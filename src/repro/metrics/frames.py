@@ -246,14 +246,19 @@ def trace_frame(trace: "TraceSource | list[EventRecord]") -> Frame:
     …), matching :meth:`TraceSet.load_all` iteration.  Variable-length
     fields (``reqs``, ``completed``) are not columnized.
 
-    This is the one O(events) Python pass in the metrics layer; all
-    downstream metric math is vectorized over the returned columns.
+    A trace set's ranks are its per-rank columnar decodes
+    (:func:`repro.trace.reader.rank_columns`) concatenated, so a trace
+    the front door already decoded is not read again; all downstream
+    metric math is vectorized over the returned columns.
     ``frame.meta`` carries ``nprocs`` and ``program`` when the source
     is a trace set.
     """
+    from repro.trace.columns import EventColumns
+    from repro.trace.reader import rank_columns
+
     meta: dict[str, Any] = {}
     if isinstance(trace, list):
-        events: Iterator[EventRecord] = iter(trace)
+        frames: Iterator = iter([EventColumns.from_events(trace)])
         if trace:
             meta["nprocs"] = max(ev.rank for ev in trace) + 1
     else:
@@ -262,19 +267,14 @@ def trace_frame(trace: "TraceSource | list[EventRecord]") -> Frame:
             meta["program"] = trace.meta(0).program
         except (KeyError, IndexError):  # pragma: no cover - defensive
             pass
-
-        def _iter_all(src: "TraceSource") -> Iterator[EventRecord]:
-            for rank in range(src.nprocs):
-                yield from src.events_of(rank)
-
-        events = _iter_all(trace)
-
-    raw: list[list[Any]] = [[] for _ in _EVENT_COLUMNS]
-    for ev in events:
-        for slot, (_, attr, _dt) in zip(raw, _EVENT_COLUMNS):
-            slot.append(getattr(ev, attr))
+        frames = (rank_columns(trace, rank) for rank in range(trace.nprocs))
+    parts: list[list[np.ndarray]] = [[] for _ in _EVENT_COLUMNS]
+    for frame in frames:  # one rank's decode alive at a time
+        for part, (_, attr, _dt) in zip(parts, _EVENT_COLUMNS):
+            part.append(getattr(frame, attr))
     cols = {
-        name: np.array(vals, dtype=dt) for (name, _, dt), vals in zip(_EVENT_COLUMNS, raw)
+        name: np.concatenate(part).astype(dt, copy=False) if part else np.zeros(0, dtype=dt)
+        for part, (name, _, dt) in zip(parts, _EVENT_COLUMNS)
     }
     cols["duration"] = cols["t_end"] - cols["t_start"]
     return Frame(cols, meta=meta)

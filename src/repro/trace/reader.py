@@ -1,12 +1,23 @@
-"""Streaming trace readers.
+"""Trace readers: whole-rank columnar decode, and streaming.
 
-The analyzer streams traces instead of loading them in core (§1
-difference (3); §6 "windowed approach").  :class:`TraceReader` yields
-one rank's events lazily from disk; :class:`TraceSet` opens the
-per-rank files written by :class:`repro.trace.writer.TraceSetWriter`
-and checks they form a coherent run.
+:class:`TraceReader` reads one rank's file two ways.
+:meth:`~TraceReader.columns` decodes the whole file at once into an
+:class:`~repro.trace.columns.EventColumns` frame (one ``json.loads``
+per JSONL file, one pass over the record offsets of a binary one); the
+in-core analyzer reads every rank that way, once.
+:meth:`~TraceReader.events` streams :class:`EventRecord` objects one
+at a time, for the engines that must never hold a whole trace (§1
+difference (3); §6 "windowed approach").  Both raise the same
+:class:`~repro.core.diagnostics.DiagnosticError` on bytes they cannot
+read, naming the file, the line or record, and the rank: a file the
+columnar decode does not certify is decoded again by the streaming
+codec, which names the defect.
 
-An in-memory variant (:class:`MemoryTrace`) backs tests and
+:class:`TraceSet` opens the per-rank files written by
+:class:`repro.trace.writer.TraceSetWriter` and checks they form a
+coherent run; it keeps the ranks the front door decoded until the
+graph builder takes them (:meth:`TraceSet.take_columns`).  An
+in-memory variant (:class:`MemoryTrace`) backs tests and
 property-based generators without touching disk.
 """
 
@@ -15,12 +26,16 @@ from __future__ import annotations
 import glob
 import re
 import struct
+import weakref
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro import obs
 from repro.trace import format as fmt
 from repro.trace.events import EventRecord, TraceMeta
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.columns import EventColumns
 
 __all__ = [
     "TraceReader",
@@ -28,6 +43,7 @@ __all__ = [
     "MemoryTrace",
     "TraceSource",
     "find_trace_files",
+    "rank_columns",
 ]
 
 
@@ -47,6 +63,18 @@ class TraceSource(Protocol):
     def events_of(self, rank: int) -> Iterator[EventRecord]: ...
 
     def load_all(self) -> list[list[EventRecord]]: ...
+
+
+def rank_columns(source: TraceSource, rank: int) -> EventColumns:
+    """One rank of ``source`` as columns: its own columnar decode when
+    the source has one (:meth:`TraceSet.columns`,
+    :meth:`MemoryTrace.columns`), else built from its event stream."""
+    columns = getattr(source, "columns", None)
+    if columns is not None:
+        return columns(rank)
+    from repro.trace.columns import EventColumns
+
+    return EventColumns.from_events(source.events_of(rank))
 
 
 #: What a decoder raises on bytes it cannot read (a bad JSON line or
@@ -121,6 +149,38 @@ class TraceReader:
         with open(self.path, "rb") as fh:
             return fh.read(len(fmt.BINARY_MAGIC)) in (fmt.BINARY_MAGIC, fmt.BINARY_MAGIC_V1)
 
+    def columns(self) -> EventColumns:
+        """Decode the whole file once, into columns.  A file the
+        columnar decode does not certify is read again by the streaming
+        codec, which raises the error naming the line or record."""
+        from repro.trace.columns import EventColumns
+
+        frame = self._decode_columns()
+        if frame is None:
+            records = list(self._raw_events())
+            try:
+                frame = EventColumns.from_events(records)
+            except OverflowError as exc:
+                raise self._unreadable(exc) from None
+        if obs.enabled():
+            obs.add("trace.files_read")
+            obs.add("trace.events_read", len(frame))
+        return frame
+
+    def _decode_columns(self) -> EventColumns | None:
+        from repro.trace.columns import decode_binary_columns, decode_text_columns
+
+        try:
+            if self.binary:
+                with open(self.path, "rb") as fh:
+                    fmt.read_header_binary(fh)
+                    return decode_binary_columns(fh.read(), with_flags=self._bin_flags)
+            with open(self.path, "r") as fh:
+                fmt.read_header_text(fh)
+                return decode_text_columns(fh.read())
+        except _DECODE_ERRORS:
+            return None
+
     def events(self) -> Iterator[EventRecord]:
         """Stream all events from disk, one at a time."""
         it = self._raw_events()
@@ -167,6 +227,8 @@ class TraceSet:
             raise ValueError(f"expected ranks 0..{nprocs - 1}, found {ranks}")
         self.readers = sorted(readers, key=lambda r: r.meta.rank)
         self.nprocs = nprocs
+        self._kept: dict[int, EventColumns] = {}
+        self._lent: dict[int, weakref.ref] = {}
 
     @classmethod
     def open(cls, directory: str | Path, stem: str) -> "TraceSet":
@@ -184,6 +246,35 @@ class TraceSet:
     def load_all(self) -> list[list[EventRecord]]:
         """Materialize everything (small traces / tests only)."""
         return [list(r.events()) for r in self.readers]
+
+    def columns(self, rank: int, keep: bool = False) -> EventColumns:
+        """Rank ``rank`` decoded into columns, decoding it only if no
+        decode of it is held here or still alive in a build.  ``keep``
+        holds the decode until :meth:`take_columns` (the front door
+        keeps what the build will read)."""
+        frame = self._kept.get(rank)
+        if frame is None:
+            ref = self._lent.get(rank)
+            frame = ref() if ref is not None else None
+        if frame is None:
+            frame = self.readers[rank].columns()
+        if keep:
+            self._kept[rank] = frame
+        return frame
+
+    def take_columns(self) -> list[EventColumns]:
+        """Every rank's columns, for a build to own: the decodes held
+        here are handed over, and only weakly referenced afterwards, so
+        this set keeps nothing decoded alive beside the build."""
+        frames = [self.columns(rank) for rank in range(self.nprocs)]
+        self._kept.clear()
+        self._lent = {rank: weakref.ref(frame) for rank, frame in enumerate(frames)}
+        return frames
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_kept"], state["_lent"] = {}, {}
+        return state
 
 
 class MemoryTrace:
@@ -208,6 +299,7 @@ class MemoryTrace:
             for ev in evs:
                 if ev.rank != rank:
                     raise ValueError(f"event rank {ev.rank} filed under rank {rank}")
+        self._columns: list = [None] * self.nprocs
         clock_params = clock_params or {}
         self._metas = []
         for r in range(self.nprocs):
@@ -230,3 +322,12 @@ class MemoryTrace:
 
     def load_all(self) -> list[list[EventRecord]]:
         return [list(evs) for evs in self._events]
+
+    def columns(self, rank: int) -> EventColumns:
+        """Rank ``rank``'s events as columns (built once)."""
+        frame = self._columns[rank]
+        if frame is None:
+            from repro.trace.columns import EventColumns
+
+            frame = self._columns[rank] = EventColumns.from_events(self._events[rank])
+        return frame

@@ -3,14 +3,21 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_graph
 from repro.core.diagnostics import DiagnosticError
 from repro.core.graph import DeltaKind, Phase
 from repro.core.primitives import BuildConfig
 from repro.mpisim import Compute, Machine, Recv, Send, run
-from repro.trace.events import EventKind, EventRecord
-from repro.trace.reader import MemoryTrace
+from repro.trace import format as fmt
+from repro.trace.events import EventKind, EventRecord, TraceMeta
+from repro.trace.reader import MemoryTrace, TraceSet
+from repro.trace.writer import rank_filename
+
+from tests.conftest import plan_program
+from tests.core.test_build_golden import graph_hash
 
 
 class TestStructure:
@@ -150,34 +157,117 @@ def _corrupt_end(ev, t_end):
 _I, _F = EventKind.INIT, EventKind.FINALIZE
 
 
+# Malformed rank-1 event lists and the (code, seq) each must fail with.
+_MUTATIONS = [
+    # a repeated seq
+    (
+        [_ev(1, 0, _I, 0, 1), _ev(1, 1, _I, 2, 3), _ev(1, 1, _F, 4, 5)],
+        "duplicate-subevent",
+        1,
+    ),
+    ([_ev(1, 0, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "duplicate-subevent", 0),
+    # a seq gap, forwards and backwards
+    ([_ev(1, 0, _I, 0, 1), _ev(1, 2, _F, 2, 3)], "invalid-gap", 2),
+    ([_ev(1, 1, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "invalid-gap", 0),
+    # overlapping events
+    ([_ev(1, 0, _I, 0, 10), _ev(1, 1, _F, 5, 12)], "overlapping-events", 1),
+    # a negative local weight (END before START)
+    ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 1, _F, 5, 6), 3)], "invalid-edge-weight", 1),
+    # the negative weight is reported before the gap it also has
+    ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 3, _F, 5, 6), 3)], "invalid-edge-weight", 3),
+]
+
+
 class TestBuildErrors:
     """Malformed per-rank event lists fail with their structured codes,
     and never as an IndexError or a silently wrong edge."""
 
-    @pytest.mark.parametrize(
-        "rank1, code, seq",
-        [
-            # a repeated seq
-            (
-                [_ev(1, 0, _I, 0, 1), _ev(1, 1, _I, 2, 3), _ev(1, 1, _F, 4, 5)],
-                "duplicate-subevent",
-                1,
-            ),
-            ([_ev(1, 0, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "duplicate-subevent", 0),
-            # a seq gap, forwards and backwards
-            ([_ev(1, 0, _I, 0, 1), _ev(1, 2, _F, 2, 3)], "invalid-gap", 2),
-            ([_ev(1, 1, _I, 0, 1), _ev(1, 0, _F, 2, 3)], "invalid-gap", 0),
-            # overlapping events
-            ([_ev(1, 0, _I, 0, 10), _ev(1, 1, _F, 5, 12)], "overlapping-events", 1),
-            # a negative local weight (END before START)
-            ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 1, _F, 5, 6), 3)], "invalid-edge-weight", 1),
-            # the negative weight is reported before the gap it also has
-            ([_ev(1, 0, _I, 0, 1), _corrupt_end(_ev(1, 3, _F, 5, 6), 3)], "invalid-edge-weight", 3),
-        ],
-    )
+    @pytest.mark.parametrize("rank1, code, seq", _MUTATIONS)
     def test_error_codes(self, rank1, code, seq):
         rank0 = [_ev(0, 0, _I, 0, 1), _ev(0, 1, _F, 2, 3)]
         with pytest.raises(DiagnosticError) as info:
             build_graph(MemoryTrace([rank0, rank1]))
         assert info.value.code == code
         assert (info.value.rank, info.value.seq) == (1, seq)
+
+
+def _write_raw(directory, per_rank, binary):
+    """Trace files holding exactly ``per_rank`` (no writer checks, so
+    a malformed rank reaches the reader as it is)."""
+    for rank, events in enumerate(per_rank):
+        meta = TraceMeta(rank=rank, nprocs=len(per_rank))
+        path = directory / rank_filename("m", rank, binary)
+        if binary:
+            with open(path, "wb") as fh:
+                fmt.write_header_binary(fh, meta)
+                fh.write(b"".join(fmt.encode_event_binary(ev) for ev in events))
+        else:
+            with open(path, "w") as fh:
+                fmt.write_header_text(fh, meta)
+                fh.write("".join(fmt.encode_event_text(ev) + "\n" for ev in events))
+    return TraceSet.open(directory, "m")
+
+
+def _failure(trace):
+    try:
+        build_graph(trace)
+    except DiagnosticError as exc:
+        return exc.code, exc.rank, exc.seq, str(exc)
+    return None
+
+
+_ROUND = st.one_of(
+    st.tuples(st.just("compute"), st.integers(100, 3000)),
+    st.tuples(st.just("ring"), st.integers(0, 20_000)),
+    st.tuples(st.just("xchg"), st.integers(0, 2000)),
+    st.tuples(st.just("nb"), st.integers(0, 20_000)),
+    st.tuples(st.just("allreduce"), st.integers(0, 128)),
+    st.tuples(st.just("barrier")),
+    st.tuples(st.just("bcast"), st.integers(0, 1), st.integers(0, 128)),
+    st.tuples(st.just("reduce"), st.integers(0, 1), st.integers(0, 128)),
+    st.tuples(st.just("scan"), st.integers(0, 128)),
+    st.tuples(st.just("rscatter"), st.integers(0, 128)),
+    st.tuples(st.just("fanin"), st.integers(1, 64)),
+    st.tuples(st.just("ifanin"), st.integers(1, 64)),
+)
+
+
+class TestFilesBuildLikeMemory:
+    """A build from trace files (decoded in columns) equals the build
+    from the same in-memory events, node for node and edge for edge."""
+
+    @given(
+        plan=st.lists(_ROUND, min_size=1, max_size=4),
+        p=st.integers(2, 4),
+        binary=st.booleans(),
+        config=st.sampled_from(
+            [BuildConfig(), BuildConfig(collective_mode="butterfly", eager_threshold=64)]
+        ),
+    )
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_same_graph_hash(self, plan, p, binary, config, tmp_path_factory):
+        trace = run(plan_program(plan), nprocs=p, seed=1).trace
+        files = _write_raw(tmp_path_factory.mktemp("b"), trace.load_all(), binary)
+        from_files = build_graph(files, config)
+        from_memory = build_graph(trace, config)
+        assert graph_hash(from_files.graph) == graph_hash(from_memory.graph)
+        assert from_files.events == from_memory.events
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("rank1, code, seq", _MUTATIONS)
+    def test_same_error(self, rank1, code, seq, binary, tmp_path):
+        rank0 = [_ev(0, 0, _I, 0, 1), _ev(0, 1, _F, 2, 3)]
+        from_files = _failure(_write_raw(tmp_path, [rank0, rank1], binary))
+        from_memory = _failure(MemoryTrace([rank0, rank1]))
+        assert from_memory[:3] == (code, 1, seq)
+        if any(ev.t_end < ev.t_start for ev in rank1):
+            # No reader decodes an event that ends before it starts: the
+            # file fails before the build, naming the rank.
+            assert from_files[0] == "generic" and from_files[1] == 1
+            assert "cannot read" in from_files[3]
+        else:
+            assert from_files[:3] == from_memory[:3]

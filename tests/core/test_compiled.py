@@ -30,7 +30,15 @@ from repro.core.perturb import _mix, _splitmix64
 from repro.core.sampler import _build_tables, _mix_vec, _pcg_next64, _splitmix64_vec
 from repro.mpisim import run
 from repro.noise import Constant, Empirical, Exponential, MachineSignature
-from repro.noise.distributions import LogNormal, Normal, Scaled, Shifted, Uniform
+from repro.noise.distributions import (
+    Gamma,
+    LogNormal,
+    Normal,
+    Scaled,
+    Shifted,
+    TruncatedNormal,
+    Uniform,
+)
 
 U64 = np.uint64
 
@@ -792,3 +800,25 @@ class TestScaledMeasuredSignature:
         ref = monte_carlo(build, spec, replicates=6, engine="graph")
         got = monte_carlo(build, spec, replicates=6)
         assert np.array_equal(ref.samples, got.samples)
+
+
+class TestScalarOnlyFamilies:
+    """OS noise of a family with no vector program (LogNormal, Gamma,
+    TruncatedNormal) is keyed in lanes and drawn by the scalar
+    fallback: every value equals the scalar spec's, flat and coarse."""
+
+    @pytest.mark.parametrize("coarsen", ["off", "on"])
+    @pytest.mark.parametrize(
+        "os_noise",
+        [LogNormal(3.0, 0.5), Gamma(2.0, 40.0), TruncatedNormal(60.0, 30.0)],
+        ids=["lognormal", "gamma", "truncnormal"],
+    )
+    def test_equal_to_per_lane_scalar_samples(self, app_builds, coarsen, os_noise):
+        _, build = app_builds["token_ring"]
+        plan = CompiledPlan(build, coarsen=coarsen)
+        assert (plan.coarse is not None) == (coarsen == "on")
+        sig = MachineSignature(os_noise=os_noise, latency=Exponential(40.0))
+        seeds = [0, 5, 2**40 + 3]
+        raw, _, fallback = _lane_counts(plan, sig, seeds)
+        assert fallback > 0
+        assert np.array_equal(raw, _scalar_raw(plan, sig, seeds))

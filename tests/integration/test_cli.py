@@ -407,3 +407,49 @@ class TestCoarsening:
             docs.append(out.read_bytes())
         assert [p.coarse is None for p in plans] == [True, False]
         assert docs[0] == docs[1]
+
+
+class TestOneDecode:
+    """A run decodes each rank file once: the front door's check,
+    ``trace_stats`` and the build read one columnar decode."""
+
+    @pytest.mark.parametrize("tool", ["analyze", "diagnose", "verify"])
+    def test_files_read_once_per_rank(self, traced, tool):
+        from repro.cli import main_diagnose, main_verify
+
+        tmp_path, sig_path = traced
+        main = {"analyze": main_analyze, "diagnose": main_diagnose, "verify": main_verify}[tool]
+        out = tmp_path / f"{tool}-metrics.json"
+        main(
+            ["--traces", str(tmp_path), "--stem", "ring", "--signature", str(sig_path),
+             "--metrics-out", str(out), "--quiet"]
+        )
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["trace.files_read"] == 4
+        assert metrics["trace.events_read"] == metrics["graph.nodes"] // 2
+
+    def test_streaming_holds_one_rank_at_a_time(self, traced, monkeypatch):
+        """``--engine streaming`` keeps no decode: while it decodes a
+        rank, at most the previous rank's columns are still alive."""
+        import weakref
+
+        from repro.trace.reader import TraceReader
+
+        tmp_path, sig_path = traced
+        decoded: list = []
+        alive_at_decode: list[int] = []
+        columns = TraceReader.columns
+
+        def spy(self):
+            alive_at_decode.append(sum(ref() is not None for ref in decoded))
+            frame = columns(self)
+            decoded.append(weakref.ref(frame))
+            return frame
+
+        monkeypatch.setattr(TraceReader, "columns", spy)
+        rc = main_analyze(
+            ["--traces", str(tmp_path), "--stem", "ring", "--signature", str(sig_path),
+             "--engine", "streaming", "--quiet"]
+        )
+        assert rc == 0
+        assert alive_at_decode and max(alive_at_decode) <= 1
