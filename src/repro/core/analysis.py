@@ -186,7 +186,8 @@ def critical_path(
 ) -> CriticalPath:
     """Backtrack the binding predecessor chain from a finalize node.
 
-    ``rank`` defaults to the most-delayed rank.  The chain is
+    ``rank`` defaults to the most-delayed rank with events; a rank with
+    none has no path and is refused.  The chain is
     :func:`binding_chain` over the node delays, stopping where the
     delay vanishes.
     """
@@ -195,8 +196,12 @@ def critical_path(
     g = build.graph
     deltas = result.edge_delta
     if rank is None:
-        rank = max(range(g.nprocs), key=lambda r: result.final_delay[r])
-    path, visited = binding_chain(g, result.node_delay, deltas, g.final_node_of(rank), _EPS)
+        ranks = [r for r in range(g.nprocs) if g.final_node_of(r) is not None]
+        rank = max(ranks, key=lambda r: result.final_delay[r], default=0)
+    sink = g.final_node_of(rank)
+    if sink is None:
+        raise ValueError(f"rank {rank} has no events: no critical path ends there")
+    path, visited = binding_chain(g, result.node_delay, deltas, sink, _EPS)
     by_delta: dict[str, float] = {}
     by_kind: dict[str, float] = {"local": 0.0, "message": 0.0}
     names = {int(k): k.name for k in DeltaKind}

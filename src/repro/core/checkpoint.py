@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 SHARD_SCHEMA = "repro-checkpoint-shard/1"
-PLAN_SCHEMA = "repro-plan-cache/4"
+PLAN_SCHEMA = "repro-plan-cache/5"
 
 #: Environment hook consumed by the fault-injection harness
 #: (:mod:`repro.testing.faults`): kill the process after N shard writes.

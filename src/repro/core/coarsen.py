@@ -78,9 +78,9 @@ class Level:
     in-edge's source slot and effective-delta column, grouped by
     destination; ``segs`` are the offsets of each destination's first
     in-edge and ``single`` says every destination has exactly one.
-    The flat schedule (``CompiledPlan.levels``) indexes nodes and edges
-    by id; the static pre/post levels of a :class:`CoarseIR` index
-    scratch positions and the ``static_eids`` column axis.
+    A flat plan's schedule (``CompiledPlan.levels``) indexes nodes and
+    edges by id; a coarse plan keeps only its :class:`CoarseIR`, whose
+    static pre/post levels index scratch positions and ``static_eids``.
     """
 
     dst: np.ndarray
@@ -372,19 +372,12 @@ def detect_phases(
             return None
 
     # -- 7. static-node reachability: pre vs post --------------------------
-    # after[v]: v (transitively) depends on a templated instance, so it
-    # must run after the supernode.  One vectorized pass over the flat
-    # level schedule (levels are already dependency-ordered).
+    # after[v]: v (transitively) depends on a templated instance, so a
+    # static v must run after the supernode.  Spread from the templated
+    # nodes, it expands over the boundary-sized rest of the graph only.
     templated = pos_inst >= fold
-    after = np.zeros(n_nodes, dtype=bool)
-    for lv in plan.levels:
-        contrib = templated[lv.src] | after[lv.src]
-        if lv.single:
-            after[lv.dst] = contrib
-        else:
-            after[lv.dst] = (
-                np.maximum.reduceat(contrib.astype(np.int8), lv.segs) > 0
-            )
+    after = templated.copy()
+    graph.spread(after)
     static_mask = pos_inst == _STATIC
     folded_mask = (pos_inst >= 0) & ~templated
     pre_mask = (static_mask & ~after) | folded_mask

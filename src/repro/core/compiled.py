@@ -9,9 +9,9 @@ traversals of *identical* topology.  A :class:`CompiledPlan` lowers a
 :class:`~repro.core.builder.BuildResult` once into structure-of-arrays
 form and then processes **all replicates simultaneously**:
 
-* a level-ordered node table with CSR in-edge arrays (predecessor
-  index, weight, delta-kind code, uid columns for hashing, message
-  sizes for δ_t(d));
+* edge columns (predecessor index, weight, delta-kind code, uid
+  columns for hashing, message sizes for δ_t(d)) and each node's
+  topological level;
 * the vectorized sampler of :mod:`repro.core.sampler`, which
   reproduces :meth:`PerturbationSpec.sample` draws **bit-for-bit** for
   every (replicate, edge) lane, falling back to the scalar spec lane
@@ -19,8 +19,9 @@ form and then processes **all replicates simultaneously**:
 * one walk (:meth:`CompiledPlan.walk`) carrying all replicate rows
   through one max-plus pass — one :func:`level_step` per level, the
   per-node max over in-edges vectorized across the replicate axis, both
-  ``additive`` and ``threshold`` modes — over the flat level schedule,
-  or over the two-level :class:`~repro.core.coarsen.CoarseIR` when
+  ``additive`` and ``threshold`` modes or the critical path's unclamped
+  costs — over the flat level schedule, or over the two-level
+  :class:`~repro.core.coarsen.CoarseIR` (all a coarse plan keeps) when
   phase coarsening applied.
 
 Results are unconditionally identical to :func:`propagate` for *any*
@@ -78,20 +79,18 @@ def _gather(S: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_schedule(graph, level: np.ndarray) -> list[Level]:
-    """The level schedule of ``graph`` given each node's level.
+def _level_schedule(edge_src: np.ndarray, edge_dst: np.ndarray, level: np.ndarray) -> list[Level]:
+    """The flat level schedule given each node's level.
 
     Levels 1.. in order; within a level, nodes by id and each node's
     in-edges in insertion (CSR) order.  Every ``Level`` array is a
     slice of one flat array sorted that way.
     """
-    ptr, in_ids = graph.in_csr()
-    nodes = np.nonzero(level > 0)[0]
-    nodes = nodes[np.argsort(level[nodes], kind="stable")]
-    sizes = ptr[nodes + 1] - ptr[nodes]
-    first = np.cumsum(sizes) - sizes  # each node's first slot in the flat edge axis
-    eid = in_ids[np.repeat(ptr[nodes] - first, sizes) + np.arange(int(sizes.sum()))]
-    src = graph.edge_src[eid]
+    eid = np.lexsort((edge_dst, level[edge_dst]))  # stable: insertion order within a node
+    dst = edge_dst[eid]
+    first = np.flatnonzero(np.diff(dst, prepend=-1))  # each node's first slot in ``eid``
+    nodes = dst[first]
+    src = edge_src[eid]
     # Levels are contiguous from 1: every node above level 1 has a
     # predecessor one level down.
     n_levels = int(level.max(initial=0))
@@ -121,11 +120,13 @@ def _uid_columns(g, sampled_ids: np.ndarray, delta_kind: np.ndarray):
     return uid_mat, uid_len, uid_kind
 
 
-def _apply_mode(raw: np.ndarray, w: np.ndarray, mode: str):
+def _apply_mode(raw: np.ndarray, w: np.ndarray, mode: str | None):
     """``(δ_eff, clamped)`` for raw deltas over edges of weights ``w``
-    (same clamp semantics as ``_DeltaApplier``); ``clamped`` counts
-    additive-mode zero-floor clamps per replicate row.  Elementwise, so
-    a region of columns gets the floats the whole row would."""
+    (clamped as ``_DeltaApplier`` does; as is with ``mode=None``);
+    ``clamped`` counts additive-mode zero-floor clamps per replicate
+    row.  Elementwise: a region of columns gets the whole row's floats."""
+    if mode is None:
+        return raw, np.zeros(raw.shape[0], dtype=np.int64)
     if mode == "threshold":
         return np.maximum(0.0, raw - w), np.zeros(raw.shape[0], dtype=np.int64)
     mask = raw < -w
@@ -213,7 +214,7 @@ class CompiledPlan:
                 g, self.sampled_ids, self.edge_kind
             )
             topo, level = g.topological_levels()
-            self.levels = _level_schedule(g, np.array(level, dtype=np.int64))
+            self.node_level = np.array(level, dtype=np.int32)
 
             # Final (FINALIZE END) node per rank, rank-chain fallback as in
             # traversal._finals_from_graph; -1 = rank has no nodes at all.
@@ -236,6 +237,9 @@ class CompiledPlan:
                     obs.add("coarsen.applied")
                 else:
                     obs.add("coarsen.rejected")
+            self._levels = None  # a coarse walk reads only its IR
+            if self.coarse is None:
+                self._levels = self.levels
 
             obs.span_add("compiled.plans")
             self._samplers: list[tuple[MachineSignature, _BoundSampler]] = []
@@ -243,6 +247,12 @@ class CompiledPlan:
             self._tmpl_abs: dict = {}
             self._tap_groups: dict | None = None
             self._tables = _get_tables()  # harvested once; rides the pickle
+
+    @property
+    def levels(self) -> list[Level]:
+        """The flat level schedule: kept on a flat plan, derived from
+        ``node_level`` on each read of a coarse one."""
+        return self._levels or _level_schedule(self.edge_src, self.edge_dst, self.node_level)
 
     @property
     def deltas(self) -> DeltaRows:
@@ -358,13 +368,6 @@ class CompiledPlan:
         return take
 
     # -- the walk ---------------------------------------------------------------
-    def kernel(self, eff: np.ndarray) -> np.ndarray:
-        """The flat level schedule for all rows: (R, n_nodes) delays."""
-        D = np.zeros((eff.shape[0], self.n_nodes), dtype=np.float64)
-        for lv in self.levels:
-            level_step(D, eff, lv)
-        return D
-
     def _tmpl_levels_abs(self, phi: int) -> list[Level]:
         """Template levels materialized for ring frame ``phi``: absolute
         scratch positions for destinations and (lagged or static)
@@ -401,13 +404,14 @@ class CompiledPlan:
             }
         return self._tap_groups
 
-    def walk(self, R: int, take: Take, mode: str, *, detail: bool = False) -> Walk:
+    def walk(self, R: int, take: Take, mode: str | None, *, detail: bool = False) -> Walk:
         """The max-plus pass over the plan for ``R`` replicate rows.
 
         ``take(cols, span)`` gives the rows' raw deltas of edges ``cols``
         (a slice or an id array); ``span`` is the ``(j0, j1)`` range of
         templated instances those edges belong to, or None.  ``mode`` is
-        checked here and applied per region.  A plan with a
+        checked here and applied per region; ``None`` takes the deltas
+        as given, unclamped (the critical path's costs).  A plan with a
         :class:`~repro.core.coarsen.CoarseIR` takes the coarse walk —
         static pre levels, the template once per instance over the ring
         of frames, static post levels — and the flat level schedule
@@ -416,12 +420,14 @@ class CompiledPlan:
         order-exact.  With ``detail`` the result also carries the node
         delays and effective edge deltas.
         """
-        if mode not in MODES:
+        if mode is not None and mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         ir = self.coarse
         if ir is None:
             eff, clamped = _apply_mode(take(slice(None), None), self.edge_weight, mode)
-            D = self.kernel(eff)
+            D = np.zeros((R, self.n_nodes), dtype=np.float64)
+            for lv in self.levels:
+                level_step(D, eff, lv)
             delays = _gather(D, self.final_node)
             return Walk(delays, clamped, *((D, eff) if detail else (None, None)))
         D = np.zeros((R, self.n_nodes), dtype=np.float64) if detail else None
@@ -470,6 +476,8 @@ class CompiledPlan:
     def _propagate(self, R: int, take: Take, mode: str, detail: bool = False) -> Walk:
         """:meth:`walk` under the ``compiled.propagate`` span, counted
         in ``traversal.propagations`` / ``traversal.clamped_edges``."""
+        if mode not in MODES:  # ``None`` is for the walk's own callers
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         coarse = self.coarse is not None
         with obs.span("compiled.propagate", replicates=R, mode=mode, coarse=coarse):
             out = self.walk(R, take, mode, detail=detail)

@@ -310,6 +310,13 @@ def _grown(col: np.ndarray, values, dtype) -> np.ndarray:
     return out
 
 
+def _csr_rows(ptr: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entries of CSR rows ``rows``, concatenated in that order."""
+    sizes = ptr[rows + 1] - ptr[rows]
+    first = np.cumsum(sizes) - sizes
+    return ids[np.repeat(ptr[rows] - first, sizes) + np.arange(int(sizes.sum()))]
+
+
 class MessagePassingGraph:
     """In-core message-passing graph stored as node and edge columns.
 
@@ -575,21 +582,18 @@ class MessagePassingGraph:
         """Out-adjacency as ``(ptr, edge_ids)`` (see :meth:`in_csr`)."""
         return self._csr("out")
 
-    def out_edges(self, node_id: int) -> Iterator[Edge]:
-        edges = self.edges
-        return (edges[i] for i in self.out_edge_ids(node_id))
-
-    def in_edges(self, node_id: int) -> Iterator[Edge]:
-        edges = self.edges
-        return (edges[i] for i in self.in_edge_ids(node_id))
-
-    def out_degree(self, node_id: int) -> int:
-        ptr, _ = self.out_csr()
-        return int(ptr[node_id + 1] - ptr[node_id])
-
-    def in_degree(self, node_id: int) -> int:
-        ptr, _ = self.in_csr()
-        return int(ptr[node_id + 1] - ptr[node_id])
+    def spread(self, seen: np.ndarray, undirected: bool = False) -> None:
+        """Grow the node mask ``seen`` in place to every node reachable
+        from it along out-edges (along edges either way with
+        ``undirected``), one frontier at a time over the CSR arrays."""
+        steps = [(*self.out_csr(), self.edge_dst)]
+        if undirected:
+            steps.append((*self.in_csr(), self.edge_src))
+        frontier = np.flatnonzero(seen)
+        while len(frontier):
+            near = np.concatenate([ends[_csr_rows(ptr, ids, frontier)] for ptr, ids, ends in steps])
+            frontier = np.unique(near[~seen[near]])
+            seen[frontier] = True
 
     def in_edge_ids(self, node_id: int) -> list[int]:
         """Indices into ``edges`` of this node's incoming edges."""
@@ -603,13 +607,22 @@ class MessagePassingGraph:
 
     # -- traversal support --------------------------------------------------------
     def topological_levels(self) -> tuple[list[int], list[int]]:
-        """Kahn topological order plus each node's level (1 + the
-        largest level among its predecessors; 0 for sources); raises on
-        cycles.
+        """:meth:`kahn_levels`, raising on a cycle: §4.3 guarantees a
+        completed run's trace yields a DAG, so a cycle means the builder
+        produced an inconsistent graph."""
+        order, level = self.kahn_levels()
+        n = len(self.node_label)
+        if len(order) != n:
+            raise DiagnosticError(
+                f"message-passing graph has a cycle ({n - len(order)} nodes unreached)",
+                code="graph-cycle",
+            )
+        return order, level
 
-        A cycle means the builder produced an inconsistent graph — §4.3
-        guarantees a trace of a completed run yields a DAG.
-        """
+    def kahn_levels(self) -> tuple[list[int], list[int]]:
+        """Kahn topological order plus each node's level (1 + the
+        largest level among its predecessors; 0 for sources).  On a
+        cycle the order lacks every node on or after one."""
         n = len(self.node_label)
         ptr, ids = self.out_csr()
         starts = ptr.tolist()
@@ -628,11 +641,6 @@ class MessagePassingGraph:
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     stack.append(t)
-        if len(order) != n:
-            raise DiagnosticError(
-                f"message-passing graph has a cycle ({n - len(order)} nodes unreached)",
-                code="graph-cycle",
-            )
         return order, level
 
     def topological_order(self) -> list[int]:

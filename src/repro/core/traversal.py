@@ -282,8 +282,9 @@ def longest_weighted_path(
 
     Ties break toward the *first* in-edge in ``g.in_edge_ids`` order,
     which is exactly the tie-break of
-    :func:`repro.core.analysis.binding_chain` over the compiled
-    kernel's path costs; the two therefore recover bit-identical paths.
+    :func:`repro.core.analysis.binding_chain` over the path costs of
+    :meth:`~repro.core.compiled.CompiledPlan.walk` (``mode=None``); the
+    two therefore recover bit-identical paths.
     """
     g = build.graph
     if len(costs) != len(g.edges):

@@ -8,12 +8,14 @@ is the longest weighted path from any source to the latest finalize,
 computed over the per-edge base weights (optionally plus sampled
 deltas).
 
-The path costs come from the compiled plan's level-schedule
-:meth:`~repro.core.compiled.CompiledPlan.kernel`; the chain itself is
-recovered by :func:`~repro.core.analysis.binding_chain`, the same
-backward walk :func:`~repro.core.analysis.critical_path` uses.  It
-breaks ties toward the *first* in-edge in ``graph.in_edge_ids`` order,
-exactly like the scalar reference oracle
+The path costs come from :meth:`~repro.core.compiled.CompiledPlan.walk`
+over the costs as given (``mode=None``: unclamped, since a cost may lie
+below ``-weight``, e.g. an ``absolute_weights`` build's negative message
+weight); the chain itself is recovered by
+:func:`~repro.core.analysis.binding_chain`, the same backward walk
+:func:`~repro.core.analysis.critical_path` uses.  It breaks ties toward
+the *first* in-edge in ``graph.in_edge_ids`` order, exactly like the
+scalar reference oracle
 :func:`~repro.core.traversal.longest_weighted_path`, so the extracted
 edge sequence equals the oracle's bit for bit — the property the test
 suite pins down.
@@ -105,30 +107,23 @@ def extract_critical_path(
 
     with obs.span("diagnose.path", engine="compiled"):
         plan = compiled_plan(build)
-        L = plan.kernel(costs[None, :])[0].tolist()
-
-        sink = None
-        sink_rank = -1
-        best = -math.inf
-        final_costs = [0.0] * plan.nprocs
-        for rank, nid in enumerate(plan.final_node.tolist()):
-            if nid < 0:
-                continue
-            final_costs[rank] = L[nid]
-            if final_costs[rank] > best:
-                best = final_costs[rank]
-                sink = nid
-                sink_rank = rank
-        if sink is None:
+        walk = plan.walk(1, lambda cols, span: costs[None, cols], None, detail=True)
+        final_costs = walk.delays[0].tolist()  # 0.0 where a rank has no finalize
+        finals = plan.final_node.tolist()
+        # A sink's cost exceeds -inf (so is no NaN); max keeps the first of equals.
+        sinks = [r for r, nid in enumerate(finals) if nid >= 0 and final_costs[r] > -math.inf]
+        if not sinks:
             raise ValueError("graph has no finalize nodes: nothing to diagnose")
+        sink_rank = max(sinks, key=final_costs.__getitem__)
 
         costs = costs.tolist()
-        path, nodes = binding_chain(build.graph, L, costs, sink, -math.inf)
+        L = walk.node_delay[0].tolist()
+        path, nodes = binding_chain(build.graph, L, costs, finals[sink_rank], -math.inf)
         obs.span_add("diagnose.path_edges", len(path))
 
     return CriticalPathExtract(
         sink_rank=sink_rank,
-        total_cost=best,
+        total_cost=final_costs[sink_rank],
         edges=tuple(path),
         nodes=tuple(nodes),
         costs=tuple(costs[ei] for ei in path),

@@ -12,11 +12,12 @@ error instead.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, deque
+from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.graph import EdgeKind, MessagePassingGraph
+import numpy as np
+
+from repro.core.graph import EdgeKind, MessagePassingGraph, Phase
 from repro.lint.model import Finding, LintConfig, Severity
 from repro.lint.registry import rule
 from repro.trace.events import COLLECTIVE_KINDS, EventKind
@@ -46,27 +47,18 @@ def graph_cycle(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     g = ctx.graph
     if g is None:
         return
-    indeg = [g.in_degree(n.node_id) for n in g.nodes]
-    stack = [n for n, d in enumerate(indeg) if d == 0]
-    reached = 0
-    while stack:
-        n = stack.pop()
-        reached += 1
-        for ei in g.out_edge_ids(n):
-            dst = g.edges[ei].dst
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                stack.append(dst)
-    if reached == len(g.nodes):
+    order, _ = g.kahn_levels()
+    if len(order) == len(g.nodes):
         return
-    cyclic = [n for n, d in enumerate(indeg) if d > 0]
+    reached = np.zeros(len(g.nodes), dtype=bool)
+    reached[order] = True
+    cyclic = np.flatnonzero(~reached).tolist()
     cycle = _find_cycle(g, cyclic)
     shown = " -> ".join(_node_name(g, n) for n in cycle[:_CYCLE_SHOW])
     if len(cycle) > _CYCLE_SHOW:
         shown += f" -> ... ({len(cycle)} nodes)"
     yield graph_cycle.finding(
-        f"graph is not a DAG: {len(g.nodes) - reached} node(s) lie on cycles; "
-        f"one cycle: {shown}",
+        f"graph is not a DAG: {len(cyclic)} node(s) lie on cycles; one cycle: {shown}",
         node=cycle[0] if cycle else None,
     )
 
@@ -81,17 +73,25 @@ def _find_cycle(g: MessagePassingGraph, cyclic: list[int]) -> list[int]:
         seen[node] = len(walk)
         walk.append(node)
         node = next(
-            (g.edges[ei].dst for ei in g.out_edge_ids(node) if g.edges[ei].dst in in_cycle),
+            (d for d in g.edge_dst[g.out_edge_ids(node)].tolist() if d in in_cycle),
             walk[0],  # defensive: every cyclic node keeps a cyclic successor
         )
     return walk[seen[node] :]
 
 
 def _node_name(g: MessagePassingGraph, node_id: int) -> str:
-    n = g.nodes[node_id]
-    if n.is_virtual:
-        return n.label or f"virtual#{node_id}"
-    return f"r{n.rank}#{n.seq}.{'S' if n.phase == 0 else 'E'}"
+    phase = int(g.node_phase[node_id])
+    if phase == Phase.VIRTUAL:
+        return g.node_label[node_id] or f"virtual#{node_id}"
+    return f"r{g.node_rank[node_id]}#{g.node_seq[node_id]}.{'S' if phase == 0 else 'E'}"
+
+
+def _located(g: MessagePassingGraph, node_id: int) -> dict:
+    """A finding's ``rank`` and ``seq`` for node ``node_id`` (None where
+    it has none)."""
+    rank = int(g.node_rank[node_id])
+    seq = None if g.node_phase[node_id] == Phase.VIRTUAL else int(g.node_seq[node_id])
+    return {"rank": rank if rank >= 0 else None, "seq": seq}
 
 
 @rule(
@@ -190,18 +190,16 @@ def invalid_edge_weight(ctx: LintContext, config: LintConfig) -> Iterator[Findin
     g = ctx.graph
     if g is None:
         return
-    for e in g.edges:
-        bad_local = e.kind == EdgeKind.LOCAL and (e.weight < 0 or not math.isfinite(e.weight))
-        bad_message = e.kind == EdgeKind.MESSAGE and math.isnan(e.weight)
-        if bad_local or bad_message:
-            src = g.nodes[e.src]
-            yield invalid_edge_weight.finding(
-                f"{'local' if e.kind == EdgeKind.LOCAL else 'message'} edge "
-                f"{_node_name(g, e.src)} -> {_node_name(g, e.dst)} has weight {e.weight!r}",
-                rank=src.rank if src.rank >= 0 else None,
-                seq=src.seq if not src.is_virtual else None,
-                edge=(e.src, e.dst),
-            )
+    w = g.edge_weight
+    local = g.edge_kind == EdgeKind.LOCAL
+    for ei in np.flatnonzero(np.where(local, (w < 0) | ~np.isfinite(w), np.isnan(w))).tolist():
+        src, dst = int(g.edge_src[ei]), int(g.edge_dst[ei])
+        yield invalid_edge_weight.finding(
+            f"{'local' if local[ei] else 'message'} edge "
+            f"{_node_name(g, src)} -> {_node_name(g, dst)} has weight {float(w[ei])!r}",
+            **_located(g, src),
+            edge=(src, dst),
+        )
 
 
 @rule(
@@ -220,25 +218,16 @@ def orphan_node(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     g = ctx.graph
     if g is None or not g.nodes:
         return
-    neighbors: list[list[int]] = [[] for _ in g.nodes]
-    for e in g.edges:
-        neighbors[e.src].append(e.dst)
-        neighbors[e.dst].append(e.src)
-    queue = deque(n.node_id for n in g.nodes if not n.is_virtual and neighbors[n.node_id])
-    visited = set(queue)
-    while queue:
-        n = queue.popleft()
-        for m in neighbors[n]:
-            if m not in visited:
-                visited.add(m)
-                queue.append(m)
-    for n in g.nodes:
-        if n.node_id not in visited:
-            kind = "virtual node" if n.is_virtual else "subevent"
-            where = n.label or _node_name(g, n.node_id)
-            yield orphan_node.finding(
-                f"{kind} {where} (node {n.node_id}) is unreachable from every rank chain",
-                rank=n.rank if n.rank >= 0 else None,
-                seq=n.seq if not n.is_virtual else None,
-                node=n.node_id,
-            )
+    n = len(g.nodes)
+    virtual = g.node_phase == Phase.VIRTUAL
+    degree = np.bincount(g.edge_src, minlength=n) + np.bincount(g.edge_dst, minlength=n)
+    seen = ~virtual & (degree > 0)  # every subevent with an edge, and what it reaches
+    g.spread(seen, undirected=True)
+    for node in np.flatnonzero(~seen).tolist():
+        yield orphan_node.finding(
+            f"{'virtual node' if virtual[node] else 'subevent'} "
+            f"{g.node_label[node] or _node_name(g, node)} (node {node}) "
+            "is unreachable from every rank chain",
+            **_located(g, node),
+            node=node,
+        )

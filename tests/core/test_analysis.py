@@ -27,6 +27,8 @@ from repro.core.graph import EdgeKind
 from repro.core.traversal import longest_weighted_path
 from repro.mpisim import run
 from repro.noise import Constant, Exponential, MachineSignature
+from repro.trace.reader import MemoryTrace
+from tests.conftest import plan_program
 
 
 def spec(os=0.0, lat=0.0, per_byte=0.0, seed=0, by_rank=None):
@@ -97,6 +99,19 @@ class TestCriticalPath:
         cp = critical_path(build, res)
         assert cp.total_delay == 0.0
         assert cp.by_delta_kind == {}
+
+    def test_rank_without_events(self):
+        """A rank with no events has no final node: the default choice
+        skips it, an explicit request for it is refused by name."""
+        trace = run(plan_program([("compute", 500)]), nprocs=2, seed=0).trace
+        build = build_graph(MemoryTrace([[], list(trace.events_of(1))]))
+        res = compiled_plan(build).propagate_one(spec())
+        assert critical_path(build, res).rank == 1
+        with pytest.raises(ValueError, match="rank 0 has no events"):
+            critical_path(build, res, rank=0)
+        empty = build_graph(MemoryTrace([[], []]))
+        with pytest.raises(ValueError, match="rank 0 has no events"):
+            critical_path(empty, compiled_plan(empty).propagate_one(spec()))
 
     def test_requires_incore(self, ring_trace, const_spec):
         streaming = StreamingTraversal(const_spec).run(ring_trace)

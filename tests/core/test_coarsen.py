@@ -9,7 +9,9 @@ be safely conservative: traces without enough repeated structure
 coarsen to nothing and take the flat path untouched.
 """
 
+import gc
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -28,10 +30,12 @@ from repro.core import (
     sweep_scales,
 )
 from repro.core.checkpoint import build_digest, load_plan, plan_cache_path, save_plan
-from repro.core.coarsen import COARSEN_CHOICES, MIN_REPEATS
+from repro.core.coarsen import COARSEN_CHOICES, MIN_REPEATS, Level
+from repro.diagnose import extract_critical_path
 from repro.mpisim import run
 from repro.noise import Constant, Empirical, Exponential, MachineSignature, Uniform
 from repro.noise.distributions import LogNormal
+from repro.verify import makespan_bounds
 from tests.conftest import plan_program
 
 try:
@@ -135,18 +139,20 @@ def test_presampled_batch_matches_flat(app_builds):
 @pytest.mark.parametrize("coarsen", ["on", "off"])
 def test_unknown_mode_is_refused_on_every_plan(app_builds, coarsen):
     # The coarse walk once applied any unknown mode as additive; both
-    # plans must refuse it on every entry point.
+    # plans must refuse it on every entry point.  ``None`` (the walk's
+    # unclamped costs) is no propagation mode either.
     _, build = app_builds["stencil1d"]
     plan = CompiledPlan(build, coarsen=coarsen)
     assert (plan.coarse is not None) == (coarsen == "on")
     spec = PerturbationSpec(SIGNATURES["expo"], seed=11)
     raw = plan.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
-    with pytest.raises(ValueError, match="mode"):
-        plan.propagate_presampled_batch(raw, [1.0], mode="bogus")
-    with pytest.raises(ValueError, match="mode"):
-        plan.propagate_batch(spec, seeds=[1, 2], mode="bogus")
-    with pytest.raises(ValueError, match="mode"):
-        plan.propagate_one(spec, mode="bogus")
+    for mode in ("bogus", None):
+        with pytest.raises(ValueError, match="mode"):
+            plan.propagate_presampled_batch(raw, [1.0], mode=mode)
+        with pytest.raises(ValueError, match="mode"):
+            plan.propagate_batch(spec, seeds=[1, 2], mode=mode)
+        with pytest.raises(ValueError, match="mode"):
+            plan.propagate_one(spec, mode=mode)
 
 
 def test_quantum_signature_takes_flat_path_with_identical_results(app_builds):
@@ -313,6 +319,52 @@ def test_detection_bails_on_irregular_structure(app_builds):
 # ---------------------------------------------------------------------------
 
 
+def _levels_held(plan) -> int:
+    """The ``Level`` records reachable from ``plan`` (not looking into
+    arrays, types, modules or functions)."""
+    skip = (np.ndarray, type, types.ModuleType, types.FunctionType)
+    seen, stack, count = set(), [plan], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        count += isinstance(obj, Level)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_coarse_plan_keeps_no_flat_schedule(app_builds, monkeypatch, tmp_path):
+    """A coarse plan holds its IR's levels and the template's per-frame
+    copies, never the flat schedule: not after compile, any analysis,
+    or a plan-cache round trip."""
+    monkeypatch.setattr("repro.core.compiled.AUTO_MIN_NODES", 0)
+    trace, _ = app_builds["stencil1d"]
+    build = build_graph(trace)
+    plan = compiled_plan(build)
+    ir = plan.coarse
+    assert ir is not None
+    held = len(ir.pre_levels) + len(ir.post_levels) + ir.L * len(ir.tmpl_levels)
+    assert held < len(plan.levels)  # the flat schedule is derived, not kept
+    sig = SIGNATURES["expo"]
+    spec = PerturbationSpec(sig, seed=4)
+    steps = {
+        "compile": lambda: None,
+        "propagate_batch": lambda: plan.propagate_batch(spec, seeds=[1, 2]),
+        "propagate_one": lambda: plan.propagate_one(spec),
+        "extract_critical_path": lambda: extract_critical_path(build),
+        "makespan_bounds": lambda: makespan_bounds(plan, sig),
+    }
+    for step, call in steps.items():
+        call()
+        assert _levels_held(plan) <= held, step
+    store = CheckpointStore(tmp_path)
+    save_plan(store, build, "auto", plan)
+    loaded = load_plan(store, build_graph(trace), "auto")
+    assert loaded is not None and loaded.coarse is not None
+    assert _levels_held(loaded) <= held
+
+
 class TestPlanCache:
     def _fresh_build(self, app_builds):
         trace, _ = app_builds["stencil1d"]
@@ -377,11 +429,14 @@ class TestPlanCache:
         other = build_graph(other_trace)
         assert load_plan(store, other, "on") is None
 
-    @pytest.mark.parametrize("schema", ["repro-plan-cache/1", "repro-plan-cache/3"])
+    @pytest.mark.parametrize(
+        "schema", ["repro-plan-cache/1", "repro-plan-cache/3", "repro-plan-cache/4"]
+    )
     def test_previous_schema_blob_is_a_miss(self, app_builds, tmp_path, schema):
         """A blob cached under a previous plan layout (``/1``: no delta
-        columns; ``/3``: class-based level records) reads as corrupt and
-        is recompiled — never handed out to fail on first use."""
+        columns; ``/3``: class-based level records; ``/4``: a flat level
+        schedule on coarse plans too) reads as corrupt and is recompiled
+        — never handed out to fail on first use."""
         store = CheckpointStore(tmp_path)
         build = self._fresh_build(app_builds)
         old = CompiledPlan(build, coarsen="on")

@@ -2,11 +2,11 @@
 replicate-batch invariant.
 
 The acceptance-critical property: the extracted path — edges, nodes,
-per-edge costs, AND total — walked over the compiled kernel's path
-costs is *bit-identical* to the scalar reference oracle
+per-edge costs, AND total — walked over the compiled plan's path costs
+is *bit-identical* to the scalar reference oracle
 (:func:`~repro.core.traversal.longest_weighted_path`) for any
-simulator-producible run, and batching extra replicate rows through the
-compiled kernel never changes row 0.
+simulator-producible run, on the flat and the coarse plan alike, and
+batching extra replicate rows through the walk never changes row 0.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_graph
+from repro.core import BuildConfig, build_graph
 from repro.core.compiled import compiled_plan
+from repro.core.graph import EdgeKind
 from repro.core.traversal import longest_weighted_path
 from repro.diagnose import CriticalPathExtract, extract_critical_path
 from repro.diagnose.path import path_costs
 from repro.mpisim import run
 from tests.conftest import plan_program
+from tests.core.test_build_golden import COARSE_APPS, _trace
 
 _round = st.one_of(
     st.tuples(st.just("compute"), st.integers(100, 3000)),
@@ -106,34 +108,63 @@ class TestEngineAgreement:
         cp = extract_critical_path(build_graph(ring_trace))
         assert cp.engine == "compiled"
 
+    def test_negative_message_weights_are_not_clamped(self):
+        """An ``absolute_weights`` build weighs acknowledgement edges by
+        their signed lag; the path costs take them as given, below
+        ``-weight`` or not, exactly as the oracle does."""
+        trace = run(plan_program([("ring", 64), ("compute", 500)]), nprocs=3, seed=5).trace
+        build = build_graph(trace, BuildConfig(absolute_weights=True))
+        g = build.graph
+        assert (g.edge_weight[g.edge_kind == EdgeKind.MESSAGE] < 0).any()
+        assert_identical(extract_all_engines(build))
+
+    @pytest.mark.parametrize("case", sorted(COARSE_APPS))
+    def test_coarse_plan_identical_to_flat(self, case, monkeypatch):
+        """The walk over a coarse plan yields the flat plan's path."""
+        app, nprocs, params = COARSE_APPS[case]
+        trace = _trace(app, nprocs, params)
+        extracts = {}
+        for coarsen, min_nodes in (("off", 1 << 62), ("on", 0)):
+            monkeypatch.setattr("repro.core.compiled.AUTO_MIN_NODES", min_nodes)
+            build = build_graph(trace)
+            extracts[coarsen] = extract_critical_path(build)
+            assert (compiled_plan(build).coarse is not None) == (coarsen == "on")
+        assert_identical([extracts["off"], extracts["on"]])
+
+
+def walk_costs(plan, rows: np.ndarray) -> np.ndarray:
+    """(R, n_nodes) longest-path values of cost rows ``rows``: the
+    plan's walk over the costs as given."""
+    return plan.walk(len(rows), lambda cols, span: rows[:, cols], None, detail=True).node_delay
+
 
 class TestReplicateBatchInvariance:
     """The path costs extraction reads come from the replicate-batched
-    compiled kernel; batching other rows alongside never changes one."""
+    walk; batching other rows alongside never changes one."""
 
     def test_row_zero_invariant_under_batching(self, ring_trace, rng):
         """Stacking extra replicate rows never changes an existing row."""
         build = build_graph(ring_trace)
         plan = compiled_plan(build)
         costs = path_costs(build)
-        L1 = plan.kernel(costs[None, :])
+        L1 = walk_costs(plan, costs[None, :])
         stacked = np.vstack(
             [costs, costs * 2.0, rng.exponential(1000.0, size=costs.shape)]
         )
-        assert np.array_equal(L1[0], plan.kernel(stacked)[0])
+        assert np.array_equal(L1[0], walk_costs(plan, stacked)[0])
 
     def test_each_batch_row_matches_solo_run(self, stencil_trace, rng):
         build = build_graph(stencil_trace)
         plan = compiled_plan(build)
         rows = rng.exponential(800.0, size=(4, len(build.graph.edges)))
-        Lb = plan.kernel(rows)
+        Lb = walk_costs(plan, rows)
         for i in range(rows.shape[0]):
-            assert np.array_equal(Lb[i], plan.kernel(rows[i][None, :])[0])
+            assert np.array_equal(Lb[i], walk_costs(plan, rows[i][None, :])[0])
 
     def test_extraction_matches_batched_final_cost(self, ring_trace):
         build = build_graph(ring_trace)
         cp = extract_critical_path(build)
-        L = compiled_plan(build).kernel(path_costs(build)[None, :])
+        L = walk_costs(compiled_plan(build), path_costs(build)[None, :])
         assert cp.total_cost == float(L[0].max())
 
 
