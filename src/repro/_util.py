@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "as_rng",
     "spawn_rng",
-    "atomic_write_bytes",
     "atomic_write_text",
     "check_nonnegative",
     "check_positive",
@@ -31,17 +30,13 @@ __all__ = [
 ]
 
 
-# Temp-name uniquifier for the atomic writers.  The pid alone is not
+# Temp-name uniquifier for the atomic writer.  The pid alone is not
 # enough once one process has concurrent writers (a multi-threaded
 # daemon): two threads sharing a temp name could interleave write →
 # replace and lose one write or raise on a vanished temp file.  next()
 # on an itertools.count is atomic under the GIL, so pid + sequence
 # gives every in-flight write its own temp file.
 _TMP_SEQ = itertools.count()
-
-
-def _tmp_name(path: Path) -> Path:
-    return path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_TMP_SEQ)}")
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -56,27 +51,9 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     last-writer-wins, and a reader sees one complete version or none.
     """
     path = Path(path)
-    tmp = _tmp_name(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{next(_TMP_SEQ)}")
     try:
         tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
-    return path
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Binary twin of :func:`atomic_write_text` (temp file + ``os.replace``).
-
-    Used for artifacts that are not text — pickled compiled plans in the
-    checkpoint store, most notably.
-    """
-    path = Path(path)
-    tmp = _tmp_name(path)
-    try:
-        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

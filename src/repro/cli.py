@@ -82,7 +82,6 @@ from repro import obs
 from repro._util import atomic_write_text
 from repro.core import (
     BuildConfig,
-    CheckpointStore,
     ExperimentHistory,
     FaultPolicy,
     PerturbationSpec,
@@ -727,7 +726,7 @@ def main_analyze(argv: list[str] | None = None) -> int:
                         f"({', '.join(sorted({f.rule_id for f in vreport.errors}))}); "
                         f"refusing to analyze — run repro-verify for the full report"
                     )
-            plan = compiled_plan(build, checkpoint=CheckpointStore.coerce(args.checkpoint))
+            plan = compiled_plan(build)
             result = plan.propagate_one(spec, mode=args.mode)
             with obs.span("analysis"):
                 correctness = check_correctness(build, result)
@@ -1339,8 +1338,8 @@ def main_serve(argv: list[str] | None = None) -> int:
     _add(
         ap,
         "--checkpoint",
-        help="durable result cache: shards and compiled plans persist in DIR, so "
-        "repeated identical requests are near-free (see repro.core.checkpoint)",
+        help="durable result cache: result shards persist in DIR, so repeated "
+        "identical requests skip their propagations (see repro.core.checkpoint)",
     )
     _add(ap, *_POLICY_FLAGS)
     ap.add_argument(

@@ -40,7 +40,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro import obs
-from repro._util import atomic_write_bytes, atomic_write_text
+from repro._util import atomic_write_text
+from repro.core.graph import _DELTA_ROW_COLUMNS, _EDGE_COLUMNS
 from repro.core.primitives import BuildConfig
 from repro.trace.format import encode_event_text
 
@@ -49,16 +50,12 @@ __all__ = [
     "ShardKey",
     "build_digest",
     "digest_of",
-    "load_plan",
-    "plan_cache_path",
     "resolve_rows",
-    "save_plan",
     "signature_digest",
     "trace_digest",
 ]
 
 SHARD_SCHEMA = "repro-checkpoint-shard/1"
-PLAN_SCHEMA = "repro-plan-cache/5"
 
 #: Environment hook consumed by the fault-injection harness
 #: (:mod:`repro.testing.faults`): kill the process after N shard writes.
@@ -85,17 +82,21 @@ def build_digest(build) -> str:
     Two different trace sets can coincide on every key field
     (seed/signature/scale/mode/engine) yet propagate differently, so
     every shard key also carries a digest of the structure it was
-    computed over: edge weights + delta kinds + node/edge/rank counts.
+    computed over: the node/edge/rank counts, every edge and delta
+    column (endpoints, kinds, weights, and the delta fields and uids
+    that key each edge's random stream) and each rank's final node.
     Cached on the build (computed once per analysis).
     """
     cached = build.__dict__.get("_checkpoint_digest")
     if cached is not None:
         return cached
     g = build.graph
-    h = hashlib.sha256()
-    h.update(f"{g.nprocs}:{len(g.nodes)}:{len(g.edges)}".encode())
-    h.update(g.edge_weight.tobytes())
-    h.update(g.delta_kind.tobytes())
+    h = hashlib.sha256(f"{g.nprocs}:{len(g.nodes)}:{len(g.edges)}".encode())
+    for name in (*_EDGE_COLUMNS, *_DELTA_ROW_COLUMNS):
+        col = getattr(g, name)
+        h.update(f"\n{name}:{col.dtype.str}:{col.shape}\n".encode())
+        h.update(col.tobytes())
+    h.update(repr(list(g.final_nodes)).encode())
     digest = h.hexdigest()[:16]
     build.__dict__["_checkpoint_digest"] = digest
     return digest
@@ -249,76 +250,6 @@ class CheckpointStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CheckpointStore({str(self.root)!r})"
-
-
-def plan_cache_path(store: CheckpointStore, build, coarsen: str) -> Path:
-    """Location of the persisted compiled plan for ``(build, coarsen)``."""
-    return store.root / f"plan-{build_digest(build)}-{coarsen}.pkl"
-
-
-def load_plan(store: CheckpointStore, build, coarsen: str):
-    """The cached :class:`~repro.core.compiled.CompiledPlan`, or None.
-
-    Validation mirrors shard reads: a stale or corrupt blob — wrong
-    schema, digest, numpy version (the sampler tables mirror numpy's
-    private ziggurat layout), or graph shape — counts as
-    ``checkpoint.plan_corrupt`` and reads as missing, so the plan is
-    recompiled and the cache rewritten.  Like :meth:`CheckpointStore.
-    get`, the read is a single open: a plan cached (or evicted) by a
-    concurrent writer between lookup and read is found (or a plain
-    miss), and the atomic-rename write in :func:`save_plan` means two
-    racing writers of one path leave a complete blob, never a torn one.
-    """
-    import pickle
-
-    import numpy as np
-
-    path = plan_cache_path(store, build, coarsen)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        obs.add("checkpoint.plan_misses")
-        return None
-    except OSError:
-        obs.add("checkpoint.plan_corrupt")
-        return None
-    try:
-        blob = pickle.loads(data)
-        plan = blob["plan"]
-        g = build.graph
-        ok = (
-            blob.get("schema") == PLAN_SCHEMA
-            and blob.get("digest") == build_digest(build)
-            and blob.get("numpy") == np.__version__
-            and blob.get("coarsen") == coarsen
-            and plan.n_nodes == len(g.nodes)
-            and plan.n_edges == len(g.edges)
-        )
-    except Exception:
-        ok = False
-    if not ok:
-        obs.add("checkpoint.plan_corrupt")
-        return None
-    obs.add("checkpoint.plan_hits")
-    return plan
-
-
-def save_plan(store: CheckpointStore, build, coarsen: str, plan) -> Path:
-    """Persist a compiled plan under the build digest (atomic write)."""
-    import pickle
-
-    import numpy as np
-
-    blob = {
-        "schema": PLAN_SCHEMA,
-        "digest": build_digest(build),
-        "numpy": np.__version__,
-        "coarsen": coarsen,
-        "plan": plan,
-    }
-    path = atomic_write_bytes(plan_cache_path(store, build, coarsen), pickle.dumps(blob))
-    obs.add("checkpoint.plan_writes")
-    return path
 
 
 def _storable(row) -> bool:

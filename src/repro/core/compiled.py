@@ -418,20 +418,22 @@ class CompiledPlan:
         otherwise.  Both yield the same floats: each node's value is the
         max over the identical contrib operand pairs, and float max is
         order-exact.  With ``detail`` the result also carries the node
-        delays and effective edge deltas.
+        delays and, unless ``mode`` is None (the effective deltas are
+        then the caller's own costs), the effective edge deltas.
         """
         if mode is not None and mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         ir = self.coarse
+        keep_eff = detail and mode is not None
         if ir is None:
             eff, clamped = _apply_mode(take(slice(None), None), self.edge_weight, mode)
             D = np.zeros((R, self.n_nodes), dtype=np.float64)
             for lv in self.levels:
                 level_step(D, eff, lv)
             delays = _gather(D, self.final_node)
-            return Walk(delays, clamped, *((D, eff) if detail else (None, None)))
+            return Walk(delays, clamped, D if detail else None, eff if keep_eff else None)
         D = np.zeros((R, self.n_nodes), dtype=np.float64) if detail else None
-        E = np.zeros((R, self.n_edges), dtype=np.float64) if detail else None
+        E = np.zeros((R, self.n_edges), dtype=np.float64) if keep_eff else None
 
         def eff_of(cols, span):
             eff, clamped = _apply_mode(take(cols, span), self.edge_weight[cols], mode)
@@ -548,18 +550,14 @@ class CompiledPlan:
         )
 
 
-def compiled_plan(
-    build: BuildResult, coarsen: str = "auto", checkpoint=None
-) -> CompiledPlan:
+def compiled_plan(build: BuildResult, coarsen: str = "auto") -> CompiledPlan:
     """The (cached) compiled plan for a build — compile once, reuse.
 
     Every production caller takes ``coarsen="auto"`` (coarsen builds of
     at least ``AUTO_MIN_NODES`` nodes); ``"on"``/``"off"`` force the
     coarse or flat plan so tests can compare the two.  Plans are
-    memoized on the build per ``coarsen`` policy.  When a
-    ``CheckpointStore`` is passed, compiled plans are additionally
-    persisted on disk keyed by the build digest, so repeated CLI runs
-    and pool workers skip recompilation entirely.
+    memoized on the build per ``coarsen`` policy and never written to
+    disk: compiling costs about what reading a stored plan would.
 
     Concurrent callers sharing one ``build`` (daemon requests that
     coalesced on the same trace) are serialized on a per-build lock, so
@@ -578,15 +576,5 @@ def compiled_plan(
     with lock:
         plan = plans.get(coarsen)
         if plan is None:
-            if checkpoint is not None:
-                from repro.core.checkpoint import load_plan
-
-                plan = load_plan(checkpoint, build, coarsen)
-            if plan is None:
-                plan = CompiledPlan(build, coarsen=coarsen)
-                if checkpoint is not None:
-                    from repro.core.checkpoint import save_plan
-
-                    save_plan(checkpoint, build, coarsen, plan)
-            plans[coarsen] = plan
+            plan = plans[coarsen] = CompiledPlan(build, coarsen=coarsen)
         return plan

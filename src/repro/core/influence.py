@@ -118,7 +118,7 @@ def rank_influence(
         sub = [items[i] for i in indices]
         from repro.core.compiled import compiled_plan
 
-        plan = compiled_plan(build, checkpoint=store)
+        plan = compiled_plan(build)
         backend = resolve_backend(jobs, policy=policy)
         return backend.map(_compiled_influence_row, sub, payload=(plan, mode))
 

@@ -149,9 +149,7 @@ def monte_carlo(
     every replicate is a pure function of its key.
 
     The compiled engine coarsens large iterative builds automatically
-    (:mod:`repro.core.coarsen`), bit-identical to the flat plan; when a
-    checkpoint store is given the compiled plan itself is persisted
-    there keyed by the build digest.
+    (:mod:`repro.core.coarsen`), bit-identical to the flat plan.
 
     ``bounds`` (a :class:`~repro.verify.bounds.MakespanBounds` from the
     static verifier) arms the runtime cross-check: every replicate's
@@ -188,7 +186,7 @@ def monte_carlo(
 
             return list(
                 map_replicate_batches(
-                    compiled_plan(build, checkpoint=store),
+                    compiled_plan(build),
                     spec.signature,
                     sub,
                     scale=spec.scale,

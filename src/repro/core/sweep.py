@@ -138,7 +138,6 @@ def _scale_rows(
     config: BuildConfig,
     jobs: int | None,
     policy: FaultPolicy | None,
-    store: CheckpointStore | None = None,
 ):
     """Yield one per-rank delay row per scale, in ladder order.
 
@@ -148,7 +147,7 @@ def _scale_rows(
     if not scales:
         return
     if engine == "compiled":
-        plan = compiled_plan(build, checkpoint=store)
+        plan = compiled_plan(build)
         raw = plan.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
         batch = plan.propagate_presampled_batch(raw, [spec.scale * s for s in scales], mode=mode)
         obs.add("sweep.points", len(scales))
@@ -156,7 +155,7 @@ def _scale_rows(
             yield tuple(row)
         return
     specs = [spec.scaled(spec.scale * s) for s in scales]
-    yield from _spec_rows(trace_set, build, specs, mode, engine, config, jobs, policy, store)
+    yield from _spec_rows(trace_set, build, specs, mode, engine, config, jobs, policy)
 
 
 def _spec_rows(
@@ -168,13 +167,12 @@ def _spec_rows(
     config: BuildConfig,
     jobs: int | None,
     policy: FaultPolicy | None,
-    store: CheckpointStore | None = None,
 ):
     """Yield one per-rank delay row per spec: one full propagation each,
     fanned out over the pool when ``jobs >= 2`` (a generator, like
     :func:`_scale_rows`, so checkpointed ladders persist incrementally)."""
     backend = resolve_backend(jobs, policy=policy)
-    plan = compiled_plan(build, checkpoint=store) if engine == "compiled" else None
+    plan = compiled_plan(build) if engine == "compiled" else None
     if backend.jobs >= 2:
         carrier = plan if plan is not None else trace_set
         for row in backend.map(_sweep_worker, specs, payload=(engine, carrier, mode, config)):
@@ -232,7 +230,6 @@ def sweep_scales(
     keyed by ``(seed, signature digest, effective scale, mode, engine,
     build digest)``; ``resume=True`` reads existing shards and computes
     only the missing points, bit-identical to an uninterrupted run.
-    With a checkpoint store the compiled plan is persisted too.
     """
     _check_engine(engine)
     config = config or BuildConfig()
@@ -255,7 +252,6 @@ def sweep_scales(
                 config,
                 jobs,
                 policy,
-                store,
             )
 
         if store is None:
@@ -319,7 +315,6 @@ def sweep_signatures(
                 config,
                 jobs,
                 policy,
-                store,
             )
 
         if store is None:

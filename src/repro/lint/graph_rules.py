@@ -58,25 +58,31 @@ def graph_cycle(ctx: LintContext, config: LintConfig) -> Iterator[Finding]:
     if len(cycle) > _CYCLE_SHOW:
         shown += f" -> ... ({len(cycle)} nodes)"
     yield graph_cycle.finding(
-        f"graph is not a DAG: {len(cyclic)} node(s) lie on cycles; one cycle: {shown}",
-        node=cycle[0] if cycle else None,
+        f"graph is not a DAG: {len(cyclic)} node(s) lie on or downstream of a cycle; "
+        f"one cycle: {shown}",
+        node=cycle[0],
     )
 
 
 def _find_cycle(g: MessagePassingGraph, cyclic: list[int]) -> list[int]:
-    """One concrete cycle within the unreached (cyclic) node set."""
-    in_cycle = set(cyclic)
-    seen: dict[int, int] = {}  # node -> position on the current walk
+    """One concrete cycle among the nodes Kahn never freed, in edge order.
+
+    Each such node keeps a predecessor Kahn never freed either, so
+    walking predecessors inside that set must revisit a node, and the
+    walk from that node's first visit is a cycle.  It is shown from its
+    lowest node id.
+    """
+    unfreed = set(cyclic)
+    seen: dict[int, int] = {}  # node -> position on the walk
     walk: list[int] = []
     node = cyclic[0]
     while node not in seen:
         seen[node] = len(walk)
         walk.append(node)
-        node = next(
-            (d for d in g.edge_dst[g.out_edge_ids(node)].tolist() if d in in_cycle),
-            walk[0],  # defensive: every cyclic node keeps a cyclic successor
-        )
-    return walk[seen[node] :]
+        node = next(s for s in g.edge_src[g.in_edge_ids(node)].tolist() if s in unfreed)
+    cycle = walk[seen[node] :][::-1]
+    first = cycle.index(min(cycle))
+    return cycle[first:] + cycle[:first]
 
 
 def _node_name(g: MessagePassingGraph, node_id: int) -> str:

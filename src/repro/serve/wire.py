@@ -1,9 +1,9 @@
 """Wire schemas of the analysis daemon (:mod:`repro.serve`).
 
 Requests and results are JSON envelopes validated like every other
-report schema in the suite (checkpoint shards, plan cache blobs, lint
-reports): an explicit ``schema`` tag, a closed set of fields, and a
-structured error object instead of a stack trace.
+report schema in the suite (checkpoint shards, lint reports): an
+explicit ``schema`` tag, a closed set of fields, and a structured error
+object instead of a stack trace.
 
 ``repro-serve-request/1``
     ``{"schema", "traces" | "upload", "stem", "signature"?, "params"?,

@@ -5,7 +5,9 @@ identical** to an uninterrupted one, because each shard is a pure
 function of its key and JSON round-trips floats exactly.
 """
 
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -58,6 +60,29 @@ def spec(seed=0, scale=1.0, mean=100.0):
     )
 
 
+def retagged(trace, shift=100):
+    """``trace`` with every message tag shifted by ``shift``."""
+
+    def shifted(ev):
+        tag = ev.tag + shift if ev.tag >= 0 else ev.tag
+        recv_tag = ev.recv_tag + shift if ev.recv_tag >= 0 else ev.recv_tag
+        return dataclasses.replace(ev, tag=tag, recv_tag=recv_tag)
+
+    events = [[shifted(ev) for ev in evs] for evs in trace.load_all()]
+    return MemoryTrace(events, program=trace.meta(0).program)
+
+
+class PlantedPlan:
+    """Unpickling this creates ``marker``: it shows whether anything
+    ever unpickles a file found in a checkpoint directory."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
 def key(seed=0, **kw):
     base = dict(kind="mc", seed=seed, signature="sig0", scale=1.0, mode="additive",
                 engine="compiled", context="ctx0")
@@ -80,6 +105,11 @@ class TestDigests:
         d = build_digest(ring_build)
         assert d == build_digest(ring_build)
         assert ring_build.__dict__["_checkpoint_digest"] == d
+
+    def test_build_digest_covers_tags(self, ring_trace, ring_build):
+        """Tags key each message's random stream: a retagged trace has
+        the same counts, weights and delta kinds but another digest."""
+        assert build_digest(build_graph(retagged(ring_trace))) != build_digest(ring_build)
 
     def test_trace_digest(self, ring_trace):
         assert trace_digest(ring_trace) == trace_digest(ring_trace)
@@ -303,6 +333,38 @@ class TestAnalysisResume:
                 checkpoint=tmp_path, resume=True,
             )
             assert [p.delays for p in resumed.points] == [p.delays for p in clean.points]
+
+    def test_monte_carlo_resume_over_retagged_build_is_fresh(
+        self, ring_trace, ring_build, tmp_path
+    ):
+        """A build that differs from the checkpointed one only in its
+        tags gets its own rows on resume, not the stored ones."""
+        s = spec(seed=5)
+        original = monte_carlo(ring_build, s, replicates=3, checkpoint=tmp_path)
+        other = build_graph(retagged(ring_trace))
+        clean = monte_carlo(other, s, replicates=3)
+        assert not np.array_equal(clean.samples, original.samples)
+        resumed = monte_carlo(other, s, replicates=3, checkpoint=tmp_path, resume=True)
+        assert np.array_equal(resumed.samples, clean.samples)
+
+    def test_planted_plan_blob_is_never_loaded(self, ring_trace, tmp_path):
+        """A checkpoint directory holds result shards only: a pickled
+        plan planted where a plan cache would look is never read, and
+        nothing but ``*.json`` shards is written."""
+        build = build_graph(ring_trace)
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        marker = tmp_path / "unpickled"
+        planted = ckpt / f"plan-{build_digest(build)}-auto.pkl"
+        planted.write_bytes(pickle.dumps(PlantedPlan(marker)))
+        s = spec(seed=8)
+        clean = monte_carlo(build_graph(ring_trace), s, replicates=4)
+        for resume in (False, True):
+            got = monte_carlo(build, s, replicates=4, checkpoint=ckpt, resume=resume)
+            assert np.array_equal(got.samples, clean.samples)
+        assert not marker.exists()
+        written = {p.name for p in ckpt.iterdir()} - {planted.name}
+        assert written and all(name.endswith(".json") for name in written)
 
     def test_sweep_signatures_resume_bit_identical(self, ring_trace, tmp_path):
         sigs = [

@@ -305,8 +305,15 @@ def test_invalid_mode_and_engine_raise(app_builds):
 
 
 def test_plan_is_cached_on_build(app_builds):
-    _, build = app_builds["token_ring"]
-    assert compiled_plan(build) is compiled_plan(build)
+    """One plan per build and ``coarsen`` policy: repeated calls reuse
+    it; another policy or another build of the same trace compiles its
+    own."""
+    trace, build = app_builds["token_ring"]
+    plan = compiled_plan(build)
+    assert compiled_plan(build) is plan
+    flat = compiled_plan(build, coarsen="off")
+    assert flat is not plan and compiled_plan(build, coarsen="off") is flat
+    assert compiled_plan(build_graph(trace)) is not plan
 
 
 # ---------------------------------------------------------------------------

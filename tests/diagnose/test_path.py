@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BuildConfig, build_graph
-from repro.core.compiled import compiled_plan
+from repro.core.compiled import CompiledPlan, compiled_plan
 from repro.core.graph import EdgeKind
 from repro.core.traversal import longest_weighted_path
 from repro.diagnose import CriticalPathExtract, extract_critical_path
@@ -166,6 +166,21 @@ class TestReplicateBatchInvariance:
         cp = extract_critical_path(build)
         L = walk_costs(compiled_plan(build), path_costs(build)[None, :])
         assert cp.total_cost == float(L[0].max())
+
+
+@pytest.mark.parametrize("coarsen", ["off", "on"])
+def test_costs_walk_keeps_no_edge_deltas(coarsen):
+    """Over the costs as given (``mode=None``) the effective deltas are
+    the caller's own row, so the walk returns none; a propagation mode
+    still gets its clamped deltas."""
+    build = build_graph(_trace(*COARSE_APPS["stencil1d-long"]))
+    plan = CompiledPlan(build, coarsen=coarsen)
+    assert (plan.coarse is not None) == (coarsen == "on")
+    costs = path_costs(build)[None, :]
+    take = lambda cols, span: costs[:, cols]
+    walk = plan.walk(1, take, None, detail=True)
+    assert walk.edge_delta is None and walk.node_delay.shape == (1, plan.n_nodes)
+    assert plan.walk(1, take, "additive", detail=True).edge_delta.shape == (1, plan.n_edges)
 
 
 class TestExtractShape:

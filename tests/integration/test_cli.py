@@ -367,6 +367,37 @@ class TestMeasureFlow:
         assert "max delay" in capsys.readouterr().out
 
 
+class TestCheckpointDir:
+    def test_holds_json_shards_only(self, traced, capsys):
+        """``--checkpoint D`` never reads a pickle planted where a plan
+        cache would look, writes nothing but ``*.json`` shards, and a
+        ``--resume`` rerun prints the same bytes."""
+        import pickle
+
+        from repro.core import build_graph
+        from repro.core.checkpoint import build_digest
+        from repro.trace.reader import TraceSet
+        from tests.core.test_checkpoint import PlantedPlan
+
+        tmp_path, sig_path = traced
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        marker = tmp_path / "unpickled"
+        digest = build_digest(build_graph(TraceSet.open(tmp_path, "ring")))
+        planted = ckpt / f"plan-{digest}-auto.pkl"
+        planted.write_bytes(pickle.dumps(PlantedPlan(marker)))
+        argv = ["--traces", str(tmp_path), "--stem", "ring", "--signature", str(sig_path),
+                "--replicates", "4", "--checkpoint", str(ckpt)]
+        outs = []
+        for extra in ([], ["--resume"]):
+            assert main_analyze(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert not marker.exists()
+        written = {p.name for p in ckpt.iterdir()} - {planted.name}
+        assert len(written) == 4 and all(name.endswith(".json") for name in written)
+        assert outs[0] == outs[1]
+
+
 class TestCoarsening:
     def test_analysis_json_identical_coarse_vs_flat(self, tmp_path, monkeypatch):
         """Phase coarsening is automatic and invisible: the same

@@ -43,6 +43,21 @@ class TestMPG101GraphCycle:
         assert "not a DAG" in f.message
         assert "r0#" in f.message  # names concrete cycle members
 
+    def test_names_a_real_cycle_upstream_of_the_first_unfreed_node(self):
+        """r1#0.S <-> r1#0.E feeds r0#0.S: the lowest unfreed node sits
+        downstream of the cycle, and the finding still names the cycle."""
+        g = MessagePassingGraph(2)
+        r0s = g.add_node(0, 0, Phase.START, EventKind.INIT, 0.0)
+        r1s = g.add_node(1, 0, Phase.START, EventKind.INIT, 0.0)
+        r1e = g.add_node(1, 0, Phase.END, EventKind.INIT, 1.0)
+        g.add_edge(r1s, r1e, EdgeKind.LOCAL, 1.0)
+        g.add_edge(r1e, r1s, EdgeKind.LOCAL, 1.0)
+        g.add_edge(r1e, r0s, EdgeKind.MESSAGE, 0.0)
+        (f,) = lint_build(g).findings
+        assert f.rule_id == "MPG101"
+        assert f.message.endswith("one cycle: r1#0.S -> r1#0.E")
+        assert "3 node(s) lie on or downstream of a cycle" in f.message
+
     def test_dag_is_clean(self):
         g, _ = chain_graph(3)
         report = lint_build(g)
