@@ -24,13 +24,15 @@ zero to preserve ordering (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.graph import DeltaKind, DeltaSpec
+from repro.noise.distributions import RandomVariable
 from repro.noise.signature import MachineSignature
 
-__all__ = ["PerturbationSpec"]
+__all__ = ["DRAW_RECIPES", "DrawRecipe", "PerturbationSpec", "const_term", "draw_steps"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -50,6 +52,67 @@ def _mix(ints) -> int:
     for v in ints:
         h = _splitmix64(h ^ (v & _MASK64))
     return h
+
+
+class DrawRecipe(NamedTuple):
+    """The draws one delta kind sums, in draw order.
+
+    Each term is one clamped draw: ``"os"`` the edge rank's δ_os,
+    ``"lat"`` δ_λ src→dst, ``"back"`` δ_λ dst→src, ``"bytes"`` the
+    per-byte δ_t draw times nbytes (no draw when nbytes <= 0).
+    ``per_round`` repeats the terms ``delta.rounds`` times;
+    ``os_span`` gives the os term ``os_draws(weight)`` draws.
+    """
+
+    terms: tuple[str, ...]
+    per_round: bool = False
+    os_span: bool = False
+
+
+# The one statement of which draws each sampled kind sums and in what
+# order: the vectorized sampler's programs, the certified bounds and
+# ``PerturbationSpec.expected`` all read it; ``_sample_from`` spells it
+# out by hand as the reference they are tested against.
+DRAW_RECIPES: dict[DeltaKind, DrawRecipe] = {
+    DeltaKind.OS: DrawRecipe(("os",), os_span=True),
+    DeltaKind.LATENCY: DrawRecipe(("lat",)),
+    DeltaKind.TRANSFER: DrawRecipe(("lat", "bytes")),
+    # Fig. 2 data path: δ_λ1 + δ_t(d) + δ_os2 (Eq. 1, second line).
+    DeltaKind.TRANSFER_OS: DrawRecipe(("lat", "bytes", "os")),
+    # Rendezvous completion against a posted nonblocking receive.
+    DeltaKind.ROUNDTRIP: DrawRecipe(("lat", "bytes", "os", "back")),
+    # Fig. 4's l_δ: `rounds` independent (δ_os + δ_λ [+ δ_t]) samples.
+    DeltaKind.COLL_FANIN: DrawRecipe(("os", "lat", "bytes"), per_round=True),
+}
+
+
+def draw_steps(
+    sig: MachineSignature, delta: DeltaSpec, weight: float = 0.0
+) -> list[tuple[RandomVariable, float, int]]:
+    """A sampled edge's recipe expanded to ``(distribution, factor,
+    draws)`` steps in draw order: ``draws`` clamped draws summed, times
+    ``factor`` (nbytes for the δ_t term, else 1.0)."""
+    recipe = DRAW_RECIPES[delta.kind]
+    steps = []
+    for term in recipe.terms:
+        if term == "os":
+            k = sig.os_draws(weight) if recipe.os_span else 1
+            steps.append((sig.os_noise_for(delta.rank), 1.0, k))
+        elif term == "lat":
+            steps.append((sig.latency_for(delta.src, delta.dst), 1.0, 1))
+        elif term == "back":
+            steps.append((sig.latency_for(delta.dst, delta.src), 1.0, 1))
+        elif delta.nbytes > 0:  # "bytes"
+            steps.append((sig.per_byte, float(delta.nbytes), 1))
+    return steps * delta.rounds if recipe.per_round else steps
+
+
+def const_term(value: float, k: int) -> float:
+    """``k`` clamped draws that all equal ``value``, summed exactly as
+    ``MachineSignature.sample_os_interval`` sums ``k`` draws."""
+    if k == 1:
+        return max(value, 0.0)
+    return float(np.sum(np.maximum(np.full(k, value), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -174,36 +237,7 @@ class PerturbationSpec:
 
     def expected(self, delta: DeltaSpec, weight: float = 0.0) -> float:
         """Analytic expectation of the edge's delta (for model checks)."""
-        kind = delta.kind
-        sig = self.signature
-        if kind == DeltaKind.NONE:
+        if delta.kind == DeltaKind.NONE:
             return 0.0
-        if kind == DeltaKind.OS:
-            base = sig.os_noise_for(delta.rank).mean() * sig.os_draws(weight)
-        elif kind == DeltaKind.LATENCY:
-            base = sig.latency_for(delta.src, delta.dst).mean()
-        elif kind == DeltaKind.TRANSFER:
-            base = sig.latency_for(delta.src, delta.dst).mean() + sig.per_byte.mean() * delta.nbytes
-        elif kind == DeltaKind.TRANSFER_OS:
-            base = (
-                sig.latency_for(delta.src, delta.dst).mean()
-                + sig.per_byte.mean() * delta.nbytes
-                + sig.os_noise_for(delta.rank).mean()
-            )
-        elif kind == DeltaKind.ROUNDTRIP:
-            base = (
-                sig.latency_for(delta.src, delta.dst).mean()
-                + sig.per_byte.mean() * delta.nbytes
-                + sig.os_noise_for(delta.rank).mean()
-                + sig.latency_for(delta.dst, delta.src).mean()
-            )
-        elif kind == DeltaKind.COLL_FANIN:
-            per_round = (
-                sig.os_noise_for(delta.rank).mean()
-                + sig.latency_for(delta.src, delta.dst).mean()
-                + (sig.per_byte.mean() * delta.nbytes if delta.nbytes else 0.0)
-            )
-            base = per_round * delta.rounds
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown delta kind {kind!r}")
-        return base * self.scale
+        steps = draw_steps(self.signature, delta, weight)
+        return sum(dist.mean() * factor * k for dist, factor, k in steps) * self.scale

@@ -10,10 +10,12 @@ this module replays, for all lanes together, exactly the draws
 * a vectorized PCG64 (XSL-RR 128/64) on uint64 limbs advances one
   independent stream per lane (verified against
   ``BitGenerator.random_raw`` at runtime);
-* each edge's *draw program* — the ordered distribution draws its
-  delta kind makes (latency, per-byte transfer, OS noise, collective
-  fan-in rounds) — is evaluated by one group evaluator,
-  :func:`_eval_group`, shared by the flat and the template sampler.
+* each edge's *draw program* is its delta kind's entry in
+  :data:`~repro.core.perturb.DRAW_RECIPES` (the table the certified
+  bounds and ``PerturbationSpec.expected`` read too), expanded by
+  :func:`~repro.core.perturb.draw_steps` and classified step by step;
+  one group evaluator, :func:`_eval_group`, shared by the flat and the
+  template sampler, runs it.
 
 Exactness strategy
 ------------------
@@ -91,7 +93,7 @@ import numpy as np
 from repro import obs
 from repro._util import atomic_write_text
 from repro.core.graph import DeltaKind, DeltaSpec
-from repro.core.perturb import PerturbationSpec
+from repro.core.perturb import PerturbationSpec, const_term, draw_steps
 from repro.noise.distributions import Constant, Exponential, Normal, Scaled, Shifted, Uniform
 from repro.noise.empirical import Empirical
 from repro.noise.signature import MachineSignature
@@ -1054,56 +1056,17 @@ def _adopt_tables(tables) -> None:
 def _edge_program(
     sig: MachineSignature, delta: DeltaSpec, weight: float, classify, max_draws: int
 ):
-    """The ordered draw recipe replaying ``spec.sample`` for one edge: a
-    list of ``(dist, factor, k)`` steps (factor = nbytes for δ_t terms,
-    ``k`` = interval-scaled OS draws), or None when a step's family is
-    unsupported or it needs more than ``max_draws`` draws."""
-    kind = delta.kind
-    os_d = classify(sig.os_noise_for(delta.rank))
-    lat = classify(sig.latency_for(delta.src, delta.dst))
-    pb = classify(sig.per_byte)
-    steps: list | None
-    if kind == DeltaKind.OS:
-        k = sig.os_draws(weight)
-        if k > max_draws and not isinstance(os_d, _ConstDist):
+    """The ordered draw recipe replaying ``spec.sample`` for one edge:
+    :func:`~repro.core.perturb.draw_steps` with each distribution
+    classified, or None when a step's family is unsupported or it needs
+    more than ``max_draws`` draws."""
+    steps = []
+    for dist, factor, k in draw_steps(sig, delta, weight):
+        d = classify(dist)
+        if d is None or (k > max_draws and not isinstance(d, _ConstDist)):
             return None
-        steps = [(os_d, 1.0, k)]
-    elif kind == DeltaKind.LATENCY:
-        steps = [(lat, 1.0, 1)]
-    elif kind == DeltaKind.TRANSFER:
-        steps = [(lat, 1.0, 1)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes), 1))
-    elif kind == DeltaKind.TRANSFER_OS:
-        steps = [(lat, 1.0, 1)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes), 1))
-        steps.append((os_d, 1.0, 1))
-    elif kind == DeltaKind.ROUNDTRIP:
-        lat_back = classify(sig.latency_for(delta.dst, delta.src))
-        steps = [(lat, 1.0, 1)]
-        if delta.nbytes > 0:
-            steps.append((pb, float(delta.nbytes), 1))
-        steps.extend([(os_d, 1.0, 1), (lat_back, 1.0, 1)])
-    elif kind == DeltaKind.COLL_FANIN:
-        steps = []
-        for _ in range(delta.rounds):
-            steps.extend([(os_d, 1.0, 1), (lat, 1.0, 1)])
-            if delta.nbytes > 0:
-                steps.append((pb, float(delta.nbytes), 1))
-    else:  # pragma: no cover - exhaustive over sampled kinds
-        return None
-    if any(d is None for d, _, _ in steps):
-        return None
+        steps.append((d, factor, k))
     return steps
-
-
-def _const_term(value: float, k: int) -> float:
-    """A constant step's clamped contribution, summed over ``k`` draws
-    exactly as ``MachineSignature.sample_os_interval`` sums them."""
-    if k == 1:
-        return max(value, 0.0)
-    return float(np.sum(np.maximum(np.full(k, value), 0.0)))
 
 
 def _program_groups(programs: list) -> list[tuple[np.ndarray, list]]:
@@ -1119,7 +1082,7 @@ def _program_groups(programs: list) -> list[tuple[np.ndarray, list]]:
         for j, (dist, k) in enumerate(shape):
             factors = np.array([programs[i][j][1] for i in members], dtype=np.float64)
             if isinstance(dist, _ConstDist):
-                steps.append(("const", _const_term(dist.value, k) * factors))
+                steps.append(("const", const_term(dist.value, k) * factors))
             else:
                 fac = None if np.all(factors == 1.0) else factors
                 steps.append(("draw", dist, fac, k))

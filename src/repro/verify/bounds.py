@@ -13,10 +13,14 @@ Soundness argument, end to end:
    its value lies in the clamped support interval of its distribution
    (:func:`~repro.verify.intervals.support_interval`; quantile-bounded
    for unbounded families — the one explicit soundness caveat).
-2. A :class:`~repro.core.perturb.PerturbationSpec` composes draws per
-   edge with sums and nonnegative integer multiplicities only
-   (:meth:`~repro.core.perturb.PerturbationSpec.sample`), then scales —
-   all interval-monotone, mirrored exactly by :func:`edge_intervals`.
+2. A :class:`~repro.core.perturb.PerturbationSpec` composes an edge's
+   draws by the kind's :data:`~repro.core.perturb.DRAW_RECIPES` entry:
+   a left-to-right sum from 0.0 (an interval-scaled OS term is
+   ``np.sum`` of its k draws; a δ_t term is one draw times nbytes), then
+   one scale.  :func:`edge_intervals` folds the same terms at their
+   endpoints in the same order, with the same operations, and IEEE
+   rounding is monotone, so the folded endpoints bracket every sample
+   exactly.
 3. :meth:`CompiledPlan.walk <repro.core.compiled.CompiledPlan.walk>`
    — the one pass every replicate takes — applies the mode transfer and
    the level steps with only ``+``/``max``/floor-clamps, which are
@@ -40,7 +44,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.compiled import CompiledPlan
-from repro.core.graph import DeltaKind
+from repro.core.perturb import DRAW_RECIPES, const_term
+from repro.noise.distributions import RandomVariable
 from repro.noise.signature import MachineSignature
 from repro.verify.intervals import DEFAULT_QUANTILE, Interval, support_interval
 
@@ -132,14 +137,11 @@ class MakespanBounds:
         }
 
 
-def _interval_table(
-    intervals: list[Interval],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    lo = np.array([iv.lo for iv in intervals], dtype=np.float64)
-    hi = np.array([iv.hi for iv in intervals], dtype=np.float64)
-    lo_q = np.array([iv.lo_q for iv in intervals], dtype=np.bool_)
-    hi_q = np.array([iv.hi_q for iv in intervals], dtype=np.bool_)
-    return lo, hi, lo_q, hi_q
+def _endpoints(intervals: list[Interval]) -> tuple[np.ndarray, np.ndarray]:
+    """(2, n) endpoint values (row 0 lo, row 1 hi) and their quantile flags."""
+    val = np.array([[iv.lo for iv in intervals], [iv.hi for iv in intervals]], dtype=np.float64)
+    flag = np.array([[iv.lo_q for iv in intervals], [iv.hi_q for iv in intervals]], dtype=np.bool_)
+    return val, flag
 
 
 def edge_intervals(
@@ -148,132 +150,109 @@ def edge_intervals(
     scale: float = 1.0,
     quantile: float = DEFAULT_QUANTILE,
 ) -> EdgeIntervals:
-    """Raw-delta enclosure per edge, mirroring ``PerturbationSpec.sample``
-    delta-kind by delta-kind over the plan's structure-of-arrays columns."""
+    """Raw-delta enclosure per edge: each kind's ``DRAW_RECIPES`` terms
+    folded at their endpoints from 0.0 in the sampler's order, vectorized
+    over the plan's structure-of-arrays columns."""
     n = plan.n_edges
-    out_lo = np.zeros(n, dtype=np.float64)
-    out_hi = np.zeros(n, dtype=np.float64)
-    out_loq = np.zeros(n, dtype=np.bool_)
-    out_hiq = np.zeros(n, dtype=np.bool_)
+    out_val = np.zeros((2, n), dtype=np.float64)
+    out_flag = np.zeros((2, n), dtype=np.bool_)
     ids = plan.sampled_ids
-    m = len(ids)
-    if m == 0:
-        return EdgeIntervals(out_lo, out_hi, out_loq, out_hiq, quantile)
-
     P = plan.nprocs
-    # Primitive enclosures, clamped at zero exactly like the signature
-    # samplers (sample_os / sample_latency / sample_transfer).
-    os_tab = _interval_table(
-        [support_interval(signature.os_noise_for(r), quantile).clamp_min(0.0) for r in range(P)]
+    if len(ids) == 0:
+        return EdgeIntervals(out_val[0], out_val[1], out_flag[0], out_flag[1], quantile)
+
+    def clamped(dist: RandomVariable) -> Interval:
+        # Clamped at zero exactly like the signature samplers.
+        return support_interval(dist, quantile).clamp_min(0.0)
+
+    os_val, os_flag = _endpoints([clamped(signature.os_noise_for(r)) for r in range(P)])
+    lat_val, lat_flag = (
+        np.tile(a[:, :, None], (1, P, P)) for a in _endpoints([clamped(signature.latency)])
     )
-    lat_default = support_interval(signature.latency, quantile).clamp_min(0.0)
-    lat_lo = np.full((P, P), lat_default.lo, dtype=np.float64)
-    lat_hi = np.full((P, P), lat_default.hi, dtype=np.float64)
-    lat_loq = np.full((P, P), lat_default.lo_q, dtype=np.bool_)
-    lat_hiq = np.full((P, P), lat_default.hi_q, dtype=np.bool_)
     for (s, d), dist in signature.latency_by_link.items():
         if 0 <= s < P and 0 <= d < P:
-            iv = support_interval(dist, quantile).clamp_min(0.0)
-            lat_lo[s, d], lat_hi[s, d] = iv.lo, iv.hi
-            lat_loq[s, d], lat_hiq[s, d] = iv.lo_q, iv.hi_q
-    pb = support_interval(signature.per_byte, quantile).clamp_min(0.0)
+            v, f = _endpoints([clamped(dist)])
+            lat_val[:, s, d], lat_flag[:, s, d] = v[:, 0], f[:, 0]
+    pb_val, pb_flag = _endpoints([clamped(signature.per_byte)])
 
-    # Delta metadata columns for the sampled edges.
-    d_rank = plan.delta_rank[ids]
-    d_src = plan.delta_src[ids]
-    d_dst = plan.delta_dst[ids]
-    d_rounds = plan.delta_rounds[ids]
+    # Each recipe term's (2, len(at)) endpoint values and flags for the
+    # sampled-edge positions ``at``.
+    rk = np.clip(plan.delta_rank[ids], 0, P - 1)
+    sk = np.clip(plan.delta_src[ids], 0, P - 1)
+    dk = np.clip(plan.delta_dst[ids], 0, P - 1)
     nbytes = plan.edge_nbytes[ids].astype(np.float64)
+    lat_val, lat_flag = lat_val.reshape(2, -1), lat_flag.reshape(2, -1)
+    lookups = {
+        "os": (os_val, os_flag, rk),
+        "lat": (lat_val, lat_flag, sk * P + dk),
+        "back": (lat_val, lat_flag, dk * P + sk),
+    }
+
+    def term(t: str, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if t == "bytes":
+            nb = nbytes[at]
+            return np.where(nb > 0, pb_val * nb, 0.0), (nb > 0) & pb_flag
+        v, f, index = lookups[t]
+        return v.take(index[at], axis=1), f.take(index[at], axis=1)
+
+    val = np.zeros((2, len(ids)), dtype=np.float64)
+    flag = np.zeros((2, len(ids)), dtype=np.bool_)
     kind = plan.edge_kind[ids]
-
-    rk = np.clip(d_rank, 0, P - 1)
-    sk = np.clip(d_src, 0, P - 1)
-    dk = np.clip(d_dst, 0, P - 1)
-    os_lo_e, os_hi_e = os_tab[0][rk], os_tab[1][rk]
-    os_loq_e, os_hiq_e = os_tab[2][rk], os_tab[3][rk]
-    lat_lo_e, lat_hi_e = lat_lo[sk, dk], lat_hi[sk, dk]
-    lat_loq_e, lat_hiq_e = lat_loq[sk, dk], lat_hiq[sk, dk]
-    rev_lo_e, rev_hi_e = lat_lo[dk, sk], lat_hi[dk, sk]
-    rev_loq_e, rev_hiq_e = lat_loq[dk, sk], lat_hiq[dk, sk]
-    has_bytes = nbytes > 0
-    tr_lo_e = np.where(has_bytes, pb.lo * nbytes, 0.0)
-    tr_hi_e = np.where(has_bytes, pb.hi * nbytes, 0.0)
-    tr_loq_e = has_bytes & pb.lo_q
-    tr_hiq_e = has_bytes & pb.hi_q
-
-    # OS draw multiplicity: sample_os_interval sums os_draws(weight)
-    # independent clamped draws under the interval-scaled extension.
-    if signature.os_quantum > 0.0:
-        w = plan.edge_weight[ids]
-        draws = np.where(w <= 0.0, 1.0, np.maximum(1.0, np.ceil(w / signature.os_quantum)))
-    else:
-        draws = np.ones(m, dtype=np.float64)
-
-    lo = np.zeros(m, dtype=np.float64)
-    hi = np.zeros(m, dtype=np.float64)
-    loq = np.zeros(m, dtype=np.bool_)
-    hiq = np.zeros(m, dtype=np.bool_)
-
-    def add(
-        mask: np.ndarray,
-        c_lo: np.ndarray,
-        c_hi: np.ndarray,
-        c_loq: np.ndarray,
-        c_hiq: np.ndarray,
-    ) -> None:
-        lo[mask] += c_lo[mask]
-        hi[mask] += c_hi[mask]
-        loq[mask] |= c_loq[mask]
-        hiq[mask] |= c_hiq[mask]
-
-    k_os = kind == int(DeltaKind.OS)
-    if k_os.any():
-        add(k_os, draws * os_lo_e, draws * os_hi_e, os_loq_e, os_hiq_e)
-    k_lat = kind == int(DeltaKind.LATENCY)
-    if k_lat.any():
-        add(k_lat, lat_lo_e, lat_hi_e, lat_loq_e, lat_hiq_e)
-    k_tr = kind == int(DeltaKind.TRANSFER)
-    if k_tr.any():
-        add(k_tr, lat_lo_e + tr_lo_e, lat_hi_e + tr_hi_e, lat_loq_e | tr_loq_e,
-            lat_hiq_e | tr_hiq_e)
-    k_tros = kind == int(DeltaKind.TRANSFER_OS)
-    if k_tros.any():
-        add(
-            k_tros,
-            lat_lo_e + tr_lo_e + os_lo_e,
-            lat_hi_e + tr_hi_e + os_hi_e,
-            lat_loq_e | tr_loq_e | os_loq_e,
-            lat_hiq_e | tr_hiq_e | os_hiq_e,
-        )
-    k_rt = kind == int(DeltaKind.ROUNDTRIP)
-    if k_rt.any():
-        add(
-            k_rt,
-            lat_lo_e + tr_lo_e + os_lo_e + rev_lo_e,
-            lat_hi_e + tr_hi_e + os_hi_e + rev_hi_e,
-            lat_loq_e | tr_loq_e | os_loq_e | rev_loq_e,
-            lat_hiq_e | tr_hiq_e | os_hiq_e | rev_hiq_e,
-        )
-    k_cf = kind == int(DeltaKind.COLL_FANIN)
-    if k_cf.any():
-        rounds = d_rounds.astype(np.float64)
-        add(
-            k_cf,
-            rounds * (os_lo_e + lat_lo_e + tr_lo_e),
-            rounds * (os_hi_e + lat_hi_e + tr_hi_e),
-            os_loq_e | lat_loq_e | tr_loq_e,
-            os_hiq_e | lat_hiq_e | tr_hiq_e,
-        )
+    for code, recipe in DRAW_RECIPES.items():
+        sel = np.nonzero(kind == int(code))[0]
+        reps = plan.delta_rounds[ids[sel]] if recipe.per_round else np.ones(len(sel), np.int64)
+        for n_rep in np.unique(reps).tolist():
+            at = sel[reps == n_rep]
+            cols = [
+                _os_span(signature, plan.edge_weight[ids[at]], rk[at], os_val, term(t, at))
+                if t == "os" and recipe.os_span
+                else term(t, at)
+                for t in recipe.terms
+            ]
+            # Fold term by term from 0.0, as the sampler accumulates
+            # draws: float addition is monotone, so the endpoint folds
+            # bracket every sample exactly.
+            acc = np.zeros((2, len(at)), dtype=np.float64)
+            acc_flag = np.zeros((2, len(at)), dtype=np.bool_)
+            for _ in range(n_rep):
+                for c_val, c_flag in cols:
+                    acc += c_val
+                    acc_flag |= c_flag
+            val[:, at], flag[:, at] = acc, acc_flag
 
     # Global scale last, exactly like PerturbationSpec.sample; a negative
     # scale flips every interval and its per-side flags.
-    if scale >= 0.0:
-        out_lo[ids], out_hi[ids] = lo * scale, hi * scale
-        out_loq[ids], out_hiq[ids] = loq, hiq
-    else:
-        out_lo[ids], out_hi[ids] = hi * scale, lo * scale
-        out_loq[ids], out_hiq[ids] = hiq, loq
-    return EdgeIntervals(out_lo, out_hi, out_loq, out_hiq, quantile)
+    side = slice(None) if scale >= 0.0 else slice(None, None, -1)
+    out_val[:, ids], out_flag[:, ids] = val[side] * scale, flag[side]
+    return EdgeIntervals(out_val[0], out_val[1], out_flag[0], out_flag[1], quantile)
+
+
+def _os_span(
+    signature: MachineSignature,
+    weights: np.ndarray,
+    rk: np.ndarray,
+    os_val: np.ndarray,
+    cols: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The os term ``cols`` of OS edges spanning ``weights`` cycles on
+    ranks ``rk``: where the signature takes k > 1 draws, each endpoint
+    becomes ``const_term``'s sum of k copies of the rank's ``os_val``,
+    computed once per distinct (rank, k)."""
+    # os_draws never decreases with the interval: one draw at the longest
+    # edge means one draw everywhere.
+    if signature.os_draws(float(weights.max())) == 1:
+        return cols
+    uw, inv = np.unique(weights, return_inverse=True)
+    k = np.array([signature.os_draws(w) for w in uw.tolist()], dtype=np.int64)[inv]
+    multi = np.nonzero(k > 1)[0]
+    P = os_val.shape[1]
+    pairs, at = np.unique(k[multi] * P + rk[multi], return_inverse=True)
+    span = np.array(
+        [[const_term(os_val[j, p % P], p // P) for p in pairs.tolist()] for j in (0, 1)]
+    )
+    val = cols[0].copy()
+    val[:, multi] = span[:, at]
+    return val, cols[1]
 
 
 def makespan_bounds(
