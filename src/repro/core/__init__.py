@@ -20,7 +20,7 @@ from repro.core.checkpoint import (
     signature_digest,
     trace_digest,
 )
-from repro.core.compiled import CompiledBatch, CompiledPlan, compiled_plan
+from repro.core.compiled import CompiledBatch, CompiledPlan, compiled_plan, propagate
 from repro.core.correctness import CorrectnessReport, check_correctness
 from repro.core.diagnostics import AnalysisWarning, DiagnosticError
 from repro.core.dot import to_dot
@@ -51,13 +51,7 @@ from repro.core.parallel import (
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.sweep import SweepPoint, SweepResult, fit_slope, sweep_scales, sweep_signatures
-from repro.core.traversal import (
-    StreamingTraversal,
-    TraversalResult,
-    longest_weighted_path,
-    propagate,
-    propagate_absolute,
-)
+from repro.core.traversal import StreamingTraversal, TraversalResult, propagate_absolute
 from repro.core.window import WindowedGraph, extract_window
 
 __all__ = [
@@ -122,7 +116,6 @@ __all__ = [
     "extract_window",
     "StreamingTraversal",
     "TraversalResult",
-    "longest_weighted_path",
     "propagate",
     "propagate_absolute",
 ]

@@ -155,7 +155,7 @@ def binding_chain(
     weighted path costs).  At each node the binding in-edge is the
     first one in in-CSR order whose ``L[src] + cost[e] == L[node]``
     holds exactly — the tie-break of the
-    :func:`~repro.core.traversal.longest_weighted_path` oracle.  The
+    :func:`~repro.testing.oracle.longest_weighted_path` oracle.  The
     walk stops at a node with no binding in-edge (a source) or with
     ``L[node] <= floor``.
 

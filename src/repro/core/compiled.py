@@ -1,13 +1,10 @@
-"""Compiled graph plan: lowered topology + replicate-batched propagation.
+"""Compiled graph plan: the in-core delta-propagation engine (§4.2, §6).
 
-The perturbation engine is the hot path of every experiment:
-``monte_carlo``, sweeps, and ``rank_influence`` all call
-:func:`~repro.core.traversal.propagate` once per replicate, re-walking
-the Python object graph and re-hashing every edge uid through scalar
-``_splitmix64`` — an R-replicate analysis does R interpreter-bound
-traversals of *identical* topology.  A :class:`CompiledPlan` lowers a
-:class:`~repro.core.builder.BuildResult` once into structure-of-arrays
-form and then processes **all replicates simultaneously**:
+Every in-core propagation — :func:`propagate`, ``monte_carlo``, sweeps,
+``rank_influence``, diagnose and verify — runs here.  A
+:class:`CompiledPlan` lowers a :class:`~repro.core.builder.BuildResult`
+once into structure-of-arrays form (topology is spec-independent) and
+then processes **all replicates simultaneously**:
 
 * edge columns (predecessor index, weight, delta-kind code, uid
   columns for hashing, message sizes for δ_t(d)) and each node's
@@ -24,13 +21,15 @@ form and then processes **all replicates simultaneously**:
   :class:`~repro.core.coarsen.CoarseIR` (all a coarse plan keeps) when
   phase coarsening applied.
 
-Results are unconditionally identical to :func:`propagate` for *any*
-signature.
+Results are identical, bit for bit and for *any* signature, to the
+object-graph reference oracle :func:`repro.testing.oracle.propagate`,
+one scalar pass over the Kahn order that the tests hold this engine to.
 
 Observability: the compiled path emits ``compiled.compile``,
 ``compiled.sample`` and ``compiled.propagate`` spans plus
 ``traversal.propagations`` / ``traversal.clamped_edges`` counters, so
-``--profile`` output stays comparable with the reference engine.
+``--profile`` output stays comparable with the streaming engine;
+:func:`propagate` wraps its plan in the ``propagate`` span.
 """
 
 from __future__ import annotations
@@ -49,7 +48,15 @@ from repro.core.sampler import _adopt_tables, _BoundSampler, _get_tables, _Templ
 from repro.core.traversal import MODES, TraversalResult
 from repro.noise.signature import MachineSignature
 
-__all__ = ["SCRATCH_CELLS", "CompiledBatch", "CompiledPlan", "Walk", "compiled_plan", "level_step"]
+__all__ = [
+    "SCRATCH_CELLS",
+    "CompiledBatch",
+    "CompiledPlan",
+    "Walk",
+    "compiled_plan",
+    "level_step",
+    "propagate",
+]
 
 _U64 = np.uint64
 
@@ -216,8 +223,8 @@ class CompiledPlan:
             topo, level = g.topological_levels()
             self.node_level = np.array(level, dtype=np.int32)
 
-            # Final (FINALIZE END) node per rank, rank-chain fallback as in
-            # traversal._finals_from_graph; -1 = rank has no nodes at all.
+            # Final (FINALIZE END) node per rank, with the graph's
+            # rank-chain fallback; -1 = rank has no nodes at all.
             self.final_node = np.array(
                 [-1 if nid is None else nid for nid in map(g.final_node_of, range(self.nprocs))],
                 dtype=np.int64,
@@ -532,8 +539,8 @@ class CompiledPlan:
         return CompiledBatch(delays=out.delays, clamped=out.clamped, mode=mode)
 
     def propagate_one(self, spec: PerturbationSpec, mode: str = "additive") -> TraversalResult:
-        """Drop-in ``propagate`` replacement (single spec/seed) with the
-        in-core extras (node delays, edge deltas) populated."""
+        """One spec/seed propagated with the in-core extras (node delays,
+        edge deltas) populated: what :func:`propagate` returns."""
         # Drawn before the walk allocates its node and edge rows, so the
         # sampler's scratch and those rows are never resident together.
         raw = self.sample_raw_batch(spec.signature, [spec.seed], spec.scale)
@@ -578,3 +585,17 @@ def compiled_plan(build: BuildResult, coarsen: str = "auto") -> CompiledPlan:
         if plan is None:
             plan = plans[coarsen] = CompiledPlan(build, coarsen=coarsen)
         return plan
+
+
+def propagate(
+    build: BuildResult, spec: PerturbationSpec, mode: str = "additive"
+) -> TraversalResult:
+    """Propagate sampled perturbations over a built graph (in-core).
+
+    The build's memoized :func:`compiled_plan` walked once for ``spec``
+    (:meth:`CompiledPlan.propagate_one`): per-rank final delays plus
+    every node's delay and every edge's effective delta, for the
+    critical-path and absorption analyses.
+    """
+    with obs.span("propagate", mode=mode):
+        return compiled_plan(build).propagate_one(spec, mode)

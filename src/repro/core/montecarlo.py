@@ -31,16 +31,15 @@ from repro.core.checkpoint import (
 from repro.core.parallel import FaultPolicy, map_replicate_batches, replicate_items
 from repro.core.diagnostics import DiagnosticError
 from repro.core.perturb import PerturbationSpec
-from repro.core.traversal import propagate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.bounds import MakespanBounds
 
 __all__ = ["DelayDistribution", "monte_carlo"]
 
-#: Engines accepted by :func:`monte_carlo` — "auto" picks the compiled
-#: plan (bit-identical to "graph", the object-graph reference engine).
-ENGINES = ("auto", "compiled", "graph")
+#: Engines accepted by :func:`monte_carlo`: the compiled plan, or
+#: "graph", the object-graph reference oracle (bit-identical to it).
+ENGINES = ("compiled", "graph")
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def monte_carlo(
     mode: str = "additive",
     jobs: int | None = 0,
     chunk_size: int | None = None,
-    engine: str = "auto",
+    engine: str = "compiled",
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
@@ -129,13 +128,14 @@ def monte_carlo(
     N >= 2 = a pool of N.  Results are bit-identical across backends
     because every replicate carries its own seed.
 
-    ``engine`` selects the propagation engine: ``"compiled"`` (and the
-    ``"auto"`` default) lowers the build once into a
+    ``engine`` selects the propagation engine: ``"compiled"`` (the
+    default) lowers the build once into a
     :class:`~repro.core.compiled.CompiledPlan` and runs all replicates
     through the replicate-batched numpy kernel, returning the
-    ``(replicates, nprocs)`` sample matrix directly; ``"graph"`` is the
-    per-replicate object-graph reference engine, which runs in process
-    only (``jobs`` must be 0 or 1).  Both produce bit-identical samples.
+    ``(replicates, nprocs)`` sample matrix directly; ``"graph"`` runs the
+    object-graph reference oracle (:mod:`repro.testing.oracle`) once per
+    replicate, in process only (``jobs`` must be 0 or 1).  Both produce
+    bit-identical samples.
 
     ``policy`` governs chunk-level timeouts/retries/failure handling in
     the pool backend (:class:`~repro.core.parallel.FaultPolicy`).  Under
@@ -163,8 +163,7 @@ def monte_carlo(
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    resolved = "graph" if engine == "graph" else "compiled"
-    if resolved == "graph" and jobs not in (0, 1):
+    if engine == "graph" and jobs not in (0, 1):
         raise ValueError(
             f"engine='graph' is the in-process reference engine: jobs must be 0 or 1, got {jobs}"
         )
@@ -174,7 +173,9 @@ def monte_carlo(
 
         def compute(indices) -> list:
             sub = [seeds[i] for i in indices]
-            if resolved == "graph":
+            if engine == "graph":
+                from repro.testing.oracle import propagate
+
                 obs.span_add("mc.replicates", len(sub))
                 return [
                     propagate(
@@ -203,7 +204,7 @@ def monte_carlo(
             sig_digest = signature_digest(spec.signature)
             context = build_digest(build)
             keys = [
-                ShardKey("mc", seed, sig_digest, spec.scale, mode, resolved, context)
+                ShardKey("mc", seed, sig_digest, spec.scale, mode, engine, context)
                 for seed in seeds
             ]
             rows = resolve_rows(store, keys, compute, resume=resume)

@@ -70,9 +70,9 @@ class DrawRecipe(NamedTuple):
 
 
 # The one statement of which draws each sampled kind sums and in what
-# order: the vectorized sampler's programs, the certified bounds and
-# ``PerturbationSpec.expected`` all read it; ``_sample_from`` spells it
-# out by hand as the reference they are tested against.
+# order: the vectorized sampler's programs and the certified bounds
+# both read it; ``_sample_from`` spells it out by hand as the reference
+# they are tested against.
 DRAW_RECIPES: dict[DeltaKind, DrawRecipe] = {
     DeltaKind.OS: DrawRecipe(("os",), os_span=True),
     DeltaKind.LATENCY: DrawRecipe(("lat",)),
@@ -234,10 +234,3 @@ class PerturbationSpec:
     def scaled(self, scale: float) -> "PerturbationSpec":
         """Same signature/seed with a different global scale (sweeps)."""
         return PerturbationSpec(self.signature, self.seed, scale)
-
-    def expected(self, delta: DeltaSpec, weight: float = 0.0) -> float:
-        """Analytic expectation of the edge's delta (for model checks)."""
-        if delta.kind == DeltaKind.NONE:
-            return 0.0
-        steps = draw_steps(self.signature, delta, weight)
-        return sum(dist.mean() * factor * k for dist, factor, k in steps) * self.scale

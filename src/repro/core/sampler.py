@@ -12,7 +12,7 @@ this module replays, for all lanes together, exactly the draws
   ``BitGenerator.random_raw`` at runtime);
 * each edge's *draw program* is its delta kind's entry in
   :data:`~repro.core.perturb.DRAW_RECIPES` (the table the certified
-  bounds and ``PerturbationSpec.expected`` read too), expanded by
+  bounds read too), expanded by
   :func:`~repro.core.perturb.draw_steps` and classified step by step;
   one group evaluator, :func:`_eval_group`, shared by the flat and the
   template sampler, runs it.
@@ -68,8 +68,8 @@ margin, a rejected Lemire draw), edges whose program needs an
 unsupported family or ``k >= 8`` draws, and uid-less edges fall back
 to the scalar ``PerturbationSpec`` for just that (edge, replicate)
 lane (a lane of a vector program restarts from the stream key it
-already derived), so results are unconditionally identical to
-:func:`propagate` for *any* signature.
+already derived), so results are unconditionally identical to the
+scalar draws of :meth:`PerturbationSpec.sample` for *any* signature.
 Every fast path is self-checked at runtime against scalar draws
 through the same evaluator; a check that fails disables only its own
 family or feature (a failed slow-path check only sends ziggurat misses

@@ -1,13 +1,12 @@
-"""Delta propagation over the message-passing graph (§4.2, §6).
+"""Delta-propagation shared parts and the streaming engine (§4.2, §6).
 
-Two engines with **bit-identical results** (deterministic per-edge
-sampling, see :mod:`repro.core.perturb`):
-
-:func:`propagate`
-    In-core: one topological pass over a built
-    :class:`~repro.core.graph.MessagePassingGraph`, recording the delay
-    of every node and the sampled delta of every edge (what the
-    critical-path and absorption analyses consume).
+The in-core engine is the compiled plan (:mod:`repro.core.compiled`,
+public as :func:`repro.core.propagate`); this module holds what every
+engine shares — :class:`TraversalResult`, :data:`MODES` and the δ_eff
+arithmetic of :class:`_DeltaApplier` — plus the engine that never
+materializes the graph, and the absolute-clock extension
+:func:`propagate_absolute`.  The object-graph reference oracle the
+engines are tested against is :mod:`repro.testing.oracle`.
 
 :class:`StreamingTraversal`
     Windowed: streams the per-rank traces through the same subgraph
@@ -21,7 +20,8 @@ sampling, see :mod:`repro.core.perturb`):
     receive whose size differs from its send's and a trace that stalls
     or leaves a transfer unpaired, and bounds memory by the lookahead
     window and the in-flight (unconsumed) message contributions, not by
-    trace length.
+    trace length.  Its results are bit-identical to the in-core engine's
+    (deterministic per-edge sampling, see :mod:`repro.core.perturb`).
 
 Delay semantics: every node carries ``D(v) = t'(v) − t(v)`` on its own
 rank's local clock; ``D(v) = max over in-edges (D(u) + δ_eff)`` where
@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 from repro import obs
 from repro.core.builder import BuildResult
 from repro.core.diagnostics import warn
-from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, MessagePassingGraph, Phase
+from repro.core.graph import DeltaKind, DeltaSpec, EdgeKind, Phase
 from repro.core.matching import CollectiveGroup, MatchError, RankScheduler, unknown_request
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import (
@@ -60,9 +60,7 @@ from repro.trace.events import COLLECTIVE_KINDS, EventKind, EventRecord
 
 __all__ = [
     "TraversalResult",
-    "propagate",
     "propagate_absolute",
-    "longest_weighted_path",
     "StreamingTraversal",
     "MODES",
 ]
@@ -118,36 +116,8 @@ class _DeltaApplier:
 
 
 # ---------------------------------------------------------------------------
-# In-core propagation
+# Absolute-clock recomputation
 # ---------------------------------------------------------------------------
-
-def propagate(
-    build: BuildResult, spec: PerturbationSpec, mode: str = "additive"
-) -> TraversalResult:
-    """Propagate sampled perturbations over a built graph (in-core)."""
-    g = build.graph
-    applier = _DeltaApplier(spec, mode)
-    with obs.span("propagate", mode=mode):
-        edge_delta = [applier.effective(e.delta, e.weight) for e in g.edges]
-        edges = g.edges
-        D = [0.0] * len(g.nodes)
-        for v in g.topological_order():
-            ins = g.in_edge_ids(v)
-            if ins:
-                D[v] = max(D[edges[ei].src] + edge_delta[ei] for ei in ins)
-        final_delay, final_times = _finals_from_graph(g, D)
-        obs.span_add("traversal.propagations")
-        if applier.clamped:
-            obs.span_add("traversal.clamped_edges", applier.clamped)
-    return TraversalResult(
-        final_delay=final_delay,
-        final_local_times=final_times,
-        mode=mode,
-        clamped_edges=applier.clamped,
-        node_delay=D,
-        edge_delta=edge_delta,
-    )
-
 
 def propagate_absolute(
     build: BuildResult,
@@ -252,59 +222,6 @@ def propagate_absolute(
         node_delay=node_delay,
         edge_delta=edge_delta,
     )
-
-
-def _finals_from_graph(g: MessagePassingGraph, D: Sequence[float]) -> tuple[list, list]:
-    final_delay: list[float] = []
-    final_times: list[float] = []
-    for rank in range(g.nprocs):
-        nid = g.final_node_of(rank)
-        if nid is None:
-            final_delay.append(0.0)
-            final_times.append(0.0)
-            continue
-        final_delay.append(D[nid])
-        final_times.append(g.nodes[nid].t_local + D[nid])
-    return final_delay, final_times
-
-
-def longest_weighted_path(
-    build: BuildResult, costs: Sequence[float]
-) -> tuple[list, list]:
-    """Longest weighted path to every node, with predecessor tracking.
-
-    ``costs[ei]`` is edge ``ei``'s effective cost (for diagnosis: the
-    observed weight, optionally plus a sampled delta).  Returns
-    ``(L, pred)``: ``L[v]`` is the cost of the heaviest path from any
-    source to ``v`` (0.0 for sources) and ``pred[v]`` the in-edge id
-    binding that maximum (-1 for sources) — so the path itself is
-    recoverable by backtracking, not just its length.
-
-    Ties break toward the *first* in-edge in ``g.in_edge_ids`` order,
-    which is exactly the tie-break of
-    :func:`repro.core.analysis.binding_chain` over the path costs of
-    :meth:`~repro.core.compiled.CompiledPlan.walk` (``mode=None``); the
-    two therefore recover bit-identical paths.
-    """
-    g = build.graph
-    if len(costs) != len(g.edges):
-        raise ValueError("costs length does not match edge count")
-    edges = g.edges
-    L = [0.0] * len(g.nodes)
-    pred = [-1] * len(g.nodes)
-    with obs.span("longest_path", engine="incore"):
-        for v in g.topological_order():
-            best = -math.inf
-            binding = -1
-            for ei in g.in_edge_ids(v):
-                c = L[edges[ei].src] + costs[ei]
-                if c > best:
-                    best = c
-                    binding = ei
-            if binding >= 0:
-                L[v] = best
-                pred[v] = binding
-    return L, pred
 
 
 # ---------------------------------------------------------------------------

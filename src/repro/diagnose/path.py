@@ -16,7 +16,7 @@ weight); the chain itself is recovered by
 :func:`~repro.core.analysis.critical_path` uses.  It breaks ties toward
 the *first* in-edge in ``graph.in_edge_ids`` order, exactly like the
 scalar reference oracle
-:func:`~repro.core.traversal.longest_weighted_path`, so the extracted
+:func:`~repro.testing.oracle.longest_weighted_path`, so the extracted
 edge sequence equals the oracle's bit for bit — the property the test
 suite pins down.
 """

@@ -6,7 +6,10 @@ by ``tests/`` and the CI chaos job); :mod:`repro.testing.slowrank`
 manufactures known-culprit traces for the diagnosis layer (used by
 ``tests/diagnose`` and the CI diagnose job); :mod:`repro.testing.
 racegen` manufactures known-verdict wildcard-matching scenarios for the
-static verifier (used by ``tests/verify`` and the CI verify job).
+static verifier (used by ``tests/verify`` and the CI verify job);
+:mod:`repro.testing.oracle` is the object-graph reference propagation
+every engine is tested against (and ``monte_carlo(engine="graph")``
+runs).
 """
 
 from typing import Any

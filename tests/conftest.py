@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import BuildConfig, PerturbationSpec, StreamingTraversal, build_graph, propagate
+from repro.testing import oracle
 from repro.mpisim import (
     ANY_SOURCE,
     ANY_TAG,
@@ -243,18 +244,36 @@ def plan_program(plan: list[tuple]):
     return program
 
 
+#: The ``TraversalResult`` fields the analyses read: every in-core
+#: engine must reproduce the oracle's bit for bit.
+INCORE_FIELDS = ("final_delay", "final_local_times", "clamped_edges", "node_delay", "edge_delta")
+
+
+def assert_incore_equal(result, reference, what: str) -> None:
+    """Assert ``result`` equals ``reference`` on every :data:`INCORE_FIELDS` field."""
+    for name in INCORE_FIELDS:
+        assert getattr(result, name) == getattr(reference, name), f"{what}: {name} diverged"
+
+
 def assert_engines_agree(trace, spec, config: BuildConfig | None = None, mode: str = "additive"):
-    """Assert all three engines agree bit-for-bit (final delays and
-    clamp counts) and return the in-core result."""
+    """Assert every engine agrees bit-for-bit with the object-graph
+    oracle and return the oracle's result.
+
+    The public ``propagate``, and the coarse and flat plans, on every
+    field the analyses read; the streaming engine on what it reports
+    (final delays and times, clamp counts).
+    """
     from repro.core import compiled_plan
 
     config = config or BuildConfig()
     build = build_graph(trace, config)
-    incore = propagate(build, spec, mode=mode)
-    compiled = compiled_plan(build).propagate_one(spec, mode=mode)
-    assert compiled.final_delay == incore.final_delay, "compiled engine diverged from in-core"
-    assert compiled.clamped_edges == incore.clamped_edges
+    reference = oracle.propagate(build, spec, mode=mode)
+    assert_incore_equal(propagate(build, spec, mode=mode), reference, "propagate")
+    for coarsen in ("on", "off"):
+        plan = compiled_plan(build, coarsen)
+        assert_incore_equal(plan.propagate_one(spec, mode=mode), reference, f"coarsen={coarsen}")
     streaming = StreamingTraversal(spec, config=config, mode=mode).run(trace)
-    assert streaming.final_delay == incore.final_delay, "streaming engine diverged from in-core"
-    assert streaming.clamped_edges == incore.clamped_edges
-    return incore
+    assert streaming.final_delay == reference.final_delay, "streaming engine diverged"
+    assert streaming.final_local_times == reference.final_local_times
+    assert streaming.clamped_edges == reference.clamped_edges
+    return reference

@@ -24,7 +24,7 @@ from repro.core.analysis import _EPS
 from repro.core.coarsen import AUTO_MIN_NODES
 from repro.core.compiled import compiled_plan
 from repro.core.graph import EdgeKind
-from repro.core.traversal import longest_weighted_path
+from repro.testing.oracle import longest_weighted_path
 from repro.mpisim import run
 from repro.noise import Constant, Exponential, MachineSignature
 from repro.trace.reader import MemoryTrace

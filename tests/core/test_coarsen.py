@@ -23,7 +23,6 @@ from repro.core import (
     build_graph,
     compiled_plan,
     monte_carlo,
-    propagate,
     rank_influence,
     sweep_scales,
 )
@@ -33,8 +32,9 @@ from repro.diagnose import extract_critical_path
 from repro.mpisim import run
 from repro.noise import Constant, Empirical, Exponential, MachineSignature, Uniform
 from repro.noise.distributions import LogNormal
+from repro.testing import oracle
 from repro.verify import makespan_bounds
-from tests.conftest import plan_program
+from tests.conftest import assert_incore_equal, plan_program
 
 try:
     from hypothesis import given, settings
@@ -99,12 +99,11 @@ def test_coarse_engine_matrix(app_builds, app, mode):
     for sig_name, sig in SIGNATURES.items():
         for seed in seeds:
             spec = PerturbationSpec(sig, seed=seed, scale=1.5)
-            ref = propagate(build, spec, mode=mode)
-            got = coarse.propagate_one(spec, mode=mode)
-            ctx = f"{app}/{sig_name}/seed={seed}"
-            assert got.final_delay == ref.final_delay, ctx
-            assert got.node_delay == ref.node_delay, ctx
-            assert got.clamped_edges == ref.clamped_edges, ctx
+            assert_incore_equal(
+                coarse.propagate_one(spec, mode=mode),
+                oracle.propagate(build, spec, mode=mode),
+                f"{app}/{sig_name}/seed={seed}",
+            )
         spec = PerturbationSpec(sig, seed=seeds[0], scale=1.5)
         bc = coarse.propagate_batch(spec, seeds=seeds, mode=mode)
         bf = flat.propagate_batch(spec, seeds=seeds, mode=mode)
@@ -159,7 +158,7 @@ def test_quantum_signature_takes_flat_path_with_identical_results(app_builds):
     sig = SIGNATURES["quantum"]
     assert not coarse._coarse_ready(sig)
     spec = PerturbationSpec(sig, seed=3)
-    ref = propagate(build, spec)
+    ref = oracle.propagate(build, spec)
     assert coarse.propagate_one(spec).final_delay == ref.final_delay
 
 
@@ -258,7 +257,7 @@ if HAVE_HYPOTHESIS:
         coarse = CompiledPlan(build, coarsen="on")
         assert coarse.coarse is None
         spec = PerturbationSpec(SIGNATURES["expo"], seed=seed & 0xFFFF)
-        ref = propagate(build, spec)
+        ref = oracle.propagate(build, spec)
         assert coarse.propagate_one(spec).final_delay == ref.final_delay
 
 
@@ -272,7 +271,7 @@ def test_min_repeats_boundary():
     plan = CompiledPlan(build_graph(trace), coarsen="on")
     assert plan.coarse is not None
     spec = PerturbationSpec(SIGNATURES["expo"], seed=6)
-    ref = propagate(build_graph(trace), spec)
+    ref = oracle.propagate(build_graph(trace), spec)
     assert plan.propagate_one(spec).final_delay == ref.final_delay
 
 
@@ -309,7 +308,7 @@ def test_detection_bails_on_irregular_structure(app_builds):
     plan = CompiledPlan(build, coarsen="on")
     assert plan.coarse is None
     spec = PerturbationSpec(SIGNATURES["expo"], seed=2)
-    assert plan.propagate_one(spec).final_delay == propagate(build, spec).final_delay
+    assert plan.propagate_one(spec).final_delay == oracle.propagate(build, spec).final_delay
 
 
 # ---------------------------------------------------------------------------

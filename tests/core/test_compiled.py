@@ -1,8 +1,9 @@
 """Tests for the compiled graph plan: vectorized sampling primitives
 (splitmix64 / _mix / PCG64 / ziggurat fast paths) against their scalar
-references, and full cross-engine bit-identity — in-core ``propagate``
-vs :class:`CompiledPlan` vs ``StreamingTraversal`` — over every bundled
-app, both modes, and a ladder of seeds and scales."""
+references, and full cross-engine bit-identity — the public
+``propagate`` (the compiled plan) and ``StreamingTraversal`` against
+the object-graph oracle :mod:`repro.testing.oracle` — over every
+bundled app, both modes, and a ladder of seeds and scales."""
 
 import math
 import pickle
@@ -39,6 +40,8 @@ from repro.noise.distributions import (
     TruncatedNormal,
     Uniform,
 )
+from repro.testing import oracle
+from tests.conftest import assert_incore_equal
 
 U64 = np.uint64
 
@@ -224,18 +227,14 @@ def app_builds():
 @pytest.mark.parametrize("mode", ["additive", "threshold"])
 def test_cross_engine_matrix(app_builds, app, mode):
     trace, build = app_builds[app]
-    plan = compiled_plan(build)
     for sig_name, sig in SIGNATURES.items():
         for seed, scale in [(0, 1.0), (7, 2.5), (123456789, -0.5)]:
             spec = PerturbationSpec(sig, seed=seed, scale=scale)
-            ref = propagate(build, spec, mode=mode)
-            got = plan.propagate_one(spec, mode=mode)
-            ctx = f"{app}/{sig_name}/seed={seed}/scale={scale}"
-            assert got.final_delay == ref.final_delay, ctx
-            assert got.final_local_times == ref.final_local_times, ctx
-            assert got.node_delay == ref.node_delay, ctx
-            assert got.edge_delta == ref.edge_delta, ctx
-            assert got.clamped_edges == ref.clamped_edges, ctx
+            assert_incore_equal(
+                propagate(build, spec, mode=mode),
+                oracle.propagate(build, spec, mode=mode),
+                f"{app}/{sig_name}/seed={seed}/scale={scale}",
+            )
     # Streaming evaluates the same §3 templates on the fly, so it agrees
     # exactly too, under every graph-semantics config (one point per
     # signature: it is the slow engine).
@@ -243,7 +242,7 @@ def test_cross_engine_matrix(app_builds, app, mode):
         cfg_build = build if config == BuildConfig() else build_graph(trace, config)
         for sig_name, sig in SIGNATURES.items():
             spec = PerturbationSpec(sig, seed=7, scale=2.5)
-            ref = propagate(cfg_build, spec, mode=mode)
+            ref = oracle.propagate(cfg_build, spec, mode=mode)
             got = StreamingTraversal(spec, config=config, mode=mode).run(trace)
             assert got.final_delay == ref.final_delay, f"{app}/{config}/{sig_name}"
             assert got.clamped_edges == ref.clamped_edges, f"{app}/{config}/{sig_name}"
@@ -260,7 +259,7 @@ def test_batch_rows_match_per_seed_propagations(app_builds):
         )
         assert batch.delays.shape == (len(seeds), build.graph.nprocs)
         for r, seed in enumerate(seeds):
-            ref = propagate(build, PerturbationSpec(sig, seed=seed, scale=1.5), mode=mode)
+            ref = oracle.propagate(build, PerturbationSpec(sig, seed=seed, scale=1.5), mode=mode)
             assert batch.delays[r].tolist() == ref.final_delay
             assert batch.clamped[r] == ref.clamped_edges
 
@@ -329,7 +328,7 @@ class TestAnalysisWiring:
             spec = PerturbationSpec(SIGNATURES[sig_name], seed=17)
             for mode in ("additive", "threshold"):
                 ref = monte_carlo(build, spec, replicates=24, mode=mode, engine="graph")
-                for kwargs in ({"engine": "compiled"}, {"engine": "auto"}, {"jobs": 2}):
+                for kwargs in ({"engine": "compiled"}, {}, {"jobs": 2}):
                     got = monte_carlo(build, spec, replicates=24, mode=mode, **kwargs)
                     assert np.array_equal(ref.samples, got.samples), (sig_name, mode, kwargs)
                     assert ref.seeds == got.seeds
@@ -350,7 +349,7 @@ class TestAnalysisWiring:
             for mode in ("additive", "threshold"):
                 got = sweep_scales(trace, spec, scales, mode=mode)
                 for s, point in zip(scales, got.points):
-                    ref = propagate(build, PerturbationSpec(sig, 5, base * s), mode=mode)
+                    ref = oracle.propagate(build, PerturbationSpec(sig, 5, base * s), mode=mode)
                     assert point.delays == tuple(ref.final_delay), (base, mode, s)
 
     def test_sweep_signatures_engines_agree(self, app_builds):
@@ -359,7 +358,7 @@ class TestAnalysisWiring:
         got = sweep_signatures(trace, sigs, seed=3)
         par = sweep_signatures(trace, sigs, seed=3, jobs=2)
         for sig, b, c in zip(sigs, got.points, par.points):
-            ref = propagate(build, PerturbationSpec(sig, seed=3))
+            ref = oracle.propagate(build, PerturbationSpec(sig, seed=3))
             assert tuple(ref.final_delay) == b.delays == c.delays
 
     def test_sweep_rejects_unknown_engine(self, app_builds):
@@ -372,7 +371,7 @@ class TestAnalysisWiring:
         _, build = app_builds["master_worker"]
         noise = Exponential(150.0)
         ref = [
-            propagate(
+            oracle.propagate(
                 build, PerturbationSpec(MachineSignature(os_noise_by_rank={src: noise}), 3)
             ).final_delay
             for src in range(build.graph.nprocs)
@@ -388,7 +387,7 @@ class TestAnalysisWiring:
         config = BuildConfig(collective_mode="butterfly")
         build = build_graph(trace, config)
         spec = PerturbationSpec(SIGNATURES["expo"], seed=2)
-        ref = propagate(build, spec)
+        ref = oracle.propagate(build, spec)
         got = compiled_plan(build).propagate_one(spec)
         assert got.final_delay == ref.final_delay
 
@@ -632,7 +631,7 @@ class TestMeasuredVectorPath:
         assert fallback == len(self.SEEDS)  # the forced lane, once per replicate
         assert np.array_equal(raw, _scalar_raw(plan, sig, self.SEEDS))
         spec = PerturbationSpec(sig, seed=self.SEEDS[0])
-        assert plan.propagate_one(spec).edge_delta == propagate(build, spec).edge_delta
+        assert plan.propagate_one(spec).edge_delta == oracle.propagate(build, spec).edge_delta
 
     def test_failed_self_check_disables_only_its_family(self, app_builds, monkeypatch):
         from repro.core import sampler as S

@@ -56,11 +56,6 @@ class TestSpecWeighting:
         assert spec.sample(ds(), weight=1000.0) == pytest.approx(100.0)
         assert spec.sample(ds(), weight=0.0) == pytest.approx(10.0)
 
-    def test_expected_matches(self):
-        sig = MachineSignature(os_noise=Exponential(10.0), os_quantum=100.0)
-        spec = PerturbationSpec(sig, seed=0)
-        assert spec.expected(ds(), weight=1000.0) == pytest.approx(100.0)
-
     def test_non_os_kinds_ignore_weight(self):
         sig = MachineSignature(latency=Constant(5.0), os_quantum=100.0)
         spec = PerturbationSpec(sig, seed=0)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import PerturbationSpec, build_graph, monte_carlo, propagate
+from repro.core import PerturbationSpec, build_graph, monte_carlo
 from repro.noise import Constant, Exponential, MachineSignature
+from repro.testing import oracle
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ class TestDistribution:
     def test_first_replicate_matches_single_propagation(self, ring_build):
         s = spec(seed=42)
         dist = monte_carlo(ring_build, s, replicates=3)
-        single = propagate(ring_build, s)
+        single = oracle.propagate(ring_build, s)
         assert dist.samples[0].tolist() == pytest.approx(single.final_delay)
 
     def test_deterministic(self, ring_build):

@@ -1,7 +1,5 @@
 """Tests for deterministic per-edge perturbation sampling."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.graph import DeltaKind, DeltaSpec
@@ -55,25 +53,6 @@ class TestComposition:
     def test_coll_fanin_no_bytes(self, spec):
         v = spec.sample(ds(DeltaKind.COLL_FANIN, rank=0, src=0, dst=0, nbytes=0, rounds=2))
         assert v == pytest.approx(2 * 13.0)
-
-    def test_expected_matches_constants(self, spec):
-        # The interval-scaled spec takes 4 OS draws on a 350-cycle edge.
-        interval_scaled = PerturbationSpec(replace(spec.signature, os_quantum=100.0), seed=1)
-        for s in (spec, interval_scaled):
-            for nbytes in (4, 0):
-                for kind, kw, weight in [
-                    (DeltaKind.OS, dict(rank=0), 0.0),
-                    (DeltaKind.OS, dict(rank=0), 350.0),
-                    (DeltaKind.LATENCY, dict(src=0, dst=1), 0.0),
-                    (DeltaKind.TRANSFER, dict(src=0, dst=1, nbytes=nbytes), 0.0),
-                    (DeltaKind.TRANSFER_OS, dict(rank=1, src=0, dst=1, nbytes=nbytes), 0.0),
-                    (DeltaKind.ROUNDTRIP, dict(rank=1, src=0, dst=1, nbytes=nbytes), 0.0),
-                    (DeltaKind.COLL_FANIN, dict(rank=0, src=0, dst=0, nbytes=nbytes, rounds=3),
-                     0.0),
-                ]:
-                    d = ds(kind, **kw)
-                    assert s.expected(d, weight) == pytest.approx(s.sample(d, weight))
-        assert interval_scaled.expected(ds(DeltaKind.OS, rank=0), 350.0) == 40.0
 
 
 class TestDeterminism:

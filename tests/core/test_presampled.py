@@ -4,8 +4,9 @@ one raw delta row and re-propagates it at every scale of a ladder."""
 import numpy as np
 import pytest
 
-from repro.core import PerturbationSpec, build_graph, compiled_plan, propagate
+from repro.core import PerturbationSpec, build_graph, compiled_plan
 from repro.noise import Constant, Exponential, MachineSignature
+from repro.testing import oracle
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +40,20 @@ class TestEquivalence:
     def test_matches_fresh_propagate(self, build, scale):
         s = spec()
         fast = presampled(build, s, scale)
-        slow = propagate(build, s.scaled(scale))
+        slow = oracle.propagate(build, s.scaled(scale))
         assert fast.delays[0].tolist() == slow.final_delay
         assert fast.clamped[0] == slow.clamped_edges
 
     def test_matches_in_threshold_mode(self, build):
         s = spec()
         fast = presampled(build, s, 2.0, mode="threshold")
-        slow = propagate(build, s.scaled(2.0), mode="threshold")
+        slow = oracle.propagate(build, s.scaled(2.0), mode="threshold")
         assert fast.delays[0].tolist() == slow.final_delay
 
     def test_matches_with_interval_scaling(self, build):
         s = spec(quantum=2000.0)
         fast = presampled(build, s, 3.0)
-        slow = propagate(build, s.scaled(3.0))
+        slow = oracle.propagate(build, s.scaled(3.0))
         assert fast.delays[0].tolist() == slow.final_delay
 
     def test_base_spec_scale_respected_by_sweep(self, ring_trace):

@@ -21,8 +21,9 @@ from repro.core import (
 from repro.core.graph import Phase
 from repro.core.matching import MatchError
 from repro.mpisim import run
-from repro.noise import Constant, Exponential, MachineSignature
+from repro.noise import Constant, Empirical, Exponential, Gamma, LogNormal, MachineSignature, Normal
 from repro.trace.events import EventKind, EventRecord
+from repro.testing import oracle
 from repro.trace.reader import MemoryTrace
 
 from tests.conftest import assert_engines_agree, plan_program
@@ -288,7 +289,7 @@ class TestStreamingWindow:
     def test_tiny_window_still_correct(self, ring_trace, const_spec):
         res = StreamingTraversal(const_spec, window=1).run(ring_trace)
         build = build_graph(ring_trace)
-        expected = propagate(build, const_spec)
+        expected = oracle.propagate(build, const_spec)
         for a, b in zip(res.final_delay, expected.final_delay):
             assert a == pytest.approx(b)
 
@@ -314,7 +315,7 @@ class TestStreamingWindow:
         tr = StreamingTraversal(const_spec, window=3)
         res = tr.run(trace)
         assert any("window" in w for w in res.warnings)
-        expected = propagate(build_graph(trace), const_spec)
+        expected = oracle.propagate(build_graph(trace), const_spec)
         for a, b in zip(res.final_delay, expected.final_delay):
             assert a == pytest.approx(b)
 
@@ -362,19 +363,42 @@ _round = st.one_of(
 _plans = st.lists(_round, min_size=1, max_size=5)
 
 
-@given(plan=_plans, p=st.integers(2, 5), seed=st.integers(0, 10**6))
+#: One signature per family the property draws from: the vector
+#: sampler's exponential and normal ziggurats (a negative-mean Normal
+#: exercises the zero-floor clamp), its scalar-fallback families, an
+#: empirical (measured) table and exact constants.
+_FAMILIES = {
+    "exponential": MachineSignature(
+        os_noise=Exponential(60.0), latency=Exponential(30.0), per_byte=Constant(0.002)
+    ),
+    "normal": MachineSignature(
+        os_noise=Normal(-20.0, 40.0), latency=Normal(-5.0, 25.0), per_byte=Constant(0.002)
+    ),
+    "lognormal": MachineSignature(os_noise=LogNormal(3.0, 0.5), latency=LogNormal(2.5, 0.4)),
+    "gamma": MachineSignature(os_noise=Gamma(2.0, 30.0), latency=Gamma(0.7, 20.0)),
+    "empirical": MachineSignature(
+        os_noise=Empirical([0.0, 5.0, 40.0, 300.0]),
+        latency=Empirical([10.0, 20.0, 80.0], interpolate=True),
+    ),
+    "constant": MachineSignature(
+        os_noise=Constant(A), latency=Constant(L), per_byte=Constant(B)
+    ),
+}
+
+
+@given(
+    plan=_plans,
+    p=st.integers(2, 5),
+    seed=st.integers(0, 10**6),
+    family=st.sampled_from(sorted(_FAMILIES)),
+    mode=st.sampled_from(("additive", "threshold")),
+)
 @settings(max_examples=30, deadline=None)
-def test_streaming_equals_incore_property(plan, p, seed):
-    """For ANY valid run, the windowed streaming traversal reproduces the
-    in-core propagation bit-for-bit (ABL2's invariant)."""
+def test_streaming_equals_incore_property(plan, p, seed, family, mode):
+    """For ANY valid run, signature family and mode, every engine
+    reproduces the object-graph oracle bit-for-bit (ABL2's invariant)."""
     trace = run(plan_program(plan), nprocs=p, seed=seed % 100).trace
-    spec = PerturbationSpec(
-        MachineSignature(
-            os_noise=Exponential(60.0), latency=Exponential(30.0), per_byte=Constant(0.002)
-        ),
-        seed=seed,
-    )
-    assert_engines_agree(trace, spec)
+    assert_engines_agree(trace, PerturbationSpec(_FAMILIES[family], seed=seed), mode=mode)
 
 
 @given(plan=_plans, p=st.integers(2, 4), seed=st.integers(0, 10**6))

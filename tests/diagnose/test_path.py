@@ -4,7 +4,7 @@ replicate-batch invariant.
 The acceptance-critical property: the extracted path — edges, nodes,
 per-edge costs, AND total — walked over the compiled plan's path costs
 is *bit-identical* to the scalar reference oracle
-(:func:`~repro.core.traversal.longest_weighted_path`) for any
+(:func:`~repro.testing.oracle.longest_weighted_path`) for any
 simulator-producible run, on the flat and the coarse plan alike, and
 batching extra replicate rows through the walk never changes row 0.
 """
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from repro.core import BuildConfig, build_graph
 from repro.core.compiled import CompiledPlan, compiled_plan
 from repro.core.graph import EdgeKind
-from repro.core.traversal import longest_weighted_path
 from repro.diagnose import CriticalPathExtract, extract_critical_path
 from repro.diagnose.path import path_costs
 from repro.mpisim import run
+from repro.testing.oracle import longest_weighted_path
 from tests.conftest import plan_program
 from tests.core.test_build_golden import COARSE_APPS, _trace
 

@@ -6,7 +6,8 @@ analysis's ``--measure``.  The traversal only consumes the fitted
 signature, so every other tool starts without it.  ``repro-verify``'s
 quantile bounds for Normal-family and Gamma draws, and sampling a
 TruncatedNormal, need :mod:`scipy.special` only, never
-:mod:`scipy.stats`.  Each check runs
+:mod:`scipy.stats`.  Nor does any tool load the object-graph test
+oracle, :mod:`repro.testing.oracle`.  Each check runs
 its entry points in a fresh interpreter, where ``sys.modules`` shows
 what a user's start-up paid for.
 """
@@ -87,6 +88,19 @@ def test_analysis_runs_load_no_scipy(ring):
     tools = ("main_analyze", "main_diagnose", "main_verify")
     rows = run_fresh(*[(name, analysis_args(ring)) for name in tools])
     assert rows == [[name, 0, False] for name in tools]
+
+
+def test_analysis_runs_load_no_oracle(ring):
+    """The object-graph oracle is a test reference: no tool loads it,
+    Monte-Carlo replicates included."""
+    runs = [
+        ("main_analyze", [*analysis_args(ring), "--replicates", "4"]),
+        ("main_sweep", analysis_args(ring)),
+        ("main_diagnose", analysis_args(ring)),
+        ("main_verify", analysis_args(ring)),
+    ]
+    rows = run_fresh(*runs, module="repro.testing.oracle")
+    assert rows == [[name, 0, False] for name, _ in runs]
 
 
 def test_verify_bounds_load_no_scipy_stats(ring):

@@ -36,6 +36,7 @@ from repro.mpisim import (
     Waitall,
     run_to_files,
 )
+from repro.testing import oracle
 from repro.trace import TraceSet
 from repro.trace.stats import trace_stats
 
@@ -92,11 +93,13 @@ def test_large_scenario_end_to_end(scenario):
                          pingpong_iterations=64, bandwidth_iterations=8, mraz_messages=64)
     spec = PerturbationSpec(mb.to_signature(), seed=5)
 
-    # -- both engines agree ------------------------------------------------------
+    # -- both engines agree with the oracle -----------------------------------------
     build = build_graph(traces)
     incore = propagate(build, spec)
+    reference = oracle.propagate(build, spec)
+    assert incore.final_delay == reference.final_delay
     streaming = StreamingTraversal(spec).run(traces)
-    for a, b in zip(incore.final_delay, streaming.final_delay):
+    for a, b in zip(reference.final_delay, streaming.final_delay):
         assert a == pytest.approx(b, abs=1e-6)
     assert incore.max_delay > 0
 

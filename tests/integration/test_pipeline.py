@@ -28,6 +28,7 @@ from repro.machines import noisy_cluster, quiet_cluster
 from repro.microbench import measure_machine
 from repro.mpisim import run, run_to_files
 from repro.noise import Constant, MachineSignature
+from repro.testing import oracle
 from repro.trace import TraceSet
 
 from tests.conftest import assert_engines_agree
@@ -64,7 +65,7 @@ def test_full_file_based_pipeline(tmp_path, binary):
     assert 0.0 <= am.overall_ratio() <= 1.0
 
     streaming = StreamingTraversal(spec).run(traces)
-    for a, b in zip(res.final_delay, streaming.final_delay):
+    for a, b in zip(oracle.propagate(build, spec).final_delay, streaming.final_delay):
         assert a == pytest.approx(b)
 
 
