@@ -88,22 +88,22 @@ DRAW_RECIPES: dict[DeltaKind, DrawRecipe] = {
 
 def draw_steps(
     sig: MachineSignature, delta: DeltaSpec, weight: float = 0.0
-) -> list[tuple[RandomVariable, float, int]]:
-    """A sampled edge's recipe expanded to ``(distribution, factor,
-    draws)`` steps in draw order: ``draws`` clamped draws summed, times
-    ``factor`` (nbytes for the δ_t term, else 1.0)."""
+) -> list[tuple[str, RandomVariable, int]]:
+    """A sampled edge's recipe expanded to ``(term, distribution,
+    draws)`` steps in draw order: ``draws`` clamped draws summed, and a
+    ``"bytes"`` step's one draw times ``delta.nbytes``."""
     recipe = DRAW_RECIPES[delta.kind]
     steps = []
     for term in recipe.terms:
         if term == "os":
             k = sig.os_draws(weight) if recipe.os_span else 1
-            steps.append((sig.os_noise_for(delta.rank), 1.0, k))
+            steps.append((term, sig.os_noise_for(delta.rank), k))
         elif term == "lat":
-            steps.append((sig.latency_for(delta.src, delta.dst), 1.0, 1))
+            steps.append((term, sig.latency_for(delta.src, delta.dst), 1))
         elif term == "back":
-            steps.append((sig.latency_for(delta.dst, delta.src), 1.0, 1))
+            steps.append((term, sig.latency_for(delta.dst, delta.src), 1))
         elif delta.nbytes > 0:  # "bytes"
-            steps.append((sig.per_byte, float(delta.nbytes), 1))
+            steps.append((term, sig.per_byte, 1))
     return steps * delta.rounds if recipe.per_round else steps
 
 

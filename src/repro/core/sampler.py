@@ -13,8 +13,9 @@ this module replays, for all lanes together, exactly the draws
 * each edge's *draw program* is its delta kind's entry in
   :data:`~repro.core.perturb.DRAW_RECIPES` (the table the certified
   bounds read too), expanded by
-  :func:`~repro.core.perturb.draw_steps` and classified step by step;
-  one group evaluator, :func:`_eval_group`, shared by the flat and the
+  :func:`~repro.core.perturb.draw_steps` and classified step by step,
+  once per distinct delta key (:meth:`_Sampler.program_groups`); one
+  group evaluator, :func:`_eval_group`, shared by the flat and the
   template sampler, runs it.
 
 Exactness strategy
@@ -93,7 +94,7 @@ import numpy as np
 from repro import obs
 from repro._util import atomic_write_text
 from repro.core.graph import DeltaKind, DeltaSpec
-from repro.core.perturb import PerturbationSpec, const_term, draw_steps
+from repro.core.perturb import DRAW_RECIPES, PerturbationSpec, const_term, draw_steps
 from repro.noise.distributions import Constant, Exponential, Normal, Scaled, Shifted, Uniform
 from repro.noise.empirical import Empirical
 from repro.noise.signature import MachineSignature
@@ -1056,38 +1057,36 @@ def _adopt_tables(tables) -> None:
 def _edge_program(
     sig: MachineSignature, delta: DeltaSpec, weight: float, classify, max_draws: int
 ):
-    """The ordered draw recipe replaying ``spec.sample`` for one edge:
-    :func:`~repro.core.perturb.draw_steps` with each distribution
-    classified, or None when a step's family is unsupported or it needs
-    more than ``max_draws`` draws."""
+    """The ordered ``(term, classified dist, draws)`` recipe replaying
+    ``spec.sample`` for one edge: :func:`~repro.core.perturb.draw_steps`
+    with each distribution classified, or None when a step's family is
+    unsupported or it needs more than ``max_draws`` draws."""
     steps = []
-    for dist, factor, k in draw_steps(sig, delta, weight):
+    for term, dist, k in draw_steps(sig, delta, weight):
         d = classify(dist)
         if d is None or (k > max_draws and not isinstance(d, _ConstDist)):
             return None
-        steps.append((d, factor, k))
+        steps.append((term, d, k))
     return steps
 
 
-def _program_groups(programs: list) -> list[tuple[np.ndarray, list]]:
-    """Group programs by shape (the ``(dist, k)`` sequence; factors
-    vary per member): ``[(member positions, steps)]`` in first-seen
-    order, with the steps :func:`_eval_group` runs."""
-    by_shape: dict[tuple, list[int]] = {}
-    for i, prog in enumerate(programs):
-        by_shape.setdefault(tuple((d, k) for d, _, k in prog), []).append(i)
-    groups = []
-    for shape, members in by_shape.items():
-        steps: list = []
-        for j, (dist, k) in enumerate(shape):
-            factors = np.array([programs[i][j][1] for i in members], dtype=np.float64)
-            if isinstance(dist, _ConstDist):
-                steps.append(("const", const_term(dist.value, k) * factors))
-            else:
-                fac = None if np.all(factors == 1.0) else factors
-                steps.append(("draw", dist, fac, k))
-        groups.append((np.array(members, dtype=np.int64), steps))
-    return groups
+def _group_steps(program: list, nbytes: np.ndarray) -> list:
+    """The steps :func:`_eval_group` runs for the edges sharing
+    ``program``: the δ_t term's factor is each edge's ``nbytes``, every
+    other term's is 1.0."""
+    steps: list = []
+    for term, dist, k in program:
+        factors = nbytes.astype(np.float64) if term == "bytes" else np.ones(len(nbytes))
+        if isinstance(dist, _ConstDist):
+            steps.append(("const", const_term(dist.value, k) * factors))
+        else:
+            fac = None if np.all(factors == 1.0) else factors
+            steps.append(("draw", dist, fac, k))
+    return steps
+
+
+# Sampled kinds whose os term takes ``os_draws(weight)`` draws.
+_OS_SPAN_KINDS = [int(kind) for kind, recipe in DRAW_RECIPES.items() if recipe.os_span]
 
 
 class _Sampler:
@@ -1108,14 +1107,72 @@ class _Sampler:
             self._classified[key] = _classify_cached(dist, self.tables)
         return self._classified[key]
 
-    def programs(self, eids: np.ndarray) -> list:
-        """The draw program of each edge in ``eids`` (None where the
-        edge has no uid or no vector program)."""
+    def program_groups(self, eids: np.ndarray) -> tuple[list, np.ndarray]:
+        """The draw programs of edges ``eids``, grouped by shape (the
+        ``(is δ_t, dist, draws)`` sequence): ``([(positions, steps)], positions
+        without a program)``, positions into ``eids`` in ascending
+        order, groups in first-seen order.
+
+        A program depends only on the edge's delta key ``(kind, rank,
+        src, dst, nbytes > 0, rounds, os draws, has uid)``; nbytes is
+        only the δ_t term's factor.  One sort groups equal keys, each
+        key's first edge is expanded and classified, and its edges get
+        their factor columns by array ops.  Uid-less edges get no
+        program, so the fallback defers to the scalar engine and its
+        error is identical; nor do edges whose program needs an
+        unsupported family or more than ``max_draws`` draws.
+        """
         plan = self.plan
-        return [
-            _edge_program(self.signature, d, w, self.classify, self.max_draws) if d.uid else None
-            for d, w in zip(plan.deltas.take(eids), plan.edge_weight[eids].tolist())
-        ]
+        with obs.span("compiled.bind", edges=len(eids)):
+            kind = plan.edge_kind[eids]
+            draws = np.ones(len(eids), dtype=np.int64)
+            span = np.isin(kind, _OS_SPAN_KINDS)
+            draws[span] = self.signature.os_draw_counts(plan.edge_weight[eids[span]])
+            nbytes = plan.edge_nbytes[eids]
+            has_uid = plan.uid_len[eids] > 0
+            key = np.stack(
+                [
+                    kind,
+                    plan.delta_rank[eids],
+                    plan.delta_src[eids],
+                    plan.delta_dst[eids],
+                    nbytes > 0,
+                    plan.delta_rounds[eids],
+                    draws,
+                    has_uid,
+                ]
+            )
+            order = np.lexsort(key)  # stable: a key's edges stay in eids order
+            new = np.ones(len(eids), dtype=bool)
+            new[1:] = (np.diff(key[:, order], axis=1) != 0).any(axis=0)
+            key_of = np.empty(len(eids), dtype=np.int64)
+            key_of[order] = np.cumsum(new) - 1
+            first = np.sort(order[new])  # each key's first edge, in eids order
+            group_of_key = np.full(len(first), -1, dtype=np.int64)
+            programs: dict[tuple, tuple[int, list]] = {}
+            reps = eids[first]
+            for i, delta, w in zip(
+                first.tolist(), plan.deltas.take(reps), plan.edge_weight[reps].tolist()
+            ):
+                if not has_uid[i]:
+                    continue
+                prog = _edge_program(self.signature, delta, w, self.classify, self.max_draws)
+                if prog is not None:
+                    # The δ_t step is in the shape: it alone takes the
+                    # nbytes factor, and its distribution may equal another
+                    # term's (``[lat, os]`` vs ``[lat, bytes]``).
+                    shape = tuple((term == "bytes", d, k) for term, d, k in prog)
+                    g, _ = programs.setdefault(shape, (len(programs), prog))
+                    group_of_key[key_of[i]] = g
+            obs.span_add("compiled.bind_programs", int(has_uid[first].sum()))
+            group = group_of_key[key_of]
+            by_group = np.argsort(group, kind="stable")
+            counts = np.bincount(group + 1, minlength=len(programs) + 1)
+            unsup, *members = np.split(by_group, np.cumsum(counts)[:-1])
+            return [
+                (at, _group_steps(prog, nbytes[at]))
+                for at, (_, prog) in zip(members, programs.values())
+            ], unsup
 
     def _resample(self, raw, scale, rows, eids, cols, states) -> int:
         """Exact per-lane fallback: ``raw[r, c]`` := the scalar spec's
@@ -1191,27 +1248,19 @@ class _BoundSampler(_Sampler):
             cand = edge_ids[mask]
             cand_cols = np.nonzero(mask)[0]
 
-        sup: list[tuple[int, int]] = []  # (edge id, column) with a vector program
-        programs: list = []
-        unsup: list[tuple[int, int]] = []
-        # The scalar engine raises for uid-less sampled edges; they get no
-        # program, so the fallback defers to it and the error is identical.
-        for eid, col, prog in zip(cand.tolist(), cand_cols.tolist(), self.programs(cand)):
-            if prog is None:
-                unsup.append((eid, col))
-            else:
-                sup.append((eid, col))
-                programs.append(prog)
-        self.unsup_ids, self.unsup_cols = np.array(unsup, dtype=np.int64).reshape(-1, 2).T
-        self.lane_edge_ids, lane_cols = np.array(sup, dtype=np.int64).reshape(-1, 2).T
+        groups, unsup = self.program_groups(cand)
+        self.unsup_ids, self.unsup_cols = cand[unsup], cand_cols[unsup]
+        sup = np.ones(len(cand), dtype=bool)
+        sup[unsup] = False
+        lane_of = np.cumsum(sup) - 1  # candidate position -> lane
+        self.lane_edge_ids, lane_cols = cand[sup], cand_cols[sup]
         ids = self.lane_edge_ids
         self.kind_u64 = plan.uid_kind[ids]
         self.uid_mat = plan.uid_mat[ids]
         self.uid_len = plan.uid_len[ids]
         # (lane positions, edge ids, output columns, steps) per group
         self.groups = [
-            (lanes, ids[lanes], lane_cols[lanes], steps)
-            for lanes, steps in _program_groups(programs)
+            (lane_of[at], cand[at], cand_cols[at], steps) for at, steps in groups
         ]
 
     def sample_raw(self, seeds: list[int], scale: float) -> np.ndarray:
@@ -1263,20 +1312,10 @@ class _TemplateSampler(_Sampler):
             sampled_cols.any()
             and np.any(plan.uid_len[ir.run_edge_ids[:, sampled_cols]] == 0)
         )
-        sup: list[int] = []
-        programs: list = []
-        unsup: list[int] = []
-        if self.ok:
-            positions = np.nonzero(sampled_cols)[0]
-            for q, prog in zip(positions.tolist(), self.programs(ref[positions])):
-                if prog is None:
-                    unsup.append(q)
-                else:
-                    sup.append(q)
-                    programs.append(prog)
-        tpos = np.array(sup, dtype=np.int64)
-        self.groups = [(tpos[members], steps) for members, steps in _program_groups(programs)]
-        self.unsup_pos = np.array(unsup, dtype=np.int64)
+        positions = np.nonzero(sampled_cols)[0] if self.ok else np.zeros(0, dtype=np.int64)
+        groups, unsup = self.program_groups(ref[positions])
+        self.groups = [(positions[at], steps) for at, steps in groups]
+        self.unsup_pos = positions[unsup]
 
     def sample(self, seeds: list[int], scale: float, j0: int, j1: int) -> np.ndarray:
         """(R, (j1-j0) * n_te) sampled deltas for templated instances

@@ -106,6 +106,17 @@ class MachineSignature:
             return 1
         return max(1, math.ceil(interval / self.os_quantum))
 
+    def os_draw_counts(self, intervals: np.ndarray) -> np.ndarray:
+        """:meth:`os_draws` of every interval in an array (int64), called
+        once per distinct interval."""
+        intervals = np.asarray(intervals, dtype=np.float64)
+        # os_draws never decreases with the interval: one draw at the
+        # longest edge means one draw everywhere.
+        if not len(intervals) or self.os_draws(float(intervals.max())) == 1:
+            return np.ones(len(intervals), dtype=np.int64)
+        uw, inv = np.unique(intervals, return_inverse=True)
+        return np.array([self.os_draws(w) for w in uw.tolist()], dtype=np.int64)[inv]
+
     def sample_os_interval(
         self, rng: np.random.Generator, rank: int, interval: float
     ) -> float:

@@ -238,13 +238,10 @@ def _os_span(
     ranks ``rk``: where the signature takes k > 1 draws, each endpoint
     becomes ``const_term``'s sum of k copies of the rank's ``os_val``,
     computed once per distinct (rank, k)."""
-    # os_draws never decreases with the interval: one draw at the longest
-    # edge means one draw everywhere.
-    if signature.os_draws(float(weights.max())) == 1:
-        return cols
-    uw, inv = np.unique(weights, return_inverse=True)
-    k = np.array([signature.os_draws(w) for w in uw.tolist()], dtype=np.int64)[inv]
+    k = signature.os_draw_counts(weights)
     multi = np.nonzero(k > 1)[0]
+    if not len(multi):
+        return cols
     P = os_val.shape[1]
     pairs, at = np.unique(k[multi] * P + rk[multi], return_inverse=True)
     span = np.array(

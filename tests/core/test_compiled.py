@@ -10,6 +10,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.apps import ALL_APPS
@@ -28,7 +30,18 @@ from repro.core import (
 )
 from repro.core.graph import DeltaKind
 from repro.core.perturb import _mix, _splitmix64
-from repro.core.sampler import _build_tables, _mix_vec, _pcg_next64, _splitmix64_vec
+from repro.core.sampler import (
+    _build_tables,
+    _ConstDist,
+    _edge_program,
+    _eval_group,
+    _mix_vec,
+    _pcg_next64,
+    _Sampler,
+    _seeds_u64,
+    _splitmix64_vec,
+    _stream_key_arrays,
+)
 from repro.mpisim import run
 from repro.noise import Constant, Empirical, Exponential, MachineSignature
 from repro.noise.distributions import (
@@ -41,7 +54,7 @@ from repro.noise.distributions import (
     Uniform,
 )
 from repro.testing import oracle
-from tests.conftest import assert_incore_equal
+from tests.conftest import assert_incore_equal, plan_program
 
 U64 = np.uint64
 
@@ -828,3 +841,152 @@ class TestScalarOnlyFamilies:
         raw, _, fallback = _lane_counts(plan, sig, seeds)
         assert fallback > 0
         assert np.array_equal(raw, _scalar_raw(plan, sig, seeds))
+
+
+# ---------------------------------------------------------------------------
+# Draw programs are bound once per distinct delta key
+# ---------------------------------------------------------------------------
+
+
+def _per_edge_fallback(plan, sig, seeds) -> int:
+    """Fallback lanes of one flat sampling call under a per-edge bind:
+    one program per sampled edge, edges grouped by program shape, each
+    group evaluated from its edges' streams (the reference the keyed
+    bind must match; factors do not decide a lane's path)."""
+    sampler = _Sampler(plan, sig)
+    ids = plan.sampled_ids
+    by_shape: dict = {}
+    unsupported = 0
+    for e, delta, w in zip(ids.tolist(), plan.deltas.take(ids), plan.edge_weight[ids].tolist()):
+        prog = _edge_program(sig, delta, w, sampler.classify, sampler.max_draws)
+        if delta.uid and prog is not None:
+            by_shape.setdefault(tuple((d, k) for _, d, k in prog), []).append(e)
+        else:
+            unsupported += 1
+    fallback = unsupported * len(seeds)
+    for shape, members in by_shape.items():
+        eids = np.array(members)
+        steps = [
+            ("const", np.zeros(len(eids))) if isinstance(d, _ConstDist) else ("draw", d, None, k)
+            for d, k in shape
+        ]
+        keys = _stream_key_arrays(
+            _seeds_u64(seeds), plan.uid_kind[eids], plan.uid_mat[eids], plan.uid_len[eids]
+        )
+        _, ok = _eval_group(steps, keys, sampler.tables)
+        fallback += 0 if ok is None else int((~ok).sum())
+    return fallback
+
+
+_NBYTES = st.sampled_from([0, 1, 1 << 20])
+_bind_plans = st.tuples(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("compute"), st.integers(100, 3000)),
+            st.tuples(st.sampled_from(["ring", "xchg", "nb", "allreduce", "fanin"]), _NBYTES),
+            st.tuples(st.just("bcast"), st.integers(0, 4), _NBYTES),
+            st.tuples(st.just("barrier")),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(2, 5),
+)
+_dists = st.one_of(
+    st.builds(Constant, st.floats(0.0, 200.0)),
+    st.builds(Exponential, st.floats(1.0, 200.0)),
+    st.builds(Normal, st.floats(-50.0, 200.0), st.floats(0.1, 50.0)),
+    st.builds(lambda seed, n: _emp(seed, n, 80.0), st.integers(0, 99), st.integers(2, 300)),
+)
+_bind_signatures = st.builds(
+    MachineSignature,
+    os_noise=_dists,
+    latency=_dists,
+    per_byte=st.one_of(
+        st.builds(Constant, st.floats(0.0, 0.01)), st.builds(Exponential, st.floats(1e-4, 0.01))
+    ),
+    os_noise_by_rank=st.dictionaries(st.integers(0, 4), _dists, max_size=2),
+    latency_by_link=st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), _dists, max_size=2
+    ),
+    # 300 cycles: OS edges of the drawn compute rounds take 1 to 50 draws,
+    # so k crosses the vectorized limit of 7.
+    os_quantum=st.sampled_from([0.0, 300.0]),
+)
+
+
+@given(case=_bind_plans, sig=_bind_signatures)
+# Two messages on one link, with and without bytes; OS edges of 1 to
+# 50 draws.
+@example(
+    case=([("ring", 0), ("compute", 3000), ("ring", 1)], 3),
+    sig=MachineSignature(
+        os_noise=Exponential(80.0),
+        latency=Exponential(40.0),
+        per_byte=Exponential(0.004),
+        os_quantum=300.0,
+    ),
+)
+# One distribution for δ_os, δ_λ and δ_t: a TRANSFER_OS edge of 0 bytes
+# ([lat, os]) and a TRANSFER edge with bytes ([lat, bytes]) classify to
+# the same (dist, draws) sequence, as do a 2-rank allreduce of 0 bytes
+# and a TRANSFER edge; only the δ_t step takes the nbytes factor.
+@example(
+    case=([("nb", 0), ("ring", 1 << 20), ("allreduce", 0)], 2),
+    sig=MachineSignature(os_noise=Constant(2.0), latency=Constant(2.0), per_byte=Constant(2.0)),
+)
+@example(
+    case=([("nb", 0), ("ring", 1 << 20), ("allreduce", 0)], 2),
+    sig=MachineSignature(
+        os_noise=Exponential(3.0), latency=Exponential(3.0), per_byte=Exponential(3.0)
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_keyed_bind_matches_per_edge_sampling(case, sig):
+    """Drawn programs under drawn signatures: the keyed bind samples
+    every edge bit for bit as the scalar spec does, flat and coarse,
+    with the per-edge bind's fallback-lane count, and a uid-less
+    sampled edge raises the scalar engine's error."""
+    rounds, p = case
+    build = build_graph(run(plan_program(rounds), nprocs=p, seed=1).trace)
+    seeds = [0, 7]
+    flat = CompiledPlan(build, coarsen="off")
+    expected = _scalar_raw(flat, sig, seeds).view(np.int64)
+    fallback = _per_edge_fallback(flat, sig, seeds)
+    for coarsen in ("off", "on"):
+        plan = CompiledPlan(build, coarsen=coarsen)
+        raw, _, got = _lane_counts(plan, sig, seeds)
+        assert np.array_equal(raw.view(np.int64), expected), coarsen
+        assert got == fallback, coarsen
+        uidless = CompiledPlan(build, coarsen=coarsen)
+        e = int(uidless.sampled_ids[len(uidless.sampled_ids) // 2])
+        uidless.uid_len[e] = 0
+        with pytest.raises(ValueError) as scalar:
+            PerturbationSpec(sig, seed=seeds[0]).sample(uidless.deltas[e])
+        with pytest.raises(ValueError) as compiled:
+            uidless.sample_raw_batch(sig, seeds)
+        assert str(compiled.value) == str(scalar.value)
+
+
+def test_bind_expands_one_program_per_delta_key(monkeypatch):
+    """Structural guard: binding the 1000-task master/worker build
+    expands one draw program per distinct delta key, not one per
+    sampled edge."""
+    from repro.core import sampler as S
+
+    factory, params_cls = ALL_APPS["master_worker"]
+    build = build_graph(run(factory(params_cls(tasks=1000)), nprocs=4, seed=1).trace)
+    plan = CompiledPlan(build, coarsen="off")
+    calls = []
+    real = S._edge_program
+    monkeypatch.setattr(S, "_edge_program", lambda *a: calls.append(a) or real(*a))
+    with obs.observed() as session:
+        plan.bind(SIGNATURES["expo"])
+    keys = {
+        (d.kind, d.rank, d.src, d.dst, d.nbytes > 0, d.rounds, bool(d.uid))
+        for d in plan.deltas.take(plan.sampled_ids)
+    }
+    assert len(plan.sampled_ids) > 10_000
+    assert len(calls) == len(keys) < 100
+    (bind,) = [s for s in session.spans if s.name == "compiled.bind"]
+    assert bind.counters["compiled.bind_programs"] == len(keys)
